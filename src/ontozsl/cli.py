@@ -177,10 +177,7 @@ def cmd_train_map(args) -> None:
         _read(args.features, "features"), _read(args.split, "split"), table
     )
     if args.mapper == "sae":
-        model = zslmap.train_sae(
-            x, z, args.sae_lambda, zslmap.GdConfig(max_iters=args.max_iters, tol=args.tol, seed=args.seed)
-        )
-        _write(args.out, zslmap.save_model(model))
+        _write(args.out, zslmap.save_model(zslmap.train_sae(x, z, args.sae_lambda)))
     else:
         _write(args.out, zslmap.save_model(zslmap.train_ridge(x, z, args.alpha), alpha=args.alpha))
 
@@ -193,14 +190,11 @@ def cmd_predict(args) -> None:
     test = dataset.test_samples()
     if not test:
         raise DataError("no test samples with unseen labels")
-    lines = []
-    for s in test:
-        gx = zslmap.map_features(model, s.features)
-        label = zslmap.predict(
-            gx, table, cfg, sorted(dataset.seen_labels), sorted(dataset.unseen_labels)
-        )
-        lines.append(f"{s.id}\t{label}\t{s.label}")
-    _write(args.out, "".join(line + "\n" for line in lines))
+    gx = zslmap.map_features(model, np.stack([s.features for s in test], axis=1))
+    labels = zslmap.predict(
+        gx, table, cfg, sorted(dataset.seen_labels), sorted(dataset.unseen_labels)
+    )
+    _write(args.out, "".join(f"{s.id}\t{label}\t{s.label}\n" for s, label in zip(test, labels)))
 
 
 def cmd_eval(args) -> None:
@@ -341,10 +335,7 @@ def build_parser() -> _Parser:
     p.add_argument("--encodings", required=True)
     p.add_argument("--mapper", choices=("sae", "ridge"), default="sae")
     p.add_argument("--sae-lambda", type=float, default=0.5)
-    p.add_argument("--max-iters", type=int, default=5000)
-    p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--alpha", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
 
     p = add("predict", cmd_predict, "label test samples by nearest encoding")

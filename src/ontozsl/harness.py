@@ -90,6 +90,19 @@ def write_split(seen: Iterable[str], unseen: Iterable[str]) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+def float_row(text: str, where: str, size: int | None = None) -> np.ndarray:
+    """Comma-separated finite floats; anything else is a DataError at ``where``."""
+    try:
+        row = np.array([float(v) for v in text.split(",")], dtype=float)
+    except ValueError as exc:
+        raise DataError(f"{where}: {exc}") from None
+    if not np.isfinite(row).all():
+        raise DataError(f"{where}: values must be finite")
+    if size is not None and row.size != size:
+        raise DataError(f"{where}: expected {size} values, got {row.size}")
+    return row
+
+
 def parse_features(text: str) -> tuple[int, list[Sample]]:
     samples: list[Sample] = []
     dim: int | None = None
@@ -99,16 +112,8 @@ def parse_features(text: str) -> tuple[int, list[Sample]]:
         parts = raw.split("\t")
         if len(parts) != 3:
             raise DataError(f"features line {line_no}: expected id, label, values")
-        try:
-            values = np.array([float(v) for v in parts[2].split(",")], dtype=float)
-        except ValueError as exc:
-            raise DataError(f"features line {line_no}: {exc}") from None
-        if dim is None:
-            dim = values.size
-        elif values.size != dim:
-            raise DataError(
-                f"features line {line_no}: expected {dim} values, got {values.size}"
-            )
+        values = float_row(parts[2], f"features line {line_no}", dim)
+        dim = values.size
         samples.append(Sample(parts[0], parts[1], values))
     if dim is None:
         raise DataError("feature file has no samples")
@@ -141,11 +146,8 @@ def parse_vector_table(text: str, what: str) -> dict[str, np.ndarray]:
         parts = raw.split("\t")
         if len(parts) != 2:
             raise DataError(f"{what} line {line_no}: expected label and values")
-        values = np.array([float(v) for v in parts[1].split(",")], dtype=float)
-        if dim is None:
-            dim = values.size
-        elif values.size != dim:
-            raise DataError(f"{what} line {line_no}: expected {dim} values, got {values.size}")
+        values = float_row(parts[1], f"{what} line {line_no}", dim)
+        dim = values.size
         table[parts[0]] = values
     return table
 

@@ -64,8 +64,6 @@ class RunConfig:
 
     mapper: str = "sae"
     sae_lambda: float = 0.5
-    sae_max_iters: int = 5000
-    sae_tol: float = 1e-8
     ridge_alpha: float = 1e-3
 
     distance: str = "l2"
@@ -296,12 +294,7 @@ def run_pipeline(cfg: RunConfig) -> MetricsReport:
         x = np.stack([s.features for s in train], axis=1)
         z = np.stack([table.encodings[s.label] for s in train], axis=1)
         if cfg.mapper == "sae":
-            model: zslmap.SaeModel | np.ndarray = zslmap.train_sae(
-                x,
-                z,
-                cfg.sae_lambda,
-                zslmap.GdConfig(max_iters=cfg.sae_max_iters, tol=cfg.sae_tol, seed=cfg.seed + 3),
-            )
+            model: zslmap.SaeModel | np.ndarray = zslmap.train_sae(x, z, cfg.sae_lambda)
             emit("model.txt", zslmap.save_model(model))
         elif cfg.mapper == "ridge":
             model = zslmap.train_ridge(x, z, cfg.ridge_alpha)
@@ -314,14 +307,10 @@ def run_pipeline(cfg: RunConfig) -> MetricsReport:
         test = dataset.test_samples()
         if not test:
             raise DataError("no test samples: every sample has a seen label")
-        predictions = []
-        for s in test:
-            gx = zslmap.map_features(model, s.features)
-            predictions.append(
-                zslmap.predict(
-                    gx, table, predict_cfg, sorted(dataset.seen_labels), sorted(dataset.unseen_labels)
-                )
-            )
+        gx = zslmap.map_features(model, np.stack([s.features for s in test], axis=1))
+        predictions = zslmap.predict(
+            gx, table, predict_cfg, sorted(dataset.seen_labels), sorted(dataset.unseen_labels)
+        )
         emit(
             "predictions.tsv",
             "".join(f"{s.id}\t{pred}\t{s.label}\n" for s, pred in zip(test, predictions)),

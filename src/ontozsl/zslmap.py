@@ -6,19 +6,20 @@ hand-made attribute vector.  A linear mapper ``g`` is trained on seen-class
 features so that ``g(x)`` lands near the encoding of the right label; test
 features are classified by the nearest candidate encoding.
 
-Two mappers are provided.  The autoencoder mapper minimizes the tied-weight
-objective
+Two mappers are provided, both in closed form.  The autoencoder mapper
+minimizes the tied-weight objective
 
     || X - W' Z ||_F^2  +  lam * || W X - Z ||_F^2
 
-by full-batch gradient descent (an exact step size is computed by line search
-on this quadratic unless a fixed rate is configured).  The ridge baseline is
-the closed form ``Z X' (X X' + alpha I)^{-1}``.
+whose stationary points solve the Sylvester equation
+``Z Z' W + lam W X X' = (1 + lam) Z X'``; it is solved directly in the
+eigenbases of ``Z Z'`` and ``X X'``, taking the minimum-norm solution when
+the system is singular.  The ridge baseline is ``Z X' (X X' + alpha I)^{-1}``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
 
@@ -26,6 +27,7 @@ import numpy as np
 
 from .errors import DataError, NumericalError, UnknownNameError
 from .elembed import EmbeddingSpace
+from .harness import float_row
 from .ontology import Ontology
 from .textwalk import WordVectors, word_encoding
 
@@ -57,16 +59,6 @@ class EncodingTable:
     components: tuple[Component, ...]
     dim: int
     encodings: dict[str, np.ndarray]
-
-
-@dataclass(frozen=True)
-class GdConfig:
-    """Gradient-descent settings; ``learning_rate=None`` means line search."""
-
-    learning_rate: float | None = None
-    max_iters: int = 5000
-    tol: float = 1e-8
-    seed: int = 0
 
 
 @dataclass
@@ -166,56 +158,39 @@ def sae_grad(w: np.ndarray, x: np.ndarray, z: np.ndarray, lam: float) -> np.ndar
     return -2.0 * z @ (x - w.T @ z).T + 2.0 * lam * (w @ x - z) @ x.T
 
 
-def train_sae(
-    x: np.ndarray,
-    z: np.ndarray,
-    lam: float,
-    gd: GdConfig = GdConfig(),
-    init: np.ndarray | None = None,
-) -> SaeModel:
-    """Fit the tied-weight mapper by seeded gradient descent.
+def train_sae(x: np.ndarray, z: np.ndarray, lam: float) -> SaeModel:
+    """Fit the tied-weight mapper by solving its stationarity equation.
 
-    The objective is a convex quadratic in the weights, so exact line search
-    along the negative gradient converges without tuning.  Stops after
-    ``max_iters`` steps or once the relative loss improvement drops below
-    ``tol``.
+    With ``Z Z' = U diag(a) U'`` and ``X X' = V diag(b) V'`` the equation
+    decouples into ``(a_i + lam b_j) W~_ij = (1 + lam) (U' Z X' V)_ij`` for
+    ``W = U W~ V'``.  Eigenvalues at or below ``size * eps * max`` count as
+    zero, and every entry whose ``a_i + lam b_j`` is zero is set to zero,
+    which picks the minimum-norm minimizer when the system is singular.
     """
     _check_xz(x, z)
     if lam < 0:
         raise DataError("lam must be nonnegative")
-    m, p = z.shape[0], x.shape[0]
-    if init is not None:
-        if init.shape != (m, p):
-            raise DataError(f"init must be {m} x {p}, got {init.shape}")
-        w = init.astype(float).copy()
-    else:
-        w = np.random.default_rng(gd.seed).normal(scale=0.01, size=(m, p))
-    xxt = x @ x.T
-    zzt = z @ z.T
-    # overflow shows up as a non-finite loss and is reported below
     with np.errstate(over="ignore", invalid="ignore"):
-        loss = sae_loss(w, x, z, lam)
-        for _ in range(gd.max_iters):
-            grad = sae_grad(w, x, z, lam)
-            gsq = float(np.sum(grad * grad))
-            if gsq == 0.0:
-                break
-            if gd.learning_rate is not None:
-                step = gd.learning_rate
-            else:
-                curvature = 2.0 * float(np.sum(grad * (zzt @ grad + lam * grad @ xxt)))
-                if curvature <= 0.0:
-                    break
-                step = gsq / curvature
-            w -= step * grad
-            new_loss = sae_loss(w, x, z, lam)
-            if not np.isfinite(new_loss):
-                raise NumericalError("autoencoder training produced a non-finite loss")
-            if abs(loss - new_loss) < gd.tol * max(1.0, abs(loss)):
-                loss = new_loss
-                break
-            loss = new_loss
+        zzt = z @ z.T
+        xxt = x @ x.T
+    if not (np.isfinite(zzt).all() and np.isfinite(xxt).all()):
+        raise NumericalError("autoencoder inputs overflow or are not finite")
+    a, u = _eigh_clipped(zzt)
+    b, v = _eigh_clipped(xxt)
+    denom = a[:, None] + lam * b[None, :]
+    rhs = (1.0 + lam) * (u.T @ (z @ x.T) @ v)
+    w = u @ np.divide(rhs, denom, out=np.zeros_like(rhs), where=denom > 0.0) @ v.T
+    loss = sae_loss(w, x, z, lam)
+    if not np.isfinite(loss):
+        raise NumericalError("autoencoder training produced a non-finite loss")
     return SaeModel(w, lam, loss)
+
+
+def _eigh_clipped(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigen-decomposition of a PSD matrix with round-off eigenvalues set to 0."""
+    vals, vecs = np.linalg.eigh(sym)
+    cutoff = sym.shape[0] * np.finfo(float).eps * vals.max(initial=0.0)
+    return np.where(vals > cutoff, vals, 0.0), vecs
 
 
 def train_ridge(x: np.ndarray, z: np.ndarray, alpha: float) -> np.ndarray:
@@ -243,18 +218,31 @@ def map_features(model: SaeModel | np.ndarray, x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.sum(rows * rows, axis=1))
+
+
+def _row_distances(rows: np.ndarray, point: np.ndarray, kind: Distance) -> np.ndarray:
+    """Distance from each row of a C-contiguous N x m array to one m-vector.
+
+    Both :func:`distance` and :func:`predict` go through here, so a batch and
+    a single pair round identically and exact distance ties stay exact.
+    """
+    if kind is Distance.L2:
+        return _row_norms(rows - point)
+    norms = _row_norms(rows)
+    point_norm = _row_norms(point[None, :])[0]
+    if point_norm == 0.0 or not norms.all():
+        raise NumericalError("cosine distance is undefined for a zero vector")
+    return 1.0 - np.sum(rows * point, axis=1) / (norms * point_norm)
+
+
 def distance(a: np.ndarray, b: np.ndarray, kind: Distance) -> float:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
+    if a.shape != b.shape or a.ndim != 1:
         raise DataError(f"cannot compare vectors of shapes {a.shape} and {b.shape}")
-    if kind is Distance.L2:
-        return float(np.linalg.norm(a - b))
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise NumericalError("cosine distance is undefined for a zero vector")
-    return 1.0 - float(np.dot(a, b)) / (na * nb)
+    return float(_row_distances(a[None, :], b, kind)[0])
 
 
 def predict(
@@ -263,11 +251,11 @@ def predict(
     cfg: PredictConfig,
     seen_labels: Sequence[str],
     unseen_labels: Sequence[str],
-) -> str:
-    """Label whose encoding is nearest to ``gx``; ties go to the smaller label.
+) -> list[str]:
+    """Label of the nearest encoding for each column of the m x N batch ``gx``.
 
-    The candidate set is the unseen labels, or their union with the seen ones
-    under :attr:`CandidateSet.SEEN_AND_UNSEEN`.
+    Ties go to the smaller label.  The candidate set is the unseen labels, or
+    their union with the seen ones under :attr:`CandidateSet.SEEN_AND_UNSEEN`.
     """
     if cfg.candidates is CandidateSet.SEEN_AND_UNSEEN:
         candidates = sorted(set(unseen_labels) | set(seen_labels))
@@ -275,17 +263,24 @@ def predict(
         candidates = sorted(set(unseen_labels))
     if not candidates:
         raise DataError("empty candidate set")
-    best_label: str | None = None
-    best = float("inf")
     for label in candidates:
         if label not in table.encodings:
             raise UnknownNameError(f"candidate label {label!r} has no encoding")
-        d = distance(table.encodings[label], gx, cfg.distance)
-        if d < best:
-            best = d
-            best_label = label
-    assert best_label is not None
-    return best_label
+    gx = np.asarray(gx, dtype=float)
+    if gx.ndim != 2 or gx.shape[0] != table.dim:
+        raise DataError(f"mapped features must be {table.dim} x N, got shape {gx.shape}")
+    if not np.isfinite(gx).all():
+        raise NumericalError("mapped features are not finite")
+    rows = np.ascontiguousarray(gx.T)
+    best = np.full(rows.shape[0], np.inf)
+    best_index = np.zeros(rows.shape[0], dtype=int)
+    # candidates are sorted and only a strictly smaller distance wins
+    for index, label in enumerate(candidates):
+        d = _row_distances(rows, table.encodings[label], cfg.distance)
+        closer = d < best
+        best[closer] = d[closer]
+        best_index[closer] = index
+    return [candidates[i] for i in best_index]
 
 
 # ---------------------------------------------------------------------------
@@ -312,12 +307,15 @@ def load_encodings(text: str) -> EncodingTable:
             continue
         if raw.startswith("#components\t"):
             names = raw.split("\t", 1)[1].split(",")
-            components = tuple(Component(n) for n in names if n)
+            try:
+                components = tuple(Component(n) for n in names if n)
+            except ValueError as exc:
+                raise DataError(f"encodings line {line_no}: {exc}") from None
             continue
         parts = raw.split("\t")
         if len(parts) != 2:
-            raise DataError(f"line {line_no}: encoding rows take 2 fields")
-        encodings[parts[0]] = np.array([float(v) for v in parts[1].split(",")], dtype=float)
+            raise DataError(f"encodings line {line_no}: encoding rows take 2 fields")
+        encodings[parts[0]] = float_row(parts[1], f"encodings line {line_no}")
     dims = {v.size for v in encodings.values()}
     if len(dims) > 1:
         raise DataError(f"inconsistent encoding dimensions: {sorted(dims)}")
@@ -339,22 +337,26 @@ def save_model(model: SaeModel | np.ndarray, *, alpha: float | None = None) -> s
 
 
 def load_model(text: str) -> SaeModel | np.ndarray:
-    lines = [line for line in text.splitlines() if line.strip()]
-    if len(lines) < 2 or not lines[0].startswith("#kind\t") or not lines[1].startswith("#shape\t"):
+    lines = [(no, line) for no, line in enumerate(text.splitlines(), start=1) if line.strip()]
+    if len(lines) < 2 or not lines[0][1].startswith("#kind\t") or not lines[1][1].startswith("#shape\t"):
         raise DataError("model file must start with #kind and #shape headers")
-    kind_parts = lines[0].split("\t")
-    shape_parts = lines[1].split("\t")
-    rows, cols = int(shape_parts[1]), int(shape_parts[2])
+    (kind_no, kind_line), (shape_no, shape_line) = lines[:2]
+    kind = kind_line.split("\t")
+    if len(kind) != 3:
+        raise DataError(f"model line {kind_no}: #kind takes a mapper name and one number")
+    param = float_row(kind[2], f"model line {kind_no}", 1)[0]
+    try:
+        rows, cols = (int(v) for v in shape_line.split("\t")[1:])
+    except ValueError:
+        rows = cols = -1
+    if rows < 0 or cols < 0:
+        raise DataError(f"model line {shape_no}: #shape takes two nonnegative integers")
     if len(lines) - 2 != rows:
         raise DataError(f"expected {rows} weight rows, found {len(lines) - 2}")
-    weights = np.empty((rows, cols))
-    for i, line in enumerate(lines[2:]):
-        values = [float(v) for v in line.split(",")]
-        if len(values) != cols:
-            raise DataError(f"weight row {i} has {len(values)} entries, expected {cols}")
-        weights[i] = values
-    if kind_parts[1] == "sae":
-        return SaeModel(weights, float(kind_parts[2]), float("nan"))
-    if kind_parts[1] == "ridge":
+    weights = np.array([float_row(line, f"model line {no}", cols) for no, line in lines[2:]])
+    weights = weights.reshape(rows, cols)
+    if kind[1] == "sae":
+        return SaeModel(weights, param, float("nan"))
+    if kind[1] == "ridge":
         return weights
-    raise DataError(f"unknown model kind {kind_parts[1]!r}")
+    raise DataError(f"unknown model kind {kind[1]!r}")

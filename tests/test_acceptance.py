@@ -46,7 +46,6 @@ from ontozsl.zslmap import (
     Component,
     Distance,
     EncodingTable,
-    GdConfig,
     PredictConfig,
     distance,
     map_features,
@@ -221,7 +220,7 @@ def test_a5_sae_oracle():
             x = rng.normal(size=(p, 12))
             z = rng.normal(size=(m, 12))
             lam = 0.5
-            model = train_sae(x, z, lam, GdConfig(max_iters=20000, tol=1e-14))
+            model = train_sae(x, z, lam)
             exact = kron_solve(x, z, lam)
             assert np.abs(model.weights - exact).max() < 1e-4, (p, m)
 
@@ -261,7 +260,7 @@ def test_a6_prediction_scan():
                 or any(not np.linalg.norm(table.encodings[lbl]) for lbl in candidates)
             ):
                 continue
-            got = predict(gx, table, PredictConfig(kind, pool), seen, unseen)
+            got = predict(gx[:, None], table, PredictConfig(kind, pool), seen, unseen)[0]
             best = min(candidates, key=lambda lbl: (distance(table.encodings[lbl], gx, kind), lbl))
             assert got == best
             checked += 1
@@ -316,16 +315,16 @@ def test_a7_end_to_end_gate(bench):
         train = ds.train_samples()
         x = np.stack([s.features for s in train], axis=1)
         z = np.stack([table.encodings[s.label] for s in train], axis=1)
-        model = train_sae(x, z, cfg.sae_lambda, GdConfig(seed=cfg.seed))
+        model = train_sae(x, z, cfg.sae_lambda)
         test = ds.test_samples()
         preds = [
             predict(
-                map_features(model, s.features),
+                map_features(model, s.features)[:, None],
                 table,
                 PredictConfig(),
                 sorted(ds.seen_labels),
                 sorted(ds.unseen_labels),
-            )
+            )[0]
             for s in test
         ]
         per_class = per_class_accuracy(preds, [s.label for s in test], ds.unseen_labels)

@@ -1,8 +1,14 @@
 """Exit codes and subcommand behaviour, driven in-process through main()."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import ontozsl
 from ontozsl import harness, zslmap
 from ontozsl.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 
@@ -248,10 +254,51 @@ el_epochs = 40
 walks_per_node = 3
 w2v_dim = 5
 w2v_epochs = 2
-sae_max_iters = 500
 """
     )
     assert main(["pipeline", "--config", str(config), "--set", "seed=1"]) == EXIT_OK
     out = capsys.readouterr().out
     assert out.startswith("macro_unseen_accuracy\t")
     assert (tmp_path / "run" / "report.json").exists()
+
+
+GOOD_INPUTS = {
+    "features": "x0\ta\t1,0\nx1\tb\t0,1\n",
+    "split": "[seen]\na\n[unseen]\nb\n",
+    "encodings": "#components\tattribute\na\t1,0\nb\t0,1\n",
+    "model": "#kind\tsae\t0.5\n#shape\t2\t2\n1,0\n0,1\n",
+    "attributes": "a\t1,0\nb\t0,1\n",
+    "labels": "a\nb\n",
+}
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("features", "x0\ta\t1,0\nx1\tb\tnan,1\n"),
+        ("attributes", "a\t1,0\nb\tx-0.05,1\n"),
+        ("model", "#kind\tsae\n#shape\t2\t2\n1,0\n0,1\n"),
+        ("model", "#kind\tsae\t0.5\n#shape\tfoo\t1\n1\n"),
+        ("encodings", "#components\tbogus\na\t1,0\nb\t0,1\n"),
+    ],
+    ids=["nan-feature", "bad-attribute", "sae-without-lambda", "non-integer-shape", "unknown-component"],
+)
+def test_malformed_numeric_files_exit_2_without_traceback(tmp_path, name, text):
+    paths = {}
+    for key, content in {**GOOD_INPUTS, name: text}.items():
+        paths[key] = tmp_path / key
+        paths[key].write_text(content)
+    if name == "attributes":
+        argv = ["encode", "--labels", paths["labels"], "--components", "attribute",
+                "--attributes", paths["attributes"]]
+    else:
+        argv = ["predict"] + [
+            arg for key in ("features", "split", "encodings", "model") for arg in (f"--{key}", paths[key])
+        ]
+    env = {**os.environ, "PYTHONPATH": str(Path(ontozsl.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "ontozsl.cli", *map(str, argv)], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == EXIT_DATA, done.stderr
+    assert "Traceback" not in done.stderr
+    assert "line " in done.stderr

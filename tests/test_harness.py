@@ -67,6 +67,14 @@ def test_parse_features_rejects_bad_rows():
         parse_features("")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "x-0.05", ""])
+def test_float_tables_reject_non_finite_and_malformed_numbers(value):
+    with pytest.raises(DataError, match="line 2"):
+        parse_features(f"s1\tcat\t1,2\ns2\tdog\t1,{value}\n")
+    with pytest.raises(DataError, match="attributes line 2"):
+        parse_vector_table(f"a\t1,2\nb\t{value},1\n", "attributes")
+
+
 def test_features_round_trip():
     dim, samples = parse_features(FEATURES)
     text = write_features(samples)  # canonical form: no trailing zeros

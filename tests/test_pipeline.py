@@ -43,7 +43,6 @@ FAST = dict(
     walk_length=3,
     w2v_dim=6,
     w2v_epochs=3,
-    sae_max_iters=800,
 )
 
 
@@ -212,7 +211,7 @@ def test_noise_free_seen_classes_are_linearly_separable():
     w = train_ridge(x, z, 1e-9)
     cfg = PredictConfig(Distance.L2, CandidateSet.SEEN_AND_UNSEEN)
     preds = [
-        predict(map_features(w, s.features), table, cfg, sorted(ds.seen_labels), sorted(ds.unseen_labels))
+        predict(map_features(w, s.features)[:, None], table, cfg, sorted(ds.seen_labels), sorted(ds.unseen_labels))[0]
         for s in train
     ]
     assert sample_accuracy(preds, [s.label for s in train]) == 1.0

@@ -13,9 +13,9 @@ from ontozsl.zslmap import (
     Component,
     Distance,
     EncodingTable,
-    GdConfig,
     PredictConfig,
     SaeModel,
+    _row_distances,
     distance,
     encode_labels,
     load_encodings,
@@ -220,7 +220,7 @@ def test_train_sae_recovers_orthogonal_map():
 def test_train_sae_identity_target():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(3, 10))
-    model = train_sae(x, x, 0.5, init=np.eye(3) + rng.normal(size=(3, 3)) * 0.01)
+    model = train_sae(x, x, 0.5)
     assert model.train_loss < 1e-6
 
 
@@ -231,7 +231,7 @@ def test_train_sae_matches_kronecker_oracle():
             x = rng.normal(size=(p, 12))
             z = rng.normal(size=(m, 12))
             lam = 0.5
-            model = train_sae(x, z, lam, GdConfig(max_iters=20000, tol=1e-14))
+            model = train_sae(x, z, lam)
             exact = kron_solve(x, z, lam)
             assert np.abs(model.weights - exact).max() < 1e-4, (p, m)
 
@@ -240,17 +240,38 @@ def test_train_sae_is_deterministic():
     rng = np.random.default_rng(7)
     x = rng.normal(size=(3, 8))
     z = rng.normal(size=(2, 8))
-    a = train_sae(x, z, 0.5, GdConfig(seed=3))
-    b = train_sae(x, z, 0.5, GdConfig(seed=3))
+    a = train_sae(x, z, 0.5)
+    b = train_sae(x, z, 0.5)
     assert np.array_equal(a.weights, b.weights)
 
 
-def test_train_sae_fixed_learning_rate_can_diverge():
+def test_train_sae_is_minimum_norm_when_singular():
     rng = np.random.default_rng(8)
-    x = rng.normal(size=(3, 8)) * 10
-    z = rng.normal(size=(3, 8)) * 10
+    for n, p, m, lam in ((3, 5, 4, 0.0), (3, 5, 4, 0.5), (6, 3, 4, 0.0), (2, 2, 3, 1.5)):
+        x = rng.normal(size=(p, n))
+        z = rng.normal(size=(m, n))
+        a = np.kron(np.eye(p), z @ z.T) + lam * np.kron(x @ x.T, np.eye(m))
+        rhs = (1 + lam) * (z @ x.T).reshape(m * p, order="F")
+        want = np.linalg.lstsq(a, rhs, rcond=None)[0].reshape((m, p), order="F")
+        got = train_sae(x, z, lam).weights
+        assert np.abs(got - want).max() < 1e-8, (n, p, m, lam)
+
+
+def test_train_sae_is_stationary_on_repeated_encodings():
+    # pipeline-shaped: every sample of a class shares one encoding column
+    rng = np.random.default_rng(14)
+    classes = rng.normal(size=(50, 8))
+    z = np.repeat(classes, 30, axis=1)
+    x = rng.normal(size=(16, 8)).repeat(30, axis=1) + rng.normal(0.0, 0.05, size=(16, 240))
+    for lam in (0.0, 0.5):
+        w = train_sae(x, z, lam).weights
+        residual = np.linalg.norm(sae_grad(w, x, z, lam))
+        assert residual / np.linalg.norm((1 + lam) * z @ x.T) < 1e-10, lam
+
+
+def test_train_sae_rejects_overflowing_inputs():
     with pytest.raises(NumericalError):
-        train_sae(x, z, 0.5, GdConfig(learning_rate=10.0, max_iters=500))
+        train_sae(np.full((2, 3), 1e200), np.ones((2, 3)), 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +332,8 @@ def test_predict_picks_nearest_candidate():
         2,
         {"y1": np.array([0.0, 0.0]), "y2": np.array([1.0, 1.0])},
     )
-    got = predict(np.array([0.9, 0.8]), table, PredictConfig(), [], ["y1", "y2"])
-    assert got == "y2"
+    got = predict(np.array([[0.9, 0.0], [0.8, -0.1]]), table, PredictConfig(), [], ["y1", "y2"])
+    assert got == ["y2", "y1"]
 
 
 def test_predict_breaks_ties_lexicographically():
@@ -321,9 +342,9 @@ def test_predict_breaks_ties_lexicographically():
         1,
         {"b": np.array([1.0]), "a": np.array([-1.0]), "c": np.array([1.0])},
     )
-    assert predict(np.array([0.0]), table, PredictConfig(), [], ["b", "a", "c"]) == "a"
+    assert predict(np.array([[0.0]]), table, PredictConfig(), [], ["b", "a", "c"]) == ["a"]
     # between the two exactly tied candidates the smaller label wins
-    assert predict(np.array([1.0]), table, PredictConfig(), [], ["b", "c"]) == "b"
+    assert predict(np.array([[1.0]]), table, PredictConfig(), [], ["b", "c"]) == ["b"]
 
 
 def test_predict_candidate_sets():
@@ -332,19 +353,23 @@ def test_predict_candidate_sets():
         1,
         {"seen": np.array([0.0]), "unseen": np.array([5.0])},
     )
-    gx = np.array([0.1])
+    gx = np.array([[0.1]])
     unseen_only = PredictConfig(candidates=CandidateSet.UNSEEN_ONLY)
     both = PredictConfig(candidates=CandidateSet.SEEN_AND_UNSEEN)
-    assert predict(gx, table, unseen_only, ["seen"], ["unseen"]) == "unseen"
-    assert predict(gx, table, both, ["seen"], ["unseen"]) == "seen"
+    assert predict(gx, table, unseen_only, ["seen"], ["unseen"]) == ["unseen"]
+    assert predict(gx, table, both, ["seen"], ["unseen"]) == ["seen"]
 
 
 def test_predict_empty_candidates_or_missing_encoding():
     table = EncodingTable((Component.EL_CENTER,), 1, {"a": np.array([0.0])})
     with pytest.raises(DataError):
-        predict(np.array([0.0]), table, PredictConfig(), [], [])
+        predict(np.zeros((1, 1)), table, PredictConfig(), [], [])
     with pytest.raises(UnknownNameError):
-        predict(np.array([0.0]), table, PredictConfig(), [], ["ghost"])
+        predict(np.zeros((1, 1)), table, PredictConfig(), [], ["ghost"])
+    with pytest.raises(DataError):
+        predict(np.zeros((2, 1)), table, PredictConfig(), [], ["a"])
+    with pytest.raises(NumericalError):
+        predict(np.full((1, 1), np.nan), table, PredictConfig(), [], ["a"])
 
 
 def test_predict_matches_brute_force_scan():
@@ -366,11 +391,31 @@ def test_predict_matches_brute_force_scan():
             not np.linalg.norm(table.encodings[lbl]) for lbl in unseen
         ):
             continue
-        got = predict(gx, table, PredictConfig(distance=kind), [], unseen)
+        got = predict(gx[:, None], table, PredictConfig(distance=kind), [], unseen)[0]
         best = min(
             sorted(unseen), key=lambda lbl: (distance(table.encodings[lbl], gx, kind), lbl)
         )
         assert got == best
+
+
+def test_batched_distances_equal_single_pairs_bit_for_bit():
+    rng = np.random.default_rng(15)
+    for _ in range(300):
+        n, m = int(rng.integers(1, 40)), int(rng.integers(1, 70))
+        gx = rng.normal(size=(m, n))
+        point = rng.normal(size=m)
+        labels = [f"c{i}" for i in range(3)]
+        table = EncodingTable((Component.EL_CENTER,), m, {lbl: rng.normal(size=m) for lbl in labels})
+        for kind in Distance:
+            batch = _row_distances(np.ascontiguousarray(gx.T), point, kind)
+            single = [distance(point, gx[:, j], kind) for j in range(n)]
+            assert batch.tolist() == single
+            got = predict(gx, table, PredictConfig(distance=kind), [], labels)
+            want = [
+                min(labels, key=lambda lbl: (distance(table.encodings[lbl], gx[:, j], kind), lbl))
+                for j in range(n)
+            ]
+            assert got == want
 
 
 # ---------------------------------------------------------------------------
