@@ -13,19 +13,23 @@ pull the centers of its concept operands onto the unit sphere.  With margin
     DISJ And(A, B) [= Bot max(0, r(A) + r(B) - |c(A)-c(B)| + e)
     RSUB t [= s           |v(t) - v(s)|        (no regularizers)
 
-plus a negative loss that pushes corrupted NF2 fillers out of reach.  All
-gradients are computed analytically and checked against finite differences in
-the test suite.
+plus a negative loss that pushes corrupted NF2 fillers out of reach.  Each is
+a sum of norm penalties and hinges ``max(0, sd*|x(a) + sv*x(t) - x(b)| +
+sa*r(a) + sb*r(b) + m*e)`` over rows ``x`` of one matrix (concept centers, then
+relation vectors).  Axioms compile once into index and coefficient tables, and
+one array kernel gives the loss and analytic gradient of any set of table rows,
+for training, :func:`total_loss` and the one-axiom ``loss_*``/``grad_*`` alike.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DataError, NumericalError, UnknownNameError
+from .harness import float_row
 from .normalform import (
     BOTTOM,
     NF1,
@@ -90,195 +94,217 @@ class ElTrainConfig:
 
 
 # ---------------------------------------------------------------------------
-# losses and gradients
+# loss terms and the kernel
 # ---------------------------------------------------------------------------
 
-# Gradient dictionaries map ("c", name) -> center gradient, ("r", name) ->
-# radius gradient, ("v", name) -> relation-vector gradient, with repeated
-# operands accumulated.
+# Parameter rows are keyed ("c", concept) or ("v", relation); gradient
+# dictionaries use the same keys plus ("r", concept) for radii.
+Key = tuple[str, str]
 
-Grads = dict[tuple[str, str], np.ndarray | float]
+# Hinge coefficients (sv, sd, sa, sb, m, pa, pb): pa and pb weight the norm
+# penalties of rows a and b.  These are the ones of a corrupted NF2 term.
+_NEGATIVE = (1, -1, 1, 1, 1, 1, 1)
 
 
-def _ball(space: EmbeddingSpace, name: str) -> Ball:
+class _Terms(NamedTuple):
+    rows: np.ndarray  # (n, 4) int: rows a, b, t of each hinge, axiom number
+    coef: np.ndarray  # (n, 7): sv, sd, sa, sb, m*e, pa, pb
+
+
+def _hinges(ax: NormalAxiom) -> list[tuple]:
+    """Hinges ``(a, b, t or None, sv, sd, sa, sb, m, pa, pb)`` of one axiom."""
+    if isinstance(ax, NF1):
+        return [(("c", ax.sub), ("c", ax.sup), None, 0, 1, 1, -1, -1, 1, 1)]
+    if isinstance(ax, NF2):
+        return [(("c", ax.sub), ("c", ax.filler), ("v", ax.relation), 1, 1, 1, -1, -1, 1, 1)]
+    if isinstance(ax, NF3):
+        return [(("c", ax.filler), ("c", ax.sup), ("v", ax.relation), -1, 1, -1, -1, -1, 1, 1)]
+    # And(A, B) [= Bottom is a disjointness in disguise
+    if isinstance(ax, Disjointness) or (isinstance(ax, NF4) and ax.sup == BOTTOM):
+        return [(("c", ax.left), ("c", ax.right), None, 0, -1, 1, 1, 1, 1, 1)]
+    if isinstance(ax, NF4):
+        left, right, sup = ("c", ax.left), ("c", ax.right), ("c", ax.sup)
+        return [
+            (left, right, None, 0, 1, -1, -1, -1, 1, 1),
+            (left, sup, None, 0, 1, 0, -1, -1, 0, 1),
+            (right, sup, None, 0, 1, 0, -1, -1, 0, 0),
+        ]
+    if isinstance(ax, RSub):
+        return [(("v", ax.sub), ("v", ax.sup), None, 0, 1, 0, 0, 0, 0, 0)]
+    raise DataError(f"cannot embed axiom {ax!r}")
+
+
+def _compile(
+    axioms: Sequence[NormalAxiom], keys: list[Key], margin: float
+) -> tuple[_Terms, np.ndarray]:
+    """Term tables of ``axioms`` over rows ``keys``, and the hinge row of each NF2 axiom."""
+    row = {key: i for i, key in enumerate(keys)}
+    rows, coef, nf2 = [], [], []
     try:
-        return space.concepts[name]
-    except KeyError:
-        raise UnknownNameError(f"no embedded concept named {name!r}") from None
+        for number, ax in enumerate(axioms):
+            if isinstance(ax, NF2):
+                nf2.append(len(rows))
+            for a, b, rel, sv, sd, sa, sb, m, pa, pb in _hinges(ax):
+                # a hinge without a relation reads row a with coefficient 0
+                rows.append((row[a], row[b], row[rel or a], number))
+                coef.append((sv, sd, sa, sb, m * margin, pa, pb))
+    except KeyError as missing:
+        kind, name = missing.args[0]
+        kind = "concept" if kind == "c" else "relation"
+        raise UnknownNameError(f"no embedded {kind} named {name!r}") from None
+    terms = _Terms(
+        np.array(rows, dtype=np.intp).reshape(-1, 4), np.array(coef, dtype=float).reshape(-1, 7)
+    )
+    return terms, np.array(nf2, dtype=np.intp)
 
 
-def _vec(space: EmbeddingSpace, name: str) -> np.ndarray:
-    try:
-        return space.relations[name]
-    except KeyError:
-        raise UnknownNameError(f"no embedded relation named {name!r}") from None
+def _corrupt(terms: _Terms, j: np.ndarray, fake: np.ndarray, margin: float) -> _Terms:
+    """Negative terms: NF2 hinge rows ``j`` of ``terms`` with fillers ``fake``."""
+    rows = terms.rows[j]
+    rows[:, 1] = fake
+    coef = np.tile(np.array(_NEGATIVE, dtype=float), (len(j), 1))
+    coef[:, 4] *= margin
+    return _Terms(rows, coef)
 
 
-def _acc(grads: Grads, key: tuple[str, str], value) -> None:
-    if key in grads:
-        grads[key] = grads[key] + value
-    else:
-        grads[key] = value
+def _with_negatives(
+    terms: _Terms, nf2: np.ndarray, cfg: ElTrainConfig, n_concepts: int, rng: np.random.Generator
+) -> _Terms:
+    """Append ``cfg.negatives`` corruptions of NF2 hinge rows ``nf2``, drawn in that order."""
+    if cfg.negatives == 0 or n_concepts < 2 or nf2.size == 0:
+        return terms
+    j = np.repeat(nf2, cfg.negatives)
+    # uniform over the other concepts; concept rows come first
+    drawn = rng.integers(n_concepts - 1, size=j.size)
+    negative = _corrupt(terms, j, drawn + (drawn >= terms.rows[j, 1]), cfg.margin)
+    return _Terms(*(np.concatenate(pair) for pair in zip(terms, negative)))
 
 
-def _norm_penalty(center: np.ndarray, name: str, grads: Grads | None) -> float:
-    """``| ||center|| - 1 |`` and, when asked, its subgradient."""
-    nrm = float(np.linalg.norm(center))
-    if grads is not None and nrm > 0.0:
-        _acc(grads, ("c", name), np.sign(nrm - 1.0) * (center / nrm))
-    return abs(nrm - 1.0)
+def _loss_grad(
+    params: np.ndarray, radii: np.ndarray, terms: _Terms, grad: bool = True
+) -> tuple[float, np.ndarray | None, np.ndarray | None]:
+    """Summed loss of ``terms`` and, when asked, its gradients on params and radii.
+
+    Gradients of repeated rows accumulate.  Subgradients at kinks: a zero
+    distance gives a zero direction, a zero center no penalty gradient.
+    """
+    a, b, rel, _ = terms.rows.T
+    sv, sd, sa, sb, bias = terms.coef[:, :5].T
+    ends = params[terms.rows[:, :2]]
+    diff = ends[:, 0] + sv[:, None] * params[rel] - ends[:, 1]
+    # vecdot rounds like np.linalg.norm on one vector, keeping exact zeros exact
+    dist = np.sqrt(np.vecdot(diff, diff))
+    raw = sd * dist + (sa * radii[a] + sb * radii[b]) + bias
+    norms = np.sqrt(np.vecdot(ends, ends))
+    penalty = terms.coef[:, 5:]
+    loss = float(np.maximum(raw, 0.0).sum() + (penalty * np.abs(norms - 1.0)).sum())
+    if not grad:
+        return loss, None, None
+    active = raw > 0.0
+    step = diff * np.divide(sd, dist, out=np.zeros_like(dist), where=active & (dist > 0.0))[:, None]
+    pull = penalty * np.sign(norms - 1.0)
+    pull = np.divide(pull, norms, out=np.zeros_like(norms), where=norms > 0.0)
+    ends *= pull[:, :, None]
+    weights = np.stack([ends[:, 0] + step, ends[:, 1] - step, sv[:, None] * step], axis=1)
+    dim = params.shape[1]
+    flat = terms.rows[:, :3, None] * dim + np.arange(dim)
+    g_params = np.bincount(flat.ravel(), weights.ravel(), minlength=params.size)
+    radius_signs = terms.coef[:, 2:4] * active[:, None]
+    g_radii = np.bincount(terms.rows[:, :2].ravel(), radius_signs.ravel(), minlength=radii.size)
+    return loss, g_params.reshape(params.shape), g_radii
 
 
-def _hinge_pair(
-    a: str,
-    b: str,
-    diff: np.ndarray,
-    signed_radii: float,
-    margin: float,
-    sign_dist: float,
-    sign_ra: float,
-    sign_rb: float,
-    grads: Grads | None,
-    rel: str | None = None,
-    sign_rel: float = 0.0,
-) -> float:
-    """Shared hinge ``max(0, sign_dist*|diff| + signed_radii - margin)``."""
-    dist = float(np.linalg.norm(diff))
-    raw = sign_dist * dist + signed_radii - margin
-    if raw <= 0.0:
-        return 0.0
-    if grads is not None:
-        direction = diff / dist if dist > 0.0 else np.zeros_like(diff)
-        _acc(grads, ("c", a), sign_dist * direction)
-        _acc(grads, ("c", b), -sign_dist * direction)
-        _acc(grads, ("r", a), sign_ra)
-        _acc(grads, ("r", b), sign_rb)
-        if rel is not None:
-            _acc(grads, ("v", rel), sign_rel * direction)
-    return raw
+def _pack(space: EmbeddingSpace) -> tuple[list[Key], np.ndarray, np.ndarray]:
+    """Row keys, parameter matrix and radii (0 on relation rows) of a space."""
+    concepts, relations = sorted(space.concepts), sorted(space.relations)
+    vectors = [space.concepts[c].center for c in concepts] + [space.relations[r] for r in relations]
+    radii = [space.concepts[c].radius for c in concepts] + [0.0] * len(relations)
+    keys = [("c", c) for c in concepts] + [("v", r) for r in relations]
+    return keys, np.array(vectors, dtype=float).reshape(len(keys), space.dim), np.array(radii)
 
 
-def _nf1(space, a: str, b: str, margin: float, grads: Grads | None) -> float:
-    ba, bb = _ball(space, a), _ball(space, b)
-    loss = _hinge_pair(a, b, ba.center - bb.center, ba.radius - bb.radius, margin, 1.0, 1.0, -1.0, grads)
-    return loss + _norm_penalty(ba.center, a, grads) + _norm_penalty(bb.center, b, grads)
-
-
-def _nf2(space, a: str, rel: str, b: str, margin: float, grads: Grads | None) -> float:
-    ba, bb = _ball(space, a), _ball(space, b)
-    diff = ba.center + _vec(space, rel) - bb.center
-    loss = _hinge_pair(a, b, diff, ba.radius - bb.radius, margin, 1.0, 1.0, -1.0, grads, rel, 1.0)
-    return loss + _norm_penalty(ba.center, a, grads) + _norm_penalty(bb.center, b, grads)
-
-
-def _nf3(space, rel: str, a: str, b: str, margin: float, grads: Grads | None) -> float:
-    ba, bb = _ball(space, a), _ball(space, b)
-    diff = ba.center - _vec(space, rel) - bb.center
-    loss = _hinge_pair(a, b, diff, -ba.radius - bb.radius, margin, 1.0, -1.0, -1.0, grads, rel, -1.0)
-    return loss + _norm_penalty(ba.center, a, grads) + _norm_penalty(bb.center, b, grads)
-
-
-def _nf4(space, a: str, b: str, c: str, margin: float, grads: Grads | None) -> float:
-    ba, bb, bc = _ball(space, a), _ball(space, b), _ball(space, c)
-    loss = _hinge_pair(a, b, ba.center - bb.center, -ba.radius - bb.radius, margin, 1.0, -1.0, -1.0, grads)
-    loss += _hinge_pair(a, c, ba.center - bc.center, -bc.radius, margin, 1.0, 0.0, -1.0, grads)
-    loss += _hinge_pair(b, c, bb.center - bc.center, -bc.radius, margin, 1.0, 0.0, -1.0, grads)
-    for name, ball in ((a, ba), (b, bb), (c, bc)):
-        loss += _norm_penalty(ball.center, name, grads)
-    return loss
-
-
-def _disjoint(space, a: str, b: str, margin: float, grads: Grads | None) -> float:
-    ba, bb = _ball(space, a), _ball(space, b)
-    loss = _hinge_pair(a, b, ba.center - bb.center, ba.radius + bb.radius, -margin, -1.0, 1.0, 1.0, grads)
-    return loss + _norm_penalty(ba.center, a, grads) + _norm_penalty(bb.center, b, grads)
-
-
-def _role(space, sub: str, sup: str, grads: Grads | None) -> float:
-    va, vb = _vec(space, sub), _vec(space, sup)
-    diff = va - vb
-    dist = float(np.linalg.norm(diff))
-    if grads is not None and dist > 0.0:
-        _acc(grads, ("v", sub), diff / dist)
-        _acc(grads, ("v", sup), -diff / dist)
-    return dist
-
-
-def _nf2_negative(space, a: str, rel: str, b: str, margin: float, grads: Grads | None) -> float:
-    ba, bb = _ball(space, a), _ball(space, b)
-    diff = ba.center + _vec(space, rel) - bb.center
-    loss = _hinge_pair(a, b, diff, ba.radius + bb.radius, -margin, -1.0, 1.0, 1.0, grads, rel, -1.0)
-    return loss + _norm_penalty(ba.center, a, grads) + _norm_penalty(bb.center, b, grads)
+def _single(space: EmbeddingSpace, ax: NormalAxiom, margin: float, negative=False, grad=False):
+    """One axiom (or, with ``negative``, its NF2 filler as a corruption) through the kernel."""
+    keys, params, radii = _pack(space)
+    terms, nf2 = _compile([ax], keys, margin)
+    if negative:
+        terms = _corrupt(terms, nf2, terms.rows[nf2, 1], margin)
+    loss, g_params, g_radii = _loss_grad(params, radii, terms, grad)
+    if not grad:
+        return loss
+    grads: dict[Key, np.ndarray | float] = {}
+    for i in np.unique(terms.rows[:, :3]):
+        kind, name = keys[i]
+        grads[kind, name] = g_params[i]
+        if kind == "c":
+            grads["r", name] = float(g_radii[i])
+    return loss, grads
 
 
 def loss_nf1(space: EmbeddingSpace, a: str, b: str, margin: float) -> float:
     """Penalty for the ball of ``a`` poking out of the ball of ``b``."""
-    return _nf1(space, a, b, margin, None)
+    return _single(space, NF1(a, b), margin)
 
 
 def loss_nf2(space: EmbeddingSpace, a: str, relation: str, b: str, margin: float) -> float:
     """Like :func:`loss_nf1` after translating ``a`` by the relation vector."""
-    return _nf2(space, a, relation, b, margin, None)
+    return _single(space, NF2(a, relation, b), margin)
 
 
 def loss_nf3(space: EmbeddingSpace, relation: str, a: str, b: str, margin: float) -> float:
     """Keeps the back-translated filler ball within reach of ``b``."""
-    return _nf3(space, relation, a, b, margin, None)
+    return _single(space, NF3(relation, a, b), margin)
 
 
 def loss_nf4(space: EmbeddingSpace, a: str, b: str, c: str, margin: float) -> float:
     """Keeps ``a`` and ``b`` overlapping and both near the center of ``c``."""
-    return _nf4(space, a, b, c, margin, None)
+    return _single(space, NF4(a, b, c), margin)
 
 
 def loss_disjoint(space: EmbeddingSpace, a: str, b: str, margin: float) -> float:
     """Pushes two balls apart until they no longer intersect; symmetric."""
-    return _disjoint(space, a, b, margin, None)
+    return _single(space, Disjointness(a, b), margin)
 
 
 def loss_role(space: EmbeddingSpace, sub: str, sup: str) -> float:
     """Distance between the vectors of two relations in an inclusion."""
-    return _role(space, sub, sup, None)
+    return _single(space, RSub(sub, sup), 0.0)
 
 
 def loss_nf2_negative(space: EmbeddingSpace, a: str, relation: str, b: str, margin: float) -> float:
     """Margin loss driving a corrupted filler away from the translated ball."""
-    return _nf2_negative(space, a, relation, b, margin, None)
+    return _single(space, NF2(a, relation, b), margin, negative=True)
+
+
+# The grad_* functions return (loss, grads) with a gradient for every operand.
 
 
 def grad_nf1(space, a, b, margin):
-    grads: Grads = {}
-    return _nf1(space, a, b, margin, grads), grads
+    return _single(space, NF1(a, b), margin, grad=True)
 
 
 def grad_nf2(space, a, relation, b, margin):
-    grads: Grads = {}
-    return _nf2(space, a, relation, b, margin, grads), grads
+    return _single(space, NF2(a, relation, b), margin, grad=True)
 
 
 def grad_nf3(space, relation, a, b, margin):
-    grads: Grads = {}
-    return _nf3(space, relation, a, b, margin, grads), grads
+    return _single(space, NF3(relation, a, b), margin, grad=True)
 
 
 def grad_nf4(space, a, b, c, margin):
-    grads: Grads = {}
-    return _nf4(space, a, b, c, margin, grads), grads
+    return _single(space, NF4(a, b, c), margin, grad=True)
 
 
 def grad_disjoint(space, a, b, margin):
-    grads: Grads = {}
-    return _disjoint(space, a, b, margin, grads), grads
+    return _single(space, Disjointness(a, b), margin, grad=True)
 
 
 def grad_role(space, sub, sup):
-    grads: Grads = {}
-    return _role(space, sub, sup, grads), grads
+    return _single(space, RSub(sub, sup), 0.0, grad=True)
 
 
 def grad_nf2_negative(space, a, relation, b, margin):
-    grads: Grads = {}
-    return _nf2_negative(space, a, relation, b, margin, grads), grads
+    return _single(space, NF2(a, relation, b), margin, negative=True, grad=True)
 
 
 # ---------------------------------------------------------------------------
@@ -286,55 +312,21 @@ def grad_nf2_negative(space, a, relation, b, margin):
 # ---------------------------------------------------------------------------
 
 
-def _axiom_loss(space, ax: NormalAxiom, margin: float, grads: Grads | None) -> float:
-    if isinstance(ax, NF1):
-        return _nf1(space, ax.sub, ax.sup, margin, grads)
-    if isinstance(ax, NF2):
-        return _nf2(space, ax.sub, ax.relation, ax.filler, margin, grads)
-    if isinstance(ax, NF3):
-        return _nf3(space, ax.relation, ax.filler, ax.sup, margin, grads)
-    if isinstance(ax, NF4):
-        if ax.sup == BOTTOM:  # And(A, B) [= Bottom is a disjointness in disguise
-            return _disjoint(space, ax.left, ax.right, margin, grads)
-        return _nf4(space, ax.left, ax.right, ax.sup, margin, grads)
-    if isinstance(ax, Disjointness):
-        return _disjoint(space, ax.left, ax.right, margin, grads)
-    if isinstance(ax, RSub):
-        return _role(space, ax.sub, ax.sup, grads)
-    raise DataError(f"cannot embed axiom {ax!r}")
-
-
-def _negative_pools(axioms: Iterable[NormalAxiom], concepts: list[str]) -> dict[str, list[str]]:
-    pools: dict[str, list[str]] = {}
-    for ax in axioms:
-        if isinstance(ax, NF2) and ax.filler not in pools:
-            pools[ax.filler] = [c for c in concepts if c != ax.filler]
-    return pools
-
-
 def total_loss(space: EmbeddingSpace, n: NormalizedOntology, cfg: ElTrainConfig) -> float:
     """Sum of axiom losses plus sampled NF2 corruption losses.
 
     Deterministic: corrupted fillers are redrawn from a generator seeded with
-    ``cfg.seed`` on every call.
+    ``cfg.seed`` on every call, in axiom order.
     """
-    rng = np.random.default_rng(cfg.seed)
-    concepts = sorted(space.concepts)
-    pools = _negative_pools(n.axioms, concepts)
-    loss = 0.0
-    for ax in n.axioms:
-        loss += _axiom_loss(space, ax, cfg.margin, None)
-        if isinstance(ax, NF2) and cfg.negatives > 0:
-            pool = pools[ax.filler]
-            if pool:
-                for _ in range(cfg.negatives):
-                    fake = pool[int(rng.integers(len(pool)))]
-                    loss += _nf2_negative(space, ax.sub, ax.relation, fake, cfg.margin, None)
-    return loss
+    keys, params, radii = _pack(space)
+    terms, nf2 = _compile(n.axioms, keys, cfg.margin)
+    terms = _with_negatives(terms, nf2, cfg, len(space.concepts), np.random.default_rng(cfg.seed))
+    return _loss_grad(params, radii, terms, grad=False)[0]
 
 
 def initialize_space(n: NormalizedOntology, cfg: ElTrainConfig) -> EmbeddingSpace:
-    """Seeded start: unit-sphere centers, radius 0.1, small relation vectors."""
+    """Seeded start: unit-sphere centers, small relation vectors, radius
+    ``max(0.1, min_radius)`` (nominal-derived concepts: ``min_radius``)."""
     return _initialize(n, cfg, np.random.default_rng(cfg.seed))
 
 
@@ -344,7 +336,8 @@ def _initialize(n: NormalizedOntology, cfg: ElTrainConfig, rng: np.random.Genera
     for name in sorted(set(n.concept_names) | {TOP, BOTTOM}):
         center = rng.normal(size=cfg.dim)
         center /= np.linalg.norm(center)
-        concepts[name] = Ball(center, cfg.min_radius if name in nominal else 0.1)
+        radius = cfg.min_radius if name in nominal else max(0.1, cfg.min_radius)
+        concepts[name] = Ball(center, radius)
     relations = {
         name: rng.uniform(-0.1, 0.1, size=cfg.dim) for name in sorted(n.relation_names)
     }
@@ -352,55 +345,62 @@ def _initialize(n: NormalizedOntology, cfg: ElTrainConfig, rng: np.random.Genera
 
 
 def train_el(n: NormalizedOntology, cfg: ElTrainConfig) -> EmbeddingSpace:
-    """Minibatch SGD over the axiom losses.
+    """Minibatch SGD over the axiom losses, one kernel call per minibatch.
 
     Axioms are reshuffled every epoch; each NF2 axiom in a batch contributes
-    ``cfg.negatives`` corruption terms.  Radii are clamped to ``min_radius``
-    after every step and nominal-derived concepts keep exactly that radius.
-    Non-finite parameters abort with the offending step index.
+    ``cfg.negatives`` corruption terms.  A step applies the batch gradient,
+    scaled by ``learning_rate / batch length``, to every parameter at once.
+    Every radius starts at or above ``min_radius`` and is clamped to it after
+    each step; nominal-derived concepts keep exactly ``min_radius``.
+    Non-finite parameters abort with the offending name and step index.
     """
     rng = np.random.default_rng(cfg.seed)
     space = _initialize(n, cfg, rng)
-    axioms = list(n.axioms)
-    if not axioms or cfg.epochs == 0:
+    if not n.axioms or cfg.epochs == 0:
         return space
+    keys, params, radii = _pack(space)
+    base, nf2 = _compile(n.axioms, keys, cfg.margin)
+    n_concepts = len(space.concepts)
     nominal = set(n.nominal_map.values())
-    concepts = sorted(space.concepts)
-    pools = _negative_pools(axioms, concepts)
+    pinned = np.array([name in nominal for _, name in keys[:n_concepts]])
+    concept_radii = radii[:n_concepts]
+    n_axioms = len(n.axioms)
+    bounds = np.append(np.arange(0, n_axioms, cfg.batch_size), n_axioms)
+    position = np.empty(n_axioms, dtype=np.intp)
     step = 0
     for _epoch in range(cfg.epochs):
-        order = rng.permutation(len(axioms))
-        for start in range(0, len(axioms), cfg.batch_size):
-            batch = [axioms[i] for i in order[start : start + cfg.batch_size]]
-            grads: Grads = {}
-            for ax in batch:
-                _axiom_loss(space, ax, cfg.margin, grads)
-                if isinstance(ax, NF2) and cfg.negatives > 0:
-                    pool = pools[ax.filler]
-                    if pool:
-                        for _ in range(cfg.negatives):
-                            fake = pool[int(rng.integers(len(pool)))]
-                            _nf2_negative(space, ax.sub, ax.relation, fake, cfg.margin, grads)
+        order = rng.permutation(n_axioms)
+        position[order] = np.arange(n_axioms)
+        # negatives are drawn in batch order, like one draw per NF2 axiom visited
+        nf2_order = nf2[np.argsort(position[base.rows[nf2, 3]])]
+        terms = _with_negatives(base, nf2_order, cfg, n_concepts, rng)
+        by_position = np.argsort(position[terms.rows[:, 3]], kind="stable")
+        rows, coef = terms.rows[by_position], terms.coef[by_position]
+        starts = np.searchsorted(position[rows[:, 3]], bounds)
+        for k in range(len(bounds) - 1):
+            batch = slice(starts[k], starts[k + 1])
+            _, g_params, g_radii = _loss_grad(params, radii, _Terms(rows[batch], coef[batch]))
             step += 1
-            scale = cfg.learning_rate / len(batch)
-            for (kind, name), g in grads.items():
-                if kind == "c":
-                    ball = space.concepts[name]
-                    ball.center = ball.center - scale * g
-                    if not np.all(np.isfinite(ball.center)):
-                        raise NumericalError(f"center of {name!r} diverged at step {step}")
-                elif kind == "r":
-                    ball = space.concepts[name]
-                    radius = ball.radius - scale * float(g)
-                    if not np.isfinite(radius):
-                        raise NumericalError(f"radius of {name!r} diverged at step {step}")
-                    ball.radius = cfg.min_radius if name in nominal else max(cfg.min_radius, radius)
-                else:
-                    vec = space.relations[name] - scale * g
-                    if not np.all(np.isfinite(vec)):
-                        raise NumericalError(f"relation {name!r} diverged at step {step}")
-                    space.relations[name] = vec
-    return space
+            scale = cfg.learning_rate / (bounds[k + 1] - bounds[k])
+            params -= scale * g_params
+            radii -= scale * g_radii
+            if not (np.isfinite(params).all() and np.isfinite(radii).all()):
+                raise _diverged(keys, params, radii, step)
+            np.maximum(concept_radii, cfg.min_radius, out=concept_radii)
+            concept_radii[pinned] = cfg.min_radius
+    names = [name for _, name in keys]
+    balls = [Ball(params[i].copy(), float(radii[i])) for i in range(n_concepts)]
+    relations = {name: params[i].copy() for i, name in enumerate(names) if i >= n_concepts}
+    return EmbeddingSpace(cfg.dim, dict(zip(names[:n_concepts], balls)), relations)
+
+
+def _diverged(keys: list[Key], params: np.ndarray, radii: np.ndarray, step: int) -> NumericalError:
+    i = int(np.flatnonzero(~np.isfinite(params).all(axis=1) | ~np.isfinite(radii))[0])
+    kind, name = keys[i]
+    if kind == "v":
+        return NumericalError(f"relation {name!r} diverged at step {step}")
+    what = "center" if not np.isfinite(params[i]).all() else "radius"
+    return NumericalError(f"{what} of {name!r} diverged at step {step}")
 
 
 # ---------------------------------------------------------------------------
@@ -426,40 +426,33 @@ def export_space(space: EmbeddingSpace) -> str:
 
 
 def import_space(text: str) -> EmbeddingSpace:
+    """Parse :func:`export_space` output; malformed or non-finite values are DataErrors."""
     dim: int | None = None
     concepts: dict[str, Ball] = {}
     relations: dict[str, np.ndarray] = {}
-
-    def parse_vector(raw: str, line_no: int) -> np.ndarray:
-        try:
-            vec = np.array([float(x) for x in raw.split(",")], dtype=float)
-        except ValueError as exc:
-            raise DataError(f"line {line_no}: bad vector: {exc}") from None
-        if dim is not None and vec.shape != (dim,):
-            raise DataError(f"line {line_no}: expected {dim} coordinates, got {vec.size}")
-        return vec
-
     for line_no, raw in enumerate(text.splitlines(), start=1):
         if not raw.strip():
             continue
         parts = raw.split("\t")
+        where = f"line {line_no}"
         if parts[0] == "#dim":
-            if len(parts) != 2:
-                raise DataError(f"line {line_no}: malformed dimension header")
+            if len(parts) != 2 or not parts[1].isdecimal() or int(parts[1]) < 1:
+                raise DataError(f"{where}: malformed dimension header")
             dim = int(parts[1])
             continue
         if dim is None:
-            raise DataError(f"line {line_no}: missing #dim header")
+            raise DataError(f"{where}: missing #dim header")
         if parts[0] == "C":
             if len(parts) != 4:
-                raise DataError(f"line {line_no}: concept rows take 4 fields")
-            concepts[parts[1]] = Ball(parse_vector(parts[2], line_no), float(parts[3]))
+                raise DataError(f"{where}: concept rows take 4 fields")
+            radius = float(float_row(parts[3], where, 1)[0])
+            concepts[parts[1]] = Ball(float_row(parts[2], where, dim), radius)
         elif parts[0] == "R":
             if len(parts) != 3:
-                raise DataError(f"line {line_no}: relation rows take 3 fields")
-            relations[parts[1]] = parse_vector(parts[2], line_no)
+                raise DataError(f"{where}: relation rows take 3 fields")
+            relations[parts[1]] = float_row(parts[2], where, dim)
         else:
-            raise DataError(f"line {line_no}: unknown row type {parts[0]!r}")
+            raise DataError(f"{where}: unknown row type {parts[0]!r}")
     if dim is None:
         raise DataError("missing #dim header")
     return EmbeddingSpace(dim, concepts, relations)

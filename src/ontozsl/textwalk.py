@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, UnknownNameError
+from .harness import float_row
 from .normalform import NF1, NF2, NF3, TOP, _Namer, _rewrite
 from .ontology import (
     Annotation,
@@ -377,19 +378,20 @@ def save_word_vectors(wv: WordVectors) -> str:
 
 
 def load_word_vectors(text: str) -> WordVectors:
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines:
+    """Parse :func:`save_word_vectors` output; malformed or non-finite values are DataErrors."""
+    lines = enumerate(text.splitlines(), start=1)
+    rows = [(line_no, line.split()) for line_no, line in lines if line.strip()]
+    if not rows:
         raise DataError("empty word-vector file")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise DataError("word-vector header must be 'count dim'")
+    head_no, head = rows[0]
+    if len(head) != 2 or not all(v.isdecimal() for v in head) or int(head[1]) < 1:
+        raise DataError(f"line {head_no}: word-vector header must be 'count dim'")
     count, dim = int(head[0]), int(head[1])
-    if len(lines) - 1 != count:
-        raise DataError(f"expected {count} vector rows, found {len(lines) - 1}")
+    if len(rows) - 1 != count:
+        raise DataError(f"expected {count} vector rows, found {len(rows) - 1}")
     vectors: dict[str, np.ndarray] = {}
-    for line_no, line in enumerate(lines[1:], start=2):
-        parts = line.split()
+    for line_no, parts in rows[1:]:
         if len(parts) != dim + 1:
             raise DataError(f"line {line_no}: expected {dim} coordinates")
-        vectors[parts[0]] = np.array([float(x) for x in parts[1:]], dtype=float)
+        vectors[parts[0]] = float_row(",".join(parts[1:]), f"line {line_no}", dim)
     return WordVectors(dim, vectors)

@@ -302,3 +302,32 @@ def test_malformed_numeric_files_exit_2_without_traceback(tmp_path, name, text):
     assert done.returncode == EXIT_DATA, done.stderr
     assert "Traceback" not in done.stderr
     assert "line " in done.stderr
+
+
+@pytest.mark.parametrize(
+    "flag, text",
+    [
+        ("--space", "#dim\tfoo\nC\ta\t1,0\t0.1\n"),
+        ("--space", "#dim\t2\nC\ta\t1,0\tx\n"),
+        ("--space", "#dim\t2\nC\ta\tnan,0\t0.1\n"),
+        ("--space", "#dim\t2\nC\ta\t1,0\tinf\n"),
+        ("--vectors", "x 2\na 1 0\n"),
+        ("--vectors", "1 2\na 1 q\n"),
+        ("--vectors", "1 2\na nan 0\n"),
+    ],
+    ids=["space-dim", "space-radius", "space-nan-center", "space-inf-radius",
+         "vectors-header", "vectors-coordinate", "vectors-nan"],
+)
+def test_malformed_embedding_files_exit_2_without_traceback(tmp_path, flag, text):
+    labels, bad = tmp_path / "labels.txt", tmp_path / "bad.txt"
+    labels.write_text("a\n")
+    bad.write_text(text)
+    components = "el_center" if flag == "--space" else "word"
+    argv = ["encode", "--labels", str(labels), "--components", components, flag, str(bad)]
+    env = {**os.environ, "PYTHONPATH": str(Path(ontozsl.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "ontozsl.cli", *argv], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == EXIT_DATA, done.stderr
+    assert "Traceback" not in done.stderr
+    assert "line " in done.stderr

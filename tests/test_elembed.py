@@ -1,9 +1,12 @@
 """Ball-embedding losses, analytic gradients, and SGD training."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from ontozsl import elembed
 from ontozsl.elembed import (
     Ball,
     ElTrainConfig,
@@ -28,8 +31,8 @@ from ontozsl.elembed import (
     total_loss,
     train_el,
 )
-from ontozsl.errors import DataError, UnknownNameError
-from ontozsl.normalform import NF1, NF2, Disjointness, NormalizedOntology
+from ontozsl.errors import DataError, NumericalError, UnknownNameError
+from ontozsl.normalform import BOTTOM, NF1, NF2, NF3, NF4, Disjointness, NormalizedOntology, RSub
 
 
 def space2d(**concepts):
@@ -320,6 +323,108 @@ def test_gradients_match_finite_differences(kind):
     check_gradients(kind, points=25, seed=hash(kind) % 2**32)
 
 
+BATCH_CONCEPTS = ("A", "B", "C", "D", BOTTOM)
+
+
+def batch_single_grad(space, term, m):
+    """The one-axiom ``grad_*`` call for an axiom or an NF2 negative ``("neg", a, r, b)``."""
+    if isinstance(term, tuple):
+        return grad_nf2_negative(space, *term[1:], m)
+    if isinstance(term, NF1):
+        return grad_nf1(space, term.sub, term.sup, m)
+    if isinstance(term, NF2):
+        return grad_nf2(space, term.sub, term.relation, term.filler, m)
+    if isinstance(term, NF3):
+        return grad_nf3(space, term.relation, term.filler, term.sup, m)
+    if isinstance(term, NF4) and term.sup != BOTTOM:
+        return grad_nf4(space, term.left, term.right, term.sup, m)
+    if isinstance(term, RSub):
+        return grad_role(space, term.sub, term.sup)
+    return grad_disjoint(space, term.left, term.right, m)
+
+
+def random_batch(rng):
+    """Every axiom kind plus NF2 negatives, drawn from few names so operands repeat."""
+    c = [str(name) for name in rng.choice(BATCH_CONCEPTS[:4], size=16)]
+    r = [str(name) for name in rng.choice(RELATIONS, size=2)]
+    axioms = [
+        NF1(c[0], c[1]),
+        NF2(c[2], r[0], c[3]),
+        NF3(r[1], c[4], c[5]),
+        NF4(c[6], c[7], c[8]),
+        NF4(c[9], c[10], BOTTOM),
+        Disjointness(c[11], c[0]),
+        RSub("r", "t"),
+    ]
+    axioms += [axioms[int(i)] for i in rng.integers(len(axioms), size=5)]
+    nf2 = [ax for ax in axioms if isinstance(ax, NF2)]
+    negatives = [("neg", ax.sub, ax.relation, c[12 + i % 4]) for i, ax in enumerate(nf2)]
+    return axioms, negatives
+
+
+def test_batch_kernel_matches_finite_differences_and_single_axiom_sum():
+    rng = np.random.default_rng(11)
+    checked = 0
+    while checked < 20:
+        space = EmbeddingSpace(
+            DIM,
+            {
+                n: Ball(rng.normal(size=DIM) * rng.uniform(0.4, 1.8), float(rng.uniform(0.05, 0.6)))
+                for n in BATCH_CONCEPTS
+            },
+            {n: rng.normal(size=DIM) * 0.5 for n in RELATIONS},
+        )
+        margin = float(rng.uniform(0.0, 0.3))
+        axioms, negatives = random_batch(rng)
+        keys, params, radii = elembed._pack(space)
+        terms, nf2 = elembed._compile(axioms, keys, margin)
+        fakes = np.array([keys.index(("c", neg[3])) for neg in negatives])
+        j = nf2[: len(negatives)]
+        corrupted = elembed._corrupt(terms, j, fakes, margin)
+        terms = elembed._Terms(*(np.concatenate(pair) for pair in zip(terms, corrupted)))
+
+        # stay clear of every kink: zero distances, hinge edges, unit and zero norms
+        a, b, rel, _ = terms.rows.T
+        sv, sd, sa, sb, bias = terms.coef[:, :5].T
+        dist = np.linalg.norm(params[a] + sv[:, None] * params[rel] - params[b], axis=1)
+        norms = np.linalg.norm(params[: len(BATCH_CONCEPTS)], axis=1)
+        raw = sd * dist + sa * radii[a] + sb * radii[b] + bias
+        gaps = np.concatenate([dist, np.abs(raw), norms, np.abs(norms - 1)])
+        if gaps.min() <= 1e-3:
+            continue
+
+        loss, g_params, g_radii = elembed._loss_grad(params, radii, terms)
+        step = 1e-5
+        for values, grad in ((params, g_params), (radii, g_radii)):
+            fd = np.zeros_like(values)
+            for i in np.ndindex(values.shape):
+                keep = values[i]
+                values[i] = keep + step
+                hi = elembed._loss_grad(params, radii, terms, grad=False)[0]
+                values[i] = keep - step
+                lo = elembed._loss_grad(params, radii, terms, grad=False)[0]
+                values[i] = keep
+                fd[i] = (hi - lo) / (2 * step)
+            if values is radii:  # relation rows carry no radius
+                fd[len(BATCH_CONCEPTS) :] = 0.0
+            assert np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-12) < 1e-4
+
+        summed_params, summed_radii, summed_loss = np.zeros_like(params), np.zeros_like(radii), 0.0
+        for term in axioms + negatives:
+            value, grads = batch_single_grad(space, term, margin)
+            summed_loss += value
+            for (kind, name), g in grads.items():
+                row = keys.index(("v" if kind == "v" else "c", name))
+                if kind == "r":
+                    summed_radii[row] += g
+                else:
+                    summed_params[row] += g
+        assert_allclose(g_params, summed_params, rtol=0, atol=1e-12)
+        assert_allclose(g_radii, summed_radii, rtol=0, atol=1e-12)
+        assert_allclose(loss, summed_loss, rtol=1e-12)
+        checked += 1
+
+
 # ---------------------------------------------------------------------------
 # training
 # ---------------------------------------------------------------------------
@@ -448,6 +553,27 @@ def test_train_separates_disjoint_balls():
     assert dist >= s.concepts["A"].radius + s.concepts["B"].radius - 1e-6
 
 
+def test_train_radii_never_below_min_radius_even_for_untouched_concepts():
+    n = NormalizedOntology(
+        axioms=(NF1("A", "B"),), fresh_names=(), concept_names=frozenset({"A", "B", "Lonely"})
+    )
+    for epochs in (0, 20):
+        cfg = ElTrainConfig(dim=4, epochs=epochs, min_radius=0.5)
+        s = train_el(n, cfg)
+        assert {name: ball.radius >= 0.5 for name, ball in s.concepts.items()} == dict.fromkeys(
+            ("A", "B", "Lonely", "Top", "Bottom"), True
+        )
+
+
+def test_train_divergence_names_the_parameter_and_step():
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError) as err:
+        train_el(CHAIN, ElTrainConfig(dim=5, learning_rate=1e308))
+    assert re.fullmatch(
+        r"(center of|radius of|relation) '(A|B|C|Top|Bottom)' diverged at step [1-9][0-9]*",
+        str(err.value),
+    )
+
+
 def test_train_keeps_radii_clamped():
     cfg = ElTrainConfig(dim=4, epochs=200, min_radius=1e-3)
     s = train_el(CHAIN, cfg)
@@ -490,3 +616,21 @@ def test_import_rejects_malformed_rows():
         import_space("#dim\t2\nC\tA\t1,2,3\t0.1\n")
     with pytest.raises(DataError):
         import_space("#dim\t2\nX\tA\t1,2\n")
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("#dim\tfoo\n", 1),
+        ("#dim\t0\n", 1),
+        ("#dim\t2\nC\tA\t1,2\tx\n", 2),
+        ("#dim\t2\nC\tA\t1,2\t0.1\nC\tB\tnan,2\t0.1\n", 3),
+        ("#dim\t2\nC\tA\t1,2\tinf\n", 2),
+        ("#dim\t2\nR\tr\t1,q\n", 2),
+    ],
+    ids=["dim-not-a-number", "dim-zero", "radius-not-a-number", "nan-center", "inf-radius",
+         "bad-relation"],
+)
+def test_import_rejects_non_numbers_with_line_number(text, line):
+    with pytest.raises(DataError, match=f"line {line}"):
+        import_space(text)

@@ -273,6 +273,21 @@ def test_word_vector_file_header_is_validated():
         load_word_vectors("1 3\nsun 1 2\n")  # wrong dimension
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("x 2\nsun 1 2\n", 1),
+        ("1 0\n", 1),
+        ("1 2\n\nsun 1 q\n", 3),
+        ("2 2\nsun 1 2\nmoon nan 2\n", 3),
+    ],
+    ids=["header-not-a-number", "zero-dimension", "bad-coordinate", "nan-coordinate"],
+)
+def test_word_vector_file_rejects_non_numbers_with_line_number(text, line):
+    with pytest.raises(DataError, match=f"line {line}"):
+        load_word_vectors(text)
+
+
 def test_config_validation():
     with pytest.raises(DataError):
         WalkConfig(0, 4, 0)
