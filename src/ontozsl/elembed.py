@@ -436,6 +436,8 @@ def import_space(text: str) -> EmbeddingSpace:
         parts = raw.split("\t")
         where = f"line {line_no}"
         if parts[0] == "#dim":
+            if dim is not None:
+                raise DataError(f"{where}: second dimension header")
             if len(parts) != 2 or not parts[1].isdecimal() or int(parts[1]) < 1:
                 raise DataError(f"{where}: malformed dimension header")
             dim = int(parts[1])
@@ -445,11 +447,15 @@ def import_space(text: str) -> EmbeddingSpace:
         if parts[0] == "C":
             if len(parts) != 4:
                 raise DataError(f"{where}: concept rows take 4 fields")
+            if parts[1] in concepts:
+                raise DataError(f"{where}: concept {parts[1]!r} appears twice")
             radius = float(float_row(parts[3], where, 1)[0])
             concepts[parts[1]] = Ball(float_row(parts[2], where, dim), radius)
         elif parts[0] == "R":
             if len(parts) != 3:
                 raise DataError(f"{where}: relation rows take 3 fields")
+            if parts[1] in relations:
+                raise DataError(f"{where}: relation {parts[1]!r} appears twice")
             relations[parts[1]] = float_row(parts[2], where, dim)
         else:
             raise DataError(f"{where}: unknown row type {parts[0]!r}")

@@ -141,6 +141,7 @@ class MetricsReport:
     counts: dict[str, int]
     config_echo: dict[str, str]
     el_total_loss: float = float("nan")
+    w2v_losses: tuple[float, ...] = ()
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +176,7 @@ def report_json(report: MetricsReport) -> str:
         "macro_unseen_accuracy": report.macro_unseen_accuracy,
         "sample_accuracy": report.sample_accuracy,
         "el_total_loss": report.el_total_loss,
+        "w2v_losses": list(report.w2v_losses),
         "per_class_accuracy": report.per_class_accuracy,
         "counts": report.counts,
         "config": report.config_echo,
@@ -330,9 +332,12 @@ def run_pipeline(cfg: RunConfig) -> MetricsReport:
                 "seen_classes": len(dataset.seen_labels),
                 "unseen_classes": len(dataset.unseen_labels),
                 "encoding_dim": table.dim,
+                "w2v_pairs_per_epoch": vectors.pairs_per_epoch,
+                "w2v_vocab": len(vectors.vectors),
             },
             config_echo=cfg.to_dict(),
             el_total_loss=el_loss,
+            w2v_losses=vectors.train_losses,
         )
         per_class_counts = {
             label: (

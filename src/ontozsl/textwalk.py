@@ -7,6 +7,14 @@ the individuals themselves.  Uniform random walks over the graph, written out
 through entity labels, give a corpus that a small skip-gram model with
 negative sampling turns into word vectors.  Pretrained vectors can be passed
 as initialization, so running extra epochs fine-tunes them on the walks.
+
+Skip-gram training is minibatched.  The (center, context) pairs are index
+arrays built once per run, and each epoch draws all of its negatives in one
+call.  Each step then takes 8 consecutive pairs, computes their updates from
+the vectors as they stood at the start of the step and adds them up, summing
+the updates of rows that repeat within the step.  Learning rates up to 0.2
+are tested to converge; a run whose vectors or loss stop being finite raises
+:class:`NumericalError` at the end of the epoch.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, UnknownNameError
+from .errors import DataError, NumericalError, UnknownNameError
 from .harness import float_row
 from .normalform import NF1, NF2, NF3, TOP, _Namer, _rewrite
 from .ontology import (
@@ -90,6 +98,7 @@ class WordVectors:
     dim: int
     vectors: dict[str, np.ndarray]
     train_losses: tuple[float, ...] = ()
+    pairs_per_epoch: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +266,37 @@ def lexicalize(walks: list[list[str]], o: Ontology) -> WalkCorpus:
 # ---------------------------------------------------------------------------
 
 
+# Pairs per minibatch step.  Rows repeated within a step add their updates, so
+# a larger step overshoots on a small vocabulary: on the two test corpora at
+# learning rate 0.2, 16 pairs per step blew up in 4 of 12 seeded runs and 64
+# in all 12, while 8 converged in all of them.
+_PAIRS_PER_STEP = 8
+
+
 def _log_sigmoid(x: np.ndarray) -> np.ndarray:
     return -np.logaddexp(0.0, -x)
+
+
+def _pairs(sentences: list[list[int]], window: int) -> tuple[np.ndarray, np.ndarray]:
+    """(center, context) index arrays in corpus order: by center, then context position."""
+    lengths = np.array([len(s) for s in sentences], dtype=np.intp)
+    tokens = np.array([t for s in sentences for t in s], dtype=np.intp)
+    starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    position = np.arange(len(tokens)) - starts
+    offsets = np.array([o for o in range(-window, window + 1) if o != 0])
+    target = position[:, None] + offsets
+    valid = (target >= 0) & (target < np.repeat(lengths, lengths)[:, None])
+    centers = np.broadcast_to(tokens[:, None], valid.shape)[valid]
+    contexts = tokens[(starts[:, None] + target)[valid]]
+    return centers, contexts
+
+
+def _draw_negatives(
+    rng: np.random.Generator, cdf: np.ndarray, n_pairs: int, negatives: int
+) -> np.ndarray:
+    """An epoch of noise tokens: what ``n_pairs`` calls of ``rng.choice(p=noise)`` draw."""
+    draws = cdf.searchsorted(rng.random(n_pairs * negatives), side="right")
+    return draws.reshape(n_pairs, negatives)
 
 
 def train_skipgram(
@@ -267,9 +305,17 @@ def train_skipgram(
     """Train input vectors on the corpus; ``init`` seeds known tokens.
 
     Tokens below ``min_count`` are dropped.  Negative targets are drawn from
-    the unigram distribution raised to 3/4.  With ``epochs=0`` the result for
-    initialized tokens is exactly the initialization, which makes a pretrained
-    file plus zero epochs a no-op and more epochs a fine-tune.
+    the unigram distribution raised to 3/4, all of an epoch's at once, and a
+    negative equal to its pair's context is skipped.  Each step takes the
+    next 8 (center, context) pairs in corpus order, computes every pair's
+    update from the vectors as they stood at the start of the step, and adds
+    them all, summing the updates of rows repeated within the step.  The
+    learning rate decays linearly per pair to 1e-4 of ``learning_rate``;
+    rates up to 0.2 are tested to converge.  With ``epochs=0`` the result for
+    initialized tokens is exactly the initialization, which makes a
+    pretrained file plus zero epochs a no-op and more epochs a fine-tune.
+    Raises :class:`NumericalError` naming the epoch and the first token whose
+    vector is no longer finite.
     """
     counts = {t: c for t, c in corpus.vocabulary.items() if c >= cfg.min_count}
     if not counts:
@@ -278,65 +324,75 @@ def train_skipgram(
         raise DataError(f"pretrained vectors have dim {init.dim}, expected {cfg.dim}")
     vocab = sorted(counts, key=lambda t: (-counts[t], t))
     index = {t: i for i, t in enumerate(vocab)}
-    size = len(vocab)
+    size, dim = len(vocab), cfg.dim
 
     rng = np.random.default_rng(cfg.seed)
-    w_in = np.empty((size, cfg.dim))
+    # one parameter matrix: input vectors in rows [0, size), output vectors after
+    params = np.zeros((2 * size, dim))
     for token, i in index.items():
         if init is not None and token in init.vectors:
-            w_in[i] = init.vectors[token]
+            params[i] = init.vectors[token]
         else:
-            w_in[i] = rng.uniform(-0.5 / cfg.dim, 0.5 / cfg.dim, size=cfg.dim)
-    w_out = np.zeros((size, cfg.dim))
+            params[i] = rng.uniform(-0.5 / dim, 0.5 / dim, size=dim)
 
     noise = np.array([counts[t] for t in vocab], dtype=float) ** 0.75
-    noise /= noise.sum()
+    cdf = noise.cumsum()
+    cdf /= cdf[-1]
 
     sentences = [[index[t] for t in sent if t in index] for sent in corpus.sentences]
-    pairs_per_pass = 0
-    for sent in sentences:
-        for i in range(len(sent)):
-            lo = max(0, i - cfg.window)
-            hi = min(len(sent), i + cfg.window + 1)
-            pairs_per_pass += hi - lo - 1
-    total_pairs = max(1, pairs_per_pass * cfg.epochs)
+    centers, contexts = _pairs(sentences, cfg.window)
+    n_pairs = len(centers)
+    total_pairs = max(1, n_pairs * cfg.epochs)
+    # score column 0 is the context (label 1), the others are negatives (label 0)
+    sign = np.where(np.arange(1 + cfg.negatives) == 0, 1.0, -1.0)
+    cols = np.arange(dim)
+    step = _PAIRS_PER_STEP
 
+    # per-epoch tables; rows index the output half of params.  They are
+    # refilled in place, so two epochs' tables never coexist in memory.
+    rows = np.empty((n_pairs, 1 + cfg.negatives), dtype=np.intp)
+    rows[:, 0] = contexts + size
+    kept = np.ones(rows.shape, dtype=bool)
+    scale = np.empty(rows.shape)
+    log_sig = np.empty(rows.shape)
     losses = []
-    processed = 0
-    for _epoch in range(cfg.epochs):
-        epoch_loss = 0.0
-        epoch_pairs = 0
-        for sent in sentences:
-            for i, center in enumerate(sent):
-                lo = max(0, i - cfg.window)
-                hi = min(len(sent), i + cfg.window + 1)
-                for j in range(lo, hi):
-                    if j == i:
-                        continue
-                    context = sent[j]
-                    alpha = cfg.learning_rate * max(1e-4, 1.0 - processed / total_pairs)
-                    if cfg.negatives > 0:
-                        drawn = rng.choice(size, size=cfg.negatives, p=noise)
-                        rows = [context] + [int(d) for d in drawn if d != context]
-                    else:
-                        rows = [context]
-                    labels = np.zeros(len(rows))
-                    labels[0] = 1.0
-                    targets = w_out[rows]
-                    vec = w_in[center]
-                    scores = targets @ vec
-                    epoch_loss -= float(
-                        _log_sigmoid(scores[0]) + _log_sigmoid(-scores[1:]).sum()
-                    )
-                    err = 1.0 / (1.0 + np.exp(-scores)) - labels
-                    w_out[rows] -= alpha * err[:, None] * vec[None, :]
-                    w_in[center] = vec - alpha * (err @ targets)
-                    processed += 1
-                    epoch_pairs += 1
-        losses.append(epoch_loss / max(1, epoch_pairs))
-    return WordVectors(
-        cfg.dim, {t: w_in[i].copy() for t, i in index.items()}, tuple(losses)
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            rows[:, 1:] = _draw_negatives(rng, cdf, n_pairs, cfg.negatives)
+            rows[:, 1:] += size
+            np.not_equal(rows[:, 1:], rows[:, :1], out=kept[:, 1:])
+            processed = epoch * n_pairs + np.arange(n_pairs)
+            alpha = cfg.learning_rate * np.maximum(1e-4, 1.0 - processed / total_pairs)
+            # d(loss)/d(score) = sign * (sigmoid(sign * score) - 1); skipped negatives get 0
+            np.multiply(kept, alpha[:, None], out=scale)
+            scale *= sign
+            for lo in range(0, n_pairs, step):
+                c, r = centers[lo : lo + step], rows[lo : lo + step]
+                vec, targets = params[c], params[r]
+                ls = _log_sigmoid(sign * np.einsum("bd,bkd->bk", vec, targets))
+                log_sig[lo : lo + step] = ls
+                err = np.expm1(ls) * scale[lo : lo + step]
+                grad_in = np.einsum("bk,bkd->bd", err, targets)
+                grad_out = err[:, :, None] * vec[:, None, :]
+                # bincount adds up the updates of rows repeated within the step
+                flat = (np.concatenate([c, r.ravel()])[:, None] * dim + cols).ravel()
+                weights = np.concatenate([grad_in.ravel(), grad_out.ravel()])
+                params -= np.bincount(flat, weights, params.size).reshape(params.shape)
+            losses.append(-float(np.sum(log_sig, where=kept)) / max(1, n_pairs))
+            _check_finite(epoch, vocab, params, losses[-1])
+    vectors = {t: params[i].copy() for t, i in index.items()}
+    return WordVectors(dim, vectors, tuple(losses), n_pairs)
+
+
+def _check_finite(epoch: int, vocab: list[str], params: np.ndarray, loss: float) -> None:
+    bad = (~np.isfinite(params).all(axis=1)).reshape(2, len(vocab)).any(axis=0)
+    if bad.any():
+        token = vocab[int(np.argmax(bad))]
+        raise NumericalError(
+            f"skip-gram diverged in epoch {epoch + 1}: vector of {token!r} is not finite"
+        )
+    if not np.isfinite(loss):
+        raise NumericalError(f"skip-gram diverged in epoch {epoch + 1}: loss is not finite")
 
 
 def word_encoding(name: str, wv: WordVectors, o: Ontology) -> np.ndarray:
@@ -393,5 +449,7 @@ def load_word_vectors(text: str) -> WordVectors:
     for line_no, parts in rows[1:]:
         if len(parts) != dim + 1:
             raise DataError(f"line {line_no}: expected {dim} coordinates")
+        if parts[0] in vectors:
+            raise DataError(f"line {line_no}: token {parts[0]!r} appears twice")
         vectors[parts[0]] = float_row(",".join(parts[1:]), f"line {line_no}", dim)
     return WordVectors(dim, vectors)

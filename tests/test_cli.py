@@ -95,6 +95,20 @@ def test_w2v_requires_a_corpus(capsys):
     assert main(["w2v"]) == EXIT_USAGE
 
 
+def test_w2v_divergence_exits_3_without_traceback(tmp_path):
+    corpus, out = tmp_path / "corpus.txt", tmp_path / "vecs.txt"
+    corpus.write_text("sun moon star\nmoon sun\n" * 3)
+    argv = ["w2v", "--corpus", str(corpus), "--out", str(out), "--dim", "4", "--lr", "1e200"]
+    env = {**os.environ, "PYTHONPATH": str(Path(ontozsl.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "ontozsl.cli", *argv], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == EXIT_NUMERIC, done.stderr
+    assert "Traceback" not in done.stderr
+    assert "epoch 1" in done.stderr
+    assert not out.exists()
+
+
 def test_encode_rejects_unknown_component(tmp_path, capsys):
     labels = tmp_path / "labels.txt"
     labels.write_text("A\n")
@@ -314,9 +328,14 @@ def test_malformed_numeric_files_exit_2_without_traceback(tmp_path, name, text):
         ("--vectors", "x 2\na 1 0\n"),
         ("--vectors", "1 2\na 1 q\n"),
         ("--vectors", "1 2\na nan 0\n"),
+        ("--space", "#dim\t2\nC\ta\t1,0\t0.1\n#dim\t3\nC\tb\t1,0,0\t0.1\n"),
+        ("--space", "#dim\t2\nC\ta\t1,0\t0.1\nC\ta\t0,1\t0.1\n"),
+        ("--space", "#dim\t2\nC\ta\t1,0\t0.1\nR\tr\t1,0\nR\tr\t0,1\n"),
+        ("--vectors", "2 2\na 1 2\na 3 4\n"),
     ],
     ids=["space-dim", "space-radius", "space-nan-center", "space-inf-radius",
-         "vectors-header", "vectors-coordinate", "vectors-nan"],
+         "vectors-header", "vectors-coordinate", "vectors-nan", "space-second-dim",
+         "space-repeated-concept", "space-repeated-relation", "vectors-repeated-token"],
 )
 def test_malformed_embedding_files_exit_2_without_traceback(tmp_path, flag, text):
     labels, bad = tmp_path / "labels.txt", tmp_path / "bad.txt"

@@ -627,9 +627,13 @@ def test_import_rejects_malformed_rows():
         ("#dim\t2\nC\tA\t1,2\t0.1\nC\tB\tnan,2\t0.1\n", 3),
         ("#dim\t2\nC\tA\t1,2\tinf\n", 2),
         ("#dim\t2\nR\tr\t1,q\n", 2),
+        ("#dim\t2\nC\tA\t1,2\t0.1\n#dim\t3\nC\tB\t1,2,3\t0.1\n", 3),
+        ("#dim\t2\n#dim\t2\n", 2),
+        ("#dim\t2\nC\tA\t1,2\t0.1\nC\tA\t3,4\t0.2\n", 3),
+        ("#dim\t2\nR\tr\t1,2\nC\tr\t1,2\t0.1\nR\tr\t3,4\n", 4),
     ],
     ids=["dim-not-a-number", "dim-zero", "radius-not-a-number", "nan-center", "inf-radius",
-         "bad-relation"],
+         "bad-relation", "second-dim", "same-dim-twice", "repeated-concept", "repeated-relation"],
 )
 def test_import_rejects_non_numbers_with_line_number(text, line):
     with pytest.raises(DataError, match=f"line {line}"):

@@ -148,6 +148,24 @@ def test_run_pipeline_echoes_config_and_embeds_it_in_reports(tmp_path):
     assert "macro_unseen_accuracy\t" in text
 
 
+def test_report_carries_skipgram_diagnostics(tmp_path):
+    write_benchmark(tmp_path)
+    report = run_pipeline(base_config(tmp_path))
+    payload = json.loads((tmp_path / "run" / "report.json").read_text())
+    losses = payload["w2v_losses"]
+    assert len(losses) == FAST["w2v_epochs"]
+    assert np.isfinite(losses).all() and losses == list(report.w2v_losses)
+    counts = payload["counts"]
+    corpus = (tmp_path / "run" / "corpus.txt").read_text()
+    sentences = [line.split() for line in corpus.splitlines()]
+    w = RunConfig().w2v_window
+    pairs = sum(min(len(s), i + w + 1) - max(0, i - w) - 1 for s in sentences for i in range(len(s)))
+    assert counts["w2v_pairs_per_epoch"] == pairs > 0
+    assert counts["w2v_vocab"] == len({t for s in sentences for t in s})
+    text = (tmp_path / "run" / "report.txt").read_text()
+    assert f"w2v_vocab\t{counts['w2v_vocab']}\n" in text
+
+
 def test_run_pipeline_is_deterministic(tmp_path):
     write_benchmark(tmp_path)
     cfg = base_config(tmp_path)

@@ -1,10 +1,13 @@
 """Graph projection, random walks, lexicalization, and skip-gram vectors."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ontozsl.errors import DataError, UnknownNameError
+from ontozsl import textwalk
+from ontozsl.errors import DataError, NumericalError, UnknownNameError
 from ontozsl.ontology import parse_ontology
 from ontozsl.textwalk import (
     SUBCLASS_PREDICATE,
@@ -230,6 +233,106 @@ def test_skipgram_rejects_mismatched_init_dim():
         train_skipgram(corpus, SkipGramConfig(dim=4, seed=0), init=WordVectors(3, {}))
 
 
+def _oracle_skipgram(corpus, cfg, pairs_per_step):
+    """Plain per-pair loop: every pair of a step updates from the step's starting
+    vectors, and updates aimed at one row add up.  Returns the vectors, the
+    epoch losses and whether any pair drew the same row twice."""
+    counts = {t: c for t, c in corpus.vocabulary.items() if c >= cfg.min_count}
+    vocab = sorted(counts, key=lambda t: (-counts[t], t))
+    index = {t: i for i, t in enumerate(vocab)}
+    rng = np.random.default_rng(cfg.seed)
+    w_in = np.array([rng.uniform(-0.5 / cfg.dim, 0.5 / cfg.dim, size=cfg.dim) for _ in vocab])
+    w_out = np.zeros_like(w_in)
+    noise = np.array([counts[t] for t in vocab], dtype=float) ** 0.75
+    noise /= noise.sum()
+    pairs = []
+    for sent in corpus.sentences:
+        ids = [index[t] for t in sent if t in index]
+        for i, center in enumerate(ids):
+            for j in range(max(0, i - cfg.window), min(len(ids), i + cfg.window + 1)):
+                if j != i:
+                    pairs.append((center, ids[j]))
+    total = max(1, len(pairs) * cfg.epochs)
+    losses, repeated, processed = [], False, 0
+    for _epoch in range(cfg.epochs):
+        loss = 0.0
+        for lo in range(0, len(pairs), pairs_per_step):
+            d_in, d_out = np.zeros_like(w_in), np.zeros_like(w_out)
+            for center, context in pairs[lo : lo + pairs_per_step]:
+                alpha = cfg.learning_rate * max(1e-4, 1.0 - processed / total)
+                processed += 1
+                drawn = rng.choice(len(vocab), cfg.negatives, p=noise) if cfg.negatives else []
+                rows = [context] + [int(d) for d in drawn if d != context]
+                repeated |= len(set(rows)) < len(rows)
+                for k, row in enumerate(rows):
+                    sig = 1.0 / (1.0 + math.exp(-float(w_out[row] @ w_in[center])))
+                    loss -= math.log(sig) if k == 0 else math.log(1.0 - sig)
+                    err = alpha * (sig - (1.0 if k == 0 else 0.0))
+                    d_out[row] += err * w_in[center]
+                    d_in[center] += err * w_out[row]
+            w_in -= d_in
+            w_out -= d_out
+        losses.append(loss / max(1, len(pairs)))
+    return {t: w_in[i] for t, i in index.items()}, losses, repeated
+
+
+@pytest.mark.parametrize(
+    "pairs_per_step, negatives",
+    [(1, 5), (3, 5), (8, 5), (8, 0)],
+    ids=["1", "3", "8", "8-no-negatives"],
+)
+def test_skipgram_matches_per_pair_oracle(monkeypatch, pairs_per_step, negatives):
+    # 4 tokens and 5 draws per pair: draws repeat a row and hit the context;
+    # 26 pairs per epoch leave a short last step for 3 and 8 pairs per step
+    corpus = load_corpus("sun moon star\nmoon sun\nrock\n" * 2 + "star rock sun moon\n")
+    cfg = SkipGramConfig(dim=6, epochs=3, negatives=negatives, learning_rate=0.2, seed=4)
+    monkeypatch.setattr(textwalk, "_PAIRS_PER_STEP", pairs_per_step)
+    wv = train_skipgram(corpus, cfg)
+    vectors, losses, repeated = _oracle_skipgram(corpus, cfg, pairs_per_step)
+    assert repeated == (negatives > 0)
+    assert wv.pairs_per_epoch == 26
+    for token, vec in vectors.items():
+        assert_allclose(wv.vectors[token], vec, rtol=0, atol=1e-12)
+    assert_allclose(wv.train_losses, losses, rtol=1e-12)
+
+
+def test_epoch_negatives_equal_per_pair_choice_draws():
+    for seed in range(20):
+        gen = np.random.default_rng(seed)
+        noise = gen.random(int(gen.integers(1, 30))) ** 3
+        noise /= noise.sum()
+        cdf = noise.cumsum()
+        cdf /= cdf[-1]
+        n_pairs, negatives = int(gen.integers(0, 50)), int(gen.integers(0, 6))
+        table = textwalk._draw_negatives(np.random.default_rng(seed), cdf, n_pairs, negatives)
+        rng = np.random.default_rng(seed)
+        expected = [rng.choice(len(noise), size=negatives, p=noise) for _ in range(n_pairs)]
+        assert table.shape == (n_pairs, negatives)
+        assert np.array_equal(table, np.array(expected, dtype=int).reshape(n_pairs, negatives))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "sun moon\n" * 30 + "rock stone\n" * 30,
+        "sun sky glow\n" * 40 + "moon sky glow\n" * 40 + "rock\n" * 20,
+    ],
+    ids=["sun-moon", "sun-sky-glow"],
+)
+@pytest.mark.parametrize("seed", range(6))
+def test_skipgram_is_stable_at_learning_rate_0_2(text, seed):
+    cfg = SkipGramConfig(dim=10, epochs=10, learning_rate=0.2, seed=seed)
+    wv = train_skipgram(load_corpus(text), cfg)
+    assert np.isfinite(wv.train_losses).all()
+    assert wv.train_losses[-1] < wv.train_losses[0]
+
+
+def test_skipgram_divergence_names_the_epoch_and_token():
+    corpus = load_corpus("sun moon star\nmoon sun\n" * 3)
+    with pytest.raises(NumericalError, match=r"epoch 1: vector of '\w+' is not finite"):
+        train_skipgram(corpus, SkipGramConfig(dim=4, epochs=3, learning_rate=1e200, seed=0))
+
+
 def test_word_encoding_averages_token_vectors():
     o = parse_ontology("Concept(Killer_Whale)\n")
     wv = WordVectors(2, {"killer": np.array([1.0, 0.0]), "whale": np.array([0.0, 1.0])})
@@ -280,8 +383,10 @@ def test_word_vector_file_header_is_validated():
         ("1 0\n", 1),
         ("1 2\n\nsun 1 q\n", 3),
         ("2 2\nsun 1 2\nmoon nan 2\n", 3),
+        ("2 2\nsun 1 2\nsun 3 4\n", 3),
     ],
-    ids=["header-not-a-number", "zero-dimension", "bad-coordinate", "nan-coordinate"],
+    ids=["header-not-a-number", "zero-dimension", "bad-coordinate", "nan-coordinate",
+         "repeated-token"],
 )
 def test_word_vector_file_rejects_non_numbers_with_line_number(text, line):
     with pytest.raises(DataError, match=f"line {line}"):
