@@ -18,6 +18,7 @@ from . import elembed, harness, pipeline, textwalk, zslmap
 from .errors import DataError, NumericalError, OntozslError
 from .normalform import classify, normalize, read_normalized, write_normalized
 from .ontology import parse_ontology, serialize_ontology, validate
+from .textio import fmt, read_file
 from .zslmap import CandidateSet, Component, Distance
 
 EXIT_OK = 0
@@ -35,13 +36,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _read(path: str, what: str) -> str:
-    p = Path(path)
-    if not p.exists():
-        raise DataError(f"{what} file not found: {path}")
-    return p.read_text()
-
-
 def _write(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -55,7 +49,7 @@ def _write(path: str | None, text: str) -> None:
 
 
 def cmd_parse(args) -> None:
-    ontology = parse_ontology(_read(args.ontology, "ontology"))
+    ontology = parse_ontology(read_file(args.ontology, "ontology"))
     problems = validate(ontology)
     if problems:
         raise DataError("; ".join(v.reason for v in problems))
@@ -63,15 +57,15 @@ def cmd_parse(args) -> None:
 
 
 def cmd_normalize(args) -> None:
-    ontology = parse_ontology(_read(args.ontology, "ontology"))
+    ontology = parse_ontology(read_file(args.ontology, "ontology"))
     _write(args.out, write_normalized(normalize(ontology)))
 
 
 def cmd_classify(args) -> None:
     if args.normalized:
-        normalized = read_normalized(_read(args.normalized, "normalized axioms"))
+        normalized = read_normalized(read_file(args.normalized, "normalized axioms"))
     else:
-        normalized = normalize(parse_ontology(_read(args.ontology, "ontology")))
+        normalized = normalize(parse_ontology(read_file(args.ontology, "ontology")))
     pairs = sorted(classify(normalized))
     _write(args.out, "".join(f"{a}\t{b}\n" for a, b in pairs))
 
@@ -90,22 +84,22 @@ def _el_config(args) -> elembed.ElTrainConfig:
 
 
 def cmd_embed_el(args) -> None:
-    normalized = read_normalized(_read(args.normalized, "normalized axioms"))
+    normalized = read_normalized(read_file(args.normalized, "normalized axioms"))
     cfg = _el_config(args)
     space = elembed.train_el(normalized, cfg)
     loss = elembed.total_loss(space, normalized, cfg)
-    print(f"total_loss\t{loss:.17g}", file=sys.stderr)
+    print(f"total_loss\t{fmt(loss)}", file=sys.stderr)
     _write(args.out, elembed.export_space(space))
 
 
 def cmd_project(args) -> None:
-    graph = textwalk.project(parse_ontology(_read(args.ontology, "ontology")))
+    graph = textwalk.project(parse_ontology(read_file(args.ontology, "ontology")))
     lines = [f"{s}\t{p}\t{t}" for s, p, t in sorted(graph.edges)]
     _write(args.out, "".join(line + "\n" for line in lines))
 
 
 def cmd_walk(args) -> None:
-    ontology = parse_ontology(_read(args.ontology, "ontology"))
+    ontology = parse_ontology(read_file(args.ontology, "ontology"))
     graph = textwalk.project(ontology)
     cfg = textwalk.WalkConfig(args.walks_per_node, args.walk_length, args.seed)
     walks = textwalk.random_walks(graph, cfg)
@@ -116,7 +110,7 @@ def cmd_walk(args) -> None:
 
 
 def cmd_w2v(args) -> None:
-    corpus = textwalk.load_corpus(_read(args.corpus, "corpus"))
+    corpus = textwalk.load_corpus(read_file(args.corpus, "corpus"))
     cfg = textwalk.SkipGramConfig(
         dim=args.dim,
         window=args.window,
@@ -126,7 +120,7 @@ def cmd_w2v(args) -> None:
         min_count=args.min_count,
         seed=args.seed,
     )
-    init = textwalk.load_word_vectors(_read(args.init, "pretrained vectors")) if args.init else None
+    init = textwalk.load_word_vectors(read_file(args.init, "pretrained vectors")) if args.init else None
     _write(args.out, textwalk.save_word_vectors(textwalk.train_skipgram(corpus, cfg, init=init)))
 
 
@@ -135,16 +129,16 @@ def cmd_encode(args) -> None:
         components = tuple(Component(c.strip()) for c in args.components.split(",") if c.strip())
     except ValueError:
         raise DataError(f"unknown encoding component in {args.components!r}") from None
-    space = elembed.import_space(_read(args.space, "embedding space")) if args.space else None
-    vectors = textwalk.load_word_vectors(_read(args.vectors, "word vectors")) if args.vectors else None
-    ontology = parse_ontology(_read(args.ontology, "ontology")) if args.ontology else None
+    space = elembed.import_space(read_file(args.space, "embedding space")) if args.space else None
+    vectors = textwalk.load_word_vectors(read_file(args.vectors, "word vectors")) if args.vectors else None
+    ontology = parse_ontology(read_file(args.ontology, "ontology")) if args.ontology else None
     attributes = (
-        harness.parse_vector_table(_read(args.attributes, "attributes"), "attributes")
+        harness.parse_vector_table(read_file(args.attributes, "attributes"), "attributes")
         if args.attributes
         else None
     )
-    class_map = harness.parse_class_map(_read(args.class_map, "class map")) if args.class_map else None
-    labels = [line.strip() for line in _read(args.labels, "labels").splitlines() if line.strip()]
+    class_map = harness.parse_class_map(read_file(args.class_map, "class map")) if args.class_map else None
+    labels = [line.strip() for line in read_file(args.labels, "labels").splitlines() if line.strip()]
     table = zslmap.encode_labels(
         labels,
         components,
@@ -172,9 +166,9 @@ def _dataset_matrices(features_text, split_text, table):
 
 
 def cmd_train_map(args) -> None:
-    table = zslmap.load_encodings(_read(args.encodings, "encodings"))
+    table = zslmap.load_encodings(read_file(args.encodings, "encodings"))
     _dataset, x, z = _dataset_matrices(
-        _read(args.features, "features"), _read(args.split, "split"), table
+        read_file(args.features, "features"), read_file(args.split, "split"), table
     )
     if args.mapper == "sae":
         _write(args.out, zslmap.save_model(zslmap.train_sae(x, z, args.sae_lambda)))
@@ -183,9 +177,9 @@ def cmd_train_map(args) -> None:
 
 
 def cmd_predict(args) -> None:
-    table = zslmap.load_encodings(_read(args.encodings, "encodings"))
-    model = zslmap.load_model(_read(args.model, "model"))
-    dataset = harness.load_dataset(_read(args.features, "features"), _read(args.split, "split"))
+    table = zslmap.load_encodings(read_file(args.encodings, "encodings"))
+    model = zslmap.load_model(read_file(args.model, "model"))
+    dataset = harness.load_dataset(read_file(args.features, "features"), read_file(args.split, "split"))
     cfg = zslmap.PredictConfig(Distance(args.distance), CandidateSet(args.candidates))
     test = dataset.test_samples()
     if not test:
@@ -194,29 +188,19 @@ def cmd_predict(args) -> None:
     labels = zslmap.predict(
         gx, table, cfg, sorted(dataset.seen_labels), sorted(dataset.unseen_labels)
     )
-    _write(args.out, "".join(f"{s.id}\t{label}\t{s.label}\n" for s, label in zip(test, labels)))
+    _write(args.out, harness.write_predictions(test, labels))
 
 
 def cmd_eval(args) -> None:
-    _seen, unseen = harness.parse_split(_read(args.split, "split"))
-    predictions = []
-    truth = []
-    for line_no, raw in enumerate(_read(args.predictions, "predictions").splitlines(), start=1):
-        if not raw.strip():
-            continue
-        parts = raw.split("\t")
-        if len(parts) != 3:
-            raise DataError(f"predictions line {line_no}: expected id, prediction, truth")
-        predictions.append(parts[1])
-        truth.append(parts[2])
+    _seen, unseen = harness.parse_split(read_file(args.split, "split"))
+    predictions, truth = harness.parse_predictions(read_file(args.predictions, "predictions"))
     per_class = harness.per_class_accuracy(predictions, truth, unseen)
     macro = sum(per_class.values()) / len(per_class)
     lines = [
-        f"macro_unseen_accuracy\t{macro:.17g}",
-        f"sample_accuracy\t{harness.sample_accuracy(predictions, truth):.17g}",
+        f"macro_unseen_accuracy\t{fmt(macro)}",
+        f"sample_accuracy\t{fmt(harness.sample_accuracy(predictions, truth))}",
     ]
-    for label in sorted(per_class):
-        lines.append(f"{label}\t{per_class[label]:.17g}")
+    lines.extend(f"{label}\t{fmt(per_class[label])}" for label in sorted(per_class))
     _write(args.out, "".join(line + "\n" for line in lines))
 
 
@@ -241,7 +225,7 @@ def cmd_synth(args) -> None:
 def cmd_pipeline(args) -> None:
     cfg = pipeline.RunConfig()
     if args.config:
-        cfg = pipeline.parse_config(_read(args.config, "config"), cfg)
+        cfg = pipeline.parse_config(read_file(args.config, "config"), cfg)
     overrides = {}
     for item in args.set or []:
         if "=" not in item:

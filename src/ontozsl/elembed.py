@@ -29,7 +29,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DataError, NumericalError, UnknownNameError
-from .harness import float_row
 from .normalform import (
     BOTTOM,
     NF1,
@@ -42,6 +41,7 @@ from .normalform import (
     NormalizedOntology,
     RSub,
 )
+from .textio import fmt, read_floats, read_int
 
 
 @dataclass
@@ -89,7 +89,7 @@ class ElTrainConfig:
     def __post_init__(self) -> None:
         if self.dim < 1 or self.epochs < 0 or self.batch_size < 1 or self.negatives < 0:
             raise DataError("embedding config out of range")
-        if self.learning_rate <= 0 or self.min_radius <= 0 or self.margin < 0:
+        if self.learning_rate <= 0 or self.min_radius <= 0 or self.margin < 0 or self.seed < 0:
             raise DataError("embedding config out of range")
 
 
@@ -408,20 +408,14 @@ def _diverged(keys: list[Key], params: np.ndarray, radii: np.ndarray, step: int)
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def export_space(space: EmbeddingSpace) -> str:
     """Tab-separated rows, floats at 17 significant digits (lossless)."""
     lines = [f"#dim\t{space.dim}"]
     for name in sorted(space.concepts):
         ball = space.concepts[name]
-        coords = ",".join(_fmt(v) for v in ball.center)
-        lines.append(f"C\t{name}\t{coords}\t{_fmt(ball.radius)}")
+        lines.append(f"C\t{name}\t{','.join(map(fmt, ball.center))}\t{fmt(ball.radius)}")
     for name in sorted(space.relations):
-        coords = ",".join(_fmt(v) for v in space.relations[name])
-        lines.append(f"R\t{name}\t{coords}")
+        lines.append(f"R\t{name}\t{','.join(map(fmt, space.relations[name]))}")
     return "".join(line + "\n" for line in lines)
 
 
@@ -438,9 +432,7 @@ def import_space(text: str) -> EmbeddingSpace:
         if parts[0] == "#dim":
             if dim is not None:
                 raise DataError(f"{where}: second dimension header")
-            if len(parts) != 2 or not parts[1].isdecimal() or int(parts[1]) < 1:
-                raise DataError(f"{where}: malformed dimension header")
-            dim = int(parts[1])
+            dim = read_int(raw.partition("\t")[2], where, 1)
             continue
         if dim is None:
             raise DataError(f"{where}: missing #dim header")
@@ -449,14 +441,14 @@ def import_space(text: str) -> EmbeddingSpace:
                 raise DataError(f"{where}: concept rows take 4 fields")
             if parts[1] in concepts:
                 raise DataError(f"{where}: concept {parts[1]!r} appears twice")
-            radius = float(float_row(parts[3], where, 1)[0])
-            concepts[parts[1]] = Ball(float_row(parts[2], where, dim), radius)
+            radius = float(read_floats(parts[3:], where, 1)[0])
+            concepts[parts[1]] = Ball(read_floats(parts[2].split(","), where, dim), radius)
         elif parts[0] == "R":
             if len(parts) != 3:
                 raise DataError(f"{where}: relation rows take 3 fields")
             if parts[1] in relations:
                 raise DataError(f"{where}: relation {parts[1]!r} appears twice")
-            relations[parts[1]] = float_row(parts[2], where, dim)
+            relations[parts[1]] = read_floats(parts[2].split(","), where, dim)
         else:
             raise DataError(f"{where}: unknown row type {parts[0]!r}")
     if dim is None:

@@ -5,6 +5,8 @@ the seen set form the training split; samples with unseen labels form the
 test split.  Metrics follow the usual zero-shot conventions: the headline
 number is the unweighted mean of per-class accuracy over the unseen classes,
 with plain sample accuracy reported alongside for generalized evaluation.
+The dataset tables and the predictions file are tab-separated rows; their
+numbers go through :mod:`ontozsl.textio`.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -28,6 +30,7 @@ from .ontology import (
     LABEL,
     Ontology,
 )
+from .textio import fmt, read_floats
 
 
 @dataclass(frozen=True)
@@ -56,8 +59,15 @@ class ZslDataset:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
+def _tab_rows(text: str, what: str, *fields: str) -> Iterator[tuple[str, list[str]]]:
+    """``(where, fields)`` of each tab-separated row; blank and ``#`` lines are skipped."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        if not raw.strip() or raw.startswith("#"):
+            continue
+        parts = raw.split("\t")
+        if len(parts) != len(fields):
+            raise DataError(f"{what} line {line_no}: expected {', '.join(fields)}")
+        yield f"{what} line {line_no}", parts
 
 
 def parse_split(text: str) -> tuple[frozenset[str], frozenset[str]]:
@@ -90,40 +100,20 @@ def write_split(seen: Iterable[str], unseen: Iterable[str]) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def float_row(text: str, where: str, size: int | None = None) -> np.ndarray:
-    """Comma-separated finite floats; anything else is a DataError at ``where``."""
-    try:
-        row = np.array([float(v) for v in text.split(",")], dtype=float)
-    except ValueError as exc:
-        raise DataError(f"{where}: {exc}") from None
-    if not np.isfinite(row).all():
-        raise DataError(f"{where}: values must be finite")
-    if size is not None and row.size != size:
-        raise DataError(f"{where}: expected {size} values, got {row.size}")
-    return row
-
-
 def parse_features(text: str) -> tuple[int, list[Sample]]:
     samples: list[Sample] = []
     dim: int | None = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip() or raw.startswith("#"):
-            continue
-        parts = raw.split("\t")
-        if len(parts) != 3:
-            raise DataError(f"features line {line_no}: expected id, label, values")
-        values = float_row(parts[2], f"features line {line_no}", dim)
-        dim = values.size
-        samples.append(Sample(parts[0], parts[1], values))
+    for where, (sample_id, label, values) in _tab_rows(text, "features", "id", "label", "values"):
+        row = read_floats(values.split(","), where, dim)
+        dim = row.size
+        samples.append(Sample(sample_id, label, row))
     if dim is None:
         raise DataError("feature file has no samples")
     return dim, samples
 
 
 def write_features(samples: Iterable[Sample]) -> str:
-    return "".join(
-        f"{s.id}\t{s.label}\t{','.join(_fmt(v) for v in s.features)}\n" for s in samples
-    )
+    return "".join(f"{s.id}\t{s.label}\t{','.join(map(fmt, s.features))}\n" for s in samples)
 
 
 def load_dataset(features_text: str, split_text: str) -> ZslDataset:
@@ -140,38 +130,32 @@ def parse_vector_table(text: str, what: str) -> dict[str, np.ndarray]:
     """``label<TAB>v1,...,vk`` rows (used for attributes and similar tables)."""
     table: dict[str, np.ndarray] = {}
     dim: int | None = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip() or raw.startswith("#"):
-            continue
-        parts = raw.split("\t")
-        if len(parts) != 2:
-            raise DataError(f"{what} line {line_no}: expected label and values")
-        values = float_row(parts[1], f"{what} line {line_no}", dim)
-        dim = values.size
-        table[parts[0]] = values
+    for where, (label, values) in _tab_rows(text, what, "label", "values"):
+        table[label] = read_floats(values.split(","), where, dim)
+        dim = table[label].size
     return table
 
 
 def write_vector_table(table: Mapping[str, np.ndarray]) -> str:
-    return "".join(
-        f"{label}\t{','.join(_fmt(v) for v in table[label])}\n" for label in sorted(table)
-    )
+    return "".join(f"{label}\t{','.join(map(fmt, table[label]))}\n" for label in sorted(table))
 
 
 def parse_class_map(text: str) -> dict[str, str]:
-    mapping: dict[str, str] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip() or raw.startswith("#"):
-            continue
-        parts = raw.split("\t")
-        if len(parts) != 2:
-            raise DataError(f"class map line {line_no}: expected label and concept")
-        mapping[parts[0]] = parts[1]
-    return mapping
+    return dict(parts for _where, parts in _tab_rows(text, "class map", "label", "concept"))
 
 
 def write_class_map(mapping: Mapping[str, str]) -> str:
     return "".join(f"{label}\t{mapping[label]}\n" for label in sorted(mapping))
+
+
+def parse_predictions(text: str) -> tuple[list[str], list[str]]:
+    """Predicted and true labels of ``id<TAB>prediction<TAB>truth`` rows."""
+    rows = [parts for _where, parts in _tab_rows(text, "predictions", "id", "prediction", "truth")]
+    return [row[1] for row in rows], [row[2] for row in rows]
+
+
+def write_predictions(samples: Sequence[Sample], predictions: Sequence[str]) -> str:
+    return "".join(f"{s.id}\t{label}\t{s.label}\n" for s, label in zip(samples, predictions))
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +258,8 @@ def gen_synthetic(
     """
     if k_seen < 2 or k_unseen < 1 or per_class < 1 or p < 2:
         raise DataError("synthetic sizes out of range")
-    if noise < 0:
-        raise DataError("noise must be nonnegative")
+    if noise < 0 or seed < 0:
+        raise DataError("noise and seed must be nonnegative")
     rng = np.random.default_rng(seed)
     k = k_seen + k_unseen
     traits_per_class = 3

@@ -42,6 +42,7 @@ from .ontology import (
     RoleInclusion,
     Top,
     expression_text,
+    parse_expression,
     validate,
 )
 
@@ -439,71 +440,16 @@ def write_normalized(n: NormalizedOntology) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def _parse_loose_expression(text: str) -> ConceptExpression | None:
-    """Best-effort expression parse for provenance trailers (no signature)."""
-    tokens = [t for t in text.replace("(", " ( ").replace(")", " ) ").split() if t]
-    pos = 0
-
-    def take() -> str | None:
-        nonlocal pos
-        if pos >= len(tokens):
-            return None
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def parse() -> ConceptExpression | None:
-        tok = take()
-        if tok is None:
-            return None
-        if tok == "Top":
-            return Top()
-        if tok == "Bottom":
-            return Bottom()
-        if tok == "One":
-            if take() != "(":
-                return None
-            ind = take()
-            if ind is None or take() != ")":
-                return None
-            return Nominal(ind)
-        if tok == "Some":
-            if take() != "(":
-                return None
-            rel = take()
-            filler = parse()
-            if rel is None or filler is None or take() != ")":
-                return None
-            return Existential(rel, filler)
-        if tok == "And":
-            if take() != "(":
-                return None
-            args = []
-            while pos < len(tokens) and tokens[pos] != ")":
-                arg = parse()
-                if arg is None:
-                    return None
-                args.append(arg)
-            if take() != ")" or len(args) < 2:
-                return None
-            expr = args[-1]
-            for a in reversed(args[:-1]):
-                expr = Conjunction(a, expr)
-            return expr
-        if tok in ("(", ")"):
-            return None
-        return Atomic(tok)
-
-    expr = parse()
-    return expr if pos == len(tokens) else None
-
-
 def read_normalized(text: str) -> NormalizedOntology:
-    """Parse the text form produced by :func:`write_normalized`."""
+    """Parse the text form produced by :func:`write_normalized`.
+
+    ``# prov:`` expressions are parsed last, over the file's own concept and
+    relation names; one that does not parse is a DataError naming its line.
+    """
     axioms: list[NormalAxiom] = []
     fresh: list[str] = []
     nominal: dict[str, str] = {}
-    provenance: dict[str, ConceptExpression] = {}
+    prov_lines: list[tuple[int, str, str]] = []
     extra_concepts: list[str] = []
     extra_relations: list[str] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -521,12 +467,12 @@ def read_normalized(text: str) -> NormalizedOntology:
                     ind, name = pair.split("=", 1)
                     nominal[ind] = name
             elif body.startswith("prov:"):
-                rest = body[len("prov:"):].strip()
-                if "=" in rest:
-                    name, expr_text = rest.split("=", 1)
-                    expr = _parse_loose_expression(expr_text.strip())
-                    if expr is not None:
-                        provenance[name.strip()] = expr
+                name, eq, _ = body[len("prov:"):].partition("=")
+                if not eq:
+                    raise DataError(f"line {line_no}: provenance needs 'name = expression'")
+                # blanking the head keeps error columns counted from the start of the line
+                start = raw.index("=") + 1
+                prov_lines.append((line_no, name.strip(), " " * start + raw[start:]))
             elif body.startswith("concepts:"):
                 extra_concepts.extend(body[len("concepts:"):].split())
             elif body.startswith("relations:"):
@@ -551,6 +497,10 @@ def read_normalized(text: str) -> NormalizedOntology:
         elif isinstance(ax, RSub):
             relation_names.update((ax.sub, ax.sup))
     concept_names -= {TOP, BOTTOM}
+    provenance = {
+        name: parse_expression(expr, concept_names, relation_names, line_no)
+        for line_no, name, expr in prov_lines
+    }
     return NormalizedOntology(
         axioms=tuple(axioms),
         fresh_names=tuple(fresh),

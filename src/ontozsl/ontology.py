@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Collection, Iterator, Union
 
 from .errors import ElfError
 
@@ -403,6 +403,21 @@ def parse_ontology(text: str) -> Ontology:
         tuple(parser.individuals),
         tuple(parser.axioms),
     )
+
+
+def parse_expression(
+    text: str, concepts: Collection[str], relations: Collection[str], line: int = 1
+) -> ConceptExpression:
+    """Parse one concept expression over the given names; it may not use nominals.
+
+    Raises :class:`ElfError` at ``line``, with columns counted in ``text``.
+    """
+    parser = _Parser()
+    parser.concepts, parser.relations = concepts, relations
+    cur = _Cursor(_tokenize_line(text, line), line, len(text))
+    expr = parser.parse_expr(cur)
+    cur.expect_end()
+    return expr
 
 
 # ---------------------------------------------------------------------------

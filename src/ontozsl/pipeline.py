@@ -23,6 +23,7 @@ from . import elembed, harness, textwalk, zslmap
 from .errors import DataError, OntozslError
 from .normalform import normalize, write_normalized
 from .ontology import parse_ontology, serialize_ontology
+from .textio import fmt, read_file, read_floats, read_int
 from .zslmap import CandidateSet, Component, Distance
 
 logger = logging.getLogger(__name__)
@@ -69,12 +70,25 @@ class RunConfig:
     distance: str = "l2"
     candidates: str = "unseen"
 
+    def __post_init__(self) -> None:
+        """Reject unknown enum values when the config is built, before any stage runs."""
+        self.component_list()
+        self.predict_config()
+        if self.mapper not in ("sae", "ridge"):
+            raise DataError(f"unknown mapper {self.mapper!r}")
+
     def component_list(self) -> tuple[Component, ...]:
         names = [n.strip() for n in self.components.split(",") if n.strip()]
         try:
             return tuple(Component(n) for n in names)
         except ValueError as exc:
             raise DataError(f"unknown encoding component: {exc}") from None
+
+    def predict_config(self) -> zslmap.PredictConfig:
+        try:
+            return zslmap.PredictConfig(Distance(self.distance), CandidateSet(self.candidates))
+        except ValueError as exc:
+            raise DataError(f"unknown prediction setting: {exc}") from None
 
     def to_dict(self) -> dict[str, str]:
         out = {}
@@ -83,7 +97,7 @@ class RunConfig:
             if isinstance(value, bool):
                 out[f.name] = "true" if value else "false"
             elif isinstance(value, float):
-                out[f.name] = format(value, ".17g")
+                out[f.name] = fmt(value)
             else:
                 out[f.name] = str(value)
         return out
@@ -105,15 +119,9 @@ def config_from_pairs(pairs: dict[str, str], base: RunConfig = RunConfig()) -> R
                 raise DataError(f"config key {key!r} expects a boolean, got {raw!r}")
             updates[key] = _BOOL_WORDS[raw.lower()]
         elif isinstance(current, int):
-            try:
-                updates[key] = int(raw)
-            except ValueError:
-                raise DataError(f"config key {key!r} expects an integer, got {raw!r}") from None
+            updates[key] = read_int(raw, f"config key {key!r}")
         elif isinstance(current, float):
-            try:
-                updates[key] = float(raw)
-            except ValueError:
-                raise DataError(f"config key {key!r} expects a number, got {raw!r}") from None
+            updates[key] = float(read_floats([raw], f"config key {key!r}", 1)[0])
         else:
             updates[key] = raw
     return dataclasses.replace(base, **updates)
@@ -149,22 +157,18 @@ class MetricsReport:
 # ---------------------------------------------------------------------------
 
 
-def _g17(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def render_report(report: MetricsReport, per_class_counts: dict[str, tuple[int, int]]) -> str:
     lines = [
-        f"macro_unseen_accuracy\t{_g17(report.macro_unseen_accuracy)}",
-        f"sample_accuracy\t{_g17(report.sample_accuracy)}",
-        f"el_total_loss\t{_g17(report.el_total_loss)}",
+        f"macro_unseen_accuracy\t{fmt(report.macro_unseen_accuracy)}",
+        f"sample_accuracy\t{fmt(report.sample_accuracy)}",
+        f"el_total_loss\t{fmt(report.el_total_loss)}",
     ]
     for key in sorted(report.counts):
         lines.append(f"{key}\t{report.counts[key]}")
     lines.append("[per_class]")
     for label in sorted(report.per_class_accuracy):
         correct, total = per_class_counts[label]
-        lines.append(f"{label}\t{_g17(report.per_class_accuracy[label])}\t{correct}\t{total}")
+        lines.append(f"{label}\t{fmt(report.per_class_accuracy[label])}\t{correct}\t{total}")
     lines.append("[config]")
     for key in sorted(report.config_echo):
         lines.append(f"{key}\t{report.config_echo[key]}")
@@ -206,7 +210,33 @@ class _stage:
 
 
 def run_pipeline(cfg: RunConfig) -> MetricsReport:
-    """Execute all stages and write artifacts plus a manifest to ``out_dir``."""
+    """Execute all stages and write artifacts plus a manifest to ``out_dir``.
+
+    Every stage config is built, and so range-checked, before the first stage.
+    """
+    components = cfg.component_list()
+    el_cfg = elembed.ElTrainConfig(
+        dim=cfg.el_dim,
+        margin=cfg.el_margin,
+        learning_rate=cfg.el_lr,
+        epochs=cfg.el_epochs,
+        batch_size=cfg.el_batch,
+        negatives=cfg.el_negatives,
+        min_radius=cfg.el_min_radius,
+        seed=cfg.seed,
+    )
+    walk_cfg = textwalk.WalkConfig(cfg.walks_per_node, cfg.walk_length, cfg.seed + 1)
+    sg_cfg = textwalk.SkipGramConfig(
+        dim=cfg.w2v_dim,
+        window=cfg.w2v_window,
+        negatives=cfg.w2v_negatives,
+        epochs=cfg.w2v_epochs,
+        learning_rate=cfg.w2v_lr,
+        min_count=cfg.w2v_min_count,
+        seed=cfg.seed + 2,
+    )
+    predict_cfg = cfg.predict_config()
+
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     artifacts: dict[str, str] = {}
@@ -215,10 +245,8 @@ def run_pipeline(cfg: RunConfig) -> MetricsReport:
         (out_dir / name).write_text(text)
         artifacts[name] = text
 
-    components = cfg.component_list()
-
     with _stage("parse"):
-        ontology = parse_ontology(_read(cfg.ontology, "ontology"))
+        ontology = parse_ontology(read_file(cfg.ontology, "ontology"))
         emit("ontology.elf", serialize_ontology(ontology))
 
     with _stage("normalize"):
@@ -226,16 +254,6 @@ def run_pipeline(cfg: RunConfig) -> MetricsReport:
         emit("normalized.txt", write_normalized(normalized))
 
     with _stage("embed-el"):
-        el_cfg = elembed.ElTrainConfig(
-            dim=cfg.el_dim,
-            margin=cfg.el_margin,
-            learning_rate=cfg.el_lr,
-            epochs=cfg.el_epochs,
-            batch_size=cfg.el_batch,
-            negatives=cfg.el_negatives,
-            min_radius=cfg.el_min_radius,
-            seed=cfg.seed,
-        )
         space = elembed.train_el(normalized, el_cfg)
         el_loss = elembed.total_loss(space, normalized, el_cfg)
         emit("el_space.tsv", elembed.export_space(space))
@@ -243,34 +261,24 @@ def run_pipeline(cfg: RunConfig) -> MetricsReport:
 
     with _stage("walk"):
         graph = textwalk.project(ontology)
-        walk_cfg = textwalk.WalkConfig(cfg.walks_per_node, cfg.walk_length, cfg.seed + 1)
         walks = textwalk.random_walks(graph, walk_cfg)
         corpus = textwalk.lexicalize(walks, ontology)
         emit("corpus.txt", textwalk.save_corpus(corpus))
 
     with _stage("w2v"):
-        sg_cfg = textwalk.SkipGramConfig(
-            dim=cfg.w2v_dim,
-            window=cfg.w2v_window,
-            negatives=cfg.w2v_negatives,
-            epochs=cfg.w2v_epochs,
-            learning_rate=cfg.w2v_lr,
-            min_count=cfg.w2v_min_count,
-            seed=cfg.seed + 2,
-        )
         pretrained = None
         if cfg.pretrained_vectors:
-            pretrained = textwalk.load_word_vectors(_read(cfg.pretrained_vectors, "pretrained vectors"))
+            pretrained = textwalk.load_word_vectors(read_file(cfg.pretrained_vectors, "pretrained vectors"))
         vectors = textwalk.train_skipgram(corpus, sg_cfg, init=pretrained)
         emit("wordvecs.txt", textwalk.save_word_vectors(vectors))
 
     with _stage("load-dataset"):
-        dataset = harness.load_dataset(_read(cfg.features, "features"), _read(cfg.split, "split"))
+        dataset = harness.load_dataset(read_file(cfg.features, "features"), read_file(cfg.split, "split"))
         class_map = (
-            harness.parse_class_map(_read(cfg.class_map, "class map")) if cfg.class_map else {}
+            harness.parse_class_map(read_file(cfg.class_map, "class map")) if cfg.class_map else {}
         )
         attributes = (
-            harness.parse_vector_table(_read(cfg.attributes, "attributes"), "attributes")
+            harness.parse_vector_table(read_file(cfg.attributes, "attributes"), "attributes")
             if cfg.attributes
             else None
         )
@@ -298,14 +306,11 @@ def run_pipeline(cfg: RunConfig) -> MetricsReport:
         if cfg.mapper == "sae":
             model: zslmap.SaeModel | np.ndarray = zslmap.train_sae(x, z, cfg.sae_lambda)
             emit("model.txt", zslmap.save_model(model))
-        elif cfg.mapper == "ridge":
+        else:
             model = zslmap.train_ridge(x, z, cfg.ridge_alpha)
             emit("model.txt", zslmap.save_model(model, alpha=cfg.ridge_alpha))
-        else:
-            raise DataError(f"unknown mapper {cfg.mapper!r}")
 
     with _stage("predict"):
-        predict_cfg = zslmap.PredictConfig(Distance(cfg.distance), CandidateSet(cfg.candidates))
         test = dataset.test_samples()
         if not test:
             raise DataError("no test samples: every sample has a seen label")
@@ -313,10 +318,7 @@ def run_pipeline(cfg: RunConfig) -> MetricsReport:
         predictions = zslmap.predict(
             gx, table, predict_cfg, sorted(dataset.seen_labels), sorted(dataset.unseen_labels)
         )
-        emit(
-            "predictions.tsv",
-            "".join(f"{s.id}\t{pred}\t{s.label}\n" for s, pred in zip(test, predictions)),
-        )
+        emit("predictions.tsv", harness.write_predictions(test, predictions))
 
     with _stage("eval"):
         truth = [s.label for s in test]
@@ -355,12 +357,3 @@ def run_pipeline(cfg: RunConfig) -> MetricsReport:
     )
     (out_dir / "manifest.txt").write_text(manifest)
     return report
-
-
-def _read(path: str, what: str) -> str:
-    if not path:
-        raise DataError(f"no {what} file configured")
-    p = Path(path)
-    if not p.exists():
-        raise DataError(f"{what} file not found: {path}")
-    return p.read_text()

@@ -1,0 +1,58 @@
+"""How numbers and input files cross the text boundary.
+
+Every artifact, config and report writes its floats with :func:`fmt`, at 17
+significant digits, which round-trips every double exactly; it reads them
+back with :func:`read_floats`, which accepts only finite values, and reads
+integers with :func:`read_int`, which accepts only plain ASCII digits.  A
+malformed value is a :class:`DataError` naming where it was found.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+from typing import Sequence
+
+import numpy as np
+
+from .errors import DataError
+
+
+def fmt(x: float) -> str:
+    """One float at 17 significant digits."""
+    return format(float(x), ".17g")
+
+
+def read_floats(fields: Sequence[str], where: str, size: int | None = None) -> np.ndarray:
+    """Finite floats, one per field; anything else is a DataError at ``where``."""
+    try:
+        row = np.array([float(v) for v in fields], dtype=float)
+    except ValueError as exc:
+        raise DataError(f"{where}: {exc}") from None
+    if not np.isfinite(row).all():
+        raise DataError(f"{where}: values must be finite")
+    if size is not None and row.size != size:
+        raise DataError(f"{where}: expected {size} values, got {row.size}")
+    return row
+
+
+def read_int(text: str, where: str, minimum: int = 0) -> int:
+    """ASCII digits only (no sign, spaces or underscores), at least ``minimum``."""
+    try:
+        if text.isascii() and text.isdigit() and int(text) >= minimum:
+            return int(text)
+    except ValueError:  # more digits than the interpreter converts
+        pass
+    raise DataError(f"{where}: expected an integer >= {minimum}, got {text!r}")
+
+
+def read_file(path: str, what: str) -> str:
+    """The text of a named input file; a missing or undecodable one is a DataError."""
+    if not path:
+        raise DataError(f"no {what} file configured")
+    p = Path(path)
+    if not p.exists():
+        raise DataError(f"{what} file not found: {path}")
+    try:
+        return p.read_text()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{what} file {path}: not text at byte {exc.start}") from None

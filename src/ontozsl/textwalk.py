@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, NumericalError, UnknownNameError
-from .harness import float_row
 from .normalform import NF1, NF2, NF3, TOP, _Namer, _rewrite
 from .ontology import (
     Annotation,
@@ -47,6 +46,7 @@ from .ontology import (
     RoleInclusion,
     expression_text,
 )
+from .textio import fmt, read_floats, read_int
 
 logger = logging.getLogger(__name__)
 
@@ -66,7 +66,7 @@ class WalkConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.walks_per_node < 1 or self.walk_length < 1:
+        if self.walks_per_node < 1 or self.walk_length < 1 or self.seed < 0:
             raise DataError("walk config out of range")
 
 
@@ -83,7 +83,7 @@ class SkipGramConfig:
     def __post_init__(self) -> None:
         if self.dim < 1 or self.window < 1 or self.negatives < 0 or self.epochs < 0:
             raise DataError("skip-gram config out of range")
-        if self.learning_rate <= 0 or self.min_count < 1:
+        if self.learning_rate <= 0 or self.min_count < 1 or self.seed < 0:
             raise DataError("skip-gram config out of range")
 
 
@@ -427,9 +427,7 @@ def load_corpus(text: str) -> WalkCorpus:
 def save_word_vectors(wv: WordVectors) -> str:
     """Plain text: ``count dim`` header, then one token and its coordinates."""
     lines = [f"{len(wv.vectors)} {wv.dim}"]
-    for token in sorted(wv.vectors):
-        coords = " ".join(format(float(v), ".17g") for v in wv.vectors[token])
-        lines.append(f"{token} {coords}")
+    lines.extend(f"{token} {' '.join(map(fmt, wv.vectors[token]))}" for token in sorted(wv.vectors))
     return "".join(line + "\n" for line in lines)
 
 
@@ -440,16 +438,14 @@ def load_word_vectors(text: str) -> WordVectors:
     if not rows:
         raise DataError("empty word-vector file")
     head_no, head = rows[0]
-    if len(head) != 2 or not all(v.isdecimal() for v in head) or int(head[1]) < 1:
+    if len(head) != 2:
         raise DataError(f"line {head_no}: word-vector header must be 'count dim'")
-    count, dim = int(head[0]), int(head[1])
+    count, dim = read_int(head[0], f"line {head_no}"), read_int(head[1], f"line {head_no}", 1)
     if len(rows) - 1 != count:
         raise DataError(f"expected {count} vector rows, found {len(rows) - 1}")
     vectors: dict[str, np.ndarray] = {}
     for line_no, parts in rows[1:]:
-        if len(parts) != dim + 1:
-            raise DataError(f"line {line_no}: expected {dim} coordinates")
         if parts[0] in vectors:
             raise DataError(f"line {line_no}: token {parts[0]!r} appears twice")
-        vectors[parts[0]] = float_row(",".join(parts[1:]), f"line {line_no}", dim)
+        vectors[parts[0]] = read_floats(parts[1:], f"line {line_no}", dim)
     return WordVectors(dim, vectors)

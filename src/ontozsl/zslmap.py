@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import DataError, NumericalError, UnknownNameError
 from .elembed import EmbeddingSpace
-from .harness import float_row
 from .ontology import Ontology
+from .textio import fmt, read_floats, read_int
 from .textwalk import WordVectors, word_encoding
 
 
@@ -288,14 +288,10 @@ def predict(
 # ---------------------------------------------------------------------------
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 def save_encodings(table: EncodingTable) -> str:
     lines = ["#components\t" + ",".join(c.value for c in table.components)]
     for label in sorted(table.encodings):
-        lines.append(label + "\t" + ",".join(_fmt(v) for v in table.encodings[label]))
+        lines.append(label + "\t" + ",".join(map(fmt, table.encodings[label])))
     return "".join(line + "\n" for line in lines)
 
 
@@ -315,7 +311,7 @@ def load_encodings(text: str) -> EncodingTable:
         parts = raw.split("\t")
         if len(parts) != 2:
             raise DataError(f"encodings line {line_no}: encoding rows take 2 fields")
-        encodings[parts[0]] = float_row(parts[1], f"encodings line {line_no}")
+        encodings[parts[0]] = read_floats(parts[1].split(","), f"encodings line {line_no}")
     dims = {v.size for v in encodings.values()}
     if len(dims) > 1:
         raise DataError(f"inconsistent encoding dimensions: {sorted(dims)}")
@@ -325,14 +321,13 @@ def load_encodings(text: str) -> EncodingTable:
 def save_model(model: SaeModel | np.ndarray, *, alpha: float | None = None) -> str:
     """Header with kind and shape, then row-major weight rows."""
     if isinstance(model, SaeModel):
-        head = f"#kind\tsae\t{_fmt(model.lam)}"
+        head = f"#kind\tsae\t{fmt(model.lam)}"
         weights = model.weights
     else:
-        head = f"#kind\tridge\t{_fmt(alpha if alpha is not None else 0.0)}"
+        head = f"#kind\tridge\t{fmt(alpha if alpha is not None else 0.0)}"
         weights = model
     lines = [head, f"#shape\t{weights.shape[0]}\t{weights.shape[1]}"]
-    for row in weights:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines.extend(",".join(map(fmt, row)) for row in weights)
     return "".join(line + "\n" for line in lines)
 
 
@@ -344,16 +339,14 @@ def load_model(text: str) -> SaeModel | np.ndarray:
     kind = kind_line.split("\t")
     if len(kind) != 3:
         raise DataError(f"model line {kind_no}: #kind takes a mapper name and one number")
-    param = float_row(kind[2], f"model line {kind_no}", 1)[0]
-    try:
-        rows, cols = (int(v) for v in shape_line.split("\t")[1:])
-    except ValueError:
-        rows = cols = -1
-    if rows < 0 or cols < 0:
+    param = read_floats(kind[2:], f"model line {kind_no}", 1)[0]
+    shape = shape_line.split("\t")[1:]
+    if len(shape) != 2:
         raise DataError(f"model line {shape_no}: #shape takes two nonnegative integers")
+    rows, cols = (read_int(v, f"model line {shape_no}") for v in shape)
     if len(lines) - 2 != rows:
         raise DataError(f"expected {rows} weight rows, found {len(lines) - 2}")
-    weights = np.array([float_row(line, f"model line {no}", cols) for no, line in lines[2:]])
+    weights = np.array([read_floats(line.split(","), f"model line {no}", cols) for no, line in lines[2:]])
     weights = weights.reshape(rows, cols)
     if kind[1] == "sae":
         return SaeModel(weights, param, float("nan"))

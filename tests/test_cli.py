@@ -11,6 +11,8 @@ import pytest
 import ontozsl
 from ontozsl import harness, zslmap
 from ontozsl.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from ontozsl.normalform import normalize, write_normalized
+from ontozsl.ontology import serialize_ontology
 
 GOOD_ONTOLOGY = """Concept(A)
 Concept(B)
@@ -350,3 +352,58 @@ def test_malformed_embedding_files_exit_2_without_traceback(tmp_path, flag, text
     assert done.returncode == EXIT_DATA, done.stderr
     assert "Traceback" not in done.stderr
     assert "line " in done.stderr
+
+
+@pytest.fixture
+def tiny_inputs(tmp_path):
+    """Paths of a small benchmark plus its normal form and walk corpus."""
+    data = harness.gen_synthetic(3, 1, 2, p=4)
+    files = {
+        "ontology": serialize_ontology(data.ontology),
+        "normalized": write_normalized(normalize(data.ontology)),
+        "corpus": "class group trait\ngroup class\n",
+        "features": harness.write_features(data.dataset.samples),
+        "split": harness.write_split(data.dataset.seen_labels, data.dataset.unseen_labels),
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    return {name: tmp_path / name for name in files}
+
+
+# Each value used to crash with a traceback, or to fail or pass only after training.
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["pipeline", "--set", "seed=-1"], "'seed'"),
+        (["embed-el", "--normalized", "{normalized}", "--seed", "-1"], "out of range"),
+        (["walk", "{ontology}", "--seed", "-1"], "out of range"),
+        (["w2v", "--corpus", "{corpus}", "--seed", "-1"], "out of range"),
+        (["synth", "--seed", "-1"], "seed"),
+        (["pipeline", "--set", "distance=foo"], "'foo'"),
+        (["pipeline", "--set", "candidates=bar"], "'bar'"),
+        (["pipeline", "--set", "mapper=foo"], "'foo'"),
+        (["pipeline", "--set", "el_margin=inf"], "'el_margin'"),
+        (["pipeline", "--set", "mapper=ridge", "--set", "ridge_alpha=nan"], "'ridge_alpha'"),
+    ],
+    ids=["pipeline-seed", "embed-el-seed", "walk-seed", "w2v-seed", "synth-seed",
+         "distance", "candidates", "mapper", "inf-margin", "nan-alpha"],
+)
+def test_bad_config_values_exit_2_before_any_stage_runs(tiny_inputs, tmp_path, argv, named):
+    out = tmp_path / "out"
+    argv = [arg.format(**tiny_inputs) for arg in argv]
+    if argv[0] == "pipeline":
+        for key in ("ontology", "features", "split"):
+            argv += ["--set", f"{key}={tiny_inputs[key]}"]
+        for setting in ("el_dim=2", "el_epochs=1", "walks_per_node=1", "w2v_dim=2", "w2v_epochs=1"):
+            argv += ["--set", setting]
+        argv += ["--set", f"out_dir={out}"]
+    else:
+        argv += ["--out-dir" if argv[0] == "synth" else "--out", str(out)]
+    env = {**os.environ, "PYTHONPATH": str(Path(ontozsl.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "ontozsl.cli", *argv], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == EXIT_DATA, done.stderr
+    assert "Traceback" not in done.stderr
+    assert named in done.stderr
+    assert not out.exists()

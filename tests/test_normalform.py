@@ -1,9 +1,16 @@
 """Normal-form rewriting and the completion-rule classifier."""
 
+import re
+
 import numpy as np
 import pytest
 
-from conftest import count_complex_subexpressions, flatten_by_definitions, random_tbox
+from conftest import (
+    count_complex_subexpressions,
+    flatten_by_definitions,
+    random_full_ontology,
+    random_tbox,
+)
 from ontozsl.errors import DataError, UnsupportedAxiomError
 from ontozsl.normalform import (
     NF1,
@@ -177,6 +184,29 @@ def test_write_and_read_normalized_round_trip():
     assert back.concept_names == n.concept_names
     assert back.relation_names == n.relation_names
     assert back.provenance == n.provenance
+
+
+def test_fuzzed_provenance_round_trips():
+    rng = np.random.default_rng(16)
+    for _ in range(300):
+        n = normalize(random_full_ontology(rng))
+        assert read_normalized(write_normalized(n)).provenance == n.provenance
+
+
+@pytest.mark.parametrize(
+    "trailer, message",
+    [
+        ("# prov: N = And(A", "line 3, col 18: expected"),
+        ("# prov: N = And(A Q)", "line 3, col 19: undeclared concept 'Q'"),
+        ("# prov: N = Some(q A)", "line 3, col 18: undeclared relation 'q'"),
+        ("  # prov: N = A B", "line 3, col 17: trailing input"),
+        ("# prov: N =", "line 3, col 12: expected a concept expression"),
+        ("# prov: N", "line 3: provenance needs"),
+    ],
+)
+def test_read_normalized_rejects_a_malformed_provenance_trailer(trailer, message):
+    with pytest.raises(DataError, match=re.escape(message)):
+        read_normalized(f"NF2 A r B\n# fresh: N\n{trailer}\n")
 
 
 def test_read_normalized_rejects_wrong_arity():

@@ -1,0 +1,227 @@
+"""The number and file boundary, and a fuzz gate over every text loader.
+
+Every loader must turn arbitrary text into a value or a DataError, and the
+CLI must turn arbitrary input files into an exit code, never a traceback.
+Fuzzed configs only go through ``parse_config``: running the pipeline on one
+could ask for an arbitrarily large model.
+"""
+
+import math
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ontozsl import elembed, harness, textio, textwalk, zslmap
+from ontozsl.cli import main
+from ontozsl.elembed import Ball, EmbeddingSpace
+from ontozsl.errors import DataError
+from ontozsl.normalform import normalize, read_normalized, write_normalized
+from ontozsl.ontology import parse_ontology
+from ontozsl.pipeline import parse_config
+
+ONTOLOGY = """Concept(A)
+Concept(B)
+Concept(C)
+Relation(r)
+Individual(a)
+SubClassOf(A Some(r And(B C)))
+EquivalentTo(C And(A Some(r One(a))))
+Instance(a B)
+Label(A "alpha")
+"""
+
+SPACE = elembed.export_space(
+    EmbeddingSpace(2, {"A": Ball(np.array([1.0, 0.0]), 0.1), "B": Ball(np.array([0.0, 1.0]), 0.1)},
+                   {"r": np.array([0.5, -0.5])})
+)
+
+# One valid file per format; fuzzing starts from these or from scratch.
+VALID = {
+    "ontology": ONTOLOGY,
+    "normalized": write_normalized(normalize(parse_ontology(ONTOLOGY))),
+    "features": "x0\ta\t1,0\nx1\tb\t0,1\n",
+    "split": "[seen]\na\n[unseen]\nb\n",
+    "attributes": "a\t1,0\nb\t0,1\n",
+    "class_map": "a\tA\nb\tB\n",
+    "encodings": "#components\tattribute\na\t1,0\nb\t0,1\n",
+    "model": zslmap.save_model(zslmap.SaeModel(np.eye(2), 0.5, math.nan)),
+    "space": SPACE,
+    "vectors": "2 2\na 1 0\nb 0 1\n",
+    "corpus": "a r b\nb subclass of c\n",
+    "config": "seed = 1\nel_dim = 4\nel_margin = 0.5\nmapper = ridge\nnormalize_components = no\n",
+    "predictions": "x1\tb\tb\nx2\ta\tb\n",
+    "labels": "a\nb\n",
+}
+
+LOADERS = {
+    "ontology": parse_ontology,
+    "normalized": read_normalized,
+    "features": harness.parse_features,
+    "split": harness.parse_split,
+    "attributes": lambda text: harness.parse_vector_table(text, "attributes"),
+    "class_map": harness.parse_class_map,
+    "encodings": zslmap.load_encodings,
+    "model": zslmap.load_model,
+    "space": elembed.import_space,
+    "vectors": textwalk.load_word_vectors,
+    "corpus": textwalk.load_corpus,
+    "config": parse_config,
+    "predictions": harness.parse_predictions,
+}
+
+# Pieces of the formats above, so fuzzed text reaches past the first check.
+TOKENS = [
+    "\t", "\n", " ", ",", "=", "(", ")", "#", "0", "1", "2", "-1", "1.5", "1e400", "nan", "inf",
+    "+3", "1_0", "٣", "x", "a", "b", "A", "r", "#dim", "C", "R", "#kind", "#shape", "sae",
+    "ridge", "#components", "el_center", "[seen]", "[unseen]", "NF1", "NF2", "NF4", "DISJ",
+    "RSUB", "# prov:", "# fresh:", "# nominal:", "# concepts:", "# relations:", "And", "Some",
+    "One", "Top", "Bottom", "Concept", "SubClassOf", '"', "seed", "el_dim", "el_margin",
+    "mapper", "distance", "true",
+]
+PIECES = st.one_of(st.sampled_from(TOKENS), st.text(max_size=3))
+FUZZ = st.one_of(st.text(), st.lists(PIECES, max_size=30).map("".join))
+
+
+@st.composite
+def near(draw, valid: str) -> str:
+    """``valid`` with one to three short spans replaced by format pieces."""
+    text = valid
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 6)))
+        text = text[:i] + draw(PIECES) + text[j:]
+    return text
+
+
+def fuzzed(name: str):
+    return st.one_of(FUZZ, near(VALID[name]))
+
+
+# ---------------------------------------------------------------------------
+# the boundary itself
+# ---------------------------------------------------------------------------
+
+
+def test_only_textio_spells_the_float_format():
+    package = Path(textio.__file__).parent
+    offenders = [p.name for p in sorted(package.glob("*.py")) if ".17g" in p.read_text()]
+    assert offenders == ["textio.py"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_every_finite_float_round_trips(x):
+    assert textio.read_floats([textio.fmt(x)], "here", 1)[0] == x
+    assert textio.fmt(np.float64(x)) == textio.fmt(x)
+
+
+@pytest.mark.parametrize("field", ["nan", "-inf", "1e400", "", "1,2", "x-0.05"])
+def test_read_floats_rejects_non_finite_and_malformed_fields(field):
+    with pytest.raises(DataError, match="^line 7: "):
+        textio.read_floats(["1", field], "line 7")
+
+
+def test_read_floats_checks_the_size():
+    assert textio.read_floats(["1", " 2 "], "here", 2).tolist() == [1.0, 2.0]
+    with pytest.raises(DataError, match="expected 3 values, got 2"):
+        textio.read_floats(["1", "2"], "here", 3)
+
+
+@pytest.mark.parametrize("text", ["+3", "1_0", " 3", "3 ", "-1", "-0", "3.0", "", "٣", "３", "9" * 5000])
+def test_read_int_takes_ascii_digits_only(text):
+    with pytest.raises(DataError, match="^here: expected an integer >= 0"):
+        textio.read_int(text, "here")
+
+
+def test_read_int_minimum_and_leading_zeros():
+    assert textio.read_int("007", "here") == 7
+    assert textio.read_int("0", "here") == 0
+    with pytest.raises(DataError, match=">= 1"):
+        textio.read_int("0", "here", 1)
+
+
+@pytest.mark.parametrize("spelling", ["+3", "1_0", "٣"])
+def test_integer_spellings_are_rejected_in_every_format(spelling):
+    with pytest.raises(DataError, match="el_dim"):
+        parse_config(f"el_dim = {spelling}\n")
+    with pytest.raises(DataError, match="line 2"):
+        zslmap.load_model(f"#kind\tsae\t0.5\n#shape\t{spelling}\t2\n1,0\n0,1\n1,1\n")
+    with pytest.raises(DataError, match="line 1"):
+        elembed.import_space(f"#dim\t{spelling}\n")
+    with pytest.raises(DataError, match="line 1"):
+        textwalk.load_word_vectors(f"{spelling} 2\n" + "a 1 0\n" * 3)
+
+
+def test_read_file_errors_are_data_errors(tmp_path):
+    with pytest.raises(DataError, match="no features file configured"):
+        textio.read_file("", "features")
+    with pytest.raises(DataError, match="not found"):
+        textio.read_file(str(tmp_path / "absent"), "features")
+    binary = tmp_path / "binary"
+    binary.write_bytes(b"ok\n\xff\xfe")
+    with pytest.raises(DataError, match="not text at byte 3"):
+        textio.read_file(str(binary), "features")
+
+
+# ---------------------------------------------------------------------------
+# loader fuzz gate
+# ---------------------------------------------------------------------------
+
+
+def test_every_fuzz_seed_is_a_valid_file():
+    for name, load in LOADERS.items():
+        load(VALID[name])
+
+
+@pytest.mark.parametrize("name", sorted(LOADERS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_loaders_return_a_value_or_a_data_error(name, data):
+    text = data.draw(fuzzed(name))
+    try:
+        LOADERS[name](text)
+    except DataError:
+        pass
+
+
+# Each command with the file it reads fuzzed; the other inputs stay valid.
+COMMANDS = {
+    "parse": (["parse", "{ontology}"], ["ontology"]),
+    "classify": (["classify", "--normalized", "{normalized}"], ["normalized"]),
+    "embed-el": (["embed-el", "--normalized", "{normalized}", "--epochs", "1", "--dim", "2"],
+                 ["normalized"]),
+    "w2v": (["w2v", "--corpus", "{corpus}", "--epochs", "1"], ["corpus"]),
+    "encode": (["encode", "--labels", "{labels}", "--components", "el_center,word,attribute",
+                "--space", "{space}", "--vectors", "{vectors}", "--attributes", "{attributes}",
+                "--class-map", "{class_map}"], ["space", "vectors", "attributes", "class_map"]),
+    "predict": (["predict", "--features", "{features}", "--split", "{split}",
+                 "--encodings", "{encodings}", "--model", "{model}"], ["model"]),
+    "eval": (["eval", "--predictions", "{predictions}", "--split", "{split}"], ["predictions"]),
+}
+
+
+def run_command(command: str, files: dict[str, bytes]) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: Path(tmp) / name for name in VALID}
+        for name, path in paths.items():
+            path.write_bytes(files.get(name, VALID[name].encode()))
+        argv = [arg.format(**paths) for arg in COMMANDS[command][0]]
+        return main(argv + ["--out", str(Path(tmp) / "out")])
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_commands_accept_the_valid_files(command):
+    assert run_command(command, {}) == 0
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_commands_exit_0_to_3_on_fuzzed_files(command, data):
+    name = data.draw(st.sampled_from(COMMANDS[command][1]))
+    text = st.one_of(fuzzed(name).map(lambda t: t.encode("utf-8", "surrogatepass")), st.binary())
+    assert run_command(command, {name: data.draw(text)}) in (0, 1, 2, 3)
