@@ -8,17 +8,17 @@ problems, 2 for bad input data, 3 for numerical failures.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import sys
+from functools import partial
 from pathlib import Path
-
-import numpy as np
 
 from . import elembed, harness, pipeline, textwalk, zslmap
 from .errors import DataError, NumericalError, OntozslError
 from .normalform import classify, normalize, read_normalized, write_normalized
 from .ontology import parse_ontology, serialize_ontology, validate
-from .textio import fmt, read_file
+from .textio import fmt, read_file, read_setting
 from .zslmap import CandidateSet, Component, Distance
 
 EXIT_OK = 0
@@ -70,22 +70,14 @@ def cmd_classify(args) -> None:
     _write(args.out, "".join(f"{a}\t{b}\n" for a, b in pairs))
 
 
-def _el_config(args) -> elembed.ElTrainConfig:
-    return elembed.ElTrainConfig(
-        dim=args.dim,
-        margin=args.margin,
-        learning_rate=args.lr,
-        epochs=args.epochs,
-        batch_size=args.batch,
-        negatives=args.negatives,
-        min_radius=args.min_radius,
-        seed=args.seed,
-    )
+def _stage_config(args, config: type):
+    """A stage config from the flags that :func:`_add_stage_flags` added."""
+    return config(**{f.name: getattr(args, f.name) for f in dataclasses.fields(config)})
 
 
 def cmd_embed_el(args) -> None:
+    cfg = _stage_config(args, elembed.ElTrainConfig)
     normalized = read_normalized(read_file(args.normalized, "normalized axioms"))
-    cfg = _el_config(args)
     space = elembed.train_el(normalized, cfg)
     loss = elembed.total_loss(space, normalized, cfg)
     print(f"total_loss\t{fmt(loss)}", file=sys.stderr)
@@ -99,10 +91,9 @@ def cmd_project(args) -> None:
 
 
 def cmd_walk(args) -> None:
+    cfg = _stage_config(args, textwalk.WalkConfig)
     ontology = parse_ontology(read_file(args.ontology, "ontology"))
-    graph = textwalk.project(ontology)
-    cfg = textwalk.WalkConfig(args.walks_per_node, args.walk_length, args.seed)
-    walks = textwalk.random_walks(graph, cfg)
+    walks = textwalk.random_walks(textwalk.project(ontology), cfg)
     if args.raw_out:
         _write(args.raw_out, "".join(" ".join(w) + "\n" for w in walks))
     corpus = textwalk.lexicalize(walks, ontology)
@@ -110,16 +101,8 @@ def cmd_walk(args) -> None:
 
 
 def cmd_w2v(args) -> None:
+    cfg = _stage_config(args, textwalk.SkipGramConfig)
     corpus = textwalk.load_corpus(read_file(args.corpus, "corpus"))
-    cfg = textwalk.SkipGramConfig(
-        dim=args.dim,
-        window=args.window,
-        negatives=args.negatives,
-        epochs=args.epochs,
-        learning_rate=args.lr,
-        min_count=args.min_count,
-        seed=args.seed,
-    )
     init = textwalk.load_word_vectors(read_file(args.init, "pretrained vectors")) if args.init else None
     _write(args.out, textwalk.save_word_vectors(textwalk.train_skipgram(corpus, cfg, init=init)))
 
@@ -152,28 +135,11 @@ def cmd_encode(args) -> None:
     _write(args.out, zslmap.save_encodings(table))
 
 
-def _dataset_matrices(features_text, split_text, table):
-    dataset = harness.load_dataset(features_text, split_text)
-    train = dataset.train_samples()
-    if not train:
-        raise DataError("no training samples with seen labels")
-    x = np.stack([s.features for s in train], axis=1)
-    missing = sorted({s.label for s in train} - set(table.encodings))
-    if missing:
-        raise DataError(f"labels without encodings: {', '.join(missing)}")
-    z = np.stack([table.encodings[s.label] for s in train], axis=1)
-    return dataset, x, z
-
-
 def cmd_train_map(args) -> None:
+    cfg = _stage_config(args, zslmap.MapConfig)
     table = zslmap.load_encodings(read_file(args.encodings, "encodings"))
-    _dataset, x, z = _dataset_matrices(
-        read_file(args.features, "features"), read_file(args.split, "split"), table
-    )
-    if args.mapper == "sae":
-        _write(args.out, zslmap.save_model(zslmap.train_sae(x, z, args.sae_lambda)))
-    else:
-        _write(args.out, zslmap.save_model(zslmap.train_ridge(x, z, args.alpha), alpha=args.alpha))
+    dataset = harness.load_dataset(read_file(args.features, "features"), read_file(args.split, "split"))
+    _write(args.out, zslmap.train_map(dataset, table, cfg)[1])
 
 
 def cmd_predict(args) -> None:
@@ -181,13 +147,7 @@ def cmd_predict(args) -> None:
     model = zslmap.load_model(read_file(args.model, "model"))
     dataset = harness.load_dataset(read_file(args.features, "features"), read_file(args.split, "split"))
     cfg = zslmap.PredictConfig(Distance(args.distance), CandidateSet(args.candidates))
-    test = dataset.test_samples()
-    if not test:
-        raise DataError("no test samples with unseen labels")
-    gx = zslmap.map_features(model, np.stack([s.features for s in test], axis=1))
-    labels = zslmap.predict(
-        gx, table, cfg, sorted(dataset.seen_labels), sorted(dataset.unseen_labels)
-    )
+    test, labels = zslmap.predict_test(model, dataset, table, cfg)
     _write(args.out, harness.write_predictions(test, labels))
 
 
@@ -244,6 +204,20 @@ def cmd_pipeline(args) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _add_number(p: argparse.ArgumentParser, flag: str, default: float, **kwargs) -> None:
+    """A numeric flag read like a config key of the same type (see ``textio.read_setting``)."""
+    p.add_argument(flag, default=default, type=partial(read_setting, like=default, where=flag), **kwargs)
+
+
+def _add_stage_flags(p: argparse.ArgumentParser, config: type) -> None:
+    """One flag per numeric field of a stage config, named by ``pipeline.STAGES``."""
+    short = pipeline.STAGES[config][2]
+    for f in dataclasses.fields(config):
+        if type(f.default) in (int, float):
+            name = pipeline.FLAG_NAMES.get(f.name, short.get(f.name, f.name))
+            _add_number(p, "--" + name.replace("_", "-"), f.default, dest=f.name, metavar=name.upper())
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="ontozsl", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command")
@@ -269,14 +243,7 @@ def build_parser() -> _Parser:
     p = add("embed-el", cmd_embed_el, "train concept ball embeddings")
     p.add_argument("--normalized", required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--dim", type=int, default=50)
-    p.add_argument("--margin", type=float, default=0.1)
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--epochs", type=int, default=1000)
-    p.add_argument("--batch", type=int, default=64)
-    p.add_argument("--negatives", type=int, default=1)
-    p.add_argument("--min-radius", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=0)
+    _add_stage_flags(p, elembed.ElTrainConfig)
 
     p = add("project", cmd_project, "project an ontology onto graph edges")
     p.add_argument("ontology")
@@ -286,21 +253,13 @@ def build_parser() -> _Parser:
     p.add_argument("ontology")
     p.add_argument("--out", default=None)
     p.add_argument("--raw-out", default=None, help="also write walks before lexicalization")
-    p.add_argument("--walks-per-node", type=int, default=10)
-    p.add_argument("--walk-length", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0)
+    _add_stage_flags(p, textwalk.WalkConfig)
 
     p = add("w2v", cmd_w2v, "train word vectors on a corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--init", default=None, help="pretrained vectors to fine-tune")
-    p.add_argument("--dim", type=int, default=25)
-    p.add_argument("--window", type=int, default=2)
-    p.add_argument("--negatives", type=int, default=5)
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--lr", type=float, default=0.05)
-    p.add_argument("--min-count", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    _add_stage_flags(p, textwalk.SkipGramConfig)
 
     p = add("encode", cmd_encode, "build label encodings")
     p.add_argument("--labels", required=True, help="file with one label per line")
@@ -317,9 +276,8 @@ def build_parser() -> _Parser:
     p.add_argument("--features", required=True)
     p.add_argument("--split", required=True)
     p.add_argument("--encodings", required=True)
-    p.add_argument("--mapper", choices=("sae", "ridge"), default="sae")
-    p.add_argument("--sae-lambda", type=float, default=0.5)
-    p.add_argument("--alpha", type=float, default=1e-3)
+    p.add_argument("--mapper", choices=zslmap.MAPPERS, default=zslmap.MapConfig.mapper)
+    _add_stage_flags(p, zslmap.MapConfig)
     p.add_argument("--out", default=None)
 
     p = add("predict", cmd_predict, "label test samples by nearest encoding")
@@ -337,12 +295,9 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default=None)
 
     p = add("synth", cmd_synth, "generate a synthetic benchmark")
-    p.add_argument("--k-seen", type=int, default=8)
-    p.add_argument("--k-unseen", type=int, default=2)
-    p.add_argument("--per-class", type=int, default=30)
-    p.add_argument("--features-dim", type=int, default=16)
-    p.add_argument("--noise", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=0)
+    for flag, default in (("--k-seen", 8), ("--k-unseen", 2), ("--per-class", 30),
+                          ("--features-dim", 16), ("--noise", 0.05), ("--seed", 0)):
+        _add_number(p, flag, default)
     p.add_argument("--out-dir", required=True)
 
     p = add("pipeline", cmd_pipeline, "run every stage from a config file")

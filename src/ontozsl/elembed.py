@@ -28,7 +28,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DataError, NumericalError, UnknownNameError
+from .errors import DataError, NumericalError, UnknownNameError, check_ranges
 from .normalform import (
     BOTTOM,
     NF1,
@@ -87,10 +87,12 @@ class ElTrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.dim < 1 or self.epochs < 0 or self.batch_size < 1 or self.negatives < 0:
-            raise DataError("embedding config out of range")
-        if self.learning_rate <= 0 or self.min_radius <= 0 or self.margin < 0 or self.seed < 0:
-            raise DataError("embedding config out of range")
+        check_ranges(
+            "embedding config", dim=self.dim >= 1, margin=self.margin >= 0,
+            learning_rate=self.learning_rate > 0, epochs=self.epochs >= 0,
+            batch_size=self.batch_size >= 1, negatives=self.negatives >= 0,
+            min_radius=self.min_radius > 0, seed=self.seed >= 0,
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -36,3 +36,9 @@ class UnsupportedAxiomError(DataError):
 
 class NumericalError(OntozslError):
     """Training diverged or a computation hit a numeric degeneracy."""
+
+
+def check_ranges(what: str, **in_range: bool) -> None:
+    """A DataError naming each setting whose check is false; write ``x > 0``, which NaN fails."""
+    if bad := [name for name, ok in in_range.items() if not ok]:
+        raise DataError(f"{what} out of range: {', '.join(bad)}")

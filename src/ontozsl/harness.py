@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, check_ranges
 from .ontology import (
     Annotation,
     Atomic,
@@ -256,10 +256,10 @@ def gen_synthetic(
     noise, and attribute vectors are the prototype plus noise.  Deterministic
     for a fixed argument tuple.
     """
-    if k_seen < 2 or k_unseen < 1 or per_class < 1 or p < 2:
-        raise DataError("synthetic sizes out of range")
-    if noise < 0 or seed < 0:
-        raise DataError("noise and seed must be nonnegative")
+    check_ranges(
+        "synthetic benchmark", k_seen=k_seen >= 2, k_unseen=k_unseen >= 1,
+        per_class=per_class >= 1, p=p >= 2, noise=noise >= 0, seed=seed >= 0,
+    )
     rng = np.random.default_rng(seed)
     k = k_seen + k_unseen
     traits_per_class = 3

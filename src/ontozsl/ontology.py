@@ -154,6 +154,11 @@ NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 # graph projection as its taxonomy predicate.
 RESERVED_NAMES = frozenset({"Top", "Bottom", "And", "Some", "One", "subClassOf"})
 
+# Deepest expression tree the parser builds, counting the root as level 1; an
+# And operand after the first adds a level.  Serializing, hashing, normalizing,
+# classifying and projecting recurse through it: 400 levels pass, 600 do not.
+MAX_EXPRESSION_DEPTH = 256
+
 
 # ---------------------------------------------------------------------------
 # tokenizer
@@ -300,10 +305,12 @@ class _Parser:
 
     # -- expressions --------------------------------------------------------
 
-    def parse_expr(self, cur: _Cursor) -> ConceptExpression:
+    def parse_expr(self, cur: _Cursor, depth: int = 1) -> ConceptExpression:
         tok = cur.peek()
         if tok is None or tok.kind != "ident":
             raise cur.fail("a concept expression")
+        if depth > MAX_EXPRESSION_DEPTH:
+            raise ElfError(f"nested deeper than {MAX_EXPRESSION_DEPTH} levels", tok.line, tok.col)
         cur.take()
         word = tok.value
         if word == "Top":
@@ -312,9 +319,9 @@ class _Parser:
             return Bottom()
         if word == "And":
             cur.expect("lparen", "'('")
-            args = [self.parse_expr(cur)]
+            args = [self.parse_expr(cur, depth + 1)]
             while cur.peek() is not None and cur.peek().kind != "rparen":
-                args.append(self.parse_expr(cur))
+                args.append(self.parse_expr(cur, depth + len(args) + 1))
             cur.expect("rparen", "')'")
             if len(args) < 2:
                 raise ElfError("And needs at least two operands", tok.line, tok.col)
@@ -325,7 +332,7 @@ class _Parser:
         if word == "Some":
             cur.expect("lparen", "'('")
             rel = self._resolve(cur.expect("ident", "a relation name"), "relation")
-            filler = self.parse_expr(cur)
+            filler = self.parse_expr(cur, depth + 1)
             cur.expect("rparen", "')'")
             return Existential(rel, filler)
         if word == "One":

@@ -17,21 +17,52 @@ import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from . import elembed, harness, textwalk, zslmap
 from .errors import DataError, OntozslError
 from .normalform import normalize, write_normalized
 from .ontology import parse_ontology, serialize_ontology
-from .textio import fmt, read_file, read_floats, read_int
+from .textio import fmt, read_file, read_setting, write_setting
 from .zslmap import CandidateSet, Component, Distance
 
 logger = logging.getLogger(__name__)
 
 
+# How the fields of each stage config appear elsewhere: a RunConfig key is the
+# prefix plus the field's short name and a CLI flag is --short-name; the stage
+# seed is the run seed plus the offset (None: the stage takes no seed).
+STAGES: dict[type, tuple[str, int | None, dict[str, str]]] = {
+    elembed.ElTrainConfig: ("el_", 0, {"learning_rate": "lr", "batch_size": "batch"}),
+    textwalk.WalkConfig: ("", 1, {}),
+    textwalk.SkipGramConfig: ("w2v_", 2, {"learning_rate": "lr"}),
+    zslmap.MapConfig: ("", None, {}),
+}
+FLAG_NAMES = {"ridge_alpha": "alpha"}  # the one flag that is not its key minus the prefix
+
+
+def stage_keys(config: type) -> dict[str, str]:
+    """The RunConfig key of each field of a stage config, but the seed, which is derived."""
+    prefix, _offset, short = STAGES[config]
+    names = [f.name for f in dataclasses.fields(config) if f.name != "seed"]
+    return {name: prefix + short.get(name, name) for name in names}
+
+
+# One field per stage setting, defaulted from its stage config; RunConfig adds the rest.
+_StageKeys = dataclasses.make_dataclass(
+    "_StageKeys",
+    [(key, f.type, field(default=f.default)) for config in STAGES for f in dataclasses.fields(config)
+     if (key := stage_keys(config).get(f.name))],
+    frozen=True,
+)
+
+
 @dataclass(frozen=True)
-class RunConfig:
-    """Flat settings for one pipeline run; every key is also a CLI flag."""
+class RunConfig(_StageKeys):
+    """Flat settings for one pipeline run; every key is also a CLI flag.
+
+    The stage settings (``el_*``, ``walks_per_node``, ``walk_length``, ``w2v_*``,
+    ``mapper``, ``sae_lambda``, ``ridge_alpha``) are inherited fields that
+    :data:`STAGES` derives from the stage configs, defaults included.
+    """
 
     ontology: str = ""
     features: str = ""
@@ -41,41 +72,25 @@ class RunConfig:
     pretrained_vectors: str = ""
     out_dir: str = "run"
     seed: int = 0
-
-    el_dim: int = 50
-    el_margin: float = 0.1
-    el_lr: float = 0.01
-    el_epochs: int = 1000
-    el_batch: int = 64
-    el_negatives: int = 1
-    el_min_radius: float = 1e-3
-
-    walks_per_node: int = 10
-    walk_length: int = 4
-
-    w2v_dim: int = 25
-    w2v_window: int = 2
-    w2v_negatives: int = 5
-    w2v_epochs: int = 50
-    w2v_lr: float = 0.05
-    w2v_min_count: int = 1
-
     components: str = "el_center"
     normalize_components: bool = True
-
-    mapper: str = "sae"
-    sae_lambda: float = 0.5
-    ridge_alpha: float = 1e-3
-
     distance: str = "l2"
     candidates: str = "unseen"
 
     def __post_init__(self) -> None:
-        """Reject unknown enum values when the config is built, before any stage runs."""
+        """Build every stage config, so a bad value fails before any stage runs."""
         self.component_list()
         self.predict_config()
-        if self.mapper not in ("sae", "ridge"):
-            raise DataError(f"unknown mapper {self.mapper!r}")
+        for config in STAGES:
+            self.stage(config)
+
+    def stage(self, config: type):
+        """The config of one stage, read from this run's keys."""
+        settings = {name: getattr(self, key) for name, key in stage_keys(config).items()}
+        offset = STAGES[config][1]
+        if offset is not None:
+            settings["seed"] = self.seed + offset
+        return config(**settings)
 
     def component_list(self) -> tuple[Component, ...]:
         names = [n.strip() for n in self.components.split(",") if n.strip()]
@@ -91,39 +106,17 @@ class RunConfig:
             raise DataError(f"unknown prediction setting: {exc}") from None
 
     def to_dict(self) -> dict[str, str]:
-        out = {}
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool):
-                out[f.name] = "true" if value else "false"
-            elif isinstance(value, float):
-                out[f.name] = fmt(value)
-            else:
-                out[f.name] = str(value)
-        return out
-
-
-_BOOL_WORDS = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
+        return {f.name: write_setting(getattr(self, f.name)) for f in dataclasses.fields(self)}
 
 
 def config_from_pairs(pairs: dict[str, str], base: RunConfig = RunConfig()) -> RunConfig:
-    """Apply string key-value overrides onto a config, with type coercion."""
-    fields = {f.name: f for f in dataclasses.fields(RunConfig)}
+    """Apply string key-value overrides onto a config, each read as the type of its default."""
+    keys = {f.name for f in dataclasses.fields(RunConfig)}
     updates = {}
     for key, raw in pairs.items():
-        if key not in fields:
+        if key not in keys:
             raise DataError(f"unknown config key {key!r}")
-        current = getattr(base, key)
-        if isinstance(current, bool):
-            if raw.lower() not in _BOOL_WORDS:
-                raise DataError(f"config key {key!r} expects a boolean, got {raw!r}")
-            updates[key] = _BOOL_WORDS[raw.lower()]
-        elif isinstance(current, int):
-            updates[key] = read_int(raw, f"config key {key!r}")
-        elif isinstance(current, float):
-            updates[key] = float(read_floats([raw], f"config key {key!r}", 1)[0])
-        else:
-            updates[key] = raw
+        updates[key] = read_setting(raw, getattr(base, key), f"config key {key!r}")
     return dataclasses.replace(base, **updates)
 
 
@@ -212,30 +205,9 @@ class _stage:
 def run_pipeline(cfg: RunConfig) -> MetricsReport:
     """Execute all stages and write artifacts plus a manifest to ``out_dir``.
 
-    Every stage config is built, and so range-checked, before the first stage.
+    Every stage config was built, and so range-checked, with ``cfg`` itself.
     """
-    components = cfg.component_list()
-    el_cfg = elembed.ElTrainConfig(
-        dim=cfg.el_dim,
-        margin=cfg.el_margin,
-        learning_rate=cfg.el_lr,
-        epochs=cfg.el_epochs,
-        batch_size=cfg.el_batch,
-        negatives=cfg.el_negatives,
-        min_radius=cfg.el_min_radius,
-        seed=cfg.seed,
-    )
-    walk_cfg = textwalk.WalkConfig(cfg.walks_per_node, cfg.walk_length, cfg.seed + 1)
-    sg_cfg = textwalk.SkipGramConfig(
-        dim=cfg.w2v_dim,
-        window=cfg.w2v_window,
-        negatives=cfg.w2v_negatives,
-        epochs=cfg.w2v_epochs,
-        learning_rate=cfg.w2v_lr,
-        min_count=cfg.w2v_min_count,
-        seed=cfg.seed + 2,
-    )
-    predict_cfg = cfg.predict_config()
+    el_cfg = cfg.stage(elembed.ElTrainConfig)
 
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -260,8 +232,7 @@ def run_pipeline(cfg: RunConfig) -> MetricsReport:
         logger.info("embedding loss after training: %.6f", el_loss)
 
     with _stage("walk"):
-        graph = textwalk.project(ontology)
-        walks = textwalk.random_walks(graph, walk_cfg)
+        walks = textwalk.random_walks(textwalk.project(ontology), cfg.stage(textwalk.WalkConfig))
         corpus = textwalk.lexicalize(walks, ontology)
         emit("corpus.txt", textwalk.save_corpus(corpus))
 
@@ -269,7 +240,7 @@ def run_pipeline(cfg: RunConfig) -> MetricsReport:
         pretrained = None
         if cfg.pretrained_vectors:
             pretrained = textwalk.load_word_vectors(read_file(cfg.pretrained_vectors, "pretrained vectors"))
-        vectors = textwalk.train_skipgram(corpus, sg_cfg, init=pretrained)
+        vectors = textwalk.train_skipgram(corpus, cfg.stage(textwalk.SkipGramConfig), init=pretrained)
         emit("wordvecs.txt", textwalk.save_word_vectors(vectors))
 
     with _stage("load-dataset"):
@@ -287,7 +258,7 @@ def run_pipeline(cfg: RunConfig) -> MetricsReport:
         labels = sorted(dataset.seen_labels | dataset.unseen_labels)
         table = zslmap.encode_labels(
             labels,
-            components,
+            cfg.component_list(),
             space=space,
             word_vectors=vectors,
             ontology=ontology,
@@ -298,26 +269,11 @@ def run_pipeline(cfg: RunConfig) -> MetricsReport:
         emit("encodings.tsv", zslmap.save_encodings(table))
 
     with _stage("train-map"):
-        train = dataset.train_samples()
-        if not train:
-            raise DataError("no training samples: every sample has an unseen label")
-        x = np.stack([s.features for s in train], axis=1)
-        z = np.stack([table.encodings[s.label] for s in train], axis=1)
-        if cfg.mapper == "sae":
-            model: zslmap.SaeModel | np.ndarray = zslmap.train_sae(x, z, cfg.sae_lambda)
-            emit("model.txt", zslmap.save_model(model))
-        else:
-            model = zslmap.train_ridge(x, z, cfg.ridge_alpha)
-            emit("model.txt", zslmap.save_model(model, alpha=cfg.ridge_alpha))
+        model, model_text = zslmap.train_map(dataset, table, cfg.stage(zslmap.MapConfig))
+        emit("model.txt", model_text)
 
     with _stage("predict"):
-        test = dataset.test_samples()
-        if not test:
-            raise DataError("no test samples: every sample has a seen label")
-        gx = zslmap.map_features(model, np.stack([s.features for s in test], axis=1))
-        predictions = zslmap.predict(
-            gx, table, predict_cfg, sorted(dataset.seen_labels), sorted(dataset.unseen_labels)
-        )
+        test, predictions = zslmap.predict_test(model, dataset, table, cfg.predict_config())
         emit("predictions.tsv", harness.write_predictions(test, predictions))
 
     with _stage("eval"):
@@ -328,7 +284,7 @@ def run_pipeline(cfg: RunConfig) -> MetricsReport:
             sample_accuracy=harness.sample_accuracy(predictions, truth),
             per_class_accuracy=per_class,
             counts={
-                "train_samples": len(train),
+                "train_samples": len(dataset.train_samples()),
                 "test_samples": len(test),
                 "correct": sum(p == t for p, t in zip(predictions, truth)),
                 "seen_classes": len(dataset.seen_labels),

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, NumericalError, UnknownNameError
+from .errors import DataError, NumericalError, UnknownNameError, check_ranges
 from .normalform import NF1, NF2, NF3, TOP, _Namer, _rewrite
 from .ontology import (
     Annotation,
@@ -66,8 +66,10 @@ class WalkConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.walks_per_node < 1 or self.walk_length < 1 or self.seed < 0:
-            raise DataError("walk config out of range")
+        check_ranges(
+            "walk config", walks_per_node=self.walks_per_node >= 1,
+            walk_length=self.walk_length >= 1, seed=self.seed >= 0,
+        )
 
 
 @dataclass(frozen=True)
@@ -81,10 +83,11 @@ class SkipGramConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.dim < 1 or self.window < 1 or self.negatives < 0 or self.epochs < 0:
-            raise DataError("skip-gram config out of range")
-        if self.learning_rate <= 0 or self.min_count < 1 or self.seed < 0:
-            raise DataError("skip-gram config out of range")
+        check_ranges(
+            "skip-gram config", dim=self.dim >= 1, window=self.window >= 1,
+            negatives=self.negatives >= 0, epochs=self.epochs >= 0,
+            learning_rate=self.learning_rate > 0, min_count=self.min_count >= 1, seed=self.seed >= 0,
+        )
 
 
 @dataclass
@@ -220,7 +223,8 @@ def _text_tokens(text: str) -> list[str]:
     return [t.lower() for t in _WORD_RE.findall(text)]
 
 
-def _label_table(o: Ontology) -> dict[str, list[str]]:
+def label_table(o: Ontology) -> dict[str, list[str]]:
+    """Tokens of each name's first label annotation that has any."""
     table: dict[str, list[str]] = {}
     for ax in o.axioms:
         if isinstance(ax, Annotation) and ax.kind == LABEL and ax.entity not in table:
@@ -230,9 +234,10 @@ def _label_table(o: Ontology) -> dict[str, list[str]]:
     return table
 
 
-def name_tokens(name: str, o: Ontology) -> list[str]:
-    """Tokens for one graph name: its label if annotated, else the identifier."""
-    return _label_table(o).get(name) or split_identifier(name)
+def name_tokens(name: str, o: Ontology | dict[str, list[str]]) -> list[str]:
+    """Tokens for a graph name: its label if annotated, else the identifier; ``o`` may be a label table."""
+    labels = label_table(o) if isinstance(o, Ontology) else o
+    return labels.get(name) or split_identifier(name)
 
 
 def lexicalize(walks: list[list[str]], o: Ontology) -> WalkCorpus:
@@ -241,12 +246,12 @@ def lexicalize(walks: list[list[str]], o: Ontology) -> WalkCorpus:
     Comment annotations are appended afterwards as standalone sentences, one
     per annotation, so descriptive text reaches the corpus too.
     """
-    labels = _label_table(o)
+    labels = label_table(o)
     sentences = []
     for walk in walks:
         sentence: list[str] = []
         for name in walk:
-            sentence.extend(labels.get(name) or split_identifier(name))
+            sentence.extend(name_tokens(name, labels))
         if sentence:
             sentences.append(sentence)
     for ax in o.axioms:
@@ -395,8 +400,8 @@ def _check_finite(epoch: int, vocab: list[str], params: np.ndarray, loss: float)
         raise NumericalError(f"skip-gram diverged in epoch {epoch + 1}: loss is not finite")
 
 
-def word_encoding(name: str, wv: WordVectors, o: Ontology) -> np.ndarray:
-    """Mean vector of the in-vocabulary tokens in the name's lexicalization."""
+def word_encoding(name: str, wv: WordVectors, o: Ontology | dict[str, list[str]]) -> np.ndarray:
+    """Mean vector of the in-vocabulary tokens of :func:`name_tokens`."""
     tokens = name_tokens(name, o)
     known = [wv.vectors[t] for t in tokens if t in wv.vectors]
     if not known:

@@ -25,11 +25,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataError, NumericalError, UnknownNameError
+from .errors import DataError, NumericalError, UnknownNameError, check_ranges
 from .elembed import EmbeddingSpace
+from .harness import Sample, ZslDataset
 from .ontology import Ontology
 from .textio import fmt, read_floats, read_int
-from .textwalk import WordVectors, word_encoding
+from .textwalk import WordVectors, label_table, word_encoding
 
 
 class Component(Enum):
@@ -52,6 +53,21 @@ class CandidateSet(Enum):
 class PredictConfig:
     distance: Distance = Distance.L2
     candidates: CandidateSet = CandidateSet.UNSEEN_ONLY
+
+
+MAPPERS = ("sae", "ridge")
+
+
+@dataclass(frozen=True)
+class MapConfig:
+    mapper: str = "sae"
+    sae_lambda: float = 0.5
+    ridge_alpha: float = 1e-3
+
+    def __post_init__(self) -> None:
+        if self.mapper not in MAPPERS:
+            raise DataError(f"unknown mapper {self.mapper!r}")
+        check_ranges("mapper config", sae_lambda=self.sae_lambda >= 0, ridge_alpha=self.ridge_alpha > 0)
 
 
 @dataclass
@@ -95,6 +111,7 @@ def encode_labels(
         raise DataError("at least one encoding component is required")
     if len(set(parts_order)) != len(parts_order):
         raise DataError("encoding components must not repeat")
+    words = label_table(ontology) if ontology is not None and Component.WORD in parts_order else {}
     encodings: dict[str, np.ndarray] = {}
     for label in labels:
         concept = class_map.get(label, label) if class_map else label
@@ -109,9 +126,7 @@ def encode_labels(
             elif component is Component.WORD:
                 if word_vectors is None:
                     raise DataError("word component requires word vectors")
-                from .ontology import EMPTY_ONTOLOGY
-
-                part = word_encoding(concept, word_vectors, ontology or EMPTY_ONTOLOGY)
+                part = word_encoding(concept, word_vectors, words)
             else:
                 if attributes is None:
                     raise DataError("attribute component requires an attribute table")
@@ -168,8 +183,7 @@ def train_sae(x: np.ndarray, z: np.ndarray, lam: float) -> SaeModel:
     which picks the minimum-norm minimizer when the system is singular.
     """
     _check_xz(x, z)
-    if lam < 0:
-        raise DataError("lam must be nonnegative")
+    MapConfig(sae_lambda=lam)  # range-checks lam
     with np.errstate(over="ignore", invalid="ignore"):
         zzt = z @ z.T
         xxt = x @ x.T
@@ -196,12 +210,30 @@ def _eigh_clipped(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def train_ridge(x: np.ndarray, z: np.ndarray, alpha: float) -> np.ndarray:
     """Closed-form ridge regression from features onto encodings."""
     _check_xz(x, z)
-    if alpha <= 0:
-        raise DataError("alpha must be positive")
+    MapConfig(ridge_alpha=alpha)  # range-checks alpha
     p = x.shape[0]
     gram = x @ x.T + alpha * np.eye(p)
     # solve (X X' + aI) W' = X Z' so that W = Z X' (X X' + aI)^{-1}
     return np.linalg.solve(gram, x @ z.T).T
+
+
+def train_map(
+    dataset: ZslDataset, table: EncodingTable, cfg: MapConfig
+) -> tuple[SaeModel | np.ndarray, str]:
+    """Fit the configured mapper on the seen samples; returns it with the text of its model file."""
+    samples = dataset.train_samples()
+    if not samples:
+        raise DataError("no training samples: every sample has an unseen label")
+    missing = sorted({s.label for s in samples} - set(table.encodings))
+    if missing:
+        raise DataError(f"labels without encodings: {', '.join(missing)}")
+    x = np.stack([s.features for s in samples], axis=1)
+    z = np.stack([table.encodings[s.label] for s in samples], axis=1)
+    if cfg.mapper == "sae":
+        model = train_sae(x, z, cfg.sae_lambda)
+        return model, save_model(model)
+    weights = train_ridge(x, z, cfg.ridge_alpha)
+    return weights, save_model(weights, alpha=cfg.ridge_alpha)
 
 
 def map_features(model: SaeModel | np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -281,6 +313,17 @@ def predict(
         best[closer] = d[closer]
         best_index[closer] = index
     return [candidates[i] for i in best_index]
+
+
+def predict_test(
+    model: SaeModel | np.ndarray, dataset: ZslDataset, table: EncodingTable, cfg: PredictConfig
+) -> tuple[list[Sample], list[str]]:
+    """The unseen samples of ``dataset`` and the label :func:`predict` gives each."""
+    test = dataset.test_samples()
+    if not test:
+        raise DataError("no test samples: every sample has a seen label")
+    gx = map_features(model, np.stack([s.features for s in test], axis=1))
+    return test, predict(gx, table, cfg, sorted(dataset.seen_labels), sorted(dataset.unseen_labels))
 
 
 # ---------------------------------------------------------------------------

@@ -199,3 +199,14 @@ def flatten_by_definitions(o: Ontology) -> Ontology:
         individual_names=o.individual_names,
         axioms=tuple(extra_axioms + flat_axioms),
     )
+
+
+def deep_some(levels: int) -> str:
+    """Ontology text whose last line nests ``levels`` existentials: a tree ``levels + 1`` deep."""
+    return "Concept(A)\nRelation(r)\nSubClassOf(A " + "Some(r " * levels + "A" + ")" * levels + ")\n"
+
+
+def wide_and(operands: int) -> str:
+    """Ontology text whose last line is one flat ``And`` of ``operands`` names."""
+    names = [f"C{i}" for i in range(operands)]
+    return "".join(f"Concept({n})\n" for n in names) + f"SubClassOf(C0 And({' '.join(names)}))\n"

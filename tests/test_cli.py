@@ -1,5 +1,6 @@
 """Exit codes and subcommand behaviour, driven in-process through main()."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -9,10 +10,12 @@ import numpy as np
 import pytest
 
 import ontozsl
-from ontozsl import harness, zslmap
+from conftest import deep_some, wide_and
+from ontozsl import cli, elembed, harness, textwalk, zslmap
 from ontozsl.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from ontozsl.normalform import normalize, write_normalized
 from ontozsl.ontology import serialize_ontology
+from ontozsl.pipeline import STAGES, RunConfig
 
 GOOD_ONTOLOGY = """Concept(A)
 Concept(B)
@@ -296,15 +299,20 @@ GOOD_INPUTS = {
         ("model", "#kind\tsae\n#shape\t2\t2\n1,0\n0,1\n"),
         ("model", "#kind\tsae\t0.5\n#shape\tfoo\t1\n1\n"),
         ("encodings", "#components\tbogus\na\t1,0\nb\t0,1\n"),
+        ("ontology", deep_some(1200)),
+        ("ontology", wide_and(600)),
     ],
-    ids=["nan-feature", "bad-attribute", "sae-without-lambda", "non-integer-shape", "unknown-component"],
+    ids=["nan-feature", "bad-attribute", "sae-without-lambda", "non-integer-shape", "unknown-component",
+         "deep-some", "wide-and"],
 )
 def test_malformed_numeric_files_exit_2_without_traceback(tmp_path, name, text):
     paths = {}
     for key, content in {**GOOD_INPUTS, name: text}.items():
         paths[key] = tmp_path / key
         paths[key].write_text(content)
-    if name == "attributes":
+    if name == "ontology":
+        argv = ["parse", paths["ontology"]]
+    elif name == "attributes":
         argv = ["encode", "--labels", paths["labels"], "--components", "attribute",
                 "--attributes", paths["attributes"]]
     else:
@@ -364,6 +372,10 @@ def tiny_inputs(tmp_path):
         "corpus": "class group trait\ngroup class\n",
         "features": harness.write_features(data.dataset.samples),
         "split": harness.write_split(data.dataset.seen_labels, data.dataset.unseen_labels),
+        "encodings": zslmap.save_encodings(
+            zslmap.encode_labels(sorted(data.attributes), [zslmap.Component.ATTRIBUTE],
+                                 attributes=data.attributes)
+        ),
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text)
@@ -375,18 +387,28 @@ def tiny_inputs(tmp_path):
     "argv, named",
     [
         (["pipeline", "--set", "seed=-1"], "'seed'"),
-        (["embed-el", "--normalized", "{normalized}", "--seed", "-1"], "out of range"),
-        (["walk", "{ontology}", "--seed", "-1"], "out of range"),
-        (["w2v", "--corpus", "{corpus}", "--seed", "-1"], "out of range"),
+        (["embed-el", "--normalized", "{normalized}", "--seed", "-1"], "--seed"),
+        (["walk", "{ontology}", "--seed", "-1"], "--seed"),
+        (["w2v", "--corpus", "{corpus}", "--seed", "-1"], "--seed"),
         (["synth", "--seed", "-1"], "seed"),
         (["pipeline", "--set", "distance=foo"], "'foo'"),
         (["pipeline", "--set", "candidates=bar"], "'bar'"),
         (["pipeline", "--set", "mapper=foo"], "'foo'"),
         (["pipeline", "--set", "el_margin=inf"], "'el_margin'"),
         (["pipeline", "--set", "mapper=ridge", "--set", "ridge_alpha=nan"], "'ridge_alpha'"),
+        (["train-map", "--features", "{features}", "--split", "{split}", "--encodings", "{encodings}",
+          "--mapper", "ridge", "--alpha", "nan"], "--alpha"),
+        (["embed-el", "--normalized", "{normalized}", "--margin", "nan"], "--margin"),
+        (["embed-el", "--normalized", "{normalized}", "--epochs", "1_0"], "--epochs"),
+        (["embed-el", "--normalized", "{normalized}", "--dim", "\u0663"], "--dim"),
+        (["synth", "--noise", "nan"], "--noise"),
+        (["pipeline", "--set", "sae_lambda=-1"], "sae_lambda"),
+        (["pipeline", "--set", "mapper=ridge", "--set", "ridge_alpha=0"], "ridge_alpha"),
     ],
     ids=["pipeline-seed", "embed-el-seed", "walk-seed", "w2v-seed", "synth-seed",
-         "distance", "candidates", "mapper", "inf-margin", "nan-alpha"],
+         "distance", "candidates", "mapper", "inf-margin", "nan-alpha", "train-map-nan-alpha",
+         "embed-el-nan-margin", "embed-el-underscore-epochs", "embed-el-arabic-indic-dim",
+         "synth-nan-noise", "negative-sae-lambda", "zero-ridge-alpha"],
 )
 def test_bad_config_values_exit_2_before_any_stage_runs(tiny_inputs, tmp_path, argv, named):
     out = tmp_path / "out"
@@ -407,3 +429,23 @@ def test_bad_config_values_exit_2_before_any_stage_runs(tiny_inputs, tmp_path, a
     assert "Traceback" not in done.stderr
     assert named in done.stderr
     assert not out.exists()
+
+
+# The stage subcommands with their required arguments.
+STAGE_COMMANDS = {
+    elembed.ElTrainConfig: ["embed-el", "--normalized", "n.txt"],
+    textwalk.WalkConfig: ["walk", "o.elf"],
+    textwalk.SkipGramConfig: ["w2v", "--corpus", "c.txt"],
+    zslmap.MapConfig: ["train-map", "--features", "f", "--split", "s", "--encodings", "e"],
+}
+
+
+@pytest.mark.parametrize("config", list(STAGE_COMMANDS), ids=lambda c: c.__name__)
+def test_stage_flag_and_run_config_defaults_are_the_stage_defaults(config):
+    from_flags = cli._stage_config(cli.build_parser().parse_args(STAGE_COMMANDS[config]), config)
+    from_run = RunConfig().stage(config)
+    offset = STAGES[config][1]
+    if offset is not None:  # the run seed is 0; stages draw from seed + offset
+        assert from_run.seed == offset
+        from_run = dataclasses.replace(from_run, seed=0)
+    assert from_flags == from_run == config()

@@ -445,6 +445,9 @@ def test_config_rejects_nonsense():
         ElTrainConfig(margin=-0.1)
     with pytest.raises(DataError):
         ElTrainConfig(min_radius=0.0)
+    for name in ("margin", "learning_rate", "min_radius"):
+        with pytest.raises(DataError, match=name):
+            ElTrainConfig(**{name: float("nan")})
 
 
 def test_initialize_space_is_seeded_and_well_formed():

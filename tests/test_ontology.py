@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from conftest import random_full_ontology
+from conftest import deep_some, random_full_ontology, wide_and
 from ontozsl.errors import ElfError
+from ontozsl.normalform import classify, normalize
 from ontozsl.ontology import (
+    MAX_EXPRESSION_DEPTH,
     Annotation,
     Atomic,
     Conjunction,
@@ -22,6 +24,7 @@ from ontozsl.ontology import (
     serialize_ontology,
     validate,
 )
+from ontozsl.textwalk import project
 
 
 def test_parse_minimal_inclusion():
@@ -179,3 +182,19 @@ def test_validate_flags_empty_relation_chain():
 def test_violation_is_plain_record():
     v = Violation(3, "whatever")
     assert (v.axiom_index, v.reason) == (3, "whatever")
+
+
+@pytest.mark.parametrize("shape", [deep_some, wide_and], ids=["deep-some", "wide-and"])
+def test_expression_depth_is_capped_at_the_first_token_too_deep(shape):
+    # each And operand after the first adds a level: the parser folds And right-nested
+    deepest = parse_ontology(shape(MAX_EXPRESSION_DEPTH - 1))
+    assert parse_ontology(serialize_ontology(deepest)) == deepest
+    hash(deepest)
+    classify(normalize(deepest))
+    project(deepest)
+    text = shape(MAX_EXPRESSION_DEPTH)
+    with pytest.raises(ElfError, match=f"deeper than {MAX_EXPRESSION_DEPTH} levels") as err:
+        parse_ontology(text)
+    line = text.splitlines()[-1]
+    assert err.value.line == len(text.splitlines())
+    assert line[err.value.col - 1 :].rstrip(")") in ("A", f"C{MAX_EXPRESSION_DEPTH - 1}")

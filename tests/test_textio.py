@@ -7,6 +7,7 @@ could ask for an arbitrarily large model.
 """
 
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -110,6 +111,13 @@ def test_only_textio_spells_the_float_format():
     package = Path(textio.__file__).parent
     offenders = [p.name for p in sorted(package.glob("*.py")) if ".17g" in p.read_text()]
     assert offenders == ["textio.py"]
+
+
+def test_no_cli_number_bypasses_textio():
+    package = Path(textio.__file__).parent
+    pattern = re.compile(r"\btype\s*=\s*(int|float)\b")
+    offenders = [p.name for p in sorted(package.glob("*.py")) if pattern.search(p.read_text())]
+    assert offenders == []
 
 
 @settings(max_examples=200, deadline=None)

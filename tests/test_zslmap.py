@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from ontozsl.elembed import Ball, EmbeddingSpace
 from ontozsl.errors import DataError, NumericalError, UnknownNameError
+from ontozsl.harness import Sample, ZslDataset
 from ontozsl.ontology import parse_ontology
 from ontozsl.textwalk import WordVectors
 from ontozsl.zslmap import (
@@ -13,6 +14,7 @@ from ontozsl.zslmap import (
     Component,
     Distance,
     EncodingTable,
+    MapConfig,
     PredictConfig,
     SaeModel,
     _row_distances,
@@ -22,10 +24,12 @@ from ontozsl.zslmap import (
     load_model,
     map_features,
     predict,
+    predict_test,
     sae_grad,
     sae_loss,
     save_encodings,
     save_model,
+    train_map,
     train_ridge,
     train_sae,
 )
@@ -297,6 +301,55 @@ def test_ridge_shapes_and_alpha_guard():
     assert w.shape == (2, 4)
     with pytest.raises(DataError):
         train_ridge(np.zeros((2, 3)), np.zeros((2, 3)), 0.0)
+
+
+@pytest.mark.parametrize(
+    "settings, named",
+    [
+        ({"mapper": "lasso"}, "'lasso'"),
+        ({"sae_lambda": -1.0}, "sae_lambda"),
+        ({"sae_lambda": float("nan")}, "sae_lambda"),
+        ({"ridge_alpha": 0.0}, "ridge_alpha"),
+        ({"ridge_alpha": float("nan")}, "ridge_alpha"),
+    ],
+)
+def test_map_config_rejects_out_of_range_and_nan(settings, named):
+    with pytest.raises(DataError, match=named):
+        MapConfig(**settings)
+    if "sae_lambda" in settings:
+        with pytest.raises(DataError, match=named):
+            train_sae(np.eye(2), np.eye(2), settings["sae_lambda"])
+
+
+def test_train_map_fits_and_saves_the_configured_mapper():
+    rng = np.random.default_rng(11)
+    samples = [Sample(f"x{i}", "abc"[i % 3], rng.normal(size=4)) for i in range(12)]
+    dataset = ZslDataset(4, samples, frozenset("ab"), frozenset("c"))
+    table = EncodingTable((Component.ATTRIBUTE,), 2, {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])})
+    train = dataset.train_samples()
+    x = np.stack([s.features for s in train], axis=1)
+    z = np.stack([table.encodings[s.label] for s in train], axis=1)
+    model, text = train_map(dataset, table, MapConfig())
+    assert text == save_model(train_sae(x, z, 0.5)) and isinstance(model, SaeModel)
+    weights, text = train_map(dataset, table, MapConfig("ridge", ridge_alpha=0.25))
+    assert_allclose(weights, train_ridge(x, z, 0.25), rtol=0, atol=0)
+    assert text == save_model(weights, alpha=0.25)
+    with pytest.raises(DataError, match="without encodings: c"):
+        train_map(ZslDataset(4, samples, frozenset("abc"), frozenset()), table, MapConfig())
+    with pytest.raises(DataError, match="no training samples"):
+        train_map(ZslDataset(4, samples, frozenset(), frozenset("abc")), table, MapConfig())
+
+
+def test_predict_test_labels_each_unseen_sample():
+    samples = [Sample("x0", "a", np.array([1.0, 0.0])), Sample("x1", "b", np.array([0.1, 0.9])),
+               Sample("x2", "c", np.array([0.0, 1.0]))]
+    table = EncodingTable((Component.ATTRIBUTE,), 2, {"b": np.array([1.0, 0.0]), "c": np.array([0.0, 1.0])})
+    dataset = ZslDataset(2, samples, frozenset("a"), frozenset("bc"))
+    test, labels = predict_test(np.eye(2), dataset, table, PredictConfig())
+    assert [s.id for s in test] == ["x1", "x2"] and labels == ["c", "c"]
+    with pytest.raises(DataError, match="no test samples"):
+        predict_test(np.eye(2), ZslDataset(2, samples, frozenset("abc"), frozenset()), table, PredictConfig())
+
 
 
 def test_map_features_applies_the_matrix():
