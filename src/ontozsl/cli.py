@@ -15,7 +15,7 @@ from functools import partial
 from pathlib import Path
 
 from . import elembed, harness, pipeline, textwalk, zslmap
-from .errors import DataError, NumericalError, OntozslError
+from .errors import DataError, NumericalError, OntozslError, RangeError
 from .normalform import classify, normalize, read_normalized, write_normalized
 from .ontology import parse_ontology, serialize_ontology, validate
 from .textio import fmt, read_file, read_setting
@@ -71,8 +71,11 @@ def cmd_classify(args) -> None:
 
 
 def _stage_config(args, config: type):
-    """A stage config from the flags that :func:`_add_stage_flags` added."""
-    return config(**{f.name: getattr(args, f.name) for f in dataclasses.fields(config)})
+    """A stage config from the flags that :func:`_add_stage_flags` added; a range error names them."""
+    try:
+        return config(**{f.name: getattr(args, f.name) for f in dataclasses.fields(config)})
+    except RangeError as exc:
+        raise exc.renamed(_stage_flags(config)) from None
 
 
 def cmd_embed_el(args) -> None:
@@ -154,8 +157,7 @@ def cmd_predict(args) -> None:
 def cmd_eval(args) -> None:
     _seen, unseen = harness.parse_split(read_file(args.split, "split"))
     predictions, truth = harness.parse_predictions(read_file(args.predictions, "predictions"))
-    per_class = harness.per_class_accuracy(predictions, truth, unseen)
-    macro = sum(per_class.values()) / len(per_class)
+    macro, per_class, _counts = harness.unseen_scores(predictions, truth, unseen)
     lines = [
         f"macro_unseen_accuracy\t{fmt(macro)}",
         f"sample_accuracy\t{fmt(harness.sample_accuracy(predictions, truth))}",
@@ -209,13 +211,21 @@ def _add_number(p: argparse.ArgumentParser, flag: str, default: float, **kwargs)
     p.add_argument(flag, default=default, type=partial(read_setting, like=default, where=flag), **kwargs)
 
 
-def _add_stage_flags(p: argparse.ArgumentParser, config: type) -> None:
-    """One flag per numeric field of a stage config, named by ``pipeline.STAGES``."""
+def _stage_flags(config: type) -> dict[str, str]:
+    """The flag of each numeric field of a stage config, named by ``pipeline.STAGES``."""
     short = pipeline.STAGES[config][2]
-    for f in dataclasses.fields(config):
-        if type(f.default) in (int, float):
-            name = pipeline.FLAG_NAMES.get(f.name, short.get(f.name, f.name))
-            _add_number(p, "--" + name.replace("_", "-"), f.default, dest=f.name, metavar=name.upper())
+    return {
+        f.name: "--" + pipeline.FLAG_NAMES.get(f.name, short.get(f.name, f.name)).replace("_", "-")
+        for f in dataclasses.fields(config)
+        if type(f.default) in (int, float)
+    }
+
+
+def _add_stage_flags(p: argparse.ArgumentParser, config: type) -> None:
+    """One flag per numeric field of a stage config."""
+    for name, flag in _stage_flags(config).items():
+        metavar = flag[2:].replace("-", "_").upper()
+        _add_number(p, flag, getattr(config, name), dest=name, metavar=metavar)
 
 
 def build_parser() -> _Parser:

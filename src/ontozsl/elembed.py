@@ -18,7 +18,7 @@ a sum of norm penalties and hinges ``max(0, sd*|x(a) + sv*x(t) - x(b)| +
 sa*r(a) + sb*r(b) + m*e)`` over rows ``x`` of one matrix (concept centers, then
 relation vectors).  Axioms compile once into index and coefficient tables, and
 one array kernel gives the loss and analytic gradient of any set of table rows,
-for training, :func:`total_loss` and the one-axiom ``loss_*``/``grad_*`` alike.
+for training, :func:`total_loss` and the one-axiom :func:`axiom_loss` alike.
 """
 
 from __future__ import annotations
@@ -48,9 +48,6 @@ from .textio import fmt, read_floats, read_int
 class Ball:
     center: np.ndarray
     radius: float
-
-    def copy(self) -> "Ball":
-        return Ball(self.center.copy(), self.radius)
 
 
 @dataclass
@@ -225,10 +222,21 @@ def _pack(space: EmbeddingSpace) -> tuple[list[Key], np.ndarray, np.ndarray]:
     return keys, np.array(vectors, dtype=float).reshape(len(keys), space.dim), np.array(radii)
 
 
-def _single(space: EmbeddingSpace, ax: NormalAxiom, margin: float, negative=False, grad=False):
-    """One axiom (or, with ``negative``, its NF2 filler as a corruption) through the kernel."""
+def axiom_loss(
+    space: EmbeddingSpace, axiom: NormalAxiom, margin: float, *, negative: bool = False, grad: bool = False
+):
+    """Loss of one axiom through the kernel.
+
+    ``negative`` scores an NF2 axiom's filler as a corrupted one, the margin
+    loss that drives it out of reach of the translated ball; other kinds have
+    no negative term.  With ``grad`` the result is ``(loss, grads)``, keyed
+    ``("c", concept)``, ``("r", concept)`` for radii and ``("v", relation)``,
+    with an entry for every operand.
+    """
+    if negative and not isinstance(axiom, NF2):
+        raise DataError(f"only NF2 axioms have negative terms, not {axiom!r}")
     keys, params, radii = _pack(space)
-    terms, nf2 = _compile([ax], keys, margin)
+    terms, nf2 = _compile([axiom], keys, margin)
     if negative:
         terms = _corrupt(terms, nf2, terms.rows[nf2, 1], margin)
     loss, g_params, g_radii = _loss_grad(params, radii, terms, grad)
@@ -241,72 +249,6 @@ def _single(space: EmbeddingSpace, ax: NormalAxiom, margin: float, negative=Fals
         if kind == "c":
             grads["r", name] = float(g_radii[i])
     return loss, grads
-
-
-def loss_nf1(space: EmbeddingSpace, a: str, b: str, margin: float) -> float:
-    """Penalty for the ball of ``a`` poking out of the ball of ``b``."""
-    return _single(space, NF1(a, b), margin)
-
-
-def loss_nf2(space: EmbeddingSpace, a: str, relation: str, b: str, margin: float) -> float:
-    """Like :func:`loss_nf1` after translating ``a`` by the relation vector."""
-    return _single(space, NF2(a, relation, b), margin)
-
-
-def loss_nf3(space: EmbeddingSpace, relation: str, a: str, b: str, margin: float) -> float:
-    """Keeps the back-translated filler ball within reach of ``b``."""
-    return _single(space, NF3(relation, a, b), margin)
-
-
-def loss_nf4(space: EmbeddingSpace, a: str, b: str, c: str, margin: float) -> float:
-    """Keeps ``a`` and ``b`` overlapping and both near the center of ``c``."""
-    return _single(space, NF4(a, b, c), margin)
-
-
-def loss_disjoint(space: EmbeddingSpace, a: str, b: str, margin: float) -> float:
-    """Pushes two balls apart until they no longer intersect; symmetric."""
-    return _single(space, Disjointness(a, b), margin)
-
-
-def loss_role(space: EmbeddingSpace, sub: str, sup: str) -> float:
-    """Distance between the vectors of two relations in an inclusion."""
-    return _single(space, RSub(sub, sup), 0.0)
-
-
-def loss_nf2_negative(space: EmbeddingSpace, a: str, relation: str, b: str, margin: float) -> float:
-    """Margin loss driving a corrupted filler away from the translated ball."""
-    return _single(space, NF2(a, relation, b), margin, negative=True)
-
-
-# The grad_* functions return (loss, grads) with a gradient for every operand.
-
-
-def grad_nf1(space, a, b, margin):
-    return _single(space, NF1(a, b), margin, grad=True)
-
-
-def grad_nf2(space, a, relation, b, margin):
-    return _single(space, NF2(a, relation, b), margin, grad=True)
-
-
-def grad_nf3(space, relation, a, b, margin):
-    return _single(space, NF3(relation, a, b), margin, grad=True)
-
-
-def grad_nf4(space, a, b, c, margin):
-    return _single(space, NF4(a, b, c), margin, grad=True)
-
-
-def grad_disjoint(space, a, b, margin):
-    return _single(space, Disjointness(a, b), margin, grad=True)
-
-
-def grad_role(space, sub, sup):
-    return _single(space, RSub(sub, sup), 0.0, grad=True)
-
-
-def grad_nf2_negative(space, a, relation, b, margin):
-    return _single(space, NF2(a, relation, b), margin, negative=True, grad=True)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,20 @@ class NumericalError(OntozslError):
     """Training diverged or a computation hit a numeric degeneracy."""
 
 
+class RangeError(DataError):
+    """Settings out of range; ``names`` lists them so a caller can respell them."""
+
+    def __init__(self, what: str, names: list[str]):
+        super().__init__(f"{what} out of range: {', '.join(names)}")
+        self.what = what
+        self.names = names
+
+    def renamed(self, spelling: dict[str, str]) -> "RangeError":
+        """The same error with each setting named as ``spelling`` names it, where it does."""
+        return RangeError(self.what, [spelling.get(name, name) for name in self.names])
+
+
 def check_ranges(what: str, **in_range: bool) -> None:
-    """A DataError naming each setting whose check is false; write ``x > 0``, which NaN fails."""
+    """A RangeError naming each setting whose check is false; write ``x > 0``, which NaN fails."""
     if bad := [name for name, ok in in_range.items() if not ok]:
-        raise DataError(f"{what} out of range: {', '.join(bad)}")
+        raise RangeError(what, bad)

@@ -12,6 +12,7 @@ numbers go through :mod:`ontozsl.textio`.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -131,6 +132,8 @@ def parse_vector_table(text: str, what: str) -> dict[str, np.ndarray]:
     table: dict[str, np.ndarray] = {}
     dim: int | None = None
     for where, (label, values) in _tab_rows(text, what, "label", "values"):
+        if label in table:
+            raise DataError(f"{where}: label {label!r} appears twice")
         table[label] = read_floats(values.split(","), where, dim)
         dim = table[label].size
     return table
@@ -141,7 +144,12 @@ def write_vector_table(table: Mapping[str, np.ndarray]) -> str:
 
 
 def parse_class_map(text: str) -> dict[str, str]:
-    return dict(parts for _where, parts in _tab_rows(text, "class map", "label", "concept"))
+    mapping: dict[str, str] = {}
+    for where, (label, concept) in _tab_rows(text, "class map", "label", "concept"):
+        if label in mapping:
+            raise DataError(f"{where}: label {label!r} appears twice")
+        mapping[label] = concept
+    return mapping
 
 
 def write_class_map(mapping: Mapping[str, str]) -> str:
@@ -172,26 +180,40 @@ def sample_accuracy(predictions: Sequence[str], truth: Sequence[str]) -> float:
     return sum(p == t for p, t in zip(predictions, truth)) / len(truth)
 
 
+def unseen_scores(
+    predictions: Sequence[str], truth: Sequence[str], unseen_labels: Iterable[str]
+) -> tuple[float, dict[str, float], dict[str, tuple[int, int]]]:
+    """Macro accuracy over the unseen classes, then each one's accuracy and ``(correct, total)``.
+
+    A split without unseen labels, or an unseen class without test samples,
+    is a DataError.
+    """
+    if len(predictions) != len(truth):
+        raise DataError("predictions and truth differ in length")
+    labels = sorted(set(unseen_labels))
+    if not labels:
+        raise DataError("the split has no unseen labels to score")
+    total = Counter(truth)
+    correct = Counter(t for p, t in zip(predictions, truth) if p == t)
+    for label in labels:
+        if not total[label]:
+            raise DataError(f"class {label!r} has no test samples")
+    counts = {label: (correct[label], total[label]) for label in labels}
+    per_class = {label: hits / n for label, (hits, n) in counts.items()}
+    return sum(per_class.values()) / len(per_class), per_class, counts
+
+
 def per_class_accuracy(
     predictions: Sequence[str], truth: Sequence[str], labels: Iterable[str]
 ) -> dict[str, float]:
-    if len(predictions) != len(truth):
-        raise DataError("predictions and truth differ in length")
-    out: dict[str, float] = {}
-    for label in sorted(set(labels)):
-        hits = [p == t for p, t in zip(predictions, truth) if t == label]
-        if not hits:
-            raise DataError(f"class {label!r} has no test samples")
-        out[label] = sum(hits) / len(hits)
-    return out
+    return unseen_scores(predictions, truth, labels)[1]
 
 
 def macro_accuracy(
     predictions: Sequence[str], truth: Sequence[str], unseen_labels: Iterable[str]
 ) -> float:
     """Unweighted mean of per-class accuracy over the unseen classes."""
-    per_class = per_class_accuracy(predictions, truth, unseen_labels)
-    return sum(per_class.values()) / len(per_class)
+    return unseen_scores(predictions, truth, unseen_labels)[0]
 
 
 # ---------------------------------------------------------------------------

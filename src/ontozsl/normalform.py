@@ -22,11 +22,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
 
 from .errors import DataError, UnsupportedAxiomError
 from .ontology import (
-    Annotation,
     Atomic,
     Bottom,
     ConceptAssertion,
@@ -132,20 +130,19 @@ def _name_of(e: ConceptExpression) -> str:
 class _Namer:
     """Hands out fresh names, one per distinct complex subexpression."""
 
-    def __init__(self, taken: set[str], make: Callable[[int, ConceptExpression], str] | None = None):
+    def __init__(self, taken: set[str]):
         self.taken = set(taken)
         self.fresh: list[str] = []
         self.provenance: dict[str, ConceptExpression] = {}
         self.memo: dict[ConceptExpression, str] = {}
         self.counter = 0
-        self.make = make or (lambda i, expr: f"{FRESH_PREFIX}{i}")
 
     def name_for(self, expr: ConceptExpression) -> str:
         if expr in self.memo:
             return self.memo[expr]
         while True:
             self.counter += 1
-            name = self.make(self.counter, expr)
+            name = f"{FRESH_PREFIX}{self.counter}"
             if name not in self.taken:
                 break
         self.taken.add(name)
@@ -508,40 +505,4 @@ def read_normalized(text: str) -> NormalizedOntology:
         nominal_map=nominal,
         concept_names=frozenset(concept_names),
         relation_names=frozenset(relation_names),
-    )
-
-
-def normalized_to_ontology(n: NormalizedOntology) -> Ontology:
-    """Express a normalized ontology back in the surface syntax.
-
-    Re-normalizing the result introduces no further fresh names, since every
-    axiom is already shallow.
-    """
-
-    def as_expr(name: str) -> ConceptExpression:
-        if name == TOP:
-            return Top()
-        if name == BOTTOM:
-            return Bottom()
-        return Atomic(name)
-
-    axioms: list[Gci | RoleInclusion] = []
-    for ax in n.axioms:
-        if isinstance(ax, NF1):
-            axioms.append(Gci(as_expr(ax.sub), as_expr(ax.sup)))
-        elif isinstance(ax, NF2):
-            axioms.append(Gci(as_expr(ax.sub), Existential(ax.relation, as_expr(ax.filler))))
-        elif isinstance(ax, NF3):
-            axioms.append(Gci(Existential(ax.relation, as_expr(ax.filler)), as_expr(ax.sup)))
-        elif isinstance(ax, NF4):
-            axioms.append(Gci(Conjunction(as_expr(ax.left), as_expr(ax.right)), as_expr(ax.sup)))
-        elif isinstance(ax, Disjointness):
-            axioms.append(Gci(Conjunction(as_expr(ax.left), as_expr(ax.right)), Bottom()))
-        elif isinstance(ax, RSub):
-            axioms.append(RoleInclusion(ax.sub, ax.sup))
-    return Ontology(
-        concept_names=tuple(sorted(n.concept_names)),
-        relation_names=tuple(sorted(n.relation_names)),
-        individual_names=(),
-        axioms=tuple(axioms),
     )

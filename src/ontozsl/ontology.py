@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Collection, Iterator, Union
+from typing import Collection, Iterator
 
 from .errors import ElfError
 
@@ -145,8 +145,6 @@ class Ontology:
     individual_names: tuple[str, ...]
     axioms: tuple[Axiom, ...]
 
-
-EMPTY_ONTOLOGY = Ontology((), (), (), ())
 
 NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
@@ -585,6 +583,3 @@ def validate(o: Ontology) -> list[Violation]:
         else:
             out.append(Violation(idx, f"unknown axiom type {type(ax).__name__}"))
     return out
-
-
-ExpressionLike = Union[Top, Bottom, Atomic, Conjunction, Existential, Nominal]

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import elembed, harness, textwalk, zslmap
-from .errors import DataError, OntozslError
+from .errors import DataError, OntozslError, RangeError
 from .normalform import normalize, write_normalized
 from .ontology import parse_ontology, serialize_ontology
 from .textio import fmt, read_file, read_setting, write_setting
@@ -85,12 +85,16 @@ class RunConfig(_StageKeys):
             self.stage(config)
 
     def stage(self, config: type):
-        """The config of one stage, read from this run's keys."""
-        settings = {name: getattr(self, key) for name, key in stage_keys(config).items()}
+        """The config of one stage, read from this run's keys; a range error names the keys."""
+        keys = stage_keys(config)
+        settings = {name: getattr(self, key) for name, key in keys.items()}
         offset = STAGES[config][1]
         if offset is not None:
             settings["seed"] = self.seed + offset
-        return config(**settings)
+        try:
+            return config(**settings)
+        except RangeError as exc:
+            raise exc.renamed(keys) from None
 
     def component_list(self) -> tuple[Component, ...]:
         names = [n.strip() for n in self.components.split(",") if n.strip()]
@@ -278,9 +282,11 @@ def run_pipeline(cfg: RunConfig) -> MetricsReport:
 
     with _stage("eval"):
         truth = [s.label for s in test]
-        per_class = harness.per_class_accuracy(predictions, truth, dataset.unseen_labels)
+        macro, per_class, per_class_counts = harness.unseen_scores(
+            predictions, truth, dataset.unseen_labels
+        )
         report = MetricsReport(
-            macro_unseen_accuracy=sum(per_class.values()) / len(per_class),
+            macro_unseen_accuracy=macro,
             sample_accuracy=harness.sample_accuracy(predictions, truth),
             per_class_accuracy=per_class,
             counts={
@@ -297,13 +303,6 @@ def run_pipeline(cfg: RunConfig) -> MetricsReport:
             el_total_loss=el_loss,
             w2v_losses=vectors.train_losses,
         )
-        per_class_counts = {
-            label: (
-                sum(p == t for p, t in zip(predictions, truth) if t == label),
-                sum(t == label for t in truth),
-            )
-            for label in per_class
-        }
         emit("report.txt", render_report(report, per_class_counts))
         emit("report.json", report_json(report))
 

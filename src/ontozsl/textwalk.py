@@ -22,12 +22,12 @@ from __future__ import annotations
 import logging
 import re
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, NumericalError, UnknownNameError, check_ranges
-from .normalform import NF1, NF2, NF3, TOP, _Namer, _rewrite
+from .normalform import NF1, NF2, NF3, _Namer, _rewrite
 from .ontology import (
     Annotation,
     Atomic,
@@ -43,7 +43,6 @@ from .ontology import (
     Ontology,
     RoleAssertion,
     RoleComposition,
-    RoleInclusion,
     expression_text,
 )
 from .textio import fmt, read_floats, read_int

@@ -354,6 +354,8 @@ def load_encodings(text: str) -> EncodingTable:
         parts = raw.split("\t")
         if len(parts) != 2:
             raise DataError(f"encodings line {line_no}: encoding rows take 2 fields")
+        if parts[0] in encodings:
+            raise DataError(f"encodings line {line_no}: label {parts[0]!r} appears twice")
         encodings[parts[0]] = read_floats(parts[1].split(","), f"encodings line {line_no}")
     dims = {v.size for v in encodings.values()}
     if len(dims) > 1:

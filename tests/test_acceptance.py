@@ -30,10 +30,9 @@ from ontozsl.elembed import (
     Ball,
     ElTrainConfig,
     EmbeddingSpace,
+    axiom_loss,
     export_space,
     import_space,
-    loss_nf1,
-    loss_nf2,
     total_loss,
     train_el,
 )
@@ -83,21 +82,21 @@ def test_a1_loss_fidelity():
             {"A": Ball(np.array([1.0, 0.0]), 0.1), "B": Ball(np.array([0.0, 1.0]), 0.2)},
             {},
         )
-        assert_allclose(loss_nf1(s, "A", "B", 0.05), np.sqrt(2) - 0.15, atol=1e-9)
+        assert_allclose(axiom_loss(s, NF1("A", "B"), 0.05), np.sqrt(2) - 0.15, atol=1e-9)
 
         s = EmbeddingSpace(
             2,
             {"A": Ball(np.array([2.0, 0.0]), 0.0), "B": Ball(np.array([0.0, 0.0]), 0.0)},
             {},
         )
-        assert_allclose(loss_nf1(s, "A", "B", 0.0), 4.0, atol=1e-9)
+        assert_allclose(axiom_loss(s, NF1("A", "B"), 0.0), 4.0, atol=1e-9)
 
         s = EmbeddingSpace(
             2,
             {"A": Ball(np.array([0.0, 1.0]), 0.2), "B": Ball(np.array([1.0, 0.0]), 0.1)},
             {"r": np.array([1.0, 0.0])},
         )
-        assert_allclose(loss_nf2(s, "A", "r", "B", 0.05), 1.05, atol=1e-9)
+        assert_allclose(axiom_loss(s, NF2("A", "r", "B"), 0.05), 1.05, atol=1e-9)
 
         # the zero set: exactly the contained configurations with unit centers
         rng = np.random.default_rng(2024)
@@ -111,7 +110,7 @@ def test_a1_loss_fidelity():
             if abs(slack) < 1e-9:  # hinge knife-edge, equality direction unspecified
                 continue
             s = EmbeddingSpace(3, {"A": Ball(ca, ra), "B": Ball(cb, rb)}, {})
-            assert (loss_nf1(s, "A", "B", margin) == 0.0) == (slack < 0)
+            assert (axiom_loss(s, NF1("A", "B"), margin) == 0.0) == (slack < 0)
             checked += 1
 
 

@@ -121,6 +121,15 @@ def test_encode_rejects_unknown_component(tmp_path, capsys):
     assert "plasma" in capsys.readouterr().err
 
 
+def test_eval_without_unseen_labels_is_a_data_error(tmp_path, capsys):
+    split = tmp_path / "s.txt"
+    split.write_text("[seen]\nA\n[unseen]\n")
+    preds = tmp_path / "p.tsv"
+    preds.write_text("x1\tA\tA\n")
+    assert main(["eval", "--predictions", str(preds), "--split", str(split)]) == EXIT_DATA
+    assert "no unseen labels" in capsys.readouterr().err
+
+
 def test_eval_rejects_malformed_predictions(tmp_path, capsys):
     split = tmp_path / "s.txt"
     split.write_text("[seen]\na\n[unseen]\nb\n")
@@ -287,6 +296,7 @@ GOOD_INPUTS = {
     "encodings": "#components\tattribute\na\t1,0\nb\t0,1\n",
     "model": "#kind\tsae\t0.5\n#shape\t2\t2\n1,0\n0,1\n",
     "attributes": "a\t1,0\nb\t0,1\n",
+    "classmap": "a\ta\nb\tb\n",
     "labels": "a\nb\n",
 }
 
@@ -301,9 +311,13 @@ GOOD_INPUTS = {
         ("encodings", "#components\tbogus\na\t1,0\nb\t0,1\n"),
         ("ontology", deep_some(1200)),
         ("ontology", wide_and(600)),
+        ("attributes", "a\t1,0\na\t0,1\n"),
+        ("classmap", "a\ta\na\tb\n"),
+        ("encodings", "#components\tattribute\na\t1,0\na\t0,1\n"),
     ],
     ids=["nan-feature", "bad-attribute", "sae-without-lambda", "non-integer-shape", "unknown-component",
-         "deep-some", "wide-and"],
+         "deep-some", "wide-and", "repeated-attribute", "repeated-class-map-label",
+         "repeated-encoding"],
 )
 def test_malformed_numeric_files_exit_2_without_traceback(tmp_path, name, text):
     paths = {}
@@ -312,9 +326,9 @@ def test_malformed_numeric_files_exit_2_without_traceback(tmp_path, name, text):
         paths[key].write_text(content)
     if name == "ontology":
         argv = ["parse", paths["ontology"]]
-    elif name == "attributes":
+    elif name in ("attributes", "classmap"):
         argv = ["encode", "--labels", paths["labels"], "--components", "attribute",
-                "--attributes", paths["attributes"]]
+                "--attributes", paths["attributes"], "--class-map", paths["classmap"]]
     else:
         argv = ["predict"] + [
             arg for key in ("features", "split", "encodings", "model") for arg in (f"--{key}", paths[key])
@@ -404,11 +418,20 @@ def tiny_inputs(tmp_path):
         (["synth", "--noise", "nan"], "--noise"),
         (["pipeline", "--set", "sae_lambda=-1"], "sae_lambda"),
         (["pipeline", "--set", "mapper=ridge", "--set", "ridge_alpha=0"], "ridge_alpha"),
+        # range errors name the key or flag typed, not the stage config's field
+        (["pipeline", "--set", "el_lr=0"], "out of range: el_lr"),
+        (["pipeline", "--set", "w2v_lr=0"], "out of range: w2v_lr"),
+        (["embed-el", "--normalized", "{normalized}", "--batch", "0"], "out of range: --batch"),
+        (["walk", "{ontology}", "--walk-length", "0"], "out of range: --walk-length"),
+        (["w2v", "--corpus", "{corpus}", "--lr", "0"], "out of range: --lr"),
+        (["train-map", "--features", "{features}", "--split", "{split}", "--encodings", "{encodings}",
+          "--alpha", "0"], "out of range: --alpha"),
     ],
     ids=["pipeline-seed", "embed-el-seed", "walk-seed", "w2v-seed", "synth-seed",
          "distance", "candidates", "mapper", "inf-margin", "nan-alpha", "train-map-nan-alpha",
          "embed-el-nan-margin", "embed-el-underscore-epochs", "embed-el-arabic-indic-dim",
-         "synth-nan-noise", "negative-sae-lambda", "zero-ridge-alpha"],
+         "synth-nan-noise", "negative-sae-lambda", "zero-ridge-alpha", "zero-el-lr", "zero-w2v-lr",
+         "embed-el-zero-batch", "walk-zero-length", "w2v-zero-lr", "train-map-zero-alpha"],
 )
 def test_bad_config_values_exit_2_before_any_stage_runs(tiny_inputs, tmp_path, argv, named):
     out = tmp_path / "out"

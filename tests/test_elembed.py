@@ -11,23 +11,10 @@ from ontozsl.elembed import (
     Ball,
     ElTrainConfig,
     EmbeddingSpace,
+    axiom_loss,
     export_space,
-    grad_disjoint,
-    grad_nf1,
-    grad_nf2,
-    grad_nf2_negative,
-    grad_nf3,
-    grad_nf4,
-    grad_role,
     import_space,
     initialize_space,
-    loss_disjoint,
-    loss_nf1,
-    loss_nf2,
-    loss_nf2_negative,
-    loss_nf3,
-    loss_nf4,
-    loss_role,
     total_loss,
     train_el,
 )
@@ -47,18 +34,18 @@ def space2d(**concepts):
 
 def test_nf1_value_outside():
     s = space2d(A=((1, 0), 0.1), B=((0, 1), 0.2))
-    assert_allclose(loss_nf1(s, "A", "B", 0.05), np.sqrt(2) - 0.15, atol=1e-9)
+    assert_allclose(axiom_loss(s, NF1("A", "B"), 0.05), np.sqrt(2) - 0.15, atol=1e-9)
 
 
 def test_nf1_value_with_norm_penalties():
     s = space2d(A=((2, 0), 0.0), B=((0, 0), 0.0))
     # hinge 2 + |2-1| + |0-1| = 4; the zero center contributes a flat penalty
-    assert_allclose(loss_nf1(s, "A", "B", 0.0), 4.0, atol=1e-9)
+    assert_allclose(axiom_loss(s, NF1("A", "B"), 0.0), 4.0, atol=1e-9)
 
 
 def test_nf1_zero_inside_with_unit_centers():
     s = space2d(A=((1, 0), 0.05), B=((1, 0), 0.2))
-    assert loss_nf1(s, "A", "B", 0.0) == 0.0
+    assert axiom_loss(s, NF1("A", "B"), 0.0) == 0.0
 
 
 def exact_unit_vector(rng, dim=3):
@@ -83,14 +70,14 @@ def test_nf1_zero_set_property():
         if abs(slack) < 1e-9:  # skip the hinge knife-edge
             continue
         s = EmbeddingSpace(3, {"A": Ball(ca, ra), "B": Ball(cb, rb)}, {})
-        assert (loss_nf1(s, "A", "B", margin) == 0.0) == (slack < 0)
+        assert (axiom_loss(s, NF1("A", "B"), margin) == 0.0) == (slack < 0)
         checked += 1
 
 
 def test_nf2_value():
     s = space2d(A=((0, 1), 0.2), B=((1, 0), 0.1))
     s.relations["r"] = np.array([1.0, 0.0])
-    assert_allclose(loss_nf2(s, "A", "r", "B", 0.05), 1.05, atol=1e-9)
+    assert_allclose(axiom_loss(s, NF2("A", "r", "B"), 0.05), 1.05, atol=1e-9)
 
 
 def test_nf2_with_zero_relation_equals_nf1():
@@ -105,44 +92,44 @@ def test_nf2_with_zero_relation_equals_nf1():
             {"r": np.zeros(3)},
         )
         margin = float(rng.uniform(0, 0.2))
-        assert loss_nf2(s, "A", "r", "B", margin) == loss_nf1(s, "A", "B", margin)
+        assert axiom_loss(s, NF2("A", "r", "B"), margin) == axiom_loss(s, NF1("A", "B"), margin)
 
 
 def test_nf3_penalty_only():
     s = space2d(A=((1, 0), 0.0), B=((0, 0), 0.0))
     s.relations["r"] = np.array([1.0, 0.0])
     # back-translated center lands on B's center, so only B's norm penalty bites
-    assert_allclose(loss_nf3(s, "r", "A", "B", 0.0), 1.0, atol=1e-9)
+    assert_allclose(axiom_loss(s, NF3("r", "A", "B"), 0.0), 1.0, atol=1e-9)
 
 
 def test_nf3_value():
     s = space2d(A=((1, 0), 0.25), B=((-1, 0), 0.25))
     s.relations["r"] = np.array([0.0, 0.0])
-    assert_allclose(loss_nf3(s, "r", "A", "B", 0.1), 1.4, atol=1e-9)
+    assert_allclose(axiom_loss(s, NF3("r", "A", "B"), 0.1), 1.4, atol=1e-9)
 
 
 def test_nf4_value():
     s = space2d(A=((1, 0), 0.5), B=((-1, 0), 0.5), C=((0, 1), 0.5))
-    assert_allclose(loss_nf4(s, "A", "B", "C", 0.0), 1.0 + 2 * (np.sqrt(2) - 0.5), atol=1e-9)
+    assert_allclose(axiom_loss(s, NF4("A", "B", "C"), 0.0), 1.0 + 2 * (np.sqrt(2) - 0.5), atol=1e-9)
 
 
 def test_disjoint_value_and_symmetry():
     s = space2d(A=((1, 0), 0.5), B=((1, 0), 0.5))
-    assert_allclose(loss_disjoint(s, "A", "B", 0.0), 1.0, atol=1e-9)
-    assert loss_disjoint(s, "A", "B", 0.0) == loss_disjoint(s, "B", "A", 0.0)
+    assert_allclose(axiom_loss(s, Disjointness("A", "B"), 0.0), 1.0, atol=1e-9)
+    assert axiom_loss(s, Disjointness("A", "B"), 0.0) == axiom_loss(s, Disjointness("B", "A"), 0.0)
 
 
 def test_role_value_and_symmetry():
     s = EmbeddingSpace(2, {}, {"r": np.array([3.0, 4.0]), "t": np.zeros(2)})
-    assert loss_role(s, "r", "t") == 5.0
-    assert loss_role(s, "t", "r") == 5.0
-    assert loss_role(s, "r", "r") == 0.0
+    assert axiom_loss(s, RSub("r", "t"), 0.0) == 5.0
+    assert axiom_loss(s, RSub("t", "r"), 0.0) == 5.0
+    assert axiom_loss(s, RSub("r", "r"), 0.0) == 0.0
 
 
 def test_nf2_negative_value():
     s = space2d(A=((0, 1), 0.1), B=((1, 0), 0.1))
     s.relations["r"] = np.array([1.0, -1.0])  # lands exactly on B's center
-    assert_allclose(loss_nf2_negative(s, "A", "r", "B", 0.1), 0.3, atol=1e-9)
+    assert_allclose(axiom_loss(s, NF2("A", "r", "B"), 0.1, negative=True), 0.3, atol=1e-9)
 
 
 def test_losses_are_nonnegative_on_random_inputs():
@@ -158,13 +145,13 @@ def test_losses_are_nonnegative_on_random_inputs():
         )
         m = float(rng.uniform(0, 0.3))
         for value in (
-            loss_nf1(s, "A", "B", m),
-            loss_nf2(s, "A", "r", "B", m),
-            loss_nf3(s, "r", "A", "B", m),
-            loss_nf4(s, "A", "B", "C", m),
-            loss_disjoint(s, "A", "B", m),
-            loss_role(s, "r", "t"),
-            loss_nf2_negative(s, "A", "r", "B", m),
+            axiom_loss(s, NF1("A", "B"), m),
+            axiom_loss(s, NF2("A", "r", "B"), m),
+            axiom_loss(s, NF3("r", "A", "B"), m),
+            axiom_loss(s, NF4("A", "B", "C"), m),
+            axiom_loss(s, Disjointness("A", "B"), m),
+            axiom_loss(s, RSub("r", "t"), 0.0),
+            axiom_loss(s, NF2("A", "r", "B"), m, negative=True),
         ):
             assert value >= 0.0
 
@@ -172,9 +159,16 @@ def test_losses_are_nonnegative_on_random_inputs():
 def test_unknown_names_raise():
     s = space2d(A=((1, 0), 0.1))
     with pytest.raises(UnknownNameError):
-        loss_nf1(s, "A", "Nope", 0.1)
+        axiom_loss(s, NF1("A", "Nope"), 0.1)
     with pytest.raises(UnknownNameError):
-        loss_role(s, "r", "t")
+        axiom_loss(s, RSub("r", "t"), 0.0)
+
+
+def test_only_nf2_axioms_have_a_negative_term():
+    s = space2d(A=((1, 0), 0.1), B=((0, 1), 0.2))
+    for ax in (NF1("A", "B"), Disjointness("A", "B"), NF4("A", "B", "A")):
+        with pytest.raises(DataError, match="NF2"):
+            axiom_loss(s, ax, 0.1, negative=True)
 
 
 # ---------------------------------------------------------------------------
@@ -275,25 +269,20 @@ def kink_gaps(space, kind, margin):
     return gaps
 
 
+# Each kind's axiom over the names of random_space, and whether it is scored as a negative.
 LOSS_TABLE = {
-    "nf1": (lambda s, m: loss_nf1(s, "A", "B", m), lambda s, m: grad_nf1(s, "A", "B", m)),
-    "nf2": (lambda s, m: loss_nf2(s, "A", "r", "B", m), lambda s, m: grad_nf2(s, "A", "r", "B", m)),
-    "nf3": (lambda s, m: loss_nf3(s, "r", "A", "B", m), lambda s, m: grad_nf3(s, "r", "A", "B", m)),
-    "nf4": (lambda s, m: loss_nf4(s, "A", "B", "C", m), lambda s, m: grad_nf4(s, "A", "B", "C", m)),
-    "disjoint": (
-        lambda s, m: loss_disjoint(s, "A", "B", m),
-        lambda s, m: grad_disjoint(s, "A", "B", m),
-    ),
-    "role": (lambda s, m: loss_role(s, "r", "t"), lambda s, m: grad_role(s, "r", "t")),
-    "nf2neg": (
-        lambda s, m: loss_nf2_negative(s, "A", "r", "B", m),
-        lambda s, m: grad_nf2_negative(s, "A", "r", "B", m),
-    ),
+    "nf1": (NF1("A", "B"), False),
+    "nf2": (NF2("A", "r", "B"), False),
+    "nf3": (NF3("r", "A", "B"), False),
+    "nf4": (NF4("A", "B", "C"), False),
+    "disjoint": (Disjointness("A", "B"), False),
+    "role": (RSub("r", "t"), False),
+    "nf2neg": (NF2("A", "r", "B"), True),
 }
 
 
 def check_gradients(kind, points, seed, step=1e-5, rel_tol=1e-4):
-    loss_fn, grad_fn = LOSS_TABLE[kind]
+    axiom, negative = LOSS_TABLE[kind]
     rng = np.random.default_rng(seed)
     checked = 0
     while checked < points:
@@ -301,16 +290,16 @@ def check_gradients(kind, points, seed, step=1e-5, rel_tol=1e-4):
         margin = float(rng.uniform(0.0, 0.3))
         if min(kink_gaps(space, kind, margin)) <= 1e-3:
             continue
-        value, grads = grad_fn(space, margin)
-        assert value == loss_fn(space, margin)
+        value, grads = axiom_loss(space, axiom, margin, negative=negative, grad=True)
+        assert value == axiom_loss(space, axiom, margin, negative=negative)
         base = pack(space)
         fd = np.zeros_like(base)
         for i in range(base.size):
             bumped = base.copy()
             bumped[i] += step
-            hi = loss_fn(unpack(bumped), margin)
+            hi = axiom_loss(unpack(bumped), axiom, margin, negative=negative)
             bumped[i] -= 2 * step
-            lo = loss_fn(unpack(bumped), margin)
+            lo = axiom_loss(unpack(bumped), axiom, margin, negative=negative)
             fd[i] = (hi - lo) / (2 * step)
         analytic = grads_to_vector(grads)
         err = np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-12)
@@ -324,23 +313,6 @@ def test_gradients_match_finite_differences(kind):
 
 
 BATCH_CONCEPTS = ("A", "B", "C", "D", BOTTOM)
-
-
-def batch_single_grad(space, term, m):
-    """The one-axiom ``grad_*`` call for an axiom or an NF2 negative ``("neg", a, r, b)``."""
-    if isinstance(term, tuple):
-        return grad_nf2_negative(space, *term[1:], m)
-    if isinstance(term, NF1):
-        return grad_nf1(space, term.sub, term.sup, m)
-    if isinstance(term, NF2):
-        return grad_nf2(space, term.sub, term.relation, term.filler, m)
-    if isinstance(term, NF3):
-        return grad_nf3(space, term.relation, term.filler, term.sup, m)
-    if isinstance(term, NF4) and term.sup != BOTTOM:
-        return grad_nf4(space, term.left, term.right, term.sup, m)
-    if isinstance(term, RSub):
-        return grad_role(space, term.sub, term.sup)
-    return grad_disjoint(space, term.left, term.right, m)
 
 
 def random_batch(rng):
@@ -358,7 +330,7 @@ def random_batch(rng):
     ]
     axioms += [axioms[int(i)] for i in rng.integers(len(axioms), size=5)]
     nf2 = [ax for ax in axioms if isinstance(ax, NF2)]
-    negatives = [("neg", ax.sub, ax.relation, c[12 + i % 4]) for i, ax in enumerate(nf2)]
+    negatives = [NF2(ax.sub, ax.relation, c[12 + i % 4]) for i, ax in enumerate(nf2)]
     return axioms, negatives
 
 
@@ -378,7 +350,7 @@ def test_batch_kernel_matches_finite_differences_and_single_axiom_sum():
         axioms, negatives = random_batch(rng)
         keys, params, radii = elembed._pack(space)
         terms, nf2 = elembed._compile(axioms, keys, margin)
-        fakes = np.array([keys.index(("c", neg[3])) for neg in negatives])
+        fakes = np.array([keys.index(("c", neg.filler)) for neg in negatives])
         j = nf2[: len(negatives)]
         corrupted = elembed._corrupt(terms, j, fakes, margin)
         terms = elembed._Terms(*(np.concatenate(pair) for pair in zip(terms, corrupted)))
@@ -410,8 +382,8 @@ def test_batch_kernel_matches_finite_differences_and_single_axiom_sum():
             assert np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-12) < 1e-4
 
         summed_params, summed_radii, summed_loss = np.zeros_like(params), np.zeros_like(radii), 0.0
-        for term in axioms + negatives:
-            value, grads = batch_single_grad(space, term, margin)
+        for term, negative in [(ax, False) for ax in axioms] + [(ax, True) for ax in negatives]:
+            value, grads = axiom_loss(space, term, margin, negative=negative, grad=True)
             summed_loss += value
             for (kind, name), g in grads.items():
                 row = keys.index(("v" if kind == "v" else "c", name))
@@ -496,7 +468,7 @@ def test_total_loss_single_nf1_matches_direct_call():
     cfg = ElTrainConfig(dim=3, margin=0.07)
     n = NormalizedOntology(axioms=(NF1("A", "B"),), fresh_names=(), concept_names=frozenset({"A", "B"}))
     s = initialize_space(n, cfg)
-    assert total_loss(s, n, cfg) == loss_nf1(s, "A", "B", cfg.margin)
+    assert total_loss(s, n, cfg) == axiom_loss(s, NF1("A", "B"), cfg.margin)
 
 
 def test_total_loss_sums_mixed_axioms():
@@ -507,7 +479,9 @@ def test_total_loss_sums_mixed_axioms():
         concept_names=frozenset({"A", "B", "C"}),
     )
     s = initialize_space(n, cfg)
-    expected = loss_nf1(s, "A", "B", cfg.margin) + loss_disjoint(s, "A", "C", cfg.margin)
+    expected = axiom_loss(s, NF1("A", "B"), cfg.margin) + axiom_loss(
+        s, Disjointness("A", "C"), cfg.margin
+    )
     assert_allclose(total_loss(s, n, cfg), expected, rtol=1e-15)
 
 

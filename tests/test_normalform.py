@@ -13,19 +13,31 @@ from conftest import (
 )
 from ontozsl.errors import DataError, UnsupportedAxiomError
 from ontozsl.normalform import (
+    BOTTOM,
     NF1,
     NF2,
     NF3,
     NF4,
     Disjointness,
+    TOP,
     RSub,
     classify,
     normalize,
-    normalized_to_ontology,
     read_normalized,
     write_normalized,
 )
-from ontozsl.ontology import parse_ontology
+from ontozsl.ontology import (
+    Atomic,
+    Bottom,
+    ConceptExpression,
+    Conjunction,
+    Existential,
+    Gci,
+    Ontology,
+    RoleInclusion,
+    Top,
+    parse_ontology,
+)
 
 NORMAL_SHAPES = (NF1, NF2, NF3, NF4, Disjointness, RSub)
 
@@ -214,6 +226,42 @@ def test_read_normalized_rejects_wrong_arity():
         read_normalized("NF1 A\n")
     with pytest.raises(DataError):
         read_normalized("NF9 A B\n")
+
+
+def normalized_to_ontology(n):
+    """Express a normalized ontology back in the surface syntax.
+
+    Re-normalizing the result introduces no further fresh names, since every
+    axiom is already shallow.
+    """
+
+    def as_expr(name: str) -> ConceptExpression:
+        if name == TOP:
+            return Top()
+        if name == BOTTOM:
+            return Bottom()
+        return Atomic(name)
+
+    axioms: list[Gci | RoleInclusion] = []
+    for ax in n.axioms:
+        if isinstance(ax, NF1):
+            axioms.append(Gci(as_expr(ax.sub), as_expr(ax.sup)))
+        elif isinstance(ax, NF2):
+            axioms.append(Gci(as_expr(ax.sub), Existential(ax.relation, as_expr(ax.filler))))
+        elif isinstance(ax, NF3):
+            axioms.append(Gci(Existential(ax.relation, as_expr(ax.filler)), as_expr(ax.sup)))
+        elif isinstance(ax, NF4):
+            axioms.append(Gci(Conjunction(as_expr(ax.left), as_expr(ax.right)), as_expr(ax.sup)))
+        elif isinstance(ax, Disjointness):
+            axioms.append(Gci(Conjunction(as_expr(ax.left), as_expr(ax.right)), Bottom()))
+        elif isinstance(ax, RSub):
+            axioms.append(RoleInclusion(ax.sub, ax.sup))
+    return Ontology(
+        concept_names=tuple(sorted(n.concept_names)),
+        relation_names=tuple(sorted(n.relation_names)),
+        individual_names=(),
+        axioms=tuple(axioms),
+    )
 
 
 def test_normalized_to_ontology_re_normalizes_without_new_names():
