@@ -166,10 +166,16 @@ def cmd_eval(args) -> None:
     _write(args.out, "".join(line + "\n" for line in lines))
 
 
+# Each gen_synthetic parameter, its flag and the flag's default.
+_SYNTH_FLAGS = (("k_seen", "--k-seen", 8), ("k_unseen", "--k-unseen", 2), ("per_class", "--per-class", 30),
+                ("p", "--features-dim", 16), ("noise", "--noise", 0.05), ("seed", "--seed", 0))
+
+
 def cmd_synth(args) -> None:
-    data = harness.gen_synthetic(
-        args.k_seen, args.k_unseen, args.per_class, args.features_dim, args.noise, args.seed
-    )
+    try:
+        data = harness.gen_synthetic(**{name: getattr(args, name) for name, _, _ in _SYNTH_FLAGS})
+    except RangeError as exc:
+        raise exc.renamed({name: flag for name, flag, _ in _SYNTH_FLAGS}) from None
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "ontology.elf").write_text(serialize_ontology(data.ontology))
@@ -305,9 +311,8 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default=None)
 
     p = add("synth", cmd_synth, "generate a synthetic benchmark")
-    for flag, default in (("--k-seen", 8), ("--k-unseen", 2), ("--per-class", 30),
-                          ("--features-dim", 16), ("--noise", 0.05), ("--seed", 0)):
-        _add_number(p, flag, default)
+    for name, flag, default in _SYNTH_FLAGS:
+        _add_number(p, flag, default, dest=name, metavar=flag[2:].replace("-", "_").upper())
     p.add_argument("--out-dir", required=True)
 
     p = add("pipeline", cmd_pipeline, "run every stage from a config file")

@@ -19,6 +19,8 @@ sa*r(a) + sb*r(b) + m*e)`` over rows ``x`` of one matrix (concept centers, then
 relation vectors).  Axioms compile once into index and coefficient tables, and
 one array kernel gives the loss and analytic gradient of any set of table rows,
 for training, :func:`total_loss` and the one-axiom :func:`axiom_loss` alike.
+Training runs Adam on minibatch gradients, the optimizer EL Embeddings
+(Kulmanov et al., 2019) uses for these losses.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .normalform import (
     NormalAxiom,
     NormalizedOntology,
     RSub,
+    classify,
 )
 from .textio import fmt, read_floats, read_int
 
@@ -52,9 +55,13 @@ class Ball:
 
 @dataclass
 class EmbeddingSpace:
+    """Balls and relation vectors; a trained space also carries its epoch losses,
+    which equality and the file format leave out."""
+
     dim: int
     concepts: dict[str, Ball]
     relations: dict[str, np.ndarray]
+    train_losses: tuple[float, ...] = ()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EmbeddingSpace):
@@ -77,7 +84,7 @@ class ElTrainConfig:
     dim: int = 50
     margin: float = 0.1
     learning_rate: float = 0.01
-    epochs: int = 1000
+    epochs: int = 200
     batch_size: int = 64
     negatives: int = 1
     min_radius: float = 1e-3
@@ -255,6 +262,9 @@ def axiom_loss(
 # training
 # ---------------------------------------------------------------------------
 
+# Adam's decay rates of the gradient moments and its stabilizer (Kingma & Ba, 2015)
+_BETA1, _BETA2, _EPSILON = 0.9, 0.999, 1e-8
+
 
 def total_loss(space: EmbeddingSpace, n: NormalizedOntology, cfg: ElTrainConfig) -> float:
     """Sum of axiom losses plus sampled NF2 corruption losses.
@@ -289,20 +299,27 @@ def _initialize(n: NormalizedOntology, cfg: ElTrainConfig, rng: np.random.Genera
 
 
 def train_el(n: NormalizedOntology, cfg: ElTrainConfig) -> EmbeddingSpace:
-    """Minibatch SGD over the axiom losses, one kernel call per minibatch.
+    """Minibatch Adam over the axiom losses, one kernel call per minibatch.
 
     Axioms are reshuffled every epoch; each NF2 axiom in a batch contributes
-    ``cfg.negatives`` corruption terms.  A step applies the batch gradient,
-    scaled by ``learning_rate / batch length``, to every parameter at once.
+    ``cfg.negatives`` corruption terms.  A step feeds the mean batch gradient
+    to Adam (Kingma & Ba, 2015) with step size ``learning_rate``, moving every
+    parameter at once; the moment estimates start at zero for each call.
     Every radius starts at or above ``min_radius`` and is clamped to it after
     each step; nominal-derived concepts keep exactly ``min_radius``.
-    Non-finite parameters abort with the offending name and step index.
+    Non-finite parameters abort with the offending name and step index.  The
+    returned space carries the summed batch loss of each epoch.
     """
     rng = np.random.default_rng(cfg.seed)
     space = _initialize(n, cfg, rng)
     if not n.axioms or cfg.epochs == 0:
         return space
     keys, params, radii = _pack(space)
+    # one flat vector holds every parameter, so one update moves them all
+    theta = np.concatenate((params.ravel(), radii))
+    params, radii = theta[: params.size].reshape(params.shape), theta[params.size :]
+    moment, square = np.zeros_like(theta), np.zeros_like(theta)
+    grad, work = np.empty_like(theta), np.empty_like(theta)
     base, nf2 = _compile(n.axioms, keys, cfg.margin)
     n_concepts = len(space.concepts)
     nominal = set(n.nominal_map.values())
@@ -311,6 +328,7 @@ def train_el(n: NormalizedOntology, cfg: ElTrainConfig) -> EmbeddingSpace:
     n_axioms = len(n.axioms)
     bounds = np.append(np.arange(0, n_axioms, cfg.batch_size), n_axioms)
     position = np.empty(n_axioms, dtype=np.intp)
+    losses = []
     step = 0
     for _epoch in range(cfg.epochs):
         order = rng.permutation(n_axioms)
@@ -321,21 +339,67 @@ def train_el(n: NormalizedOntology, cfg: ElTrainConfig) -> EmbeddingSpace:
         by_position = np.argsort(position[terms.rows[:, 3]], kind="stable")
         rows, coef = terms.rows[by_position], terms.coef[by_position]
         starts = np.searchsorted(position[rows[:, 3]], bounds)
+        epoch_loss = 0.0
         for k in range(len(bounds) - 1):
             batch = slice(starts[k], starts[k + 1])
-            _, g_params, g_radii = _loss_grad(params, radii, _Terms(rows[batch], coef[batch]))
+            loss, g_params, g_radii = _loss_grad(params, radii, _Terms(rows[batch], coef[batch]))
+            epoch_loss += loss
             step += 1
-            scale = cfg.learning_rate / (bounds[k + 1] - bounds[k])
-            params -= scale * g_params
-            radii -= scale * g_radii
-            if not (np.isfinite(params).all() and np.isfinite(radii).all()):
+            # Adam on the mean batch gradient, in place: the batch length and
+            # both bias corrections fold into scalar factors
+            size = bounds[k + 1] - bounds[k]
+            np.concatenate((g_params.ravel(), g_radii), out=grad)
+            moment *= _BETA1
+            moment += np.multiply(grad, (1.0 - _BETA1) / size, out=work)
+            square *= _BETA2
+            square += np.multiply(np.square(grad, out=work), (1.0 - _BETA2) / size**2, out=work)
+            correction = np.sqrt(1.0 - _BETA2**step)
+            denom = np.sqrt(square, out=work)
+            denom += _EPSILON * correction
+            update = np.divide(moment, denom, out=work)
+            update *= cfg.learning_rate * correction / (1.0 - _BETA1**step)
+            theta -= update
+            if not np.isfinite(theta).all():
                 raise _diverged(keys, params, radii, step)
             np.maximum(concept_radii, cfg.min_radius, out=concept_radii)
             concept_radii[pinned] = cfg.min_radius
+        losses.append(epoch_loss)
     names = [name for _, name in keys]
     balls = [Ball(params[i].copy(), float(radii[i])) for i in range(n_concepts)]
     relations = {name: params[i].copy() for i, name in enumerate(names) if i >= n_concepts}
-    return EmbeddingSpace(cfg.dim, dict(zip(names[:n_concepts], balls)), relations)
+    return EmbeddingSpace(cfg.dim, dict(zip(names[:n_concepts], balls)), relations, tuple(losses))
+
+
+class Faithfulness(NamedTuple):
+    nest_fraction: float
+    nest_pairs: int
+    disjoint_fraction: float
+    disjoint_pairs: int
+
+
+def faithfulness(space: EmbeddingSpace, n: NormalizedOntology, margin: float) -> Faithfulness:
+    """How many entailed subsumptions nest and how many DISJ pairs separate.
+
+    A pair A [= B that :func:`classify` derives (no self, ``Top`` or ``Bottom``
+    pairs) nests when |c(A)-c(B)| + r(A) <= r(B) + margin, the zero set of the
+    NF1 hinge; DISJ A B separates when |c(A)-c(B)| >= r(A) + r(B) + margin, the
+    zero set of the disjointness hinge.  A fraction over no pairs is 1.
+    """
+    nest = [(x, y) for x, y in classify(n) if x != y and not {x, y} & {TOP, BOTTOM}]
+    disjoint = [(ax.left, ax.right) for ax in n.axioms if isinstance(ax, Disjointness)]
+    row = {name: i for i, name in enumerate(space.concepts)}
+    balls = space.concepts.values()
+    centers = np.array([ball.center for ball in balls]).reshape(len(row), space.dim)
+    radii = np.array([ball.radius for ball in balls])
+    a, b = np.array([(row[x], row[y]) for x, y in nest + disjoint], dtype=np.intp).reshape(-1, 2).T
+    diff = centers[a] - centers[b]
+    gap = np.sqrt(np.vecdot(diff, diff))
+    nested = int((gap + radii[a] <= radii[b] + margin)[: len(nest)].sum())
+    separated = int((gap >= radii[a] + radii[b] + margin)[len(nest) :].sum())
+    return Faithfulness(
+        nested / len(nest) if nest else 1.0, len(nest),
+        separated / len(disjoint) if disjoint else 1.0, len(disjoint),
+    )
 
 
 def _diverged(keys: list[Key], params: np.ndarray, radii: np.ndarray, step: int) -> NumericalError:

@@ -146,6 +146,9 @@ class MetricsReport:
     counts: dict[str, int]
     config_echo: dict[str, str]
     el_total_loss: float = float("nan")
+    el_losses: tuple[float, ...] = ()
+    el_nest_fraction: float = float("nan")
+    el_disjoint_fraction: float = float("nan")
     w2v_losses: tuple[float, ...] = ()
 
 
@@ -177,6 +180,9 @@ def report_json(report: MetricsReport) -> str:
         "macro_unseen_accuracy": report.macro_unseen_accuracy,
         "sample_accuracy": report.sample_accuracy,
         "el_total_loss": report.el_total_loss,
+        "el_losses": list(report.el_losses),
+        "el_nest_fraction": report.el_nest_fraction,
+        "el_disjoint_fraction": report.el_disjoint_fraction,
         "w2v_losses": list(report.w2v_losses),
         "per_class_accuracy": report.per_class_accuracy,
         "counts": report.counts,
@@ -232,6 +238,7 @@ def run_pipeline(cfg: RunConfig) -> MetricsReport:
     with _stage("embed-el"):
         space = elembed.train_el(normalized, el_cfg)
         el_loss = elembed.total_loss(space, normalized, el_cfg)
+        faithful = elembed.faithfulness(space, normalized, el_cfg.margin)
         emit("el_space.tsv", elembed.export_space(space))
         logger.info("embedding loss after training: %.6f", el_loss)
 
@@ -296,11 +303,16 @@ def run_pipeline(cfg: RunConfig) -> MetricsReport:
                 "seen_classes": len(dataset.seen_labels),
                 "unseen_classes": len(dataset.unseen_labels),
                 "encoding_dim": table.dim,
+                "el_nest_pairs": faithful.nest_pairs,
+                "el_disjoint_pairs": faithful.disjoint_pairs,
                 "w2v_pairs_per_epoch": vectors.pairs_per_epoch,
                 "w2v_vocab": len(vectors.vectors),
             },
             config_echo=cfg.to_dict(),
             el_total_loss=el_loss,
+            el_losses=space.train_losses,
+            el_nest_fraction=faithful.nest_fraction,
+            el_disjoint_fraction=faithful.disjoint_fraction,
             w2v_losses=vectors.train_losses,
         )
         emit("report.txt", render_report(report, per_class_counts))

@@ -416,6 +416,7 @@ def tiny_inputs(tmp_path):
         (["embed-el", "--normalized", "{normalized}", "--epochs", "1_0"], "--epochs"),
         (["embed-el", "--normalized", "{normalized}", "--dim", "\u0663"], "--dim"),
         (["synth", "--noise", "nan"], "--noise"),
+        (["synth", "--features-dim", "1"], "out of range: --features-dim"),
         (["pipeline", "--set", "sae_lambda=-1"], "sae_lambda"),
         (["pipeline", "--set", "mapper=ridge", "--set", "ridge_alpha=0"], "ridge_alpha"),
         # range errors name the key or flag typed, not the stage config's field
@@ -430,7 +431,7 @@ def tiny_inputs(tmp_path):
     ids=["pipeline-seed", "embed-el-seed", "walk-seed", "w2v-seed", "synth-seed",
          "distance", "candidates", "mapper", "inf-margin", "nan-alpha", "train-map-nan-alpha",
          "embed-el-nan-margin", "embed-el-underscore-epochs", "embed-el-arabic-indic-dim",
-         "synth-nan-noise", "negative-sae-lambda", "zero-ridge-alpha", "zero-el-lr", "zero-w2v-lr",
+         "synth-nan-noise", "synth-features-dim", "negative-sae-lambda", "zero-ridge-alpha", "zero-el-lr", "zero-w2v-lr",
          "embed-el-zero-batch", "walk-zero-length", "w2v-zero-lr", "train-map-zero-alpha"],
 )
 def test_bad_config_values_exit_2_before_any_stage_runs(tiny_inputs, tmp_path, argv, named):

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ontozsl.elembed import import_space
 from ontozsl.errors import DataError
 from ontozsl.harness import (
     gen_synthetic,
@@ -15,6 +16,7 @@ from ontozsl.harness import (
     write_split,
     write_vector_table,
 )
+from ontozsl.normalform import BOTTOM, TOP, Disjointness, classify, read_normalized
 from ontozsl.ontology import serialize_ontology
 from ontozsl.pipeline import (
     MetricsReport,
@@ -164,6 +166,39 @@ def test_report_carries_skipgram_diagnostics(tmp_path):
     assert counts["w2v_vocab"] == len({t for s in sentences for t in s})
     text = (tmp_path / "run" / "report.txt").read_text()
     assert f"w2v_vocab\t{counts['w2v_vocab']}\n" in text
+
+
+def test_report_carries_el_diagnostics(tmp_path):
+    write_benchmark(tmp_path)
+    cfg = base_config(tmp_path)
+    report = run_pipeline(cfg)
+    out = tmp_path / "run"
+    payload = json.loads((out / "report.json").read_text())
+    losses = payload["el_losses"]
+    assert len(losses) == FAST["el_epochs"]
+    assert np.isfinite(losses).all() and losses == list(report.el_losses)
+
+    # faithfulness recomputed pair by pair from the run's files and classify
+    normalized = read_normalized((out / "normalized.txt").read_text())
+    balls = import_space((out / "el_space.tsv").read_text()).concepts
+
+    def gap(a, b):
+        return float(np.linalg.norm(balls[a].center - balls[b].center))
+
+    pairs = [(a, b) for a, b in classify(normalized) if a != b and not {a, b} & {TOP, BOTTOM}]
+    nested = sum(gap(a, b) + balls[a].radius <= balls[b].radius + cfg.el_margin for a, b in pairs)
+    disjoint = [ax for ax in normalized.axioms if isinstance(ax, Disjointness)]
+    separated = sum(
+        gap(ax.left, ax.right) >= balls[ax.left].radius + balls[ax.right].radius + cfg.el_margin
+        for ax in disjoint
+    )
+    counts = payload["counts"]
+    assert counts["el_nest_pairs"] == len(pairs) > 0
+    assert counts["el_disjoint_pairs"] == len(disjoint) > 0
+    assert payload["el_nest_fraction"] == report.el_nest_fraction == nested / len(pairs)
+    assert payload["el_disjoint_fraction"] == report.el_disjoint_fraction == separated / len(disjoint)
+    text = (out / "report.txt").read_text()
+    assert f"el_nest_pairs\t{len(pairs)}\n" in text
 
 
 def test_run_pipeline_is_deterministic(tmp_path):
