@@ -14,7 +14,7 @@ from .errors import (
     UnknownNameError,
     UnsupportedAxiomError,
 )
-from .harness import ZslDataset, gen_synthetic, load_dataset, macro_accuracy, sample_accuracy
+from .harness import ZslDataset, gen_synthetic, load_dataset, sample_accuracy
 from .normalform import NormalizedOntology, classify, normalize
 from .ontology import Ontology, parse_ontology, serialize_ontology, validate
 from .pipeline import MetricsReport, RunConfig, run_pipeline
@@ -71,7 +71,6 @@ __all__ = [
     "initialize_space",
     "lexicalize",
     "load_dataset",
-    "macro_accuracy",
     "normalize",
     "parse_ontology",
     "predict",

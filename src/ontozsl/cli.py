@@ -19,7 +19,7 @@ from .errors import DataError, NumericalError, OntozslError, RangeError
 from .normalform import classify, normalize, read_normalized, write_normalized
 from .ontology import parse_ontology, serialize_ontology, validate
 from .textio import fmt, read_file, read_setting
-from .zslmap import CandidateSet, Component, Distance
+from .zslmap import CandidateSet, Distance
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -111,10 +111,7 @@ def cmd_w2v(args) -> None:
 
 
 def cmd_encode(args) -> None:
-    try:
-        components = tuple(Component(c.strip()) for c in args.components.split(",") if c.strip())
-    except ValueError:
-        raise DataError(f"unknown encoding component in {args.components!r}") from None
+    components = zslmap.parse_components(args.components)
     space = elembed.import_space(read_file(args.space, "embedding space")) if args.space else None
     vectors = textwalk.load_word_vectors(read_file(args.vectors, "word vectors")) if args.vectors else None
     ontology = parse_ontology(read_file(args.ontology, "ontology")) if args.ontology else None

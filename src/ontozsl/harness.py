@@ -103,8 +103,12 @@ def write_split(seen: Iterable[str], unseen: Iterable[str]) -> str:
 
 def parse_features(text: str) -> tuple[int, list[Sample]]:
     samples: list[Sample] = []
+    ids: set[str] = set()
     dim: int | None = None
     for where, (sample_id, label, values) in _tab_rows(text, "features", "id", "label", "values"):
+        if sample_id in ids:
+            raise DataError(f"{where}: sample id {sample_id!r} appears twice")
+        ids.add(sample_id)
         row = read_floats(values.split(","), where, dim)
         dim = row.size
         samples.append(Sample(sample_id, label, row))
@@ -201,19 +205,6 @@ def unseen_scores(
     counts = {label: (correct[label], total[label]) for label in labels}
     per_class = {label: hits / n for label, (hits, n) in counts.items()}
     return sum(per_class.values()) / len(per_class), per_class, counts
-
-
-def per_class_accuracy(
-    predictions: Sequence[str], truth: Sequence[str], labels: Iterable[str]
-) -> dict[str, float]:
-    return unseen_scores(predictions, truth, labels)[1]
-
-
-def macro_accuracy(
-    predictions: Sequence[str], truth: Sequence[str], unseen_labels: Iterable[str]
-) -> float:
-    """Unweighted mean of per-class accuracy over the unseen classes."""
-    return unseen_scores(predictions, truth, unseen_labels)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
-"""Rewriting into normal form, plus a completion-rule subsumption classifier.
+"""The EL normal form: the inclusion step, rewriting, classification, text form.
 
-Every TBox/ABox axiom is rewritten into one of six shallow shapes over plain
-names (``Top`` and ``Bottom`` act as ordinary names here):
+This module is the one place that knows the normal form.  :func:`inclusions`
+reads every concept axiom as ``(sub, sup)`` pairs, :func:`rewrite` decomposes
+such pairs into six shallow shapes over plain names (``Top`` and ``Bottom``
+act as ordinary names here), and each shape's class declares its text tag and
+which of its fields name relations:
 
     NF1   A [= B
     NF2   A [= Some(r, B)
@@ -13,15 +16,19 @@ names (``Top`` and ``Bottom`` act as ordinary names here):
 Nested expressions are peeled off by introducing fresh concept names with the
 reserved ``NORM_`` prefix; a fresh name is reused when the same subexpression
 shows up again, which keeps the number of fresh names at or below the number
-of complex subexpressions in the input.  Nominals ``One(a)`` turn into
-dedicated concepts named ``IND_a`` whose embedding radius stays pinned at the
-minimum.  Axioms with ``Top`` on the right are dropped as tautologies.
+of complex subexpressions in the input.  :func:`normalize` turns nominals
+``One(a)`` into dedicated concepts named ``IND_a`` whose embedding radius
+stays pinned at the minimum; the graph projection in ``textwalk`` runs the
+same two steps with each individual standing for itself.  Axioms with
+``Top`` on the right are dropped as tautologies.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import count
+from typing import ClassVar, Iterable, Mapping
 
 from .errors import DataError, UnsupportedAxiomError
 from .ontology import (
@@ -41,6 +48,7 @@ from .ontology import (
     Top,
     expression_text,
     parse_expression,
+    subexpressions,
     validate,
 )
 
@@ -49,19 +57,42 @@ BOTTOM = "Bottom"
 FRESH_PREFIX = "NORM_"
 NOMINAL_PREFIX = "IND_"
 
+Inclusion = tuple[ConceptExpression, ConceptExpression]
+
 
 class NormalAxiom:
+    """One normal-form axiom; its fields are names, written in field order after ``TAG``.
+
+    ``RELATIONS`` lists the fields that name relations; every other field
+    names a concept.
+    """
+
     __slots__ = ()
+    TAG: ClassVar[str]
+    RELATIONS: ClassVar[tuple[str, ...]] = ()
+
+    def operands(self) -> tuple[str, ...]:
+        """The concept names, in field order."""
+        return tuple(getattr(self, f) for f in self.__dataclass_fields__ if f not in self.RELATIONS)
+
+    def relations(self) -> tuple[str, ...]:
+        return tuple(getattr(self, f) for f in self.RELATIONS)
+
+    def text(self) -> str:
+        return " ".join((self.TAG, *(getattr(self, f) for f in self.__dataclass_fields__)))
 
 
 @dataclass(frozen=True)
 class NF1(NormalAxiom):
+    TAG = "NF1"
     sub: str
     sup: str
 
 
 @dataclass(frozen=True)
 class NF2(NormalAxiom):
+    TAG = "NF2"
+    RELATIONS = ("relation",)
     sub: str
     relation: str
     filler: str
@@ -69,6 +100,8 @@ class NF2(NormalAxiom):
 
 @dataclass(frozen=True)
 class NF3(NormalAxiom):
+    TAG = "NF3"
+    RELATIONS = ("relation",)
     relation: str
     filler: str
     sup: str
@@ -76,6 +109,7 @@ class NF3(NormalAxiom):
 
 @dataclass(frozen=True)
 class NF4(NormalAxiom):
+    TAG = "NF4"
     left: str
     right: str
     sup: str
@@ -83,14 +117,20 @@ class NF4(NormalAxiom):
 
 @dataclass(frozen=True)
 class Disjointness(NormalAxiom):
+    TAG = "DISJ"
     left: str
     right: str
 
 
 @dataclass(frozen=True)
 class RSub(NormalAxiom):
+    TAG = "RSUB"
+    RELATIONS = ("sub", "sup")
     sub: str
     sup: str
+
+
+_BY_TAG = {cls.TAG: cls for cls in (NF1, NF2, NF3, NF4, Disjointness, RSub)}
 
 
 @dataclass(frozen=True)
@@ -127,86 +167,97 @@ def _name_of(e: ConceptExpression) -> str:
     return BOTTOM
 
 
-class _Namer:
-    """Hands out fresh names, one per distinct complex subexpression."""
+def inclusions(o: Ontology, individuals: Mapping[str, str]) -> list[Inclusion]:
+    """The ``(sub, sup)`` pairs of the concept axioms, in axiom order.
 
-    def __init__(self, taken: set[str]):
-        self.taken = set(taken)
-        self.fresh: list[str] = []
-        self.provenance: dict[str, ConceptExpression] = {}
-        self.memo: dict[ConceptExpression, str] = {}
-        self.counter = 0
+    Individual ``a`` reads as the concept named ``individuals[a]``, both as a
+    nominal ``One(a)`` and in assertions: ``Instance(a C)`` gives ``a [= C``
+    and ``RelationInstance(r a b)`` gives ``a [= Some(r, b)``.  An equivalence
+    gives both directions; relation axioms and annotations give nothing.
+    """
 
-    def name_for(self, expr: ConceptExpression) -> str:
-        if expr in self.memo:
-            return self.memo[expr]
-        while True:
-            self.counter += 1
-            name = f"{FRESH_PREFIX}{self.counter}"
-            if name not in self.taken:
-                break
-        self.taken.add(name)
-        self.fresh.append(name)
-        self.memo[expr] = name
-        self.provenance[name] = expr
-        return name
+    def concept(expr: ConceptExpression) -> ConceptExpression:
+        if isinstance(expr, Nominal):
+            return Atomic(individuals[expr.individual])
+        if isinstance(expr, Conjunction):
+            return Conjunction(concept(expr.left), concept(expr.right))
+        if isinstance(expr, Existential):
+            return Existential(expr.relation, concept(expr.filler))
+        return expr
 
-    def avoid(self, base: str) -> str:
-        """A non-fresh reserved name (used for nominals), collision-free."""
-        name = base
-        k = 0
-        while name in self.taken:
-            k += 1
-            name = f"{base}_{k}"
-        self.taken.add(name)
-        return name
+    pairs: list[Inclusion] = []
+    for ax in o.axioms:
+        if isinstance(ax, Gci):
+            pairs.append((concept(ax.sub), concept(ax.sup)))
+        elif isinstance(ax, Equivalence):
+            left, right = concept(ax.left), concept(ax.right)
+            pairs.extend(((left, right), (right, left)))
+        elif isinstance(ax, ConceptAssertion):
+            pairs.append((Atomic(individuals[ax.individual]), concept(ax.concept)))
+        elif isinstance(ax, RoleAssertion):
+            object_ = Atomic(individuals[ax.object])
+            pairs.append((Atomic(individuals[ax.subject]), Existential(ax.relation, object_)))
+    return pairs
 
 
-def _rewrite(pending: deque, namer: _Namer) -> list[NormalAxiom]:
-    """Exhaustively apply the decomposition rules to (sub, sup) pairs."""
-    out: list[NormalAxiom] = []
-    seen: set[NormalAxiom] = set()
+def rewrite(
+    pairs: Iterable[Inclusion], taken: set[str]
+) -> tuple[list[NormalAxiom], dict[str, ConceptExpression]]:
+    """Exhaustively apply the decomposition rules to ``(sub, sup)`` pairs.
 
-    def emit(ax: NormalAxiom) -> None:
-        if ax not in seen:
-            seen.add(ax)
-            out.append(ax)
+    Returns the normal axioms, each once in order of first derivation, and
+    the fresh names mapped to the expressions they stand for, in the order
+    they were named.  Fresh names skip every name in ``taken``.
+    """
+    pending = deque(pairs)
+    out: dict[NormalAxiom, None] = {}
+    provenance: dict[str, ConceptExpression] = {}
+    memo: dict[ConceptExpression, str] = {}
+    numbers = count(1)
+
+    def named(expr: ConceptExpression) -> Atomic:
+        """The fresh name of a complex subexpression, one per distinct expression."""
+        if expr not in memo:
+            name = next(n for n in (f"{FRESH_PREFIX}{k}" for k in numbers) if n not in taken)
+            memo[expr] = name
+            provenance[name] = expr
+        return Atomic(memo[expr])
 
     while pending:
         sub, sup = pending.popleft()
         if isinstance(sup, Top):
             continue  # X [= Top is a tautology
         if _is_name(sub) and _is_name(sup):
-            emit(NF1(_name_of(sub), _name_of(sup)))
+            out[NF1(_name_of(sub), _name_of(sup))] = None
         elif isinstance(sub, Conjunction):
             left, right = sub.left, sub.right
             if _is_name(left) and _is_name(right):
                 if isinstance(sup, Bottom):
-                    emit(Disjointness(_name_of(left), _name_of(right)))
+                    out[Disjointness(_name_of(left), _name_of(right))] = None
                 elif _is_name(sup):
-                    emit(NF4(_name_of(left), _name_of(right), _name_of(sup)))
+                    out[NF4(_name_of(left), _name_of(right), _name_of(sup))] = None
                 else:  # shallow conjunction under a complex superclass
-                    mid = Atomic(namer.name_for(sub))
+                    mid = named(sub)
                     pending.append((sub, mid))
                     pending.append((mid, sup))
             elif not _is_name(left):
-                named = Atomic(namer.name_for(left))
-                pending.append((left, named))
-                pending.append((Conjunction(named, right), sup))
+                part = named(left)
+                pending.append((left, part))
+                pending.append((Conjunction(part, right), sup))
             else:
-                named = Atomic(namer.name_for(right))
-                pending.append((right, named))
-                pending.append((Conjunction(left, named), sup))
+                part = named(right)
+                pending.append((right, part))
+                pending.append((Conjunction(left, part), sup))
         elif isinstance(sub, Existential):
             filler = sub.filler
             if not _is_name(filler):
-                named = Atomic(namer.name_for(filler))
-                pending.append((filler, named))
-                pending.append((Existential(sub.relation, named), sup))
+                part = named(filler)
+                pending.append((filler, part))
+                pending.append((Existential(sub.relation, part), sup))
             elif _is_name(sup):
-                emit(NF3(sub.relation, _name_of(filler), _name_of(sup)))
+                out[NF3(sub.relation, _name_of(filler), _name_of(sup))] = None
             else:
-                mid = Atomic(namer.name_for(sub))
+                mid = named(sub)
                 pending.append((sub, mid))
                 pending.append((mid, sup))
         elif isinstance(sup, Conjunction):
@@ -215,34 +266,14 @@ def _rewrite(pending: deque, namer: _Namer) -> list[NormalAxiom]:
         elif isinstance(sup, Existential):
             filler = sup.filler
             if _is_name(filler):
-                emit(NF2(_name_of(sub), sup.relation, _name_of(filler)))
+                out[NF2(_name_of(sub), sup.relation, _name_of(filler))] = None
             else:
-                named = Atomic(namer.name_for(filler))
-                pending.append((sub, Existential(sup.relation, named)))
-                pending.append((named, filler))
+                part = named(filler)
+                pending.append((sub, Existential(sup.relation, part)))
+                pending.append((part, filler))
         else:  # pragma: no cover - grammar leaves no other shape
             raise AssertionError(f"unhandled axiom shape {sub!r} [= {sup!r}")
-    return out
-
-
-def _replace_nominals(expr: ConceptExpression, table: dict[str, str]) -> ConceptExpression:
-    if isinstance(expr, Nominal):
-        return Atomic(table[expr.individual])
-    if isinstance(expr, Conjunction):
-        return Conjunction(_replace_nominals(expr.left, table), _replace_nominals(expr.right, table))
-    if isinstance(expr, Existential):
-        return Existential(expr.relation, _replace_nominals(expr.filler, table))
-    return expr
-
-
-def _collect_individuals(expr: ConceptExpression, into: set[str]) -> None:
-    if isinstance(expr, Nominal):
-        into.add(expr.individual)
-    elif isinstance(expr, Conjunction):
-        _collect_individuals(expr.left, into)
-        _collect_individuals(expr.right, into)
-    elif isinstance(expr, Existential):
-        _collect_individuals(expr.filler, into)
+    return list(out), provenance
 
 
 def normalize(o: Ontology) -> NormalizedOntology:
@@ -250,66 +281,43 @@ def normalize(o: Ontology) -> NormalizedOntology:
 
     Assertions become inclusions over nominal-derived concepts:
     ``Instance(a C)`` turns into ``IND_a [= C`` and ``RelationInstance(r a b)``
-    into ``IND_a [= Some(r, IND_b)``.  Annotations do not affect the output;
+    into ``IND_a [= Some(r, IND_b)``.  Only individuals that some axiom
+    mentions get such a concept.  Annotations do not affect the output;
     relation chains are rejected as unsupported.
     """
     problems = validate(o)
     if problems:
         raise DataError(f"ontology is not well-formed: {problems[0].reason}")
+    if any(isinstance(ax, RoleComposition) for ax in o.axioms):
+        raise UnsupportedAxiomError("relation chains are not supported by normalization")
 
-    mentioned: set[str] = set()
-    for ax in o.axioms:
-        if isinstance(ax, RoleComposition):
-            raise UnsupportedAxiomError("relation chains are not supported by normalization")
-        if isinstance(ax, Gci):
-            _collect_individuals(ax.sub, mentioned)
-            _collect_individuals(ax.sup, mentioned)
-        elif isinstance(ax, Equivalence):
-            _collect_individuals(ax.left, mentioned)
-            _collect_individuals(ax.right, mentioned)
-        elif isinstance(ax, ConceptAssertion):
-            mentioned.add(ax.individual)
-            _collect_individuals(ax.concept, mentioned)
-        elif isinstance(ax, RoleAssertion):
-            mentioned.update((ax.subject, ax.object))
-
+    # with each individual standing for itself, the mentioned ones are atoms
+    mentioned = {
+        node.name
+        for pair in inclusions(o, {a: a for a in o.individual_names})
+        for expr in pair
+        for node in subexpressions(expr)
+        if isinstance(node, Atomic)
+    }
     taken = set(o.concept_names) | set(o.relation_names) | set(o.individual_names)
-    namer = _Namer(taken)
     nominal_map = {}
     for ind in o.individual_names:
         if ind in mentioned:
-            nominal_map[ind] = namer.avoid(NOMINAL_PREFIX + ind)
+            name, k = NOMINAL_PREFIX + ind, 0
+            while name in taken:
+                k += 1
+                name = f"{NOMINAL_PREFIX}{ind}_{k}"
+            taken.add(name)
+            nominal_map[ind] = name
 
-    pending: deque = deque()
-    rsubs: list[RSub] = []
-    for ax in o.axioms:
-        if isinstance(ax, Gci):
-            pending.append((_replace_nominals(ax.sub, nominal_map), _replace_nominals(ax.sup, nominal_map)))
-        elif isinstance(ax, Equivalence):
-            left = _replace_nominals(ax.left, nominal_map)
-            right = _replace_nominals(ax.right, nominal_map)
-            pending.append((left, right))
-            pending.append((right, left))
-        elif isinstance(ax, ConceptAssertion):
-            pending.append(
-                (Atomic(nominal_map[ax.individual]), _replace_nominals(ax.concept, nominal_map))
-            )
-        elif isinstance(ax, RoleAssertion):
-            pending.append(
-                (Atomic(nominal_map[ax.subject]), Existential(ax.relation, Atomic(nominal_map[ax.object])))
-            )
-        elif isinstance(ax, RoleInclusion):
-            rsubs.append(RSub(ax.sub, ax.sup))
-
-    axioms = _rewrite(pending, namer)
-    axioms.extend(rsubs)
-    concept_names = set(o.concept_names) | set(namer.fresh) | set(nominal_map.values())
+    axioms, provenance = rewrite(inclusions(o, nominal_map), taken)
+    axioms.extend(RSub(ax.sub, ax.sup) for ax in o.axioms if isinstance(ax, RoleInclusion))
     return NormalizedOntology(
         axioms=tuple(dict.fromkeys(axioms)),
-        fresh_names=tuple(namer.fresh),
-        provenance=namer.provenance,
+        fresh_names=tuple(provenance),
+        provenance=provenance,
         nominal_map=nominal_map,
-        concept_names=frozenset(concept_names),
+        concept_names=frozenset({*o.concept_names, *provenance, *nominal_map.values()}),
         relation_names=frozenset(o.relation_names),
     )
 
@@ -317,20 +325,6 @@ def normalize(o: Ontology) -> NormalizedOntology:
 # ---------------------------------------------------------------------------
 # classification
 # ---------------------------------------------------------------------------
-
-
-def _axiom_concept_operands(ax: NormalAxiom) -> tuple[str, ...]:
-    if isinstance(ax, NF1):
-        return (ax.sub, ax.sup)
-    if isinstance(ax, NF2):
-        return (ax.sub, ax.filler)
-    if isinstance(ax, NF3):
-        return (ax.filler, ax.sup)
-    if isinstance(ax, NF4):
-        return (ax.left, ax.right, ax.sup)
-    if isinstance(ax, Disjointness):
-        return (ax.left, ax.right)
-    return ()
 
 
 def classify(n: NormalizedOntology) -> set[tuple[str, str]]:
@@ -342,7 +336,7 @@ def classify(n: NormalizedOntology) -> set[tuple[str, str]]:
     """
     names = set(n.concept_names)
     for ax in n.axioms:
-        names.update(_axiom_concept_operands(ax))
+        names.update(ax.operands())
     subs = {name: {name} | ({TOP} if TOP in names else set()) for name in names}
     edges: set[tuple[str, str, str]] = set()
 
@@ -394,25 +388,9 @@ def classify(n: NormalizedOntology) -> set[tuple[str, str]]:
 # ---------------------------------------------------------------------------
 
 
-def normal_axiom_text(ax: NormalAxiom) -> str:
-    if isinstance(ax, NF1):
-        return f"NF1 {ax.sub} {ax.sup}"
-    if isinstance(ax, NF2):
-        return f"NF2 {ax.sub} {ax.relation} {ax.filler}"
-    if isinstance(ax, NF3):
-        return f"NF3 {ax.relation} {ax.filler} {ax.sup}"
-    if isinstance(ax, NF4):
-        return f"NF4 {ax.left} {ax.right} {ax.sup}"
-    if isinstance(ax, Disjointness):
-        return f"DISJ {ax.left} {ax.right}"
-    if isinstance(ax, RSub):
-        return f"RSUB {ax.sub} {ax.sup}"
-    raise TypeError(f"not a normal axiom: {ax!r}")
-
-
 def write_normalized(n: NormalizedOntology) -> str:
     """One axiom per line, then ``#``-prefixed trailers carrying the rest."""
-    lines = [normal_axiom_text(ax) for ax in n.axioms]
+    lines = [ax.text() for ax in n.axioms]
     lines.append("# fresh: " + " ".join(n.fresh_names))
     if n.nominal_map:
         pairs = " ".join(f"{k}={v}" for k, v in sorted(n.nominal_map.items()))
@@ -421,17 +399,11 @@ def write_normalized(n: NormalizedOntology) -> str:
         if name in n.provenance:
             lines.append(f"# prov: {name} = {expression_text(n.provenance[name])}")
     extra_concepts = sorted(
-        n.concept_names
-        - {op for ax in n.axioms for op in _axiom_concept_operands(ax)}
-        - {TOP, BOTTOM}
+        n.concept_names - {op for ax in n.axioms for op in ax.operands()} - {TOP, BOTTOM}
     )
     if extra_concepts:
         lines.append("# concepts: " + " ".join(extra_concepts))
-    extra_relations = sorted(
-        n.relation_names
-        - {ax.relation for ax in n.axioms if isinstance(ax, (NF2, NF3))}
-        - {op for ax in n.axioms if isinstance(ax, RSub) for op in (ax.sub, ax.sup)}
-    )
+    extra_relations = sorted(n.relation_names - {r for ax in n.axioms for r in ax.relations()})
     if extra_relations:
         lines.append("# relations: " + " ".join(extra_relations))
     return "".join(line + "\n" for line in lines)
@@ -475,20 +447,18 @@ def read_normalized(text: str) -> NormalizedOntology:
             elif body.startswith("relations:"):
                 extra_relations.extend(body[len("relations:"):].split())
             continue
-        parts = line.split()
-        kind, args = parts[0], parts[1:]
-        shapes = {"NF1": (NF1, 2), "NF2": (NF2, 3), "NF3": (NF3, 3), "NF4": (NF4, 3),
-                  "DISJ": (Disjointness, 2), "RSUB": (RSub, 2)}
-        if kind not in shapes:
+        kind, *args = line.split()
+        if kind not in _BY_TAG:
             raise DataError(f"line {line_no}: unknown normal form {kind!r}")
-        ctor, arity = shapes[kind]
+        ctor = _BY_TAG[kind]
+        arity = len(ctor.__dataclass_fields__)
         if len(args) != arity:
             raise DataError(f"line {line_no}: {kind} takes {arity} names, got {len(args)}")
         axioms.append(ctor(*args))
     concept_names = set(extra_concepts) | set(fresh) | set(nominal.values())
     relation_names = set(extra_relations)
     for ax in axioms:
-        concept_names.update(_axiom_concept_operands(ax))
+        concept_names.update(ax.operands())
         if isinstance(ax, (NF2, NF3)):
             relation_names.add(ax.relation)
         elif isinstance(ax, RSub):

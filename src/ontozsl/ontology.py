@@ -498,13 +498,14 @@ class Violation:
     reason: str
 
 
-def _walk(expr: ConceptExpression) -> Iterator[ConceptExpression]:
+def subexpressions(expr: ConceptExpression) -> Iterator[ConceptExpression]:
+    """Every subexpression of ``expr`` in preorder, ``expr`` itself first."""
     yield expr
     if isinstance(expr, Conjunction):
-        yield from _walk(expr.left)
-        yield from _walk(expr.right)
+        yield from subexpressions(expr.left)
+        yield from subexpressions(expr.right)
     elif isinstance(expr, Existential):
-        yield from _walk(expr.filler)
+        yield from subexpressions(expr.filler)
 
 
 def validate(o: Ontology) -> list[Violation]:
@@ -538,7 +539,7 @@ def validate(o: Ontology) -> list[Violation]:
     everything = concepts | relations | individuals
 
     def check_expr(idx: int, expr: ConceptExpression) -> None:
-        for node in _walk(expr):
+        for node in subexpressions(expr):
             if isinstance(node, Atomic) and node.name not in concepts:
                 out.append(Violation(idx, f"undeclared concept {node.name!r}"))
             elif isinstance(node, Existential) and node.relation not in relations:

@@ -97,11 +97,7 @@ class RunConfig(_StageKeys):
             raise exc.renamed(keys) from None
 
     def component_list(self) -> tuple[Component, ...]:
-        names = [n.strip() for n in self.components.split(",") if n.strip()]
-        try:
-            return tuple(Component(n) for n in names)
-        except ValueError as exc:
-            raise DataError(f"unknown encoding component: {exc}") from None
+        return zslmap.parse_components(self.components)
 
     def predict_config(self) -> zslmap.PredictConfig:
         try:

@@ -1,9 +1,11 @@
 """Graph projection, random walks, and corpus-trained word vectors.
 
-The ontology is projected onto a labeled multigraph: plain inclusions become
-``subClassOf`` edges, shallow existentials on either side of an inclusion
-become edges labeled with the relation, and assertions contribute edges over
-the individuals themselves.  Uniform random walks over the graph, written out
+The ontology is projected onto a labeled multigraph.  The projection takes
+the inclusions and the rewriting of ``normalform``, with each individual
+standing for itself rather than for an ``IND_`` concept: plain inclusions
+become ``subClassOf`` edges, shallow existentials on either side of an
+inclusion become edges labeled with the relation, and assertions and
+nominals contribute edges over the individuals themselves.  Uniform random walks over the graph, written out
 through entity labels, give a corpus that a small skip-gram model with
 negative sampling turns into word vectors.  Pretrained vectors can be passed
 as initialization, so running extra epochs fine-tunes them on the walks.
@@ -21,30 +23,13 @@ from __future__ import annotations
 
 import logging
 import re
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, NumericalError, UnknownNameError, check_ranges
-from .normalform import NF1, NF2, NF3, _Namer, _rewrite
-from .ontology import (
-    Annotation,
-    Atomic,
-    COMMENT,
-    ConceptAssertion,
-    ConceptExpression,
-    Conjunction,
-    Equivalence,
-    Existential,
-    Gci,
-    LABEL,
-    Nominal,
-    Ontology,
-    RoleAssertion,
-    RoleComposition,
-    expression_text,
-)
+from .normalform import NF1, NF2, NF3, inclusions, rewrite
+from .ontology import COMMENT, LABEL, Annotation, Ontology, RoleComposition, expression_text
 from .textio import fmt, read_floats, read_int
 
 logger = logging.getLogger(__name__)
@@ -108,50 +93,23 @@ class WordVectors:
 # ---------------------------------------------------------------------------
 
 
-def _individuals_as_atoms(expr: ConceptExpression) -> ConceptExpression:
-    if isinstance(expr, Nominal):
-        return Atomic(expr.individual)
-    if isinstance(expr, Conjunction):
-        return Conjunction(_individuals_as_atoms(expr.left), _individuals_as_atoms(expr.right))
-    if isinstance(expr, Existential):
-        return Existential(expr.relation, _individuals_as_atoms(expr.filler))
-    return expr
-
-
 def project(o: Ontology) -> ProjectedGraph:
     """Project the ontology onto relation-labeled edges.
 
-    Nested expressions are decomposed exactly as in normalization and the
-    decomposition names show up as nodes.  The edge set only depends on the
-    set of axioms, not their order.  Relation chains produce no edges and are
-    counted in a warning.
+    The inclusions are those of normalization with each individual standing
+    for itself, decomposed by the same rewriting, so the decomposition names
+    show up as nodes.  The edge set only depends on the set of axioms, not
+    their order.  Relation chains produce no edges and are counted in a
+    warning.
     """
-    gcis: list[tuple[ConceptExpression, ConceptExpression]] = []
-    skipped = 0
-    for ax in o.axioms:
-        if isinstance(ax, Gci):
-            gcis.append((_individuals_as_atoms(ax.sub), _individuals_as_atoms(ax.sup)))
-        elif isinstance(ax, Equivalence):
-            left = _individuals_as_atoms(ax.left)
-            right = _individuals_as_atoms(ax.right)
-            gcis.append((left, right))
-            gcis.append((right, left))
-        elif isinstance(ax, ConceptAssertion):
-            gcis.append((Atomic(ax.individual), _individuals_as_atoms(ax.concept)))
-        elif isinstance(ax, RoleAssertion):
-            gcis.append((Atomic(ax.subject), Existential(ax.relation, Atomic(ax.object))))
-        elif isinstance(ax, RoleComposition):
-            skipped += 1
+    skipped = sum(isinstance(ax, RoleComposition) for ax in o.axioms)
     if skipped:
         logger.warning("projection skipped %d relation chain(s)", skipped)
-
+    pairs = inclusions(o, {a: a for a in o.individual_names})
     # canonical order makes decomposition names independent of axiom order
-    gcis = sorted(
-        set(gcis), key=lambda pair: (expression_text(pair[0]), expression_text(pair[1]))
-    )
+    pairs = sorted(set(pairs), key=lambda pair: (expression_text(pair[0]), expression_text(pair[1])))
     taken = set(o.concept_names) | set(o.relation_names) | set(o.individual_names)
-    namer = _Namer(taken)
-    normal = _rewrite(deque(gcis), namer)
+    normal, provenance = rewrite(pairs, taken)
 
     edges: set[tuple[str, str, str]] = set()
     for ax in normal:
@@ -161,7 +119,7 @@ def project(o: Ontology) -> ProjectedGraph:
             edges.add((ax.sub, ax.relation, ax.filler))
         elif isinstance(ax, NF3):
             edges.add((ax.sup, ax.relation, ax.filler))
-    nodes = set(o.concept_names) | set(o.individual_names) | set(namer.fresh)
+    nodes = set(o.concept_names) | set(o.individual_names) | set(provenance)
     for s, _p, t in edges:
         nodes.update((s, t))
     return ProjectedGraph(frozenset(nodes), frozenset(edges))

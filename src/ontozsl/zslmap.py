@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -89,6 +89,28 @@ class SaeModel:
 # ---------------------------------------------------------------------------
 
 
+def parse_components(text: str) -> tuple[Component, ...]:
+    """A comma-separated component list such as ``el_center,word``; blank entries are skipped.
+
+    An unknown name, an empty list or a repeated component is a DataError.
+    """
+    known = {c.value: c for c in Component}
+    names = [n.strip() for n in text.split(",") if n.strip()]
+    for name in names:
+        if name not in known:
+            raise DataError(f"unknown encoding component {name!r} (known: {', '.join(known)})")
+    return _distinct_components(known[n] for n in names)
+
+
+def _distinct_components(components: Iterable[Component]) -> tuple[Component, ...]:
+    parts = tuple(components)
+    if not parts:
+        raise DataError("at least one encoding component is required")
+    if len(set(parts)) != len(parts):
+        raise DataError("encoding components must not repeat")
+    return parts
+
+
 def encode_labels(
     labels: Sequence[str],
     components: Sequence[Component],
@@ -106,11 +128,7 @@ def encode_labels(
     fall back to the label itself.  Each component vector is L2-normalized
     before concatenation unless ``normalize_components`` is off.
     """
-    parts_order = tuple(components)
-    if not parts_order:
-        raise DataError("at least one encoding component is required")
-    if len(set(parts_order)) != len(parts_order):
-        raise DataError("encoding components must not repeat")
+    parts_order = _distinct_components(components)
     words = label_table(ontology) if ontology is not None and Component.WORD in parts_order else {}
     encodings: dict[str, np.ndarray] = {}
     for label in labels:
@@ -345,10 +363,11 @@ def load_encodings(text: str) -> EncodingTable:
         if not raw.strip():
             continue
         if raw.startswith("#components\t"):
-            names = raw.split("\t", 1)[1].split(",")
+            if components:
+                raise DataError(f"encodings line {line_no}: a second #components header")
             try:
-                components = tuple(Component(n) for n in names if n)
-            except ValueError as exc:
+                components = parse_components(raw.split("\t", 1)[1])
+            except DataError as exc:
                 raise DataError(f"encodings line {line_no}: {exc}") from None
             continue
         parts = raw.split("\t")

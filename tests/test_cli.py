@@ -121,6 +121,16 @@ def test_encode_rejects_unknown_component(tmp_path, capsys):
     assert "plasma" in capsys.readouterr().err
 
 
+def test_encode_and_pipeline_reject_a_component_list_alike(tmp_path, capsys):
+    labels = tmp_path / "labels.txt"
+    labels.write_text("A\n")
+    for components in ("bogus", "", "word,word"):
+        assert main(["encode", "--labels", str(labels), "--components", components]) == EXIT_DATA
+        from_encode = capsys.readouterr().err
+        assert main(["pipeline", "--set", f"components={components}"]) == EXIT_DATA
+        assert capsys.readouterr().err == from_encode
+
+
 def test_eval_without_unseen_labels_is_a_data_error(tmp_path, capsys):
     split = tmp_path / "s.txt"
     split.write_text("[seen]\nA\n[unseen]\n")
@@ -314,10 +324,12 @@ GOOD_INPUTS = {
         ("attributes", "a\t1,0\na\t0,1\n"),
         ("classmap", "a\ta\na\tb\n"),
         ("encodings", "#components\tattribute\na\t1,0\na\t0,1\n"),
+        ("features", "x0\ta\t1,0\nx0\tb\t0,1\n"),
+        ("encodings", "#components\tattribute\n#components\tel_center\na\t1,0\nb\t0,1\n"),
     ],
     ids=["nan-feature", "bad-attribute", "sae-without-lambda", "non-integer-shape", "unknown-component",
          "deep-some", "wide-and", "repeated-attribute", "repeated-class-map-label",
-         "repeated-encoding"],
+         "repeated-encoding", "repeated-sample-id", "second-components-header"],
 )
 def test_malformed_numeric_files_exit_2_without_traceback(tmp_path, name, text):
     paths = {}
@@ -427,12 +439,15 @@ def tiny_inputs(tmp_path):
         (["w2v", "--corpus", "{corpus}", "--lr", "0"], "out of range: --lr"),
         (["train-map", "--features", "{features}", "--split", "{split}", "--encodings", "{encodings}",
           "--alpha", "0"], "out of range: --alpha"),
+        (["pipeline", "--set", "components="], "at least one encoding component"),
+        (["pipeline", "--set", "components=el_center,el_center"], "must not repeat"),
     ],
     ids=["pipeline-seed", "embed-el-seed", "walk-seed", "w2v-seed", "synth-seed",
          "distance", "candidates", "mapper", "inf-margin", "nan-alpha", "train-map-nan-alpha",
          "embed-el-nan-margin", "embed-el-underscore-epochs", "embed-el-arabic-indic-dim",
          "synth-nan-noise", "synth-features-dim", "negative-sae-lambda", "zero-ridge-alpha", "zero-el-lr", "zero-w2v-lr",
-         "embed-el-zero-batch", "walk-zero-length", "w2v-zero-lr", "train-map-zero-alpha"],
+         "embed-el-zero-batch", "walk-zero-length", "w2v-zero-lr", "train-map-zero-alpha",
+         "empty-components", "repeated-component"],
 )
 def test_bad_config_values_exit_2_before_any_stage_runs(tiny_inputs, tmp_path, argv, named):
     out = tmp_path / "out"

@@ -11,13 +11,12 @@ from ontozsl.harness import (
     Sample,
     gen_synthetic,
     load_dataset,
-    macro_accuracy,
     parse_class_map,
     parse_features,
     parse_split,
     parse_vector_table,
-    per_class_accuracy,
     sample_accuracy,
+    unseen_scores,
     write_class_map,
     write_features,
     write_split,
@@ -65,6 +64,8 @@ def test_parse_features_rejects_bad_rows():
         parse_features("s1\tcat\t1,2\ns2\tdog\t1,2,3\n")
     with pytest.raises(DataError):
         parse_features("")
+    with pytest.raises(DataError, match="features line 3: sample id 's1' appears twice"):
+        parse_features("s1\tcat\t1,2\ns2\tdog\t1,2\ns1\tdog\t3,4\n")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "x-0.05", ""])
@@ -125,14 +126,15 @@ def test_sample_accuracy_errors():
 def test_per_class_and_macro_accuracy():
     preds = ["A", "B", "B", "B"]
     truth = ["A", "A", "B", "B"]
-    per_class = per_class_accuracy(preds, truth, ["A", "B"])
+    macro, per_class, counts = unseen_scores(preds, truth, ["A", "B"])
     assert per_class == {"A": 0.5, "B": 1.0}
-    assert macro_accuracy(preds, truth, ["A", "B"]) == 0.75
+    assert counts == {"A": (1, 2), "B": (2, 2)}
+    assert macro == 0.75
 
 
 def test_macro_accuracy_requires_samples_for_every_class():
     with pytest.raises(DataError):
-        macro_accuracy(["A"], ["A"], ["A", "Ghost"])
+        unseen_scores(["A"], ["A"], ["A", "Ghost"])
 
 
 @settings(max_examples=30, deadline=None)
@@ -142,7 +144,7 @@ def test_macro_accuracy_ignores_sample_order(perm):
     truth = ["A", "B", "B", "B", "A", "A"]
     shuffled_preds = [preds[i] for i in perm]
     shuffled_truth = [truth[i] for i in perm]
-    assert macro_accuracy(shuffled_preds, shuffled_truth, ["A", "B"]) == macro_accuracy(
+    assert unseen_scores(shuffled_preds, shuffled_truth, ["A", "B"]) == unseen_scores(
         preds, truth, ["A", "B"]
     )
 

@@ -22,6 +22,7 @@ from ontozsl.normalform import (
     TOP,
     RSub,
     classify,
+    inclusions,
     normalize,
     read_normalized,
     write_normalized,
@@ -33,6 +34,7 @@ from ontozsl.ontology import (
     Conjunction,
     Existential,
     Gci,
+    Nominal,
     Ontology,
     RoleInclusion,
     Top,
@@ -141,6 +143,26 @@ def test_annotations_do_not_reach_the_normal_form():
     assert all(isinstance(ax, NORMAL_SHAPES) for ax in n.axioms)
 
 
+def test_inclusions_read_each_axiom_kind_through_the_individual_map():
+    o = parse_ontology(
+        "Concept(A)\nConcept(B)\nRelation(r)\nRelation(s)\nIndividual(a)\nIndividual(b)\n"
+        "SubClassOf(A Some(r One(b)))\nEquivalentTo(A And(B One(a)))\nSubRelationOf(r s)\n"
+        "RelationChain(r s -> s)\nInstance(a B)\nRelationInstance(r a b)\nLabel(A \"an a\")\n"
+    )
+    a, b, mix = Atomic("A"), Atomic("B"), Conjunction(Atomic("B"), Atomic("X_a"))
+    assert inclusions(o, {"a": "X_a", "b": "X_b"}) == [
+        (a, Existential("r", Atomic("X_b"))),
+        (a, mix),
+        (mix, a),
+        (Atomic("X_a"), b),
+        (Atomic("X_a"), Existential("r", Atomic("X_b"))),
+    ]
+    assert inclusions(o, {"a": "a", "b": "b"})[0] == (a, Existential("r", Atomic("b")))
+    assert not any(
+        isinstance(node, Nominal) for pair in inclusions(o, {"a": "a", "b": "b"}) for node in pair
+    )
+
+
 def test_classify_chains_inclusions():
     n = norm("Concept(A)\nConcept(B)\nConcept(C)\nSubClassOf(A B)\nSubClassOf(B C)\n")
     assert ("A", "C") in classify(n)
@@ -182,6 +204,20 @@ def test_classify_tracks_top_only_when_mentioned():
     pairs = classify(n)
     assert ("B", "Top") in pairs  # everything sits under a mentioned Top
     assert ("Top", "A") in pairs and ("Top", "B") in pairs
+
+
+@pytest.mark.parametrize(
+    "ax, text",
+    [(NF1("A", "B"), "NF1 A B"), (NF2("A", "r", "B"), "NF2 A r B"), (NF3("r", "A", "B"), "NF3 r A B"),
+     (NF4("A", "B", "C"), "NF4 A B C"), (Disjointness("A", "B"), "DISJ A B"), (RSub("r", "s"), "RSUB r s")],
+    ids=lambda v: v if isinstance(v, str) else type(v).__name__,
+)
+def test_each_shape_declares_its_text_and_which_names_are_relations(ax, text):
+    # concepts are upper case and relations lower case in these cases
+    assert ax.text() == text
+    assert ax.operands() == tuple(n for n in text.split()[1:] if n.isupper())
+    assert ax.relations() == tuple(n for n in text.split()[1:] if n.islower())
+    assert read_normalized(text + "\n").axioms == (ax,)
 
 
 def test_write_and_read_normalized_round_trip():

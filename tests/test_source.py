@@ -23,3 +23,16 @@ def test_every_module_level_import_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = {name: line for name, line in imported.items() if name not in used}
     assert not unused, f"{path.name}: imported but never used: {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_a_private_name_of_another(path):
+    tree = ast.parse(path.read_text())
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level > 0 or (node.module or "").startswith("ontozsl"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not private, f"{path.name} imports private names: {private}"

@@ -62,6 +62,13 @@ def test_project_assertions_use_plain_individual_names():
     assert "IND_alice" not in g.nodes
 
 
+def test_project_reads_a_nested_nominal_as_the_plain_individual():
+    o = parse_ontology("Concept(A)\nRelation(r)\nIndividual(a)\nSubClassOf(A Some(r One(a)))\n")
+    g = project(o)
+    assert g.edges == {("A", "r", "a")}
+    assert g.nodes == {"A", "a"}
+
+
 def test_project_covers_declared_but_unused_names():
     o = parse_ontology("Concept(A)\nConcept(Island)\nSubClassOf(A A)\n")
     assert "Island" in project(o).nodes

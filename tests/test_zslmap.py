@@ -145,6 +145,12 @@ def test_encode_missing_sources_raise():
         encode_labels(["Cat"], [Component.ATTRIBUTE], attributes={})
 
 
+def test_load_encodings_rejects_a_second_components_header():
+    text = "#components\tel_center\nCat\t1,0\n#components\tattribute\nDog\t0,1\n"
+    with pytest.raises(DataError, match="encodings line 3: a second #components header"):
+        load_encodings(text)
+
+
 def test_encodings_file_round_trip():
     table = encode_labels(
         ["Cat", "Dog"], [Component.EL_CENTER], space=tiny_space(), normalize_components=False
