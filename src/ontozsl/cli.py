@@ -15,9 +15,9 @@ from functools import partial
 from pathlib import Path
 
 from . import elembed, harness, pipeline, textwalk, zslmap
-from .errors import DataError, NumericalError, OntozslError, RangeError
+from .errors import NumericalError, OntozslError, RangeError
 from .normalform import classify, normalize, read_normalized, write_normalized
-from .ontology import parse_ontology, serialize_ontology, validate
+from .ontology import parse_ontology, serialize_ontology
 from .textio import fmt, read_file, read_setting
 from .zslmap import CandidateSet, Distance
 
@@ -49,11 +49,7 @@ def _write(path: str | None, text: str) -> None:
 
 
 def cmd_parse(args) -> None:
-    ontology = parse_ontology(read_file(args.ontology, "ontology"))
-    problems = validate(ontology)
-    if problems:
-        raise DataError("; ".join(v.reason for v in problems))
-    _write(args.out, serialize_ontology(ontology))
+    _write(args.out, serialize_ontology(parse_ontology(read_file(args.ontology, "ontology"))))
 
 
 def cmd_normalize(args) -> None:

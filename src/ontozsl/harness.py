@@ -161,9 +161,13 @@ def write_class_map(mapping: Mapping[str, str]) -> str:
 
 
 def parse_predictions(text: str) -> tuple[list[str], list[str]]:
-    """Predicted and true labels of ``id<TAB>prediction<TAB>truth`` rows."""
-    rows = [parts for _where, parts in _tab_rows(text, "predictions", "id", "prediction", "truth")]
-    return [row[1] for row in rows], [row[2] for row in rows]
+    """Predicted and true labels of ``id<TAB>prediction<TAB>truth`` rows; an id may not repeat."""
+    rows: dict[str, list[str]] = {}
+    for where, (sample_id, *labels) in _tab_rows(text, "predictions", "id", "prediction", "truth"):
+        if sample_id in rows:
+            raise DataError(f"{where}: sample id {sample_id!r} appears twice")
+        rows[sample_id] = labels
+    return [row[0] for row in rows.values()], [row[1] for row in rows.values()]
 
 
 def write_predictions(samples: Sequence[Sample], predictions: Sequence[str]) -> str:

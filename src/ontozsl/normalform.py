@@ -459,10 +459,7 @@ def read_normalized(text: str) -> NormalizedOntology:
     relation_names = set(extra_relations)
     for ax in axioms:
         concept_names.update(ax.operands())
-        if isinstance(ax, (NF2, NF3)):
-            relation_names.add(ax.relation)
-        elif isinstance(ax, RSub):
-            relation_names.update((ax.sub, ax.sup))
+        relation_names.update(ax.relations())
     concept_names -= {TOP, BOTTOM}
     provenance = {
         name: parse_expression(expr, concept_names, relation_names, line_no)

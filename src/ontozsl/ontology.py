@@ -20,8 +20,13 @@ The text format has one statement per line, ``#`` starts a comment:
     Comment(Whale "marine mammal")
 
 Expressions use ``Top``, ``Bottom``, ``And(E E+)``, ``Some(r E)``, ``One(a)``.
-Every name must be declared before its first use.  n-ary ``And`` folds to the
-right into binary conjunctions, so ``And(A B C)`` is ``And(A And(B C))``.
+Every name must be declared before its first use, and label and comment text
+must not be empty.  n-ary ``And`` folds to the right into binary conjunctions,
+so ``And(A B C)`` is ``And(A And(B C))``.
+
+The parser is the one definition of a well-formed ontology.  :func:`validate`
+checks an ontology built in code by parsing ``serialize_ontology(o)``, so the
+line and column of a violation refer to that text.
 """
 
 from __future__ import annotations
@@ -145,8 +150,6 @@ class Ontology:
     individual_names: tuple[str, ...]
     axioms: tuple[Axiom, ...]
 
-
-NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
 # Expression keywords can never be declared; subClassOf is claimed by the
 # graph projection as its taxonomy predicate.
@@ -382,7 +385,10 @@ class _Parser:
             ent = cur.expect("ident", "an entity name")
             if self._owner_of(ent.value) is None:
                 raise ElfError(f"undeclared name {ent.value!r}", ent.line, ent.col)
-            text = _unquote(cur.expect("string", "a quoted string").value)
+            string = cur.expect("string", "a quoted string")
+            text = _unquote(string.value)
+            if not text:
+                raise ElfError("empty annotation text", string.line, string.col)
             self.axioms.append(Annotation(ent.value, LABEL if word == "Label" else COMMENT, text))
         else:
             raise ElfError(f"unknown statement {word!r}", head.line, head.col)
@@ -394,7 +400,8 @@ def parse_ontology(text: str) -> Ontology:
     """Parse ontology text into an :class:`Ontology`.
 
     Raises :class:`ElfError` with a 1-based line and column for syntax errors,
-    undeclared or duplicate names, and name-set disjointness violations.
+    undeclared or duplicate names, name-set disjointness violations and empty
+    annotation text.
     """
     parser = _Parser()
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -475,8 +482,9 @@ def _axiom_text(ax: Axiom) -> str:
 def serialize_ontology(o: Ontology) -> str:
     """Render canonical text: declarations in signature order, then axioms.
 
-    The output re-parses to a structurally equal ontology; an empty ontology
-    serializes to the empty string.
+    The output of a well-formed ontology re-parses to an equal one (which is
+    what :func:`validate` checks); an empty ontology serializes to the empty
+    string.
     """
     lines = [f"Concept({n})" for n in o.concept_names]
     lines += [f"Relation({n})" for n in o.relation_names]
@@ -492,7 +500,7 @@ def serialize_ontology(o: Ontology) -> str:
 
 @dataclass(frozen=True)
 class Violation:
-    """One structural problem; ``axiom_index`` is None for signature issues."""
+    """One structural problem; ``axiom_index`` is None when no single axiom owns it."""
 
     axiom_index: int | None
     reason: str
@@ -509,78 +517,26 @@ def subexpressions(expr: ConceptExpression) -> Iterator[ConceptExpression]:
 
 
 def validate(o: Ontology) -> list[Violation]:
-    """Check signature disjointness and that every axiom resolves its names.
+    """What keeps ``o`` from being an ontology that :func:`parse_ontology` could build.
 
-    Returns an empty list exactly when the ontology is well-formed.  Useful
-    for ontologies built in code, which bypass the parser's checks.
+    The parser is the one definition of a well-formed ontology: ``o`` is
+    well-formed exactly when parsing ``serialize_ontology(o)`` gives ``o``
+    back, field by field as tuples.  Returns ``[]`` then, else one violation.
+    A parse error keeps its message, whose line and column refer to
+    ``serialize_ontology(o)``, and points at its axiom (None for a
+    declaration).  Useful for ontologies built in code.
     """
-    out: list[Violation] = []
-    tables = {
-        "concept": o.concept_names,
-        "relation": o.relation_names,
-        "individual": o.individual_names,
-    }
-    seen: dict[str, str] = {}
-    for table, names in tables.items():
-        for name in names:
-            if not NAME_RE.match(name):
-                out.append(Violation(None, f"invalid {table} name {name!r}"))
-            elif name in RESERVED_NAMES:
-                out.append(Violation(None, f"reserved word {name!r} declared as a {table}"))
-            if name in seen:
-                other = seen[name]
-                kind = "duplicate declaration" if other == table else "name sets not disjoint"
-                out.append(Violation(None, f"{kind}: {name!r}"))
-            else:
-                seen[name] = table
-    concepts = set(o.concept_names)
-    relations = set(o.relation_names)
-    individuals = set(o.individual_names)
-    everything = concepts | relations | individuals
-
-    def check_expr(idx: int, expr: ConceptExpression) -> None:
-        for node in subexpressions(expr):
-            if isinstance(node, Atomic) and node.name not in concepts:
-                out.append(Violation(idx, f"undeclared concept {node.name!r}"))
-            elif isinstance(node, Existential) and node.relation not in relations:
-                out.append(Violation(idx, f"undeclared relation {node.relation!r}"))
-            elif isinstance(node, Nominal) and node.individual not in individuals:
-                out.append(Violation(idx, f"undeclared individual {node.individual!r}"))
-
-    for idx, ax in enumerate(o.axioms):
-        if isinstance(ax, Gci):
-            check_expr(idx, ax.sub)
-            check_expr(idx, ax.sup)
-        elif isinstance(ax, Equivalence):
-            check_expr(idx, ax.left)
-            check_expr(idx, ax.right)
-        elif isinstance(ax, RoleInclusion):
-            for name in (ax.sub, ax.sup):
-                if name not in relations:
-                    out.append(Violation(idx, f"undeclared relation {name!r}"))
-        elif isinstance(ax, RoleComposition):
-            if not ax.chain:
-                out.append(Violation(idx, "empty relation chain"))
-            for name in (*ax.chain, ax.sup):
-                if name not in relations:
-                    out.append(Violation(idx, f"undeclared relation {name!r}"))
-        elif isinstance(ax, ConceptAssertion):
-            if ax.individual not in individuals:
-                out.append(Violation(idx, f"undeclared individual {ax.individual!r}"))
-            check_expr(idx, ax.concept)
-        elif isinstance(ax, RoleAssertion):
-            if ax.relation not in relations:
-                out.append(Violation(idx, f"undeclared relation {ax.relation!r}"))
-            for name in (ax.subject, ax.object):
-                if name not in individuals:
-                    out.append(Violation(idx, f"undeclared individual {name!r}"))
-        elif isinstance(ax, Annotation):
-            if ax.entity not in everything:
-                out.append(Violation(idx, f"annotation on undeclared name {ax.entity!r}"))
-            if ax.kind not in (LABEL, COMMENT):
-                out.append(Violation(idx, f"unknown annotation kind {ax.kind!r}"))
-            if not ax.text:
-                out.append(Violation(idx, "empty annotation text"))
-        else:
-            out.append(Violation(idx, f"unknown axiom type {type(ax).__name__}"))
-    return out
+    try:
+        text = serialize_ontology(o)
+    except TypeError as exc:
+        return [Violation(None, str(exc))]
+    try:
+        back = parse_ontology(text)
+    except ElfError as exc:
+        declarations = len(o.concept_names) + len(o.relation_names) + len(o.individual_names)
+        index = exc.line - 1 - declarations
+        return [Violation(index if index >= 0 else None, str(exc))]
+    for field in Ontology.__dataclass_fields__:
+        if tuple(getattr(o, field)) != getattr(back, field):
+            return [Violation(None, f"{field} change when written out and parsed back")]
+    return []

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,8 +77,13 @@ class SkipGramConfig:
 
 @dataclass
 class WalkCorpus:
+    """Sentences of tokens; ``vocabulary`` counts each token, in first-seen order."""
+
     sentences: list[list[str]]
-    vocabulary: dict[str, int]
+    vocabulary: dict[str, int] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.vocabulary = dict(Counter(token for sentence in self.sentences for token in sentence))
 
 
 @dataclass
@@ -216,11 +222,7 @@ def lexicalize(walks: list[list[str]], o: Ontology) -> WalkCorpus:
             tokens = _text_tokens(ax.text)
             if tokens:
                 sentences.append(tokens)
-    vocabulary: dict[str, int] = {}
-    for sentence in sentences:
-        for token in sentence:
-            vocabulary[token] = vocabulary.get(token, 0) + 1
-    return WalkCorpus(sentences, vocabulary)
+    return WalkCorpus(sentences)
 
 
 # ---------------------------------------------------------------------------
@@ -378,12 +380,7 @@ def save_corpus(corpus: WalkCorpus) -> str:
 
 
 def load_corpus(text: str) -> WalkCorpus:
-    sentences = [line.split() for line in text.splitlines() if line.split()]
-    vocabulary: dict[str, int] = {}
-    for sentence in sentences:
-        for token in sentence:
-            vocabulary[token] = vocabulary.get(token, 0) + 1
-    return WalkCorpus(sentences, vocabulary)
+    return WalkCorpus([line.split() for line in text.splitlines() if line.split()])
 
 
 def save_word_vectors(wv: WordVectors) -> str:

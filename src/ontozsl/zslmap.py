@@ -186,11 +186,6 @@ def sae_loss(w: np.ndarray, x: np.ndarray, z: np.ndarray, lam: float) -> float:
     return float(np.sum(recon * recon) + lam * np.sum(code * code))
 
 
-def sae_grad(w: np.ndarray, x: np.ndarray, z: np.ndarray, lam: float) -> np.ndarray:
-    """Analytic gradient of :func:`sae_loss` with respect to the weights."""
-    return -2.0 * z @ (x - w.T @ z).T + 2.0 * lam * (w @ x - z) @ x.T
-
-
 def train_sae(x: np.ndarray, z: np.ndarray, lam: float) -> SaeModel:
     """Fit the tied-weight mapper by solving its stationarity equation.
 

@@ -1,4 +1,4 @@
-"""Shared generators for fuzzed ontologies and datasets."""
+"""Shared generators for fuzzed ontologies and datasets, and test oracles."""
 
 from __future__ import annotations
 
@@ -199,6 +199,11 @@ def flatten_by_definitions(o: Ontology) -> Ontology:
         individual_names=o.individual_names,
         axioms=tuple(extra_axioms + flat_axioms),
     )
+
+
+def sae_grad(w: np.ndarray, x: np.ndarray, z: np.ndarray, lam: float) -> np.ndarray:
+    """Analytic gradient of ``zslmap.sae_loss`` in the weights; ``train_sae`` must zero it."""
+    return -2.0 * z @ (x - w.T @ z).T + 2.0 * lam * (w @ x - z) @ x.T
 
 
 def deep_some(levels: int) -> str:

@@ -21,6 +21,7 @@ from conftest import (
     flatten_by_definitions,
     random_full_ontology,
     random_tbox,
+    sae_grad,
 )
 from test_elembed import CHAIN, LOSS_TABLE, check_gradients, exact_unit_vector
 from test_normalform import NORMAL_SHAPES, original_pairs
@@ -49,7 +50,6 @@ from ontozsl.zslmap import (
     distance,
     map_features,
     predict,
-    sae_grad,
     sae_loss,
     train_sae,
 )

@@ -96,6 +96,17 @@ def test_walk_writes_both_corpus_and_raw(elf, tmp_path, capsys):
         assert line.split()[0] in {"A", "B", "C"}
 
 
+@pytest.mark.parametrize("command", ["parse", "walk", "pipeline"])
+def test_empty_label_text_is_a_data_error_at_its_line_and_column(tmp_path, capsys, command):
+    path = tmp_path / "empty.elf"
+    path.write_text('Concept(A)\nLabel(A "")\n')
+    argv = [command, str(path)]
+    if command == "pipeline":
+        argv = ["pipeline", "--set", f"ontology={path}", "--set", f"out_dir={tmp_path / 'run'}"]
+    assert main(argv) == EXIT_DATA
+    assert "line 2, col 9: empty annotation text" in capsys.readouterr().err
+
+
 def test_w2v_requires_a_corpus(capsys):
     assert main(["w2v"]) == EXIT_USAGE
 
@@ -308,6 +319,7 @@ GOOD_INPUTS = {
     "attributes": "a\t1,0\nb\t0,1\n",
     "classmap": "a\ta\nb\tb\n",
     "labels": "a\nb\n",
+    "predictions": "x0\ta\ta\nx1\tb\tb\n",
 }
 
 
@@ -326,10 +338,11 @@ GOOD_INPUTS = {
         ("encodings", "#components\tattribute\na\t1,0\na\t0,1\n"),
         ("features", "x0\ta\t1,0\nx0\tb\t0,1\n"),
         ("encodings", "#components\tattribute\n#components\tel_center\na\t1,0\nb\t0,1\n"),
+        ("predictions", "x1\tb\tb\nx1\ta\tb\nx2\ta\ta\n"),
     ],
     ids=["nan-feature", "bad-attribute", "sae-without-lambda", "non-integer-shape", "unknown-component",
          "deep-some", "wide-and", "repeated-attribute", "repeated-class-map-label",
-         "repeated-encoding", "repeated-sample-id", "second-components-header"],
+         "repeated-encoding", "repeated-sample-id", "second-components-header", "repeated-prediction-id"],
 )
 def test_malformed_numeric_files_exit_2_without_traceback(tmp_path, name, text):
     paths = {}
@@ -338,6 +351,8 @@ def test_malformed_numeric_files_exit_2_without_traceback(tmp_path, name, text):
         paths[key].write_text(content)
     if name == "ontology":
         argv = ["parse", paths["ontology"]]
+    elif name == "predictions":
+        argv = ["eval", "--predictions", paths["predictions"], "--split", paths["split"]]
     elif name in ("attributes", "classmap"):
         argv = ["encode", "--labels", paths["labels"], "--components", "attribute",
                 "--attributes", paths["attributes"], "--class-map", paths["classmap"]]

@@ -10,6 +10,7 @@ from ontozsl.ontology import (
     MAX_EXPRESSION_DEPTH,
     Annotation,
     Atomic,
+    Axiom,
     Conjunction,
     Equivalence,
     Existential,
@@ -113,6 +114,13 @@ def test_unterminated_string_rejected():
     assert err.value.line == 2
 
 
+def test_empty_annotation_text_rejected_at_the_string():
+    for head in ("Label", "Comment"):
+        with pytest.raises(ElfError, match="empty annotation text") as err:
+            parse_ontology(f'Concept(A)\n{head}(A "")\n')
+        assert (err.value.line, err.value.col) == (2, len(head) + 4)
+
+
 def test_conjunction_needs_two_arguments():
     with pytest.raises(ElfError):
         parse_ontology("Concept(A)\nConcept(B)\nSubClassOf(And(A) B)\n")
@@ -177,6 +185,46 @@ def test_validate_flags_bad_annotation():
 def test_validate_flags_empty_relation_chain():
     o = Ontology((), ("t",), (), (RoleComposition((), "t"),))
     assert validate(o)
+
+
+class _Unknown(Axiom):
+    pass
+
+
+@pytest.mark.parametrize(
+    "o, index, words",
+    [
+        (Ontology(("A B",), (), (), ()), None, "expected ')', found 'B'"),
+        (Ontology(("A",), ("A",), (), ()), None, "name sets must be disjoint"),
+        (Ontology(("A",), (), (), (Gci(Atomic("A"), Nominal("a")),)), 0, "undeclared individual 'a'"),
+        (Ontology(("A",), (), (), (Gci(Atomic("A"), Top()), Annotation("B", "label", "b"))), 1,
+         "undeclared name 'B'"),
+        (Ontology(("A",), (), (), (_Unknown(),)), None, "not an axiom"),
+        (Ontology(("A",), (), (), (Annotation("A", "label", "two\nlines"),)), 0, "unexpected character"),
+        (Ontology(("A",), (), (), (Annotation("A", "color", "blue"),)), None, "axioms change"),
+    ],
+    ids=["invalid-name", "concept-and-relation", "undeclared-nominal", "annotation-on-undeclared",
+         "unknown-axiom-type", "newline-in-label", "unknown-annotation-kind"],
+)
+def test_validate_flags_each_rule_with_the_parsers_message(o, index, words):
+    (problem,) = validate(o)
+    assert problem.axiom_index == index
+    assert words in problem.reason
+
+
+def test_validate_reports_positions_in_the_serialized_text():
+    ghost = Gci(Atomic("A"), Existential("r", Atomic("Ghost")))
+    o = Ontology(("A",), ("r",), (), (Gci(Atomic("A"), Top()), ghost))
+    with pytest.raises(ElfError) as err:
+        parse_ontology(serialize_ontology(o))
+    assert err.value.line == 4
+    assert validate(o) == [Violation(1, str(err.value))]
+
+
+def test_validate_accepts_an_ontology_built_with_lists():
+    o = Ontology(["A", "B"], ["r"], ["a"], [Gci(Atomic("A"), Existential("r", Nominal("a"))),
+                                            Annotation("B", "comment", "bee")])
+    assert validate(o) == []
 
 
 def test_violation_is_plain_record():

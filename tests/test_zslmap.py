@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import sae_grad
 from ontozsl.elembed import Ball, EmbeddingSpace
 from ontozsl.errors import DataError, NumericalError, UnknownNameError
 from ontozsl.harness import Sample, ZslDataset
@@ -25,7 +26,6 @@ from ontozsl.zslmap import (
     map_features,
     predict,
     predict_test,
-    sae_grad,
     sae_loss,
     save_encodings,
     save_model,
