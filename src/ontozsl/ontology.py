@@ -438,26 +438,46 @@ def parse_expression(
 
 
 def expression_text(expr: ConceptExpression) -> str:
-    if isinstance(expr, Top):
-        return "Top"
-    if isinstance(expr, Bottom):
-        return "Bottom"
-    if isinstance(expr, Atomic):
-        return expr.name
-    if isinstance(expr, Nominal):
-        return f"One({expr.individual})"
-    if isinstance(expr, Existential):
-        return f"Some({expr.relation} {expression_text(expr.filler)})"
-    if isinstance(expr, Conjunction):
-        # flatten the right spine so And(A And(B C)) prints as And(A B C)
-        args = [expr.left]
-        rest = expr.right
-        while isinstance(rest, Conjunction):
-            args.append(rest.left)
-            rest = rest.right
-        args.append(rest)
-        return "And(" + " ".join(expression_text(a) for a in args) + ")"
-    raise TypeError(f"not a concept expression: {expr!r}")
+    """Canonical text of ``expr``.
+
+    It works from an explicit stack, not by recursion, so an expression built
+    in code deeper than the parser allows still prints, and :func:`validate`
+    can report the depth instead of crashing.
+    """
+    parts: list[str] = []
+    # pending expressions and literal text, the next one on top
+    stack: list[ConceptExpression | str] = [expr]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif isinstance(item, Top):
+            parts.append("Top")
+        elif isinstance(item, Bottom):
+            parts.append("Bottom")
+        elif isinstance(item, Atomic):
+            parts.append(item.name)
+        elif isinstance(item, Nominal):
+            parts.append(f"One({item.individual})")
+        elif isinstance(item, Existential):
+            parts.append(f"Some({item.relation} ")
+            stack += [")", item.filler]
+        elif isinstance(item, Conjunction):
+            # flatten the right spine so And(A And(B C)) prints as And(A B C)
+            args = [item.left]
+            rest = item.right
+            while isinstance(rest, Conjunction):
+                args.append(rest.left)
+                rest = rest.right
+            args.append(rest)
+            parts.append("And(")
+            stack.append(")")
+            for arg in reversed(args[1:]):
+                stack += [arg, " "]
+            stack.append(args[0])
+        else:
+            raise TypeError(f"not a concept expression: {item!r}")
+    return "".join(parts)
 
 
 def _axiom_text(ax: Axiom) -> str:

@@ -301,6 +301,7 @@ def run_pipeline(cfg: RunConfig) -> MetricsReport:
                 "encoding_dim": table.dim,
                 "el_nest_pairs": faithful.nest_pairs,
                 "el_disjoint_pairs": faithful.disjoint_pairs,
+                "w2v_corpus_tokens": sum(len(sentence) for sentence in corpus.sentences),
                 "w2v_pairs_per_epoch": vectors.pairs_per_epoch,
                 "w2v_vocab": len(vectors.vectors),
             },

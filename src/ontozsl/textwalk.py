@@ -11,11 +11,15 @@ negative sampling turns into word vectors.  Pretrained vectors can be passed
 as initialization, so running extra epochs fine-tunes them on the walks.
 
 Skip-gram training is minibatched.  The (center, context) pairs are index
-arrays built once per run, and each epoch draws all of its negatives in one
-call.  Each step then takes 8 consecutive pairs, computes their updates from
-the vectors as they stood at the start of the step and adds them up, summing
-the updates of rows that repeat within the step.  Learning rates up to 0.2
-are tested to converge; a run whose vectors or loss stop being finite raises
+arrays built once per run.  Each epoch runs in blocks of 16 steps: a block
+draws its negatives, computes its learning rates and builds one flat index
+into the parameters that both the gather and the scatter of its steps use,
+so the tables take memory in proportion to the block, not the corpus.  Each
+step then takes 8 consecutive pairs, computes their updates from the vectors
+as they stood at the start of the step and adds them into the entries the
+step touched, summing the updates of rows that repeat within the step; its
+cost does not depend on the vocabulary.  Learning rates up to 0.2 are tested
+to converge; a run whose vectors or loss stop being finite raises
 :class:`NumericalError` at the end of the epoch.
 """
 
@@ -235,10 +239,11 @@ def lexicalize(walks: list[list[str]], o: Ontology) -> WalkCorpus:
 # learning rate 0.2, 16 pairs per step blew up in 4 of 12 seeded runs and 64
 # in all 12, while 8 converged in all of them.
 _PAIRS_PER_STEP = 8
-
-
-def _log_sigmoid(x: np.ndarray) -> np.ndarray:
-    return -np.logaddexp(0.0, -x)
+# Steps per block.  A block's negatives, rates and flat gather/scatter index
+# are tabulated at once, so training memory grows with the block, not the
+# corpus.  The index takes (2 + negatives) * dim * 8 bytes a pair, 179 KB a
+# block at the defaults; 16 steps ran as fast as 64 on the word-walks corpus.
+_STEPS_PER_BLOCK = 16
 
 
 def _pairs(sentences: list[list[int]], window: int) -> tuple[np.ndarray, np.ndarray]:
@@ -258,7 +263,11 @@ def _pairs(sentences: list[list[int]], window: int) -> tuple[np.ndarray, np.ndar
 def _draw_negatives(
     rng: np.random.Generator, cdf: np.ndarray, n_pairs: int, negatives: int
 ) -> np.ndarray:
-    """An epoch of noise tokens: what ``n_pairs`` calls of ``rng.choice(p=noise)`` draw."""
+    """Noise tokens: what ``n_pairs`` calls of ``rng.choice(p=noise)`` draw.
+
+    Consecutive calls continue one stream, so drawing block by block gives
+    the same tokens as one call for the whole epoch.
+    """
     draws = cdf.searchsorted(rng.random(n_pairs * negatives), side="right")
     return draws.reshape(n_pairs, negatives)
 
@@ -269,15 +278,19 @@ def train_skipgram(
     """Train input vectors on the corpus; ``init`` seeds known tokens.
 
     Tokens below ``min_count`` are dropped.  Negative targets are drawn from
-    the unigram distribution raised to 3/4, all of an epoch's at once, and a
-    negative equal to its pair's context is skipped.  Each step takes the
-    next 8 (center, context) pairs in corpus order, computes every pair's
-    update from the vectors as they stood at the start of the step, and adds
-    them all, summing the updates of rows repeated within the step.  The
-    learning rate decays linearly per pair to 1e-4 of ``learning_rate``;
-    rates up to 0.2 are tested to converge.  With ``epochs=0`` the result for
-    initialized tokens is exactly the initialization, which makes a
-    pretrained file plus zero epochs a no-op and more epochs a fine-tune.
+    the unigram distribution raised to 3/4, and a negative equal to its
+    pair's context is skipped.  Each step takes the next 8 (center, context)
+    pairs in corpus order, computes every pair's update from the vectors as
+    they stood at the start of the step, and adds them all into the entries
+    it gathered, summing the updates of rows repeated within the step.
+    Steps run in blocks of 16; a block draws its negatives and builds the
+    flat index of its gathered entries at once, so memory is bounded by the
+    block and a step's cost by the rows it touches, whatever the corpus or
+    vocabulary size.  The learning rate decays linearly per pair to 1e-4 of
+    ``learning_rate``; rates up to 0.2 are tested to converge.  With
+    ``epochs=0`` the result for initialized tokens is exactly the
+    initialization, which makes a pretrained file plus zero epochs a no-op
+    and more epochs a fine-tune.
     Raises :class:`NumericalError` naming the epoch and the first token whose
     vector is no longer finite.
     """
@@ -305,44 +318,55 @@ def train_skipgram(
 
     sentences = [[index[t] for t in sent if t in index] for sent in corpus.sentences]
     centers, contexts = _pairs(sentences, cfg.window)
-    n_pairs = len(centers)
+    n_pairs, k = len(centers), cfg.negatives
     total_pairs = max(1, n_pairs * cfg.epochs)
     # score column 0 is the context (label 1), the others are negatives (label 0)
-    sign = np.where(np.arange(1 + cfg.negatives) == 0, 1.0, -1.0)
-    cols = np.arange(dim)
+    sign = np.where(np.arange(1 + k) == 0, 1.0, -1.0)
+    flat = params.reshape(-1)
     step = _PAIRS_PER_STEP
-
-    # per-epoch tables; rows index the output half of params.  They are
-    # refilled in place, so two epochs' tables never coexist in memory.
-    rows = np.empty((n_pairs, 1 + cfg.negatives), dtype=np.intp)
-    rows[:, 0] = contexts + size
-    kept = np.ones(rows.shape, dtype=bool)
-    scale = np.empty(rows.shape)
-    log_sig = np.empty(rows.shape)
+    block = step * _STEPS_PER_BLOCK
+    # star[:, i, j] weighs gathered row j in the update of gathered row i: the
+    # center takes every target's term and each target only the center's, so
+    # one matmul gives all 2 + k updates of a pair
+    star = np.zeros((step, 2 + k, 2 + k))
     losses = []
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
-            rows[:, 1:] = _draw_negatives(rng, cdf, n_pairs, cfg.negatives)
-            rows[:, 1:] += size
-            np.not_equal(rows[:, 1:], rows[:, :1], out=kept[:, 1:])
-            processed = epoch * n_pairs + np.arange(n_pairs)
-            alpha = cfg.learning_rate * np.maximum(1e-4, 1.0 - processed / total_pairs)
-            # d(loss)/d(score) = sign * (sigmoid(sign * score) - 1); skipped negatives get 0
-            np.multiply(kept, alpha[:, None], out=scale)
-            scale *= sign
-            for lo in range(0, n_pairs, step):
-                c, r = centers[lo : lo + step], rows[lo : lo + step]
-                vec, targets = params[c], params[r]
-                ls = _log_sigmoid(sign * np.einsum("bd,bkd->bk", vec, targets))
-                log_sig[lo : lo + step] = ls
-                err = np.expm1(ls) * scale[lo : lo + step]
-                grad_in = np.einsum("bk,bkd->bd", err, targets)
-                grad_out = err[:, :, None] * vec[:, None, :]
-                # bincount adds up the updates of rows repeated within the step
-                flat = (np.concatenate([c, r.ravel()])[:, None] * dim + cols).ravel()
-                weights = np.concatenate([grad_in.ravel(), grad_out.ravel()])
-                params -= np.bincount(flat, weights, params.size).reshape(params.shape)
-            losses.append(-float(np.sum(log_sig, where=kept)) / max(1, n_pairs))
+            loss = 0.0
+            for start in range(0, n_pairs, block):
+                n = min(block, n_pairs - start)
+                rows = np.empty((n, 2 + k), dtype=np.intp)
+                rows[:, 0] = centers[start : start + n]
+                rows[:, 1] = contexts[start : start + n] + size
+                rows[:, 2:] = _draw_negatives(rng, cdf, n, k) + size
+                kept = rows[:, 1:] != rows[:, 1:2]
+                kept[:, 0] = True  # the context itself
+                processed = epoch * n_pairs + np.arange(start, start + n)
+                alpha = cfg.learning_rate * np.maximum(1e-4, 1.0 - processed / total_pairs)
+                # -alpha * d(loss)/d(score) = rate / (1 + exp(sign * score));
+                # skipped negatives get rate 0
+                rate = kept * alpha[:, None] * sign
+                # one flat index table, row * dim + column, serves both the
+                # gather and the scatter
+                at = rows[:, :, None] * dim + np.arange(dim)
+                signed = np.empty(kept.shape)  # sign * score, kept for the loss
+                for lo in range(0, n, step):
+                    idx = at[lo : lo + step]
+                    gathered = flat[idx]
+                    scores = np.vecdot(gathered[:, 1:], gathered[:, :1])
+                    np.multiply(scores, sign, out=signed[lo : lo + step])
+                    coef = np.exp(signed[lo : lo + step])
+                    coef += 1.0
+                    np.divide(rate[lo : lo + step], coef, out=coef)
+                    weights = star[: len(coef)]
+                    weights[:, 0, 1:] = coef
+                    weights[:, 1:, 0] = coef
+                    # add.at sums the updates of rows repeated within the step
+                    np.add.at(flat, idx.ravel(), (weights @ gathered).ravel())
+                # a target's loss is softplus(-signed score), written to not overflow
+                softplus = np.maximum(-signed, 0.0) + np.log1p(np.exp(-np.abs(signed)))
+                loss += float(np.sum(softplus, where=kept))
+            losses.append(loss / max(1, n_pairs))
             _check_finite(epoch, vocab, params, losses[-1])
     vectors = {t: params[i].copy() for t, i in index.items()}
     return WordVectors(dim, vectors, tuple(losses), n_pairs)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import deep_some, random_full_ontology, wide_and
-from ontozsl.errors import ElfError
+from ontozsl.errors import DataError, ElfError
 from ontozsl.normalform import classify, normalize
 from ontozsl.ontology import (
     MAX_EXPRESSION_DEPTH,
@@ -219,6 +219,22 @@ def test_validate_reports_positions_in_the_serialized_text():
         parse_ontology(serialize_ontology(o))
     assert err.value.line == 4
     assert validate(o) == [Violation(1, str(err.value))]
+
+
+def _code_built_chain(levels):
+    expr = Atomic("A")
+    for _ in range(levels):
+        expr = Existential("r", expr)
+    return Ontology(("A",), ("r",), (), (Gci(Atomic("A"), expr),))
+
+
+def test_validate_reports_a_code_built_expression_past_the_recursion_limit():
+    # 3,000 levels is past Python's recursion limit; 300 is only past the parser's cap
+    too_deep = validate(_code_built_chain(300))
+    assert len(too_deep) == 1 and f"nested deeper than {MAX_EXPRESSION_DEPTH} levels" in too_deep[0].reason
+    assert validate(_code_built_chain(3000)) == too_deep
+    with pytest.raises(DataError, match=f"not well-formed: .*deeper than {MAX_EXPRESSION_DEPTH}"):
+        normalize(_code_built_chain(3000))
 
 
 def test_validate_accepts_an_ontology_built_with_lists():

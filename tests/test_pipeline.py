@@ -164,8 +164,10 @@ def test_report_carries_skipgram_diagnostics(tmp_path):
     pairs = sum(min(len(s), i + w + 1) - max(0, i - w) - 1 for s in sentences for i in range(len(s)))
     assert counts["w2v_pairs_per_epoch"] == pairs > 0
     assert counts["w2v_vocab"] == len({t for s in sentences for t in s})
+    assert counts["w2v_corpus_tokens"] == sum(len(s) for s in sentences) > counts["w2v_vocab"]
     text = (tmp_path / "run" / "report.txt").read_text()
     assert f"w2v_vocab\t{counts['w2v_vocab']}\n" in text
+    assert f"w2v_corpus_tokens\t{counts['w2v_corpus_tokens']}\n" in text
 
 
 def test_report_carries_el_diagnostics(tmp_path):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from ontozsl import textwalk
@@ -301,6 +303,59 @@ def test_skipgram_matches_per_pair_oracle(monkeypatch, pairs_per_step, negatives
     for token, vec in vectors.items():
         assert_allclose(wv.vectors[token], vec, rtol=0, atol=1e-12)
     assert_allclose(wv.train_losses, losses, rtol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_skipgram_matches_per_pair_oracle_on_random_corpora(data):
+    words = ["sun", "moon", "star", "rock", "sky", "glow"]
+    sentences = data.draw(
+        st.lists(st.lists(st.sampled_from(words), min_size=1, max_size=6), min_size=1, max_size=6)
+    )
+    corpus = load_corpus("".join(" ".join(s) + "\n" for s in sentences))
+    cfg = SkipGramConfig(
+        dim=data.draw(st.integers(1, 8)),
+        window=data.draw(st.integers(1, 3)),
+        negatives=data.draw(st.integers(0, 5)),
+        epochs=data.draw(st.integers(1, 3)),
+        learning_rate=data.draw(st.floats(1e-3, 0.2)),
+        seed=data.draw(st.integers(0, 2**16)),
+    )
+    pairs_per_step = data.draw(st.integers(1, 8))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(textwalk, "_PAIRS_PER_STEP", pairs_per_step)
+        patch.setattr(textwalk, "_STEPS_PER_BLOCK", data.draw(st.integers(1, 4)))
+        wv = train_skipgram(corpus, cfg)
+    vectors, losses, _repeated = _oracle_skipgram(corpus, cfg, pairs_per_step)
+    for token, vec in vectors.items():
+        assert_allclose(wv.vectors[token], vec, rtol=0, atol=1e-12)
+    assert_allclose(wv.train_losses, losses, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # 26 pairs: blocks of 3 steps leave a short last block
+        "sun moon star\nmoon sun\nrock\n" * 2 + "star rock sun moon\n",
+        # 480 pairs: the default block leaves a short last block too
+        "sun sky glow\n" * 40 + "moon sky glow\n" * 40 + "rock\n" * 20,
+    ],
+    ids=["26-pairs", "480-pairs"],
+)
+def test_skipgram_result_does_not_depend_on_the_block_size(monkeypatch, text):
+    corpus = load_corpus(text)
+    cfg = SkipGramConfig(dim=6, epochs=3, learning_rate=0.2, seed=4)
+    runs = []
+    for steps in (1, 3, textwalk._STEPS_PER_BLOCK):
+        monkeypatch.setattr(textwalk, "_STEPS_PER_BLOCK", steps)
+        runs.append(train_skipgram(corpus, cfg))
+    first = runs[0]
+    for wv in runs[1:]:
+        assert wv.vectors.keys() == first.vectors.keys()
+        for token, vec in first.vectors.items():
+            assert np.array_equal(wv.vectors[token], vec)
+        # per-block loss sums may round differently
+        assert_allclose(wv.train_losses, first.train_losses, rtol=1e-13)
 
 
 def test_epoch_negatives_equal_per_pair_choice_draws():
