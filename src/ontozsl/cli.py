@@ -18,7 +18,7 @@ from . import elembed, harness, pipeline, textwalk, zslmap
 from .errors import NumericalError, OntozslError, RangeError
 from .normalform import classify, normalize, read_normalized, write_normalized
 from .ontology import parse_ontology, serialize_ontology
-from .textio import fmt, read_file, read_setting
+from .textio import fmt, lines, read_file, read_setting, unique
 from .zslmap import CandidateSet, Distance
 
 EXIT_OK = 0
@@ -85,8 +85,7 @@ def cmd_embed_el(args) -> None:
 
 def cmd_project(args) -> None:
     graph = textwalk.project(parse_ontology(read_file(args.ontology, "ontology")))
-    lines = [f"{s}\t{p}\t{t}" for s, p, t in sorted(graph.edges)]
-    _write(args.out, "".join(line + "\n" for line in lines))
+    _write(args.out, "".join(f"{s}\t{p}\t{t}\n" for s, p, t in sorted(graph.edges)))
 
 
 def cmd_walk(args) -> None:
@@ -117,9 +116,11 @@ def cmd_encode(args) -> None:
         else None
     )
     class_map = harness.parse_class_map(read_file(args.class_map, "class map")) if args.class_map else None
-    labels = [line.strip() for line in read_file(args.labels, "labels").splitlines() if line.strip()]
+    labels: dict[str, None] = {}
+    for where, line in lines(read_file(args.labels, "labels"), "labels"):
+        labels[unique(labels, line.strip(), where, "label")] = None
     table = zslmap.encode_labels(
-        labels,
+        list(labels),
         components,
         space=space,
         word_vectors=vectors,
@@ -151,12 +152,12 @@ def cmd_eval(args) -> None:
     _seen, unseen = harness.parse_split(read_file(args.split, "split"))
     predictions, truth = harness.parse_predictions(read_file(args.predictions, "predictions"))
     macro, per_class, _counts = harness.unseen_scores(predictions, truth, unseen)
-    lines = [
+    rows = [
         f"macro_unseen_accuracy\t{fmt(macro)}",
         f"sample_accuracy\t{fmt(harness.sample_accuracy(predictions, truth))}",
     ]
-    lines.extend(f"{label}\t{fmt(per_class[label])}" for label in sorted(per_class))
-    _write(args.out, "".join(line + "\n" for line in lines))
+    rows.extend(f"{label}\t{fmt(per_class[label])}" for label in sorted(per_class))
+    _write(args.out, "".join(row + "\n" for row in rows))
 
 
 # Each gen_synthetic parameter, its flag and the flag's default.
@@ -231,42 +232,37 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="ontozsl", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    def add(name: str, func, help_text: str):
+    def add(name: str, func, help_text: str, out: bool = True):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
+        if out:
+            p.add_argument("--out", default=None)
         return p
 
     p = add("parse", cmd_parse, "parse and re-serialize an ontology")
     p.add_argument("ontology")
-    p.add_argument("--out", default=None)
 
     p = add("normalize", cmd_normalize, "rewrite an ontology into normal form")
     p.add_argument("ontology")
-    p.add_argument("--out", default=None)
 
     p = add("classify", cmd_classify, "derive all subsumptions")
     p.add_argument("--ontology", default=None)
     p.add_argument("--normalized", default=None)
-    p.add_argument("--out", default=None)
 
     p = add("embed-el", cmd_embed_el, "train concept ball embeddings")
     p.add_argument("--normalized", required=True)
-    p.add_argument("--out", default=None)
     _add_stage_flags(p, elembed.ElTrainConfig)
 
     p = add("project", cmd_project, "project an ontology onto graph edges")
     p.add_argument("ontology")
-    p.add_argument("--out", default=None)
 
     p = add("walk", cmd_walk, "random-walk an ontology graph into a corpus")
     p.add_argument("ontology")
-    p.add_argument("--out", default=None)
     p.add_argument("--raw-out", default=None, help="also write walks before lexicalization")
     _add_stage_flags(p, textwalk.WalkConfig)
 
     p = add("w2v", cmd_w2v, "train word vectors on a corpus")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--out", default=None)
     p.add_argument("--init", default=None, help="pretrained vectors to fine-tune")
     _add_stage_flags(p, textwalk.SkipGramConfig)
 
@@ -279,7 +275,6 @@ def build_parser() -> _Parser:
     p.add_argument("--attributes", default=None)
     p.add_argument("--class-map", default=None)
     p.add_argument("--no-normalize", action="store_true")
-    p.add_argument("--out", default=None)
 
     p = add("train-map", cmd_train_map, "fit the feature-to-encoding mapper")
     p.add_argument("--features", required=True)
@@ -287,7 +282,6 @@ def build_parser() -> _Parser:
     p.add_argument("--encodings", required=True)
     p.add_argument("--mapper", choices=zslmap.MAPPERS, default=zslmap.MapConfig.mapper)
     _add_stage_flags(p, zslmap.MapConfig)
-    p.add_argument("--out", default=None)
 
     p = add("predict", cmd_predict, "label test samples by nearest encoding")
     p.add_argument("--features", required=True)
@@ -296,19 +290,17 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--distance", choices=[d.value for d in Distance], default="l2")
     p.add_argument("--candidates", choices=[c.value for c in CandidateSet], default="unseen")
-    p.add_argument("--out", default=None)
 
     p = add("eval", cmd_eval, "score a predictions file")
     p.add_argument("--predictions", required=True)
     p.add_argument("--split", required=True)
-    p.add_argument("--out", default=None)
 
-    p = add("synth", cmd_synth, "generate a synthetic benchmark")
+    p = add("synth", cmd_synth, "generate a synthetic benchmark", out=False)
     for name, flag, default in _SYNTH_FLAGS:
         _add_number(p, flag, default, dest=name, metavar=flag[2:].replace("-", "_").upper())
     p.add_argument("--out-dir", required=True)
 
-    p = add("pipeline", cmd_pipeline, "run every stage from a config file")
+    p = add("pipeline", cmd_pipeline, "run every stage from a config file", out=False)
     p.add_argument("--config", default=None)
     p.add_argument("--set", action="append", metavar="KEY=VALUE", help="override a config key")
 

@@ -44,7 +44,7 @@ from .normalform import (
     RSub,
     classify,
 )
-from .textio import fmt, read_floats, read_int
+from .textio import fmt, lines, read_floats, read_int, unique
 
 
 @dataclass
@@ -418,13 +418,13 @@ def _diverged(keys: list[Key], params: np.ndarray, radii: np.ndarray, step: int)
 
 def export_space(space: EmbeddingSpace) -> str:
     """Tab-separated rows, floats at 17 significant digits (lossless)."""
-    lines = [f"#dim\t{space.dim}"]
+    rows = [f"#dim\t{space.dim}"]
     for name in sorted(space.concepts):
         ball = space.concepts[name]
-        lines.append(f"C\t{name}\t{','.join(map(fmt, ball.center))}\t{fmt(ball.radius)}")
+        rows.append(f"C\t{name}\t{','.join(map(fmt, ball.center))}\t{fmt(ball.radius)}")
     for name in sorted(space.relations):
-        lines.append(f"R\t{name}\t{','.join(map(fmt, space.relations[name]))}")
-    return "".join(line + "\n" for line in lines)
+        rows.append(f"R\t{name}\t{','.join(map(fmt, space.relations[name]))}")
+    return "".join(row + "\n" for row in rows)
 
 
 def import_space(text: str) -> EmbeddingSpace:
@@ -432,30 +432,25 @@ def import_space(text: str) -> EmbeddingSpace:
     dim: int | None = None
     concepts: dict[str, Ball] = {}
     relations: dict[str, np.ndarray] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip():
-            continue
-        parts = raw.split("\t")
-        where = f"line {line_no}"
+    for where, line in lines(text, "embedding space"):
+        parts = line.split("\t")
         if parts[0] == "#dim":
             if dim is not None:
                 raise DataError(f"{where}: second dimension header")
-            dim = read_int(raw.partition("\t")[2], where, 1)
+            dim = read_int(line.partition("\t")[2], where, 1)
             continue
         if dim is None:
             raise DataError(f"{where}: missing #dim header")
         if parts[0] == "C":
             if len(parts) != 4:
                 raise DataError(f"{where}: concept rows take 4 fields")
-            if parts[1] in concepts:
-                raise DataError(f"{where}: concept {parts[1]!r} appears twice")
+            unique(concepts, parts[1], where, "concept")
             radius = float(read_floats(parts[3:], where, 1)[0])
             concepts[parts[1]] = Ball(read_floats(parts[2].split(","), where, dim), radius)
         elif parts[0] == "R":
             if len(parts) != 3:
                 raise DataError(f"{where}: relation rows take 3 fields")
-            if parts[1] in relations:
-                raise DataError(f"{where}: relation {parts[1]!r} appears twice")
+            unique(relations, parts[1], where, "relation")
             relations[parts[1]] = read_floats(parts[2].split(","), where, dim)
         else:
             raise DataError(f"{where}: unknown row type {parts[0]!r}")

@@ -6,7 +6,7 @@ test split.  Metrics follow the usual zero-shot conventions: the headline
 number is the unweighted mean of per-class accuracy over the unseen classes,
 with plain sample accuracy reported alongside for generalized evaluation.
 The dataset tables and the predictions file are tab-separated rows; their
-numbers go through :mod:`ontozsl.textio`.
+lines, numbers and repeated keys go through :mod:`ontozsl.textio`.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .ontology import (
     LABEL,
     Ontology,
 )
-from .textio import fmt, read_floats
+from .textio import fmt, lines, read_floats, unique
 
 
 @dataclass(frozen=True)
@@ -62,34 +62,34 @@ class ZslDataset:
 
 def _tab_rows(text: str, what: str, *fields: str) -> Iterator[tuple[str, list[str]]]:
     """``(where, fields)`` of each tab-separated row; blank and ``#`` lines are skipped."""
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip() or raw.startswith("#"):
+    for where, line in lines(text, what):
+        if line.startswith("#"):
             continue
-        parts = raw.split("\t")
+        parts = line.split("\t")
         if len(parts) != len(fields):
-            raise DataError(f"{what} line {line_no}: expected {', '.join(fields)}")
-        yield f"{what} line {line_no}", parts
+            raise DataError(f"{where}: expected {', '.join(fields)}")
+        yield where, parts
 
 
 def parse_split(text: str) -> tuple[frozenset[str], frozenset[str]]:
-    """Read ``[seen]`` / ``[unseen]`` sections of one label per line."""
+    """Read ``[seen]`` / ``[unseen]`` sections of one label per line; a label may not repeat."""
     section = None
     seen: set[str] = set()
     unseen: set[str] = set()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for where, raw in lines(text, "split"):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if line.startswith("#"):
             continue
         if line == "[seen]":
             section = seen
         elif line == "[unseen]":
             section = unseen
         elif line.startswith("["):
-            raise DataError(f"split line {line_no}: unknown section {line!r}")
+            raise DataError(f"{where}: unknown section {line!r}")
         elif section is None:
-            raise DataError(f"split line {line_no}: label before any section header")
+            raise DataError(f"{where}: label before any section header")
         else:
-            section.add(line)
+            section.add(unique(section, line, where, "label"))
     overlap = seen & unseen
     if overlap:
         raise DataError(f"labels in both splits: {', '.join(sorted(overlap))}")
@@ -97,24 +97,21 @@ def parse_split(text: str) -> tuple[frozenset[str], frozenset[str]]:
 
 
 def write_split(seen: Iterable[str], unseen: Iterable[str]) -> str:
-    lines = ["[seen]"] + sorted(seen) + ["[unseen]"] + sorted(unseen)
-    return "".join(line + "\n" for line in lines)
+    rows = ["[seen]"] + sorted(seen) + ["[unseen]"] + sorted(unseen)
+    return "".join(row + "\n" for row in rows)
 
 
 def parse_features(text: str) -> tuple[int, list[Sample]]:
-    samples: list[Sample] = []
-    ids: set[str] = set()
+    samples: dict[str, Sample] = {}
     dim: int | None = None
     for where, (sample_id, label, values) in _tab_rows(text, "features", "id", "label", "values"):
-        if sample_id in ids:
-            raise DataError(f"{where}: sample id {sample_id!r} appears twice")
-        ids.add(sample_id)
+        unique(samples, sample_id, where, "sample id")
         row = read_floats(values.split(","), where, dim)
         dim = row.size
-        samples.append(Sample(sample_id, label, row))
+        samples[sample_id] = Sample(sample_id, label, row)
     if dim is None:
         raise DataError("feature file has no samples")
-    return dim, samples
+    return dim, list(samples.values())
 
 
 def write_features(samples: Iterable[Sample]) -> str:
@@ -136,8 +133,7 @@ def parse_vector_table(text: str, what: str) -> dict[str, np.ndarray]:
     table: dict[str, np.ndarray] = {}
     dim: int | None = None
     for where, (label, values) in _tab_rows(text, what, "label", "values"):
-        if label in table:
-            raise DataError(f"{where}: label {label!r} appears twice")
+        unique(table, label, where, "label")
         table[label] = read_floats(values.split(","), where, dim)
         dim = table[label].size
     return table
@@ -150,9 +146,7 @@ def write_vector_table(table: Mapping[str, np.ndarray]) -> str:
 def parse_class_map(text: str) -> dict[str, str]:
     mapping: dict[str, str] = {}
     for where, (label, concept) in _tab_rows(text, "class map", "label", "concept"):
-        if label in mapping:
-            raise DataError(f"{where}: label {label!r} appears twice")
-        mapping[label] = concept
+        mapping[unique(mapping, label, where, "label")] = concept
     return mapping
 
 
@@ -164,9 +158,7 @@ def parse_predictions(text: str) -> tuple[list[str], list[str]]:
     """Predicted and true labels of ``id<TAB>prediction<TAB>truth`` rows; an id may not repeat."""
     rows: dict[str, list[str]] = {}
     for where, (sample_id, *labels) in _tab_rows(text, "predictions", "id", "prediction", "truth"):
-        if sample_id in rows:
-            raise DataError(f"{where}: sample id {sample_id!r} appears twice")
-        rows[sample_id] = labels
+        rows[unique(rows, sample_id, where, "sample id")] = labels
     return [row[0] for row in rows.values()], [row[1] for row in rows.values()]
 
 

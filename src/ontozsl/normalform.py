@@ -25,7 +25,7 @@ same two steps with each individual standing for itself.  Axioms with
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from itertools import count
 from typing import ClassVar, Iterable, Mapping
@@ -332,54 +332,59 @@ def classify(n: NormalizedOntology) -> set[tuple[str, str]]:
 
     Each name subsumes itself, and everything is under ``Top`` whenever
     ``Top`` occurs in the input at all.  A pair ``(A, Bottom)`` signals that
-    the two operands of a disjointness axiom were both derived for ``A``.
+    the two operands of a disjointness axiom were both derived for ``A``;
+    ``Bottom`` is an ordinary name, not propagated back along existentials.
+    The axioms are indexed by premise name and a worklist derives each pair
+    and each existential edge once, as in ELK (Kazakov et al., JAR 2014).
     """
-    names = set(n.concept_names)
+    names = set(n.concept_names).union(*(ax.operands() for ax in n.axioms))
+    # NF1 A [= B reads as And(A, A) [= B, and DISJ as an NF4 into Bottom
+    joins: dict[str, list[tuple[str, str]]] = defaultdict(list)  # conjunct -> (other, sup)
+    links: dict[str, list[tuple[str, str]]] = defaultdict(list)  # NF2 sub -> (relation, filler)
+    backs: dict[tuple[str, str], list[str]] = defaultdict(list)  # NF3 (relation, filler) -> sup
+    above: dict[str, list[str]] = defaultdict(list)  # RSUB sub -> sup
     for ax in n.axioms:
-        names.update(ax.operands())
-    subs = {name: {name} | ({TOP} if TOP in names else set()) for name in names}
-    edges: set[tuple[str, str, str]] = set()
+        if isinstance(ax, NF1):
+            joins[ax.sub].append((ax.sub, ax.sup))
+        elif isinstance(ax, (NF4, Disjointness)):
+            sup = ax.sup if isinstance(ax, NF4) else BOTTOM
+            joins[ax.left].append((ax.right, sup))
+            joins[ax.right].append((ax.left, sup))
+        elif isinstance(ax, NF2):
+            links[ax.sub].append((ax.relation, ax.filler))
+        elif isinstance(ax, NF3):
+            backs[ax.relation, ax.filler].append(ax.sup)
+        else:
+            above[ax.sub].append(ax.sup)
 
-    nf1s = [ax for ax in n.axioms if isinstance(ax, NF1)]
-    nf2s = [ax for ax in n.axioms if isinstance(ax, NF2)]
-    nf3s = [ax for ax in n.axioms if isinstance(ax, NF3)]
-    nf4s = [ax for ax in n.axioms if isinstance(ax, NF4)]
-    disjs = [ax for ax in n.axioms if isinstance(ax, Disjointness)]
-    rsubs = [ax for ax in n.axioms if isinstance(ax, RSub)]
+    top = {TOP} if TOP in names else set()
+    subs = {name: {name} | top for name in names}
+    sources: dict[str, set[tuple[str, str]]] = defaultdict(set)  # b -> (a, r) of each edge a -r-> b
+    todo = deque((a, b) for a, members in subs.items() for b in members)
 
-    changed = True
-    while changed:
-        changed = False
-        for ax in nf1s:
-            for a in names:
-                if ax.sub in subs[a] and ax.sup not in subs[a]:
-                    subs[a].add(ax.sup)
-                    changed = True
-        for ax in nf4s:
-            for a in names:
-                if ax.left in subs[a] and ax.right in subs[a] and ax.sup not in subs[a]:
-                    subs[a].add(ax.sup)
-                    changed = True
-        for ax in nf2s:
-            for a in names:
-                if ax.sub in subs[a] and (a, ax.relation, ax.filler) not in edges:
-                    edges.add((a, ax.relation, ax.filler))
-                    changed = True
-        for ax in nf3s:
-            for a, rel, b in list(edges):
-                if rel == ax.relation and ax.filler in subs.get(b, ()) and ax.sup not in subs[a]:
-                    subs[a].add(ax.sup)
-                    changed = True
-        for ax in rsubs:
-            for a, rel, b in list(edges):
-                if rel == ax.sub and (a, ax.sup, b) not in edges:
-                    edges.add((a, ax.sup, b))
-                    changed = True
-        for ax in disjs:
-            for a in names:
-                if ax.left in subs[a] and ax.right in subs[a] and BOTTOM not in subs[a]:
-                    subs[a].add(BOTTOM)
-                    changed = True
+    def derive(a: str, b: str) -> None:
+        if b not in subs[a]:
+            subs[a].add(b)
+            todo.append((a, b))
+
+    while todo:
+        a, b = todo.popleft()
+        for other, sup in joins.get(b, ()):
+            if other in subs[a]:
+                derive(a, sup)
+        for r, filler in links.get(b, ()):
+            relations = [r]  # r and, through RSUB, every relation above it
+            while relations:
+                s = relations.pop()
+                if (a, s) not in sources[filler]:
+                    sources[filler].add((a, s))
+                    relations.extend(above.get(s, ()))
+                    for c in tuple(subs[filler]):  # a copy: a may be filler, whose set grows
+                        for sup in backs.get((s, c), ()):
+                            derive(a, sup)
+        for c, r in sources.get(a, ()):
+            for sup in backs.get((r, b), ()):
+                derive(c, sup)
     return {(a, b) for a, members in subs.items() for b in members}
 
 

@@ -204,18 +204,7 @@ def _tokenize_line(text: str, line_no: int) -> list[_Token]:
 
 
 def _unquote(raw: str) -> str:
-    body = raw[1:-1]
-    out = []
-    i = 0
-    while i < len(body):
-        ch = body[i]
-        if ch == "\\" and i + 1 < len(body):
-            out.append(body[i + 1])
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    return re.sub(r"\\(.)", r"\1", raw[1:-1], flags=re.DOTALL)
 
 
 def _quote(text: str) -> str:

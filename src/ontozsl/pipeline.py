@@ -21,7 +21,7 @@ from . import elembed, harness, textwalk, zslmap
 from .errors import DataError, OntozslError, RangeError
 from .normalform import normalize, write_normalized
 from .ontology import parse_ontology, serialize_ontology
-from .textio import fmt, read_file, read_setting, write_setting
+from .textio import fmt, lines, read_file, read_setting, write_setting
 from .zslmap import CandidateSet, Component, Distance
 
 logger = logging.getLogger(__name__)
@@ -123,12 +123,12 @@ def config_from_pairs(pairs: dict[str, str], base: RunConfig = RunConfig()) -> R
 def parse_config(text: str, base: RunConfig = RunConfig()) -> RunConfig:
     """Read ``key = value`` lines; ``#`` comments and blank lines are ignored."""
     pairs = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for where, raw in lines(text, "config"):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise DataError(f"config line {line_no}: expected key = value")
+            raise DataError(f"{where}: expected key = value")
         key, value = line.split("=", 1)
         pairs[key.strip()] = value.strip()
     return config_from_pairs(pairs, base)
@@ -146,6 +146,8 @@ class MetricsReport:
     el_nest_fraction: float = float("nan")
     el_disjoint_fraction: float = float("nan")
     w2v_losses: tuple[float, ...] = ()
+    candidate_min_distance: float = float("nan")
+    candidate_median_distance: float = float("nan")
 
 
 # ---------------------------------------------------------------------------
@@ -154,36 +156,25 @@ class MetricsReport:
 
 
 def render_report(report: MetricsReport, per_class_counts: dict[str, tuple[int, int]]) -> str:
-    lines = [
-        f"macro_unseen_accuracy\t{fmt(report.macro_unseen_accuracy)}",
-        f"sample_accuracy\t{fmt(report.sample_accuracy)}",
-        f"el_total_loss\t{fmt(report.el_total_loss)}",
-    ]
+    scalars = ("macro_unseen_accuracy", "sample_accuracy", "el_total_loss",
+               "candidate_min_distance", "candidate_median_distance")
+    rows = [f"{key}\t{fmt(getattr(report, key))}" for key in scalars]
     for key in sorted(report.counts):
-        lines.append(f"{key}\t{report.counts[key]}")
-    lines.append("[per_class]")
+        rows.append(f"{key}\t{report.counts[key]}")
+    rows.append("[per_class]")
     for label in sorted(report.per_class_accuracy):
         correct, total = per_class_counts[label]
-        lines.append(f"{label}\t{fmt(report.per_class_accuracy[label])}\t{correct}\t{total}")
-    lines.append("[config]")
+        rows.append(f"{label}\t{fmt(report.per_class_accuracy[label])}\t{correct}\t{total}")
+    rows.append("[config]")
     for key in sorted(report.config_echo):
-        lines.append(f"{key}\t{report.config_echo[key]}")
-    return "".join(line + "\n" for line in lines)
+        rows.append(f"{key}\t{report.config_echo[key]}")
+    return "".join(row + "\n" for row in rows)
 
 
 def report_json(report: MetricsReport) -> str:
-    payload = {
-        "macro_unseen_accuracy": report.macro_unseen_accuracy,
-        "sample_accuracy": report.sample_accuracy,
-        "el_total_loss": report.el_total_loss,
-        "el_losses": list(report.el_losses),
-        "el_nest_fraction": report.el_nest_fraction,
-        "el_disjoint_fraction": report.el_disjoint_fraction,
-        "w2v_losses": list(report.w2v_losses),
-        "per_class_accuracy": report.per_class_accuracy,
-        "counts": report.counts,
-        "config": report.config_echo,
-    }
+    """Every field of ``report``; ``config_echo`` is written as ``config``."""
+    payload = dataclasses.asdict(report)
+    payload["config"] = payload.pop("config_echo")
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
@@ -282,6 +273,10 @@ def run_pipeline(cfg: RunConfig) -> MetricsReport:
     with _stage("predict"):
         test, predictions = zslmap.predict_test(model, dataset, table, cfg.predict_config())
         emit("predictions.tsv", harness.write_predictions(test, predictions))
+        # after predict, which has rejected every candidate set the spread cannot measure
+        spread = zslmap.candidate_spread(
+            table, cfg.predict_config(), sorted(dataset.seen_labels), sorted(dataset.unseen_labels)
+        )
 
     with _stage("eval"):
         truth = [s.label for s in test]
@@ -311,6 +306,8 @@ def run_pipeline(cfg: RunConfig) -> MetricsReport:
             el_nest_fraction=faithful.nest_fraction,
             el_disjoint_fraction=faithful.disjoint_fraction,
             w2v_losses=vectors.train_losses,
+            candidate_min_distance=spread[0],
+            candidate_median_distance=spread[1],
         )
         emit("report.txt", render_report(report, per_class_counts))
         emit("report.json", report_json(report))

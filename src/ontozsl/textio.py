@@ -6,12 +6,16 @@ back with :func:`read_floats`, which accepts only finite values, and reads
 integers with :func:`read_int`, which accepts only plain ASCII digits.
 Config keys and CLI flags both go through :func:`read_setting`.  A malformed
 value is a :class:`DataError` naming where it was found.
+
+Loaders other than the ontology parser and the normal-form reader (which
+report columns too) read rows with :func:`lines`, naming each one ``<file>
+line <n>``, and reject a repeated key with :func:`unique`.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Sequence
+from typing import Container, Iterator, Sequence
 
 import numpy as np
 
@@ -34,6 +38,20 @@ def read_floats(fields: Sequence[str], where: str, size: int | None = None) -> n
     if size is not None and row.size != size:
         raise DataError(f"{where}: expected {size} values, got {row.size}")
     return row
+
+
+def lines(text: str, what: str) -> Iterator[tuple[str, str]]:
+    """``(where, line)`` of each non-blank line, ``where`` reading ``<what> line <n>``."""
+    for number, line in enumerate(text.splitlines(), start=1):
+        if line.strip():
+            yield f"{what} line {number}", line
+
+
+def unique(seen: Container[str], key: str, where: str, noun: str) -> str:
+    """``key``, unless ``seen`` holds it already: then a DataError at ``where``."""
+    if key in seen:
+        raise DataError(f"{where}: {noun} {key!r} appears twice")
+    return key
 
 
 def read_int(text: str, where: str, minimum: int = 0) -> int:

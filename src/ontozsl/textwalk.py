@@ -35,7 +35,7 @@ import numpy as np
 from .errors import DataError, NumericalError, UnknownNameError, check_ranges
 from .normalform import NF1, NF2, NF3, inclusions, rewrite
 from .ontology import COMMENT, LABEL, Annotation, Ontology, RoleComposition, expression_text
-from .textio import fmt, read_floats, read_int
+from .textio import fmt, lines, read_floats, read_int, unique
 
 logger = logging.getLogger(__name__)
 
@@ -404,31 +404,29 @@ def save_corpus(corpus: WalkCorpus) -> str:
 
 
 def load_corpus(text: str) -> WalkCorpus:
-    return WalkCorpus([line.split() for line in text.splitlines() if line.split()])
+    return WalkCorpus([line.split() for _where, line in lines(text, "corpus")])
 
 
 def save_word_vectors(wv: WordVectors) -> str:
     """Plain text: ``count dim`` header, then one token and its coordinates."""
-    lines = [f"{len(wv.vectors)} {wv.dim}"]
-    lines.extend(f"{token} {' '.join(map(fmt, wv.vectors[token]))}" for token in sorted(wv.vectors))
-    return "".join(line + "\n" for line in lines)
+    rows = [f"{len(wv.vectors)} {wv.dim}"]
+    rows.extend(f"{token} {' '.join(map(fmt, wv.vectors[token]))}" for token in sorted(wv.vectors))
+    return "".join(row + "\n" for row in rows)
 
 
 def load_word_vectors(text: str) -> WordVectors:
     """Parse :func:`save_word_vectors` output; malformed or non-finite values are DataErrors."""
-    lines = enumerate(text.splitlines(), start=1)
-    rows = [(line_no, line.split()) for line_no, line in lines if line.strip()]
+    rows = [(where, line.split()) for where, line in lines(text, "word vectors")]
     if not rows:
         raise DataError("empty word-vector file")
-    head_no, head = rows[0]
+    head_where, head = rows[0]
     if len(head) != 2:
-        raise DataError(f"line {head_no}: word-vector header must be 'count dim'")
-    count, dim = read_int(head[0], f"line {head_no}"), read_int(head[1], f"line {head_no}", 1)
+        raise DataError(f"{head_where}: word-vector header must be 'count dim'")
+    count, dim = read_int(head[0], head_where), read_int(head[1], head_where, 1)
     if len(rows) - 1 != count:
         raise DataError(f"expected {count} vector rows, found {len(rows) - 1}")
     vectors: dict[str, np.ndarray] = {}
-    for line_no, parts in rows[1:]:
-        if parts[0] in vectors:
-            raise DataError(f"line {line_no}: token {parts[0]!r} appears twice")
-        vectors[parts[0]] = read_floats(parts[1:], f"line {line_no}", dim)
+    for where, (token, *values) in rows[1:]:
+        unique(vectors, token, where, "token")
+        vectors[token] = read_floats(values, where, dim)
     return WordVectors(dim, vectors)

@@ -27,9 +27,9 @@ import numpy as np
 
 from .errors import DataError, NumericalError, UnknownNameError, check_ranges
 from .elembed import EmbeddingSpace
-from .harness import Sample, ZslDataset
+from .harness import Sample, ZslDataset, parse_vector_table, write_vector_table
 from .ontology import Ontology
-from .textio import fmt, read_floats, read_int
+from .textio import fmt, lines, read_floats, read_int
 from .textwalk import WordVectors, label_table, word_encoding
 
 
@@ -290,6 +290,21 @@ def distance(a: np.ndarray, b: np.ndarray, kind: Distance) -> float:
     return float(_row_distances(a[None, :], b, kind)[0])
 
 
+def _candidates(
+    table: EncodingTable, cfg: PredictConfig, seen_labels: Sequence[str], unseen_labels: Sequence[str]
+) -> list[str]:
+    if cfg.candidates is CandidateSet.SEEN_AND_UNSEEN:
+        candidates = sorted(set(unseen_labels) | set(seen_labels))
+    else:
+        candidates = sorted(set(unseen_labels))
+    if not candidates:
+        raise DataError("empty candidate set")
+    for label in candidates:
+        if label not in table.encodings:
+            raise UnknownNameError(f"candidate label {label!r} has no encoding")
+    return candidates
+
+
 def predict(
     gx: np.ndarray,
     table: EncodingTable,
@@ -302,15 +317,7 @@ def predict(
     Ties go to the smaller label.  The candidate set is the unseen labels, or
     their union with the seen ones under :attr:`CandidateSet.SEEN_AND_UNSEEN`.
     """
-    if cfg.candidates is CandidateSet.SEEN_AND_UNSEEN:
-        candidates = sorted(set(unseen_labels) | set(seen_labels))
-    else:
-        candidates = sorted(set(unseen_labels))
-    if not candidates:
-        raise DataError("empty candidate set")
-    for label in candidates:
-        if label not in table.encodings:
-            raise UnknownNameError(f"candidate label {label!r} has no encoding")
+    candidates = _candidates(table, cfg, seen_labels, unseen_labels)
     gx = np.asarray(gx, dtype=float)
     if gx.ndim != 2 or gx.shape[0] != table.dim:
         raise DataError(f"mapped features must be {table.dim} x N, got shape {gx.shape}")
@@ -326,6 +333,22 @@ def predict(
         best[closer] = d[closer]
         best_index[closer] = index
     return [candidates[i] for i in best_index]
+
+
+def candidate_spread(
+    table: EncodingTable, cfg: PredictConfig, seen_labels: Sequence[str], unseen_labels: Sequence[str]
+) -> tuple[float, float]:
+    """Smallest and median distance between the encodings of two of :func:`predict`'s candidates.
+
+    A minimum far below the median means two labels that prediction can
+    hardly tell apart.  With a single candidate there is no pair: both are NaN.
+    """
+    rows = np.array([table.encodings[c] for c in _candidates(table, cfg, seen_labels, unseen_labels)])
+    gaps = sorted(d for i, row in enumerate(rows) for d in _row_distances(rows[i + 1:], row, cfg.distance))
+    if not gaps:
+        return float("nan"), float("nan")
+    half = len(gaps) // 2  # the middle one or two, as np.median takes them without its 0.5 MB of RSS
+    return float(gaps[0]), float((gaps[half] + gaps[~half]) / 2)
 
 
 def predict_test(
@@ -345,36 +368,25 @@ def predict_test(
 
 
 def save_encodings(table: EncodingTable) -> str:
-    lines = ["#components\t" + ",".join(c.value for c in table.components)]
-    for label in sorted(table.encodings):
-        lines.append(label + "\t" + ",".join(map(fmt, table.encodings[label])))
-    return "".join(line + "\n" for line in lines)
+    """A ``#components`` header over the attribute table format."""
+    head = "#components\t" + ",".join(c.value for c in table.components) + "\n"
+    return head + write_vector_table(table.encodings)
 
 
 def load_encodings(text: str) -> EncodingTable:
+    """Read :func:`save_encodings` output; other ``#`` lines are comments."""
     components: tuple[Component, ...] = ()
-    encodings: dict[str, np.ndarray] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip():
+    for where, line in lines(text, "encodings"):
+        if not line.startswith("#components\t"):
             continue
-        if raw.startswith("#components\t"):
-            if components:
-                raise DataError(f"encodings line {line_no}: a second #components header")
-            try:
-                components = parse_components(raw.split("\t", 1)[1])
-            except DataError as exc:
-                raise DataError(f"encodings line {line_no}: {exc}") from None
-            continue
-        parts = raw.split("\t")
-        if len(parts) != 2:
-            raise DataError(f"encodings line {line_no}: encoding rows take 2 fields")
-        if parts[0] in encodings:
-            raise DataError(f"encodings line {line_no}: label {parts[0]!r} appears twice")
-        encodings[parts[0]] = read_floats(parts[1].split(","), f"encodings line {line_no}")
-    dims = {v.size for v in encodings.values()}
-    if len(dims) > 1:
-        raise DataError(f"inconsistent encoding dimensions: {sorted(dims)}")
-    return EncodingTable(components, dims.pop() if dims else 0, encodings)
+        if components:
+            raise DataError(f"{where}: a second #components header")
+        try:
+            components = parse_components(line.split("\t", 1)[1])
+        except DataError as exc:
+            raise DataError(f"{where}: {exc}") from None
+    encodings = parse_vector_table(text, "encodings")
+    return EncodingTable(components, next(iter(encodings.values())).size if encodings else 0, encodings)
 
 
 def save_model(model: SaeModel | np.ndarray, *, alpha: float | None = None) -> str:
@@ -385,27 +397,27 @@ def save_model(model: SaeModel | np.ndarray, *, alpha: float | None = None) -> s
     else:
         head = f"#kind\tridge\t{fmt(alpha if alpha is not None else 0.0)}"
         weights = model
-    lines = [head, f"#shape\t{weights.shape[0]}\t{weights.shape[1]}"]
-    lines.extend(",".join(map(fmt, row)) for row in weights)
-    return "".join(line + "\n" for line in lines)
+    rows = [head, f"#shape\t{weights.shape[0]}\t{weights.shape[1]}"]
+    rows.extend(",".join(map(fmt, row)) for row in weights)
+    return "".join(row + "\n" for row in rows)
 
 
 def load_model(text: str) -> SaeModel | np.ndarray:
-    lines = [(no, line) for no, line in enumerate(text.splitlines(), start=1) if line.strip()]
-    if len(lines) < 2 or not lines[0][1].startswith("#kind\t") or not lines[1][1].startswith("#shape\t"):
+    found = list(lines(text, "model"))
+    if len(found) < 2 or not found[0][1].startswith("#kind\t") or not found[1][1].startswith("#shape\t"):
         raise DataError("model file must start with #kind and #shape headers")
-    (kind_no, kind_line), (shape_no, shape_line) = lines[:2]
+    (kind_where, kind_line), (shape_where, shape_line) = found[:2]
     kind = kind_line.split("\t")
     if len(kind) != 3:
-        raise DataError(f"model line {kind_no}: #kind takes a mapper name and one number")
-    param = read_floats(kind[2:], f"model line {kind_no}", 1)[0]
+        raise DataError(f"{kind_where}: #kind takes a mapper name and one number")
+    param = read_floats(kind[2:], kind_where, 1)[0]
     shape = shape_line.split("\t")[1:]
     if len(shape) != 2:
-        raise DataError(f"model line {shape_no}: #shape takes two nonnegative integers")
-    rows, cols = (read_int(v, f"model line {shape_no}") for v in shape)
-    if len(lines) - 2 != rows:
-        raise DataError(f"expected {rows} weight rows, found {len(lines) - 2}")
-    weights = np.array([read_floats(line.split(","), f"model line {no}", cols) for no, line in lines[2:]])
+        raise DataError(f"{shape_where}: #shape takes two nonnegative integers")
+    rows, cols = (read_int(v, shape_where) for v in shape)
+    if len(found) - 2 != rows:
+        raise DataError(f"expected {rows} weight rows, found {len(found) - 2}")
+    weights = np.array([read_floats(line.split(","), where, cols) for where, line in found[2:]])
     weights = weights.reshape(rows, cols)
     if kind[1] == "sae":
         return SaeModel(weights, param, float("nan"))

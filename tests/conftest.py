@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ontozsl.normalform import BOTTOM, NF1, NF2, NF3, NF4, TOP, Disjointness, RSub
 from ontozsl.ontology import (
     Annotation,
     Atomic,
@@ -215,3 +216,59 @@ def wide_and(operands: int) -> str:
     """Ontology text whose last line is one flat ``And`` of ``operands`` names."""
     names = [f"C{i}" for i in range(operands)]
     return "".join(f"Concept({n})\n" for n in names) + f"SubClassOf(C0 And({' '.join(names)}))\n"
+
+
+def classify_oracle(n) -> set[tuple[str, str]]:
+    """``normalform.classify`` by naive fixpoint: each round rescans every name per axiom.
+
+    Each name subsumes itself, and everything is under ``Top`` whenever
+    ``Top`` occurs in the input at all.  A pair ``(A, Bottom)`` signals that
+    the two operands of a disjointness axiom were both derived for ``A``.
+    """
+    names = set(n.concept_names)
+    for ax in n.axioms:
+        names.update(ax.operands())
+    subs = {name: {name} | ({TOP} if TOP in names else set()) for name in names}
+    edges: set[tuple[str, str, str]] = set()
+
+    nf1s = [ax for ax in n.axioms if isinstance(ax, NF1)]
+    nf2s = [ax for ax in n.axioms if isinstance(ax, NF2)]
+    nf3s = [ax for ax in n.axioms if isinstance(ax, NF3)]
+    nf4s = [ax for ax in n.axioms if isinstance(ax, NF4)]
+    disjs = [ax for ax in n.axioms if isinstance(ax, Disjointness)]
+    rsubs = [ax for ax in n.axioms if isinstance(ax, RSub)]
+
+    changed = True
+    while changed:
+        changed = False
+        for ax in nf1s:
+            for a in names:
+                if ax.sub in subs[a] and ax.sup not in subs[a]:
+                    subs[a].add(ax.sup)
+                    changed = True
+        for ax in nf4s:
+            for a in names:
+                if ax.left in subs[a] and ax.right in subs[a] and ax.sup not in subs[a]:
+                    subs[a].add(ax.sup)
+                    changed = True
+        for ax in nf2s:
+            for a in names:
+                if ax.sub in subs[a] and (a, ax.relation, ax.filler) not in edges:
+                    edges.add((a, ax.relation, ax.filler))
+                    changed = True
+        for ax in nf3s:
+            for a, rel, b in list(edges):
+                if rel == ax.relation and ax.filler in subs.get(b, ()) and ax.sup not in subs[a]:
+                    subs[a].add(ax.sup)
+                    changed = True
+        for ax in rsubs:
+            for a, rel, b in list(edges):
+                if rel == ax.sub and (a, ax.sup, b) not in edges:
+                    edges.add((a, ax.sup, b))
+                    changed = True
+        for ax in disjs:
+            for a in names:
+                if ax.left in subs[a] and ax.right in subs[a] and BOTTOM not in subs[a]:
+                    subs[a].add(BOTTOM)
+                    changed = True
+    return {(a, b) for a, members in subs.items() for b in members}

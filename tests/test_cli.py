@@ -369,6 +369,45 @@ def test_malformed_numeric_files_exit_2_without_traceback(tmp_path, name, text):
     assert "line " in done.stderr
 
 
+# One bad row per tabular file, the command that reads it and the error's start.
+BAD_ROWS = {
+    "features": ("x0\ta\t1,0\nx1\tb\t1,q\n", "features line 2: "),
+    "split": ("[seen]\na\n\n[unseen]\n[other]\nb\n", "split line 5: "),
+    "encodings": ("#components\tattribute\na\t1,0\nb\t0,1,2\n", "encodings line 3: "),
+    "model": ("#kind\tsae\t0.5\n#shape\t2\t2\n1,0\n0,q\n", "model line 4: "),
+    "predictions": ("x0\ta\ta\nx1\tb\n", "predictions line 2: "),
+    "attributes": ("a\t1,0\nb\tnan,1\n", "attributes line 2: "),
+    "classmap": ("a\ta\n\nb\n", "class map line 3: "),
+    "labels": ("a\nb\na\n", "labels line 3: label 'a' appears twice"),
+    "space": ("#dim\t2\nC\ta\t1,0\t0.1\nR\tr\t1\n", "embedding space line 3: "),
+    "vectors": ("2 2\na 1 0\nb 0 q\n", "word vectors line 3: "),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_ROWS))
+def test_every_tabular_file_names_itself_and_the_line(tmp_path, capsys, name):
+    paths = {}
+    good = {**GOOD_INPUTS, "space": "#dim\t2\nC\ta\t1,0\t0.1\n", "vectors": "1 2\na 1 0\n"}
+    for key, content in {**good, name: BAD_ROWS[name][0]}.items():
+        paths[key] = str(tmp_path / key)
+        (tmp_path / key).write_text(content)
+    if name == "predictions":
+        argv = ["eval", "--predictions", paths["predictions"], "--split", paths["split"]]
+    elif name in ("attributes", "classmap", "labels"):
+        argv = ["encode", "--labels", paths["labels"], "--components", "attribute",
+                "--attributes", paths["attributes"], "--class-map", paths["classmap"]]
+    elif name in ("space", "vectors"):
+        component, flag = ("el_center", "--space") if name == "space" else ("word", "--vectors")
+        argv = ["encode", "--labels", paths["labels"], "--components", component, flag, paths[name]]
+    else:
+        argv = ["predict"] + [
+            arg for key in ("features", "split", "encodings", "model") for arg in (f"--{key}", paths[key])
+        ]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_DATA
+    assert capsys.readouterr().err.splitlines()[-1].startswith("error: " + BAD_ROWS[name][1])
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "flag, text",
     [

@@ -35,6 +35,13 @@ def test_parse_split_sections():
     assert unseen == {"zebra"}
 
 
+def test_parse_split_rejects_a_label_listed_twice_in_one_section():
+    with pytest.raises(DataError, match="^split line 3: label 'a' appears twice$"):
+        parse_split("[seen]\na\na\n[unseen]\nb\n")
+    with pytest.raises(DataError, match="^split line 6: label 'b' appears twice$"):
+        parse_split("[seen]\na\n[unseen]\nb\n# twice\nb\n")
+
+
 def test_parse_split_rejects_overlap_and_stray_lines():
     with pytest.raises(DataError):
         parse_split("[seen]\ncat\n[unseen]\ncat\n")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    classify_oracle,
     count_complex_subexpressions,
     flatten_by_definitions,
     random_full_ontology,
@@ -204,6 +205,29 @@ def test_classify_tracks_top_only_when_mentioned():
     pairs = classify(n)
     assert ("B", "Top") in pairs  # everything sits under a mentioned Top
     assert ("Top", "A") in pairs and ("Top", "B") in pairs
+
+
+def test_classify_closes_relation_chains_and_keeps_bottom_local():
+    n = norm(
+        "Concept(A)\nConcept(B)\nConcept(C)\nConcept(D)\nRelation(r)\nRelation(s)\nRelation(t)\n"
+        "SubClassOf(A Some(r B))\nSubRelationOf(r s)\nSubRelationOf(s t)\nSubRelationOf(t r)\n"
+        "SubClassOf(Some(t B) C)\nSubClassOf(B D)\nSubClassOf(And(B D) Bottom)\n"
+    )
+    pairs = classify(n)
+    assert ("A", "C") in pairs and ("B", "Bottom") in pairs
+    assert ("A", "Bottom") not in pairs  # no propagation back along r
+    assert pairs == classify_oracle(n)
+
+
+def test_classify_matches_the_fixpoint_oracle():
+    rng = np.random.default_rng(31)  # the 500 cases of the normalizer-fuzz gate
+    for _ in range(500):
+        o = random_tbox(rng, max_concepts=8, max_depth=3)
+        for n in (normalize(o), normalize(flatten_by_definitions(o))):
+            assert classify(n) == classify_oracle(n)
+    for seed in range(1000):
+        n = normalize(random_full_ontology(np.random.default_rng(seed)))
+        assert classify(n) == classify_oracle(n)
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,13 @@
 """Config handling and the end-to-end run orchestration."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ontozsl.cli import EXIT_DATA, main
 from ontozsl.elembed import import_space
 from ontozsl.errors import DataError
 from ontozsl.harness import (
@@ -27,12 +29,17 @@ from ontozsl.pipeline import (
     report_json,
     run_pipeline,
 )
+from ontozsl.textio import fmt
+from ontozsl.textwalk import load_word_vectors
 from ontozsl.zslmap import (
     CandidateSet,
     Component,
     Distance,
     PredictConfig,
+    candidate_spread,
+    distance,
     encode_labels,
+    load_encodings,
     map_features,
     predict,
     train_ridge,
@@ -288,3 +295,76 @@ def test_render_report_layout():
     assert "[config]" in lines
     payload = json.loads(report_json(report))
     assert payload["macro_unseen_accuracy"] == 0.75
+
+
+# 4 unseen candidates give 6 pairs, an even count; all 10 labels give 45
+@pytest.mark.parametrize("kind, candidates", [("l2", "unseen"), ("cosine", "all")])
+def test_report_carries_the_candidate_spread(tmp_path, kind, candidates):
+    data = write_benchmark(tmp_path, k_seen=6, k_unseen=4)
+    report = run_pipeline(base_config(tmp_path, distance=kind, candidates=candidates))
+    out = tmp_path / "run"
+    table = load_encodings((out / "encodings.tsv").read_text())
+    ds = data.dataset
+    labels = sorted(ds.unseen_labels | (ds.seen_labels if candidates == "all" else set()))
+    gaps = [
+        distance(table.encodings[a], table.encodings[b], Distance(kind))
+        for i, a in enumerate(labels)
+        for b in labels[i + 1:]
+    ]
+    assert len(gaps) == {"unseen": 6, "all": 45}[candidates]
+    assert report.candidate_min_distance == min(gaps)
+    assert report.candidate_median_distance == float(np.median(gaps))
+    payload = json.loads((out / "report.json").read_text())
+    assert payload["candidate_min_distance"] == min(gaps)
+    assert payload["candidate_median_distance"] == float(np.median(gaps))
+    text = (out / "report.txt").read_text()
+    assert f"candidate_min_distance\t{fmt(min(gaps))}\n" in text
+
+
+def test_candidate_spread_of_a_single_candidate_is_nan(tmp_path):
+    data = write_benchmark(tmp_path, k_unseen=1)
+    ds = data.dataset
+    report = run_pipeline(base_config(tmp_path, components="attribute"))
+    assert math.isnan(report.candidate_min_distance) and math.isnan(report.candidate_median_distance)
+    payload = json.loads((tmp_path / "run" / "report.json").read_text())
+    assert math.isnan(payload["candidate_min_distance"])
+    assert "candidate_median_distance\tnan\n" in (tmp_path / "run" / "report.txt").read_text()
+    # the same table read with every label a candidate has pairs again
+    table = load_encodings((tmp_path / "run" / "encodings.tsv").read_text())
+    cfg = PredictConfig(Distance.L2, CandidateSet.SEEN_AND_UNSEEN)
+    low, mid = candidate_spread(table, cfg, sorted(ds.seen_labels), sorted(ds.unseen_labels))
+    assert 0.0 < low <= mid
+
+
+def test_pretrained_vectors_survive_zero_epochs_exactly(tmp_path):
+    write_benchmark(tmp_path)
+    run_pipeline(base_config(tmp_path, w2v_epochs=0))
+    tokens = sorted(load_word_vectors((tmp_path / "run" / "wordvecs.txt").read_text()).vectors)[::2]
+    rng = np.random.default_rng(4)
+    pretrained = {token: rng.normal(size=FAST["w2v_dim"]) for token in tokens}
+    path = tmp_path / "pretrained.txt"
+    path.write_text(
+        f"{len(pretrained)} {FAST['w2v_dim']}\n"
+        + "".join(f"{t} {' '.join(map(fmt, v))}\n" for t, v in pretrained.items())
+    )
+    run_pipeline(base_config(tmp_path, w2v_epochs=0, pretrained_vectors=str(path)))
+    vectors = load_word_vectors((tmp_path / "run" / "wordvecs.txt").read_text()).vectors
+    for token, vector in pretrained.items():
+        assert np.array_equal(vectors[token], vector), token
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1 7\nclass 1 2 3 4 5 6 7\n", "error: w2v: pretrained vectors have dim 7, expected 6"),
+        ("2 6\nclass 1 2 3 4 5 6\n\ntrait 1 2 q 4 5 6\n", "error: w2v: word vectors line 4: "),
+    ],
+    ids=["wrong-dim", "malformed-row"],
+)
+def test_bad_pretrained_vectors_exit_2_in_the_w2v_stage(tmp_path, capsys, text, message):
+    write_benchmark(tmp_path)
+    (tmp_path / "pretrained.txt").write_text(text)
+    cfg = base_config(tmp_path, pretrained_vectors=str(tmp_path / "pretrained.txt"))
+    argv = ["pipeline"] + [arg for key, value in cfg.to_dict().items() for arg in ("--set", f"{key}={value}")]
+    assert main(argv) == EXIT_DATA
+    assert capsys.readouterr().err.splitlines()[-1].startswith(message)

@@ -113,6 +113,32 @@ def test_only_textio_spells_the_float_format():
     assert offenders == ["textio.py"]
 
 
+def test_only_textio_reads_rows():
+    """Row lines and the repeated-key rule cross the boundary in textio alone.
+
+    The ontology parser and the normal-form reader also report columns, so
+    they keep their own line loops.
+    """
+    package = Path(textio.__file__).parent
+    sources = {p.name: p.read_text() for p in sorted(package.glob("*.py"))}
+    assert [name for name, text in sources.items() if "appears twice" in text] == ["textio.py"]
+    splitters = [name for name, text in sources.items() if "splitlines" in text]
+    assert splitters == ["normalform.py", "ontology.py", "textio.py"]
+
+
+def test_lines_skip_blanks_and_name_file_and_line():
+    text = "a\n\n  \n\tb\r\nc"
+    assert list(textio.lines(text, "labels")) == [
+        ("labels line 1", "a"), ("labels line 4", "\tb"), ("labels line 5", "c")
+    ]
+
+
+def test_unique_names_the_repeated_key():
+    assert textio.unique({"a"}, "b", "labels line 2", "label") == "b"
+    with pytest.raises(DataError, match="^labels line 2: label 'a' appears twice$"):
+        textio.unique({"a"}, "a", "labels line 2", "label")
+
+
 def test_no_cli_number_bypasses_textio():
     package = Path(textio.__file__).parent
     pattern = re.compile(r"\btype\s*=\s*(int|float)\b")
