@@ -92,8 +92,6 @@ def cmd_walk(args) -> None:
     cfg = _stage_config(args, textwalk.WalkConfig)
     ontology = parse_ontology(read_file(args.ontology, "ontology"))
     walks = textwalk.random_walks(textwalk.project(ontology), cfg)
-    if args.raw_out:
-        _write(args.raw_out, "".join(" ".join(w) + "\n" for w in walks))
     corpus = textwalk.lexicalize(walks, ontology)
     _write(args.out, textwalk.save_corpus(corpus))
 
@@ -258,7 +256,6 @@ def build_parser() -> _Parser:
 
     p = add("walk", cmd_walk, "random-walk an ontology graph into a corpus")
     p.add_argument("ontology")
-    p.add_argument("--raw-out", default=None, help="also write walks before lexicalization")
     _add_stage_flags(p, textwalk.WalkConfig)
 
     p = add("w2v", cmd_w2v, "train word vectors on a corpus")

@@ -130,7 +130,8 @@ class RSub(NormalAxiom):
     sup: str
 
 
-_BY_TAG = {cls.TAG: cls for cls in (NF1, NF2, NF3, NF4, Disjointness, RSub)}
+# the class of each normal-axiom kind, by its TAG
+BY_TAG = {cls.TAG: cls for cls in (NF1, NF2, NF3, NF4, Disjointness, RSub)}
 
 
 @dataclass(frozen=True)
@@ -453,9 +454,9 @@ def read_normalized(text: str) -> NormalizedOntology:
                 extra_relations.extend(body[len("relations:"):].split())
             continue
         kind, *args = line.split()
-        if kind not in _BY_TAG:
+        if kind not in BY_TAG:
             raise DataError(f"line {line_no}: unknown normal form {kind!r}")
-        ctor = _BY_TAG[kind]
+        ctor = BY_TAG[kind]
         arity = len(ctor.__dataclass_fields__)
         if len(args) != arity:
             raise DataError(f"line {line_no}: {kind} takes {arity} names, got {len(args)}")

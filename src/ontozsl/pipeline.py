@@ -14,12 +14,13 @@ import dataclasses
 import hashlib
 import json
 import logging
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import elembed, harness, textwalk, zslmap
 from .errors import DataError, OntozslError, RangeError
-from .normalform import normalize, write_normalized
+from .normalform import BY_TAG, normalize, write_normalized
 from .ontology import parse_ontology, serialize_ontology
 from .textio import fmt, lines, read_file, read_setting, write_setting
 from .zslmap import CandidateSet, Component, Distance
@@ -279,6 +280,7 @@ def run_pipeline(cfg: RunConfig) -> MetricsReport:
         )
 
     with _stage("eval"):
+        kinds = Counter(ax.TAG for ax in normalized.axioms)
         truth = [s.label for s in test]
         macro, per_class, per_class_counts = harness.unseen_scores(
             predictions, truth, dataset.unseen_labels
@@ -299,6 +301,7 @@ def run_pipeline(cfg: RunConfig) -> MetricsReport:
                 "w2v_corpus_tokens": sum(len(sentence) for sentence in corpus.sentences),
                 "w2v_pairs_per_epoch": vectors.pairs_per_epoch,
                 "w2v_vocab": len(vectors.vectors),
+                **{tag: kinds[tag] for tag in BY_TAG},
             },
             config_echo=cfg.to_dict(),
             el_total_loss=el_loss,

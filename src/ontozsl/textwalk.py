@@ -5,10 +5,15 @@ the inclusions and the rewriting of ``normalform``, with each individual
 standing for itself rather than for an ``IND_`` concept: plain inclusions
 become ``subClassOf`` edges, shallow existentials on either side of an
 inclusion become edges labeled with the relation, and assertions and
-nominals contribute edges over the individuals themselves.  Uniform random walks over the graph, written out
-through entity labels, give a corpus that a small skip-gram model with
-negative sampling turns into word vectors.  Pretrained vectors can be passed
-as initialization, so running extra epochs fine-tunes them on the walks.
+nominals contribute edges over the individuals themselves.
+
+The corpus is the two documents of OWL2Vec*: uniform random walks over the
+graph, kept verbatim with one token per node or predicate name, and one
+lexical sentence per label or comment, the entity's name followed by the
+words of its text.  A small skip-gram model with negative sampling turns the
+corpus into vectors of entity names and label words alike.  Pretrained
+vectors can be passed as initialization, so running extra epochs fine-tunes
+them on the corpus.
 
 Skip-gram training is minibatched.  The (center, context) pairs are index
 arrays built once per run.  Each epoch runs in blocks of 16 steps: a block
@@ -34,7 +39,7 @@ import numpy as np
 
 from .errors import DataError, NumericalError, UnknownNameError, check_ranges
 from .normalform import NF1, NF2, NF3, inclusions, rewrite
-from .ontology import COMMENT, LABEL, Annotation, Ontology, RoleComposition, expression_text
+from .ontology import LABEL, Annotation, Ontology, RoleComposition, expression_text
 from .textio import fmt, lines, read_floats, read_int, unique
 
 logger = logging.getLogger(__name__)
@@ -202,30 +207,28 @@ def label_table(o: Ontology) -> dict[str, list[str]]:
 
 
 def name_tokens(name: str, o: Ontology | dict[str, list[str]]) -> list[str]:
-    """Tokens for a graph name: its label if annotated, else the identifier; ``o`` may be a label table."""
+    """Words of a name: its first label's if annotated, else the identifier's; ``o`` may be a label table."""
     labels = label_table(o) if isinstance(o, Ontology) else o
     return labels.get(name) or split_identifier(name)
 
 
 def lexicalize(walks: list[list[str]], o: Ontology) -> WalkCorpus:
-    """Expand walks into sentences of lowercase tokens.
+    """The walks verbatim, then one lexical sentence per annotation.
 
-    Comment annotations are appended afterwards as standalone sentences, one
-    per annotation, so descriptive text reaches the corpus too.
+    A walk sentence has one token per node or predicate name, case kept:
+    names are case-sensitive, so ``Foo`` and ``foo`` stay two tokens.  Each
+    ``Label`` or ``Comment`` annotation with any word then adds the sentence
+    ``[entity, *words]``, its lowercase words after the entity's name, which
+    puts the name's token beside the words that describe it.  A word that
+    equals a lowercase entity name is that name's token: the label word
+    ``dog`` and the concept ``dog`` share one vector.
     """
-    labels = label_table(o)
-    sentences = []
-    for walk in walks:
-        sentence: list[str] = []
-        for name in walk:
-            sentence.extend(name_tokens(name, labels))
-        if sentence:
-            sentences.append(sentence)
+    sentences = [list(walk) for walk in walks if walk]
     for ax in o.axioms:
-        if isinstance(ax, Annotation) and ax.kind == COMMENT:
+        if isinstance(ax, Annotation):
             tokens = _text_tokens(ax.text)
             if tokens:
-                sentences.append(tokens)
+                sentences.append([ax.entity, *tokens])
     return WalkCorpus(sentences)
 
 
@@ -384,12 +387,17 @@ def _check_finite(epoch: int, vocab: list[str], params: np.ndarray, loss: float)
 
 
 def word_encoding(name: str, wv: WordVectors, o: Ontology | dict[str, list[str]]) -> np.ndarray:
-    """Mean vector of the in-vocabulary tokens of :func:`name_tokens`."""
-    tokens = name_tokens(name, o)
+    """The vector of the entity token ``name``, else the mean of its known :func:`name_tokens`.
+
+    A corpus from :func:`lexicalize` gives every walked or annotated entity
+    its own token; the fallback to label or identifier words serves vectors
+    trained elsewhere, such as a plain word-vector file.
+    """
+    tokens = [name] if name in wv.vectors else name_tokens(name, o)
     known = [wv.vectors[t] for t in tokens if t in wv.vectors]
     if not known:
         raise UnknownNameError(
-            f"no word vectors for any token of {name!r} (tokens: {', '.join(tokens) or 'none'})"
+            f"no word vector for {name!r} nor for any of its words ({', '.join(tokens) or 'none'})"
         )
     return np.mean(known, axis=0)
 

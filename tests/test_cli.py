@@ -87,13 +87,37 @@ def test_project_lists_sorted_edges(elf, capsys):
     assert capsys.readouterr().out == "A\tr\tB\nB\tsubClassOf\tC\n"
 
 
-def test_walk_writes_both_corpus_and_raw(elf, tmp_path, capsys):
-    raw = tmp_path / "raw.txt"
-    code = main(["walk", elf, "--raw-out", str(raw), "--walks-per-node", "2", "--seed", "1"])
+def test_walk_corpus_is_the_walks_then_the_label_sentence(elf, tmp_path, capsys):
+    code = main(["walk", elf, "--walks-per-node", "2", "--seed", "1"])
     assert code == EXIT_OK
-    assert "alpha" in capsys.readouterr().out  # label lexicalization applied
-    for line in raw.read_text().splitlines():
-        assert line.split()[0] in {"A", "B", "C"}
+    *walks, label = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert len(walks) == 6
+    for walk in walks:
+        assert walk[0] in {"A", "B", "C"}
+    assert label == ["A", "alpha"]
+    assert main(["walk", elf, "--raw-out", str(tmp_path / "raw.txt")]) == EXIT_USAGE
+
+
+def test_encode_word_falls_back_to_the_label_words_of_a_plain_vector_file(tmp_path, capsys):
+    data = harness.gen_synthetic(4, 2, 2, seed=0)
+    (tmp_path / "o.elf").write_text(serialize_ontology(data.ontology))
+    labels = sorted(data.dataset.seen_labels | data.dataset.unseen_labels)
+    (tmp_path / "labels.txt").write_text("".join(label + "\n" for label in labels))
+    rng = np.random.default_rng(0)
+    words = {word: rng.normal(size=3) for word in ["class", *(f"{i:02d}" for i in range(6))]}
+    argv = ["encode", "--labels", str(tmp_path / "labels.txt"), "--components", "word",
+            "--vectors", str(tmp_path / "vecs.txt"), "--ontology", str(tmp_path / "o.elf")]
+
+    (tmp_path / "vecs.txt").write_text(textwalk.save_word_vectors(textwalk.WordVectors(3, words)))
+    assert main([*argv, "--out", str(tmp_path / "e.tsv")]) == EXIT_OK
+    table = zslmap.load_encodings((tmp_path / "e.tsv").read_text())
+    for i, label in enumerate(labels):  # label "class 0i" has no vector of its own
+        mean = (words["class"] + words[f"{i:02d}"]) / 2
+        np.testing.assert_allclose(table.encodings[label], mean / np.linalg.norm(mean))
+
+    (tmp_path / "vecs.txt").write_text("1 3\nother 1 2 3\n")
+    assert main(argv) == EXIT_DATA
+    assert "no word vector for 'Class_00' nor for any of its words (class, 00)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["parse", "walk", "pipeline"])

@@ -2,6 +2,7 @@
 
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from ontozsl.harness import (
     write_split,
     write_vector_table,
 )
-from ontozsl.normalform import BOTTOM, TOP, Disjointness, classify, read_normalized
+from ontozsl.normalform import BOTTOM, BY_TAG, TOP, Disjointness, classify, read_normalized
 from ontozsl.ontology import serialize_ontology
 from ontozsl.pipeline import (
     MetricsReport,
@@ -210,6 +211,19 @@ def test_report_carries_el_diagnostics(tmp_path):
     assert f"el_nest_pairs\t{len(pairs)}\n" in text
 
 
+def test_report_counts_each_normal_axiom_kind(tmp_path):
+    write_benchmark(tmp_path)
+    report = run_pipeline(base_config(tmp_path))
+    out = tmp_path / "run"
+    kinds = Counter(ax.TAG for ax in read_normalized((out / "normalized.txt").read_text()).axioms)
+    payload = json.loads((out / "report.json").read_text())
+    text = (out / "report.txt").read_text()
+    for tag in BY_TAG:
+        assert payload["counts"][tag] == report.counts[tag] == kinds[tag]
+        assert f"{tag}\t{kinds[tag]}\n" in text
+    assert kinds["NF1"] > 0 and kinds["RSUB"] == 0  # present and absent kinds alike
+
+
 def test_run_pipeline_is_deterministic(tmp_path):
     write_benchmark(tmp_path)
     cfg = base_config(tmp_path)
@@ -340,6 +354,8 @@ def test_pretrained_vectors_survive_zero_epochs_exactly(tmp_path):
     write_benchmark(tmp_path)
     run_pipeline(base_config(tmp_path, w2v_epochs=0))
     tokens = sorted(load_word_vectors((tmp_path / "run" / "wordvecs.txt").read_text()).vectors)[::2]
+    # "class" is a word of every class label; it reaches the corpus through the label sentences
+    tokens = sorted({*tokens, "class"})
     rng = np.random.default_rng(4)
     pretrained = {token: rng.normal(size=FAST["w2v_dim"]) for token in tokens}
     path = tmp_path / "pretrained.txt"
@@ -368,3 +384,20 @@ def test_bad_pretrained_vectors_exit_2_in_the_w2v_stage(tmp_path, capsys, text, 
     argv = ["pipeline"] + [arg for key, value in cfg.to_dict().items() for arg in ("--set", f"{key}={value}")]
     assert main(argv) == EXIT_DATA
     assert capsys.readouterr().err.splitlines()[-1].startswith(message)
+
+
+# Word-only accuracy on the word-walks inputs read 0.51, 0.25, 0.475 and 0.25
+# at seeds 0-3 when walks were split into label words, and 0.675-1.0 at seeds
+# 0-7 with entity tokens and label sentences (chance is 0.25).
+@pytest.mark.parametrize("seed", range(4))
+def test_word_vectors_score_above_the_floor_on_the_word_walks_inputs(tmp_path, seed):
+    data = gen_synthetic(16, 4, 20, seed=seed)
+    (tmp_path / "o.elf").write_text(serialize_ontology(data.ontology))
+    (tmp_path / "f.tsv").write_text(write_features(data.dataset.samples))
+    (tmp_path / "s.txt").write_text(write_split(data.dataset.seen_labels, data.dataset.unseen_labels))
+    cfg = RunConfig(
+        ontology=str(tmp_path / "o.elf"), features=str(tmp_path / "f.tsv"),
+        split=str(tmp_path / "s.txt"), out_dir=str(tmp_path / "run"), seed=seed,
+        components="word", el_epochs=50, w2v_epochs=20,
+    )
+    assert run_pipeline(cfg).macro_unseen_accuracy >= 0.6

@@ -1,13 +1,20 @@
 """Source hygiene checks over the package modules."""
 
 import ast
+import importlib
+import importlib.util
+import sys
+import types
 from pathlib import Path
 
 import pytest
 
 import ontozsl
+from ontozsl import textwalk
+from ontozsl.harness import gen_synthetic
 
 MODULES = sorted(p for p in Path(ontozsl.__file__).parent.glob("*.py") if p.name != "__init__.py")
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -36,3 +43,44 @@ def test_no_module_imports_a_private_name_of_another(path):
         if alias.name.startswith("_")
     ]
     assert not private, f"{path.name} imports private names: {private}"
+
+
+def test_every_function_the_benchmark_patches_exists(monkeypatch):
+    """The tracer patches ``ontozsl.<module>.<attribute>``; a missing one crashes the benchmark."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look their module up
+    spec.loader.exec_module(tracing)
+    for module, attribute, *_name in (*tracing.SPANS, *tracing.COUNTED):
+        assert callable(getattr(importlib.import_module(f"ontozsl.{module}"), attribute, None)), (
+            f"ontozsl.{module}.{attribute}"
+        )
+
+
+@pytest.mark.parametrize("path", sorted(PERFBENCH.glob("*.py")), ids=lambda p: p.name)
+def test_every_name_the_benchmark_takes_from_the_package_exists(path):
+    """``from ontozsl[.m] import x`` resolves, and so does each ``x.attr`` read off an imported module."""
+    tree = ast.parse(path.read_text())
+    modules = {}
+    missing = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("ontozsl"):
+            source = importlib.import_module(node.module)
+            for alias in node.names:
+                value = getattr(source, alias.name, None)
+                if value is None:
+                    missing.append(f"{node.module}.{alias.name}")
+                elif isinstance(value, types.ModuleType):
+                    modules[alias.asname or alias.name] = value
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+            if not hasattr(modules[node.value.id], node.attr):
+                missing.append(f"{modules[node.value.id].__name__}.{node.attr}")
+    assert not missing, f"{path.name} uses names the package no longer has: {missing}"
+
+
+def test_name_tokens_takes_a_name_and_an_ontology():
+    # the benchmark counts the corpus tokens that encode a label this way
+    ontology = gen_synthetic(2, 1, 1).ontology
+    assert textwalk.name_tokens("Class_00", ontology) == ["class", "00"]
+    assert textwalk.name_tokens("hasTrait", ontology) == ["has", "trait"]

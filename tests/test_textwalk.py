@@ -148,16 +148,17 @@ def test_split_identifier_handles_underscores_and_camel_case():
     assert split_identifier("alpha") == ["alpha"]
 
 
-def test_lexicalize_splits_names_without_annotations():
+def test_lexicalize_keeps_walk_names_verbatim():
     o = parse_ontology("Concept(Killer_Whale)\nConcept(Patches)\nRelation(hasTexture)\n")
     corpus = lexicalize([["Killer_Whale", "hasTexture", "Patches"]], o)
-    assert corpus.sentences == [["killer", "whale", "has", "texture", "patches"]]
+    assert corpus.sentences == [["Killer_Whale", "hasTexture", "Patches"]]
 
 
 def test_lexicalize_prefers_labels():
-    o = parse_ontology('Concept(Killer_Whale)\nLabel(Killer_Whale "killer whale")\n')
+    o = parse_ontology('Concept(Killer_Whale)\nLabel(Killer_Whale "Orca, the killer")\n')
     corpus = lexicalize([["Killer_Whale"]], o)
-    assert corpus.sentences == [["killer", "whale"]]
+    assert corpus.sentences == [["Killer_Whale"], ["Killer_Whale", "orca", "the", "killer"]]
+    assert "whale" not in corpus.vocabulary  # the label's words, not the identifier's
 
 
 def test_lexicalize_first_label_wins():
@@ -168,25 +169,44 @@ def test_lexicalize_first_label_wins():
 def test_lexicalize_appends_comment_sentences():
     o = parse_ontology('Concept(A)\nComment(A "black and white predator")\n')
     corpus = lexicalize([["A"]], o)
-    assert ["black", "and", "white", "predator"] in corpus.sentences
+    assert ["A", "black", "and", "white", "predator"] in corpus.sentences
 
 
 def test_lexicalize_vocabulary_counts_tokens():
-    o = parse_ontology("Concept(A_B)\nConcept(B)\n")
+    o = parse_ontology('Concept(A_B)\nConcept(B)\nLabel(B "b side")\n')
     corpus = lexicalize([["A_B", "subClassOf", "B"], ["B"]], o)
-    assert corpus.vocabulary["b"] == 3
-    assert corpus.vocabulary["a"] == 1
+    assert corpus.vocabulary == {"A_B": 1, "subClassOf": 1, "B": 3, "b": 1, "side": 1}
 
 
-def test_lexicalized_tokens_are_lowercase_words():
+def test_lexicalized_corpus_is_the_walks_then_one_sentence_per_annotation():
     o = parse_ontology(
         "Concept(Killer_Whale)\nConcept(BigCat)\nRelation(hasPart)\n"
         "SubClassOf(Killer_Whale Some(hasPart BigCat))\n"
+        'Comment(BigCat "a large cat")\nLabel(hasPart "has part")\nLabel(BigCat "--")\n'
     )
-    corpus = lexicalize(random_walks(project(o), WalkConfig(5, 3, 0)), o)
-    for sent in corpus.sentences:
-        for tok in sent:
-            assert tok == tok.lower() and tok
+    walks = random_walks(project(o), WalkConfig(5, 3, 0))
+    corpus = lexicalize(walks, o)
+    assert corpus.sentences == walks + [["BigCat", "a", "large", "cat"], ["hasPart", "has", "part"]]
+
+
+def test_lexicalize_keeps_names_case_sensitive():
+    o = parse_ontology("Concept(Foo)\nConcept(foo)\nSubClassOf(Foo foo)\n")
+    corpus = lexicalize(random_walks(project(o), WalkConfig(2, 1, 0)), o)
+    assert corpus.vocabulary == {"Foo": 2, "subClassOf": 2, "foo": 4}
+    wv = train_skipgram(corpus, SkipGramConfig(dim=3, epochs=2, seed=0))
+    assert not np.array_equal(wv.vectors["Foo"], wv.vectors["foo"])
+    assert_allclose(word_encoding("foo", wv, o), wv.vectors["foo"])
+
+
+def test_a_label_word_equal_to_a_lowercase_name_shares_its_token():
+    o = parse_ontology(
+        'Concept(dog)\nConcept(Puppy)\nSubClassOf(Puppy dog)\nLabel(Puppy "young dog")\n'
+    )
+    corpus = lexicalize([["Puppy", "subClassOf", "dog"], ["dog"]], o)
+    assert corpus.sentences[-1] == ["Puppy", "young", "dog"]
+    assert corpus.vocabulary["dog"] == 3
+    wv = train_skipgram(corpus, SkipGramConfig(dim=3, epochs=0, seed=0))
+    assert set(wv.vectors) == {"Puppy", "subClassOf", "dog", "young"}
 
 
 def test_skipgram_epochs_zero_is_identity_on_initialized_tokens():
@@ -405,6 +425,14 @@ def test_word_encoding_skips_oov_tokens():
     o = parse_ontology("Concept(Killer_Whale)\n")
     wv = WordVectors(2, {"whale": np.array([2.0, 4.0])})
     assert_allclose(word_encoding("Killer_Whale", wv, o), [2.0, 4.0])
+
+
+def test_word_encoding_reads_the_entity_token_before_its_words():
+    o = parse_ontology('Concept(Killer_Whale)\nLabel(Killer_Whale "orca")\n')
+    vectors = {"Killer_Whale": np.array([3.0, 1.0]), "orca": np.array([0.0, 1.0])}
+    assert np.array_equal(word_encoding("Killer_Whale", WordVectors(2, vectors), o), [3.0, 1.0])
+    del vectors["Killer_Whale"]
+    assert np.array_equal(word_encoding("Killer_Whale", WordVectors(2, vectors), o), [0.0, 1.0])
 
 
 def test_word_encoding_all_oov_raises():
