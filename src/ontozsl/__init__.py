@@ -5,7 +5,7 @@ concepts as balls and as walk-trained word vectors, then map visual features
 into the combined label space to recognize classes never seen in training.
 """
 
-from .elembed import Ball, ElTrainConfig, EmbeddingSpace, initialize_space, total_loss, train_el
+from .elembed import Ball, ElTrainConfig, EmbeddingSpace, total_loss, train_el
 from .errors import (
     DataError,
     ElfError,
@@ -68,7 +68,6 @@ __all__ = [
     "classify",
     "encode_labels",
     "gen_synthetic",
-    "initialize_space",
     "lexicalize",
     "load_dataset",
     "normalize",

@@ -134,7 +134,7 @@ def cmd_train_map(args) -> None:
     cfg = _stage_config(args, zslmap.MapConfig)
     table = zslmap.load_encodings(read_file(args.encodings, "encodings"))
     dataset = harness.load_dataset(read_file(args.features, "features"), read_file(args.split, "split"))
-    _write(args.out, zslmap.train_map(dataset, table, cfg)[1])
+    _write(args.out, zslmap.save_model(zslmap.train_map(dataset, table, cfg)))
 
 
 def cmd_predict(args) -> None:
@@ -265,7 +265,7 @@ def build_parser() -> _Parser:
 
     p = add("encode", cmd_encode, "build label encodings")
     p.add_argument("--labels", required=True, help="file with one label per line")
-    p.add_argument("--components", default="el_center")
+    p.add_argument("--components", default=pipeline.RunConfig.components)
     p.add_argument("--space", default=None)
     p.add_argument("--vectors", default=None)
     p.add_argument("--ontology", default=None)
@@ -285,8 +285,9 @@ def build_parser() -> _Parser:
     p.add_argument("--split", required=True)
     p.add_argument("--encodings", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--distance", choices=[d.value for d in Distance], default="l2")
-    p.add_argument("--candidates", choices=[c.value for c in CandidateSet], default="unseen")
+    p.add_argument("--distance", choices=[d.value for d in Distance], default=pipeline.RunConfig.distance)
+    p.add_argument("--candidates", choices=[c.value for c in CandidateSet],
+                   default=pipeline.RunConfig.candidates)
 
     p = add("eval", cmd_eval, "score a predictions file")
     p.add_argument("--predictions", required=True)

@@ -278,12 +278,6 @@ def total_loss(space: EmbeddingSpace, n: NormalizedOntology, cfg: ElTrainConfig)
     return _loss_grad(params, radii, terms, grad=False)[0]
 
 
-def initialize_space(n: NormalizedOntology, cfg: ElTrainConfig) -> EmbeddingSpace:
-    """Seeded start: unit-sphere centers, small relation vectors, radius
-    ``max(0.1, min_radius)`` (nominal-derived concepts: ``min_radius``)."""
-    return _initialize(n, cfg, np.random.default_rng(cfg.seed))
-
-
 def _initialize(n: NormalizedOntology, cfg: ElTrainConfig, rng: np.random.Generator) -> EmbeddingSpace:
     nominal = set(n.nominal_map.values())
     concepts: dict[str, Ball] = {}
@@ -305,10 +299,12 @@ def train_el(n: NormalizedOntology, cfg: ElTrainConfig) -> EmbeddingSpace:
     ``cfg.negatives`` corruption terms.  A step feeds the mean batch gradient
     to Adam (Kingma & Ba, 2015) with step size ``learning_rate``, moving every
     parameter at once; the moment estimates start at zero for each call.
-    Every radius starts at or above ``min_radius`` and is clamped to it after
-    each step; nominal-derived concepts keep exactly ``min_radius``.
-    Non-finite parameters abort with the offending name and step index.  The
-    returned space carries the summed batch loss of each epoch.
+    Training starts from unit-sphere centers, relation vectors within 0.1 of
+    zero and radius ``max(0.1, min_radius)``, which ``epochs=0`` returns.  A
+    radius is clamped to ``min_radius`` after each step; nominal-derived
+    concepts keep exactly ``min_radius``.  Non-finite parameters abort with the
+    offending name and step index.  The returned space carries the summed batch
+    loss of each epoch.
     """
     rng = np.random.default_rng(cfg.seed)
     space = _initialize(n, cfg, rng)

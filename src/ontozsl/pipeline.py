@@ -268,8 +268,8 @@ def run_pipeline(cfg: RunConfig) -> MetricsReport:
         emit("encodings.tsv", zslmap.save_encodings(table))
 
     with _stage("train-map"):
-        model, model_text = zslmap.train_map(dataset, table, cfg.stage(zslmap.MapConfig))
-        emit("model.txt", model_text)
+        model = zslmap.train_map(dataset, table, cfg.stage(zslmap.MapConfig))
+        emit("model.txt", zslmap.save_model(model))
 
     with _stage("predict"):
         test, predictions = zslmap.predict_test(model, dataset, table, cfg.predict_config())

@@ -14,7 +14,8 @@ minimizes the tied-weight objective
 whose stationary points solve the Sylvester equation
 ``Z Z' W + lam W X X' = (1 + lam) Z X'``; it is solved directly in the
 eigenbases of ``Z Z'`` and ``X X'``, taking the minimum-norm solution when
-the system is singular.  The ridge baseline is ``Z X' (X X' + alpha I)^{-1}``.
+the system is singular.  The ridge baseline ``Z X' (X X' + alpha I)^{-1}``
+is the same decoupled solve with ``U = I``.
 """
 
 from __future__ import annotations
@@ -78,10 +79,14 @@ class EncodingTable:
 
 
 @dataclass
-class SaeModel:
-    weights: np.ndarray  # m x p
-    lam: float
-    train_loss: float
+class LinearMap:
+    """A fitted ``g(x) = weights @ x`` (m x p): its kind, one of :data:`MAPPERS`, and
+    that kind's lambda or alpha; a trained autoencoder adds its loss."""
+
+    kind: str
+    param: float
+    weights: np.ndarray
+    train_loss: float = float("nan")
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +191,8 @@ def sae_loss(w: np.ndarray, x: np.ndarray, z: np.ndarray, lam: float) -> float:
     return float(np.sum(recon * recon) + lam * np.sum(code * code))
 
 
-def train_sae(x: np.ndarray, z: np.ndarray, lam: float) -> SaeModel:
+@np.errstate(over="ignore", invalid="ignore")  # _decoupled_solve reports overflow
+def train_sae(x: np.ndarray, z: np.ndarray, lam: float) -> LinearMap:
     """Fit the tied-weight mapper by solving its stationarity equation.
 
     With ``Z Z' = U diag(a) U'`` and ``X X' = V diag(b) V'`` the equation
@@ -197,20 +203,35 @@ def train_sae(x: np.ndarray, z: np.ndarray, lam: float) -> SaeModel:
     """
     _check_xz(x, z)
     MapConfig(sae_lambda=lam)  # range-checks lam
-    with np.errstate(over="ignore", invalid="ignore"):
-        zzt = z @ z.T
-        xxt = x @ x.T
-    if not (np.isfinite(zzt).all() and np.isfinite(xxt).all()):
-        raise NumericalError("autoencoder inputs overflow or are not finite")
-    a, u = _eigh_clipped(zzt)
-    b, v = _eigh_clipped(xxt)
-    denom = a[:, None] + lam * b[None, :]
-    rhs = (1.0 + lam) * (u.T @ (z @ x.T) @ v)
-    w = u @ np.divide(rhs, denom, out=np.zeros_like(rhs), where=denom > 0.0) @ v.T
+    w = _decoupled_solve(z @ z.T, lam, 1.0 + lam, x, z)
     loss = sae_loss(w, x, z, lam)
     if not np.isfinite(loss):
         raise NumericalError("autoencoder training produced a non-finite loss")
-    return SaeModel(w, lam, loss)
+    return LinearMap("sae", lam, w, loss)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def train_ridge(x: np.ndarray, z: np.ndarray, alpha: float) -> LinearMap:
+    """Closed-form ridge ``W = Z X' (X X' + alpha I)^{-1}``: :func:`train_sae`'s solve with
+    ``alpha I`` for ``Z Z'`` (so ``U = I``), ``lam = 1`` and ``Z X'`` unscaled."""
+    _check_xz(x, z)
+    MapConfig(ridge_alpha=alpha)  # range-checks alpha
+    return LinearMap("ridge", alpha, _decoupled_solve(alpha * np.eye(z.shape[0]), 1.0, 1.0, x, z))
+
+
+def _decoupled_solve(left: np.ndarray, lam: float, scale: float, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """:func:`train_sae`'s solve, ``left`` for ``Z Z'``; non-finite inputs or weights are a NumericalError."""
+    xxt, zxt = x @ x.T, z @ x.T
+    if not all(np.isfinite(p).all() for p in (left, xxt, zxt)):
+        raise NumericalError("mapper inputs overflow or are not finite")
+    a, u = _eigh_clipped(left)
+    b, v = _eigh_clipped(xxt)
+    denom = a[:, None] + lam * b[None, :]
+    rhs = scale * (u.T @ zxt @ v)
+    w = u @ np.divide(rhs, denom, out=np.zeros_like(rhs), where=denom > 0.0) @ v.T
+    if not np.isfinite(w).all():
+        raise NumericalError("mapper training produced non-finite weights")
+    return w
 
 
 def _eigh_clipped(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -220,20 +241,8 @@ def _eigh_clipped(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(vals > cutoff, vals, 0.0), vecs
 
 
-def train_ridge(x: np.ndarray, z: np.ndarray, alpha: float) -> np.ndarray:
-    """Closed-form ridge regression from features onto encodings."""
-    _check_xz(x, z)
-    MapConfig(ridge_alpha=alpha)  # range-checks alpha
-    p = x.shape[0]
-    gram = x @ x.T + alpha * np.eye(p)
-    # solve (X X' + aI) W' = X Z' so that W = Z X' (X X' + aI)^{-1}
-    return np.linalg.solve(gram, x @ z.T).T
-
-
-def train_map(
-    dataset: ZslDataset, table: EncodingTable, cfg: MapConfig
-) -> tuple[SaeModel | np.ndarray, str]:
-    """Fit the configured mapper on the seen samples; returns it with the text of its model file."""
+def train_map(dataset: ZslDataset, table: EncodingTable, cfg: MapConfig) -> LinearMap:
+    """Fit the configured mapper on the seen samples."""
     samples = dataset.train_samples()
     if not samples:
         raise DataError("no training samples: every sample has an unseen label")
@@ -243,19 +252,16 @@ def train_map(
     x = np.stack([s.features for s in samples], axis=1)
     z = np.stack([table.encodings[s.label] for s in samples], axis=1)
     if cfg.mapper == "sae":
-        model = train_sae(x, z, cfg.sae_lambda)
-        return model, save_model(model)
-    weights = train_ridge(x, z, cfg.ridge_alpha)
-    return weights, save_model(weights, alpha=cfg.ridge_alpha)
+        return train_sae(x, z, cfg.sae_lambda)
+    return train_ridge(x, z, cfg.ridge_alpha)
 
 
-def map_features(model: SaeModel | np.ndarray, x: np.ndarray) -> np.ndarray:
+def map_features(model: LinearMap, x: np.ndarray) -> np.ndarray:
     """Apply the learned linear map to one feature vector or a p x N batch."""
-    weights = model.weights if isinstance(model, SaeModel) else model
     x = np.asarray(x, dtype=float)
-    if x.shape[0] != weights.shape[1]:
-        raise DataError(f"feature dimension {x.shape[0]} does not match mapper ({weights.shape[1]})")
-    return weights @ x
+    if x.shape[0] != model.weights.shape[1]:
+        raise DataError(f"feature dimension {x.shape[0]} does not match mapper ({model.weights.shape[1]})")
+    return model.weights @ x
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +358,7 @@ def candidate_spread(
 
 
 def predict_test(
-    model: SaeModel | np.ndarray, dataset: ZslDataset, table: EncodingTable, cfg: PredictConfig
+    model: LinearMap, dataset: ZslDataset, table: EncodingTable, cfg: PredictConfig
 ) -> tuple[list[Sample], list[str]]:
     """The unseen samples of ``dataset`` and the label :func:`predict` gives each."""
     test = dataset.test_samples()
@@ -374,7 +380,7 @@ def save_encodings(table: EncodingTable) -> str:
 
 
 def load_encodings(text: str) -> EncodingTable:
-    """Read :func:`save_encodings` output; other ``#`` lines are comments."""
+    """Read :func:`save_encodings` output, header required; other ``#`` lines are comments."""
     components: tuple[Component, ...] = ()
     for where, line in lines(text, "encodings"):
         if not line.startswith("#components\t"):
@@ -385,24 +391,20 @@ def load_encodings(text: str) -> EncodingTable:
             components = parse_components(line.split("\t", 1)[1])
         except DataError as exc:
             raise DataError(f"{where}: {exc}") from None
+    if not components:
+        raise DataError("encodings file has no #components header")
     encodings = parse_vector_table(text, "encodings")
     return EncodingTable(components, next(iter(encodings.values())).size if encodings else 0, encodings)
 
 
-def save_model(model: SaeModel | np.ndarray, *, alpha: float | None = None) -> str:
-    """Header with kind and shape, then row-major weight rows."""
-    if isinstance(model, SaeModel):
-        head = f"#kind\tsae\t{fmt(model.lam)}"
-        weights = model.weights
-    else:
-        head = f"#kind\tridge\t{fmt(alpha if alpha is not None else 0.0)}"
-        weights = model
-    rows = [head, f"#shape\t{weights.shape[0]}\t{weights.shape[1]}"]
-    rows.extend(",".join(map(fmt, row)) for row in weights)
+def save_model(model: LinearMap) -> str:
+    """Header with kind, parameter and shape, then row-major weight rows."""
+    rows = [f"#kind\t{model.kind}\t{fmt(model.param)}", "#shape\t{}\t{}".format(*model.weights.shape)]
+    rows.extend(",".join(map(fmt, row)) for row in model.weights)
     return "".join(row + "\n" for row in rows)
 
 
-def load_model(text: str) -> SaeModel | np.ndarray:
+def load_model(text: str) -> LinearMap:
     found = list(lines(text, "model"))
     if len(found) < 2 or not found[0][1].startswith("#kind\t") or not found[1][1].startswith("#shape\t"):
         raise DataError("model file must start with #kind and #shape headers")
@@ -410,7 +412,9 @@ def load_model(text: str) -> SaeModel | np.ndarray:
     kind = kind_line.split("\t")
     if len(kind) != 3:
         raise DataError(f"{kind_where}: #kind takes a mapper name and one number")
-    param = read_floats(kind[2:], kind_where, 1)[0]
+    if kind[1] not in MAPPERS:
+        raise DataError(f"{kind_where}: unknown model kind {kind[1]!r}")
+    param = float(read_floats(kind[2:], kind_where, 1)[0])
     shape = shape_line.split("\t")[1:]
     if len(shape) != 2:
         raise DataError(f"{shape_where}: #shape takes two nonnegative integers")
@@ -418,9 +422,4 @@ def load_model(text: str) -> SaeModel | np.ndarray:
     if len(found) - 2 != rows:
         raise DataError(f"expected {rows} weight rows, found {len(found) - 2}")
     weights = np.array([read_floats(line.split(","), where, cols) for where, line in found[2:]])
-    weights = weights.reshape(rows, cols)
-    if kind[1] == "sae":
-        return SaeModel(weights, param, float("nan"))
-    if kind[1] == "ridge":
-        return weights
-    raise DataError(f"unknown model kind {kind[1]!r}")
+    return LinearMap(kind[1], param, weights.reshape(rows, cols))

@@ -2,6 +2,8 @@
 
 import dataclasses
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +17,7 @@ from ontozsl import cli, elembed, harness, textwalk, zslmap
 from ontozsl.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from ontozsl.normalform import normalize, write_normalized
 from ontozsl.ontology import serialize_ontology
-from ontozsl.pipeline import STAGES, RunConfig
+from ontozsl.pipeline import STAGES, RunConfig, config_from_pairs
 
 GOOD_ONTOLOGY = """Concept(A)
 Concept(B)
@@ -206,7 +208,7 @@ def test_predict_cosine_zero_vector_is_numerical(tmp_path, capsys):
     encodings = tmp_path / "e.tsv"
     encodings.write_text(zslmap.save_encodings(table))
     model = tmp_path / "m.txt"
-    model.write_text(zslmap.save_model(np.zeros((2, 2)), alpha=1e-3))
+    model.write_text(zslmap.save_model(zslmap.LinearMap("ridge", 1e-3, np.zeros((2, 2)))))
     code = main(
         [
             "predict",
@@ -486,6 +488,23 @@ def tiny_inputs(tmp_path):
     return {name: tmp_path / name for name in files}
 
 
+def tiny_pipeline_argv(inputs, out):
+    """``--set`` pairs for a quick pipeline run on :func:`tiny_inputs`, writing into ``out``."""
+    argv = []
+    for key in ("ontology", "features", "split"):
+        argv += ["--set", f"{key}={inputs[key]}"]
+    for setting in ("el_dim=2", "el_epochs=1", "walks_per_node=1", "w2v_dim=2", "w2v_epochs=1"):
+        argv += ["--set", setting]
+    return argv + ["--set", f"out_dir={out}"]
+
+
+def run_cli(argv):
+    env = {**os.environ, "PYTHONPATH": str(Path(ontozsl.__file__).parents[1])}
+    return subprocess.run(
+        [sys.executable, "-m", "ontozsl.cli", *argv], capture_output=True, text=True, env=env
+    )
+
+
 # Each value used to crash with a traceback, or to fail or pass only after training.
 @pytest.mark.parametrize(
     "argv, named",
@@ -531,21 +550,25 @@ def test_bad_config_values_exit_2_before_any_stage_runs(tiny_inputs, tmp_path, a
     out = tmp_path / "out"
     argv = [arg.format(**tiny_inputs) for arg in argv]
     if argv[0] == "pipeline":
-        for key in ("ontology", "features", "split"):
-            argv += ["--set", f"{key}={tiny_inputs[key]}"]
-        for setting in ("el_dim=2", "el_epochs=1", "walks_per_node=1", "w2v_dim=2", "w2v_epochs=1"):
-            argv += ["--set", setting]
-        argv += ["--set", f"out_dir={out}"]
+        argv += tiny_pipeline_argv(tiny_inputs, out)
     else:
         argv += ["--out-dir" if argv[0] == "synth" else "--out", str(out)]
-    env = {**os.environ, "PYTHONPATH": str(Path(ontozsl.__file__).parents[1])}
-    done = subprocess.run(
-        [sys.executable, "-m", "ontozsl.cli", *argv], capture_output=True, text=True, env=env
-    )
+    done = run_cli(argv)
     assert done.returncode == EXIT_DATA, done.stderr
     assert "Traceback" not in done.stderr
     assert named in done.stderr
     assert not out.exists()
+
+
+def test_ridge_overflow_exits_3_in_train_map_without_a_warning(tiny_inputs, tmp_path):
+    samples = harness.parse_features(tiny_inputs["features"].read_text())[1]
+    huge = [harness.Sample(s.id, s.label, np.full_like(s.features, 1e300)) for s in samples]
+    tiny_inputs["features"].write_text(harness.write_features(huge))
+    done = run_cli(["pipeline", "--set", "mapper=ridge", *tiny_pipeline_argv(tiny_inputs, tmp_path / "out")])
+    assert done.returncode == EXIT_NUMERIC, done.stderr
+    assert "train-map: mapper inputs overflow" in done.stderr
+    assert "RuntimeWarning" not in done.stderr
+    assert "Traceback" not in done.stderr
 
 
 # The stage subcommands with their required arguments.
@@ -566,3 +589,37 @@ def test_stage_flag_and_run_config_defaults_are_the_stage_defaults(config):
         assert from_run.seed == offset
         from_run = dataclasses.replace(from_run, seed=0)
     assert from_flags == from_run == config()
+
+
+# RunConfig keys outside the stage configs, each with a subcommand that takes it as a flag.
+RUN_KEY_COMMANDS = {
+    "components": ["encode", "--labels", "l.txt"],
+    "distance": ["predict", "--features", "f", "--split", "s", "--encodings", "e", "--model", "m"],
+    "candidates": ["predict", "--features", "f", "--split", "s", "--encodings", "e", "--model", "m"],
+}
+
+
+@pytest.mark.parametrize("key", sorted(RUN_KEY_COMMANDS))
+def test_encode_and_predict_flag_defaults_are_the_run_config_defaults(key):
+    assert getattr(cli.build_parser().parse_args(RUN_KEY_COMMANDS[key]), key) == getattr(RunConfig(), key)
+
+
+def readme_commands():
+    """The arguments of every ``ontozsl`` line in README's ``sh`` blocks, continuations joined."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", text, flags=re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line, comments=True)
+            if words[:1] == ["ontozsl"]:
+                commands.append(words[1:])
+    return commands
+
+
+def test_every_readme_command_parses():
+    # parsing only: no command runs
+    commands = readme_commands()
+    assert len(commands) == 12
+    for argv in commands:
+        args = cli.build_parser().parse_args(argv)
+        config_from_pairs(dict(item.split("=", 1) for item in getattr(args, "set", None) or []))

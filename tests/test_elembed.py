@@ -1,6 +1,7 @@
 """Ball-embedding losses, analytic gradients, Adam training and faithfulness."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from ontozsl.elembed import (
     export_space,
     faithfulness,
     import_space,
-    initialize_space,
     total_loss,
     train_el,
 )
@@ -425,14 +425,14 @@ def test_config_rejects_nonsense():
 
 
 def test_initialize_space_is_seeded_and_well_formed():
-    cfg = ElTrainConfig(dim=7, seed=42)
-    s = initialize_space(CHAIN, cfg)
-    assert s == initialize_space(CHAIN, cfg)
+    cfg = ElTrainConfig(dim=7, seed=42, epochs=0)
+    s = train_el(CHAIN, cfg)
+    assert s == train_el(CHAIN, cfg)
     assert set(s.concepts) == {"A", "B", "C", "Top", "Bottom"}
     for ball in s.concepts.values():
         assert_allclose(np.linalg.norm(ball.center), 1.0, atol=1e-12)
         assert ball.radius == 0.1
-    assert s != initialize_space(CHAIN, ElTrainConfig(dim=7, seed=43))
+    assert s != train_el(CHAIN, ElTrainConfig(dim=7, seed=43, epochs=0))
 
 
 def test_initialize_space_pins_nominal_radius():
@@ -443,7 +443,7 @@ def test_initialize_space_pins_nominal_radius():
         concept_names=frozenset({"A", "IND_a"}),
     )
     cfg = ElTrainConfig(dim=4, min_radius=1e-3)
-    s = initialize_space(n, cfg)
+    s = train_el(n, replace(cfg, epochs=0))
     assert s.concepts["IND_a"].radius == cfg.min_radius
     trained = train_el(n, ElTrainConfig(dim=4, epochs=50, min_radius=1e-3))
     assert trained.concepts["IND_a"].radius == cfg.min_radius
@@ -456,31 +456,31 @@ def test_relation_vectors_initialized_small():
         concept_names=frozenset({"A", "B"}),
         relation_names=frozenset({"r"}),
     )
-    s = initialize_space(n, ElTrainConfig(dim=50))
+    s = train_el(n, ElTrainConfig(dim=50, epochs=0))
     assert np.all(np.abs(s.relations["r"]) <= 0.1)
 
 
 def test_total_loss_empty_is_zero():
     n = NormalizedOntology(axioms=(), fresh_names=(), concept_names=frozenset({"A"}))
-    s = initialize_space(n, ElTrainConfig(dim=3))
+    s = train_el(n, ElTrainConfig(dim=3, epochs=0))
     assert total_loss(s, n, ElTrainConfig(dim=3)) == 0.0
 
 
 def test_total_loss_single_nf1_matches_direct_call():
-    cfg = ElTrainConfig(dim=3, margin=0.07)
+    cfg = ElTrainConfig(dim=3, margin=0.07, epochs=0)
     n = NormalizedOntology(axioms=(NF1("A", "B"),), fresh_names=(), concept_names=frozenset({"A", "B"}))
-    s = initialize_space(n, cfg)
+    s = train_el(n, cfg)
     assert total_loss(s, n, cfg) == axiom_loss(s, NF1("A", "B"), cfg.margin)
 
 
 def test_total_loss_sums_mixed_axioms():
-    cfg = ElTrainConfig(dim=3, margin=0.1)
+    cfg = ElTrainConfig(dim=3, margin=0.1, epochs=0)
     n = NormalizedOntology(
         axioms=(NF1("A", "B"), Disjointness("A", "C")),
         fresh_names=(),
         concept_names=frozenset({"A", "B", "C"}),
     )
-    s = initialize_space(n, cfg)
+    s = train_el(n, cfg)
     expected = axiom_loss(s, NF1("A", "B"), cfg.margin) + axiom_loss(
         s, Disjointness("A", "C"), cfg.margin
     )
@@ -488,14 +488,14 @@ def test_total_loss_sums_mixed_axioms():
 
 
 def test_total_loss_is_repeatable_despite_sampling():
-    cfg = ElTrainConfig(dim=4, negatives=3)
+    cfg = ElTrainConfig(dim=4, negatives=3, epochs=0)
     n = NormalizedOntology(
         axioms=(NF2("A", "r", "B"),),
         fresh_names=(),
         concept_names=frozenset({"A", "B", "C", "D"}),
         relation_names=frozenset({"r"}),
     )
-    s = initialize_space(n, cfg)
+    s = train_el(n, cfg)
     assert total_loss(s, n, cfg) == total_loss(s, n, cfg)
 
 
@@ -506,7 +506,11 @@ def test_train_is_deterministic():
 
 def test_train_zero_epochs_returns_initialization():
     cfg = ElTrainConfig(dim=5, epochs=0, seed=1)
-    assert train_el(CHAIN, cfg) == initialize_space(CHAIN, cfg)
+    start = train_el(CHAIN, cfg)
+    assert start.train_losses == ()
+    # the seeded start depends on the seed and the dimension alone
+    assert start == train_el(CHAIN, replace(cfg, margin=0.5, learning_rate=0.5, batch_size=1, negatives=3))
+    assert start != train_el(CHAIN, replace(cfg, epochs=1))
 
 
 def test_train_chain_converges_and_nests_balls():

@@ -284,10 +284,10 @@ def test_noise_free_seen_classes_are_linearly_separable():
     train = ds.train_samples()
     x = np.stack([s.features for s in train], axis=1)
     z = np.stack([table.encodings[s.label] for s in train], axis=1)
-    w = train_ridge(x, z, 1e-9)
+    model = train_ridge(x, z, 1e-9)
     cfg = PredictConfig(Distance.L2, CandidateSet.SEEN_AND_UNSEEN)
     preds = [
-        predict(map_features(w, s.features)[:, None], table, cfg, sorted(ds.seen_labels), sorted(ds.unseen_labels))[0]
+        predict(map_features(model, s.features)[:, None], table, cfg, sorted(ds.seen_labels), sorted(ds.unseen_labels))[0]
         for s in train
     ]
     assert sample_accuracy(preds, [s.label for s in train]) == 1.0

@@ -6,7 +6,6 @@ Fuzzed configs only go through ``parse_config``: running the pipeline on one
 could ask for an arbitrarily large model.
 """
 
-import math
 import re
 import tempfile
 from pathlib import Path
@@ -49,7 +48,7 @@ VALID = {
     "attributes": "a\t1,0\nb\t0,1\n",
     "class_map": "a\tA\nb\tB\n",
     "encodings": "#components\tattribute\na\t1,0\nb\t0,1\n",
-    "model": zslmap.save_model(zslmap.SaeModel(np.eye(2), 0.5, math.nan)),
+    "model": zslmap.save_model(zslmap.LinearMap("sae", 0.5, np.eye(2))),
     "space": SPACE,
     "vectors": "2 2\na 1 0\nb 0 1\n",
     "corpus": "a r b\nb subclass of c\n",

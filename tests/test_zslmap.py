@@ -1,5 +1,7 @@
 """Label encodings, the SAE/ridge mappers, and nearest-encoding prediction."""
 
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -15,9 +17,9 @@ from ontozsl.zslmap import (
     Component,
     Distance,
     EncodingTable,
+    LinearMap,
     MapConfig,
     PredictConfig,
-    SaeModel,
     _row_distances,
     distance,
     encode_labels,
@@ -152,14 +154,21 @@ def test_load_encodings_rejects_a_second_components_header():
 
 
 def test_encodings_file_round_trip():
-    table = encode_labels(
-        ["Cat", "Dog"], [Component.EL_CENTER], space=tiny_space(), normalize_components=False
-    )
-    back = load_encodings(save_encodings(table))
-    assert back.components == table.components
-    assert back.dim == table.dim
-    for label in table.encodings:
-        assert np.array_equal(back.encodings[label], table.encodings[label])
+    rng = np.random.default_rng(16)
+    for size in range(1, len(Component) + 1):
+        for components in itertools.permutations(Component, size):
+            encodings = {label: rng.normal(size=2 * size) for label in ("Cat", "Dog")}
+            table = EncodingTable(components, 2 * size, encodings)
+            back = load_encodings(save_encodings(table))
+            assert back.components == table.components
+            assert back.dim == table.dim
+            for label in table.encodings:
+                assert np.array_equal(back.encodings[label], table.encodings[label])
+
+
+def test_load_encodings_requires_the_components_header():
+    with pytest.raises(DataError, match="encodings file has no #components header"):
+        load_encodings("Cat\t1,0\nDog\t0,1\n")
 
 
 # ---------------------------------------------------------------------------
@@ -290,23 +299,36 @@ def test_train_sae_rejects_overflowing_inputs():
 
 
 def test_ridge_one_dimensional_slope():
-    w = train_ridge(np.array([[1.0, 2.0]]), np.array([[2.0, 4.0]]), 1e-6)
+    w = train_ridge(np.array([[1.0, 2.0]]), np.array([[2.0, 4.0]]), 1e-6).weights
     assert_allclose(w, [[10.0 / (5.0 + 1e-6)]], rtol=1e-12)
 
 
 def test_ridge_identity_recovery():
     rng = np.random.default_rng(9)
     x = rng.normal(size=(3, 20))
-    w = train_ridge(x, x, 1e-9)
+    w = train_ridge(x, x, 1e-9).weights
     assert_allclose(w, np.eye(3), atol=1e-6)
 
 
 def test_ridge_shapes_and_alpha_guard():
     rng = np.random.default_rng(10)
-    w = train_ridge(rng.normal(size=(4, 9)), rng.normal(size=(2, 9)), 0.1)
-    assert w.shape == (2, 4)
+    x, z = rng.normal(size=(4, 9)), rng.normal(size=(2, 9))
+    model = train_ridge(x, z, 0.1)
+    assert (model.kind, model.param, model.weights.shape) == ("ridge", 0.1, (2, 4))
+    assert_allclose(model.weights, z @ x.T @ np.linalg.inv(x @ x.T + 0.1 * np.eye(4)), rtol=1e-12)
     with pytest.raises(DataError):
         train_ridge(np.zeros((2, 3)), np.zeros((2, 3)), 0.0)
+
+
+@pytest.mark.parametrize(
+    "x, z",
+    [(np.full((4, 10), 1e300), np.ones((2, 10))), (np.ones((4, 10)), np.full((2, 10), 1e308)),
+     (np.ones((4, 10)), np.full((2, 10), np.nan))],
+    ids=["features", "encodings", "nan-encodings"],
+)
+def test_ridge_rejects_overflowing_inputs(x, z):
+    with pytest.raises(NumericalError, match="mapper inputs overflow"):
+        train_ridge(x, z, 1e-3)
 
 
 @pytest.mark.parametrize(
@@ -335,11 +357,10 @@ def test_train_map_fits_and_saves_the_configured_mapper():
     train = dataset.train_samples()
     x = np.stack([s.features for s in train], axis=1)
     z = np.stack([table.encodings[s.label] for s in train], axis=1)
-    model, text = train_map(dataset, table, MapConfig())
-    assert text == save_model(train_sae(x, z, 0.5)) and isinstance(model, SaeModel)
-    weights, text = train_map(dataset, table, MapConfig("ridge", ridge_alpha=0.25))
-    assert_allclose(weights, train_ridge(x, z, 0.25), rtol=0, atol=0)
-    assert text == save_model(weights, alpha=0.25)
+    model = train_map(dataset, table, MapConfig())
+    assert model.kind == "sae" and save_model(model) == save_model(train_sae(x, z, 0.5))
+    model = train_map(dataset, table, MapConfig("ridge", ridge_alpha=0.25))
+    assert model.kind == "ridge" and save_model(model) == save_model(train_ridge(x, z, 0.25))
     with pytest.raises(DataError, match="without encodings: c"):
         train_map(ZslDataset(4, samples, frozenset("abc"), frozenset()), table, MapConfig())
     with pytest.raises(DataError, match="no training samples"):
@@ -351,17 +372,18 @@ def test_predict_test_labels_each_unseen_sample():
                Sample("x2", "c", np.array([0.0, 1.0]))]
     table = EncodingTable((Component.ATTRIBUTE,), 2, {"b": np.array([1.0, 0.0]), "c": np.array([0.0, 1.0])})
     dataset = ZslDataset(2, samples, frozenset("a"), frozenset("bc"))
-    test, labels = predict_test(np.eye(2), dataset, table, PredictConfig())
+    model = LinearMap("ridge", 1e-3, np.eye(2))
+    test, labels = predict_test(model, dataset, table, PredictConfig())
     assert [s.id for s in test] == ["x1", "x2"] and labels == ["c", "c"]
     with pytest.raises(DataError, match="no test samples"):
-        predict_test(np.eye(2), ZslDataset(2, samples, frozenset("abc"), frozenset()), table, PredictConfig())
+        predict_test(model, ZslDataset(2, samples, frozenset("abc"), frozenset()), table, PredictConfig())
 
 
 
 def test_map_features_applies_the_matrix():
-    model = SaeModel(np.array([[1.0, 0.0], [0.0, 2.0]]), 0.5, 0.0)
+    model = LinearMap("sae", 0.5, np.array([[1.0, 0.0], [0.0, 2.0]]))
     assert_allclose(map_features(model, np.array([3.0, 4.0])), [3.0, 8.0])
-    assert_allclose(map_features(np.zeros((2, 2)), np.ones(2)), [0.0, 0.0])
+    assert_allclose(map_features(LinearMap("ridge", 1e-3, np.zeros((2, 2))), np.ones(2)), [0.0, 0.0])
     with pytest.raises(DataError):
         map_features(model, np.ones(3))
 
@@ -482,25 +504,28 @@ def test_batched_distances_equal_single_pairs_bit_for_bit():
 # ---------------------------------------------------------------------------
 
 
+def assert_round_trips(model):
+    back = load_model(save_model(model))
+    assert (back.kind, back.param) == (model.kind, model.param)
+    assert np.array_equal(back.weights, model.weights)
+
+
 def test_sae_model_file_round_trip():
     rng = np.random.default_rng(12)
-    model = SaeModel(rng.normal(size=(3, 5)), 0.25, 1.5)
-    back = load_model(save_model(model))
-    assert isinstance(back, SaeModel)
-    assert np.array_equal(back.weights, model.weights)
-    assert back.lam == model.lam
+    model = train_sae(rng.normal(size=(5, 8)), rng.normal(size=(3, 8)), 0.25)
+    assert model.kind == "sae" and np.isfinite(model.train_loss)
+    assert_round_trips(model)
+    assert np.isnan(load_model(save_model(model)).train_loss)  # the file holds no loss
 
 
 def test_ridge_model_file_round_trip():
     rng = np.random.default_rng(13)
-    w = rng.normal(size=(2, 4))
-    back = load_model(save_model(w, alpha=0.01))
-    assert isinstance(back, np.ndarray)
-    assert np.array_equal(back, w)
+    assert_round_trips(train_ridge(rng.normal(size=(4, 8)), rng.normal(size=(2, 8)), 0.01))
+    assert_round_trips(LinearMap("ridge", 1e-300, rng.normal(size=(2, 4)) * 1e300))
 
 
 def test_model_file_errors():
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="model line 1: unknown model kind 'mystery'"):
         load_model("#kind\tmystery\t0.5\n#shape\t2\t2\n1,0\n0,1\n")
     with pytest.raises(DataError):
         load_model("#kind\tsae\t0.5\n#shape\t2\t2\n1,0\n")  # row count mismatch
