@@ -30,7 +30,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DataError, NumericalError, UnknownNameError, check_ranges
+from .errors import DataError, NumericalError, UnknownNameError, check_ranges, check_table_size
 from .normalform import (
     BOTTOM,
     NF1,
@@ -279,9 +279,11 @@ def total_loss(space: EmbeddingSpace, n: NormalizedOntology, cfg: ElTrainConfig)
 
 
 def _initialize(n: NormalizedOntology, cfg: ElTrainConfig, rng: np.random.Generator) -> EmbeddingSpace:
+    names = sorted(set(n.concept_names) | {TOP, BOTTOM})
+    check_table_size("el_dim", len(names) + len(n.relation_names), cfg.dim)
     nominal = set(n.nominal_map.values())
     concepts: dict[str, Ball] = {}
-    for name in sorted(set(n.concept_names) | {TOP, BOTTOM}):
+    for name in names:
         center = rng.normal(size=cfg.dim)
         center /= np.linalg.norm(center)
         radius = cfg.min_radius if name in nominal else max(0.1, cfg.min_radius)
@@ -303,7 +305,9 @@ def train_el(n: NormalizedOntology, cfg: ElTrainConfig) -> EmbeddingSpace:
     zero and radius ``max(0.1, min_radius)``, which ``epochs=0`` returns.  A
     radius is clamped to ``min_radius`` after each step; nominal-derived
     concepts keep exactly ``min_radius``.  Non-finite parameters abort with the
-    offending name and step index.  The returned space carries the summed batch
+    offending name and step index.  A parameter table over
+    ``errors.MAX_TABLE_BYTES`` is a DataError naming ``el_dim``, raised before
+    anything is allocated.  The returned space carries the summed batch
     loss of each epoch.
     """
     rng = np.random.default_rng(cfg.seed)

@@ -7,7 +7,22 @@ unknown names, malformed files) exits with 2, a :class:`NumericalError`
 
 
 class OntozslError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    Errors pickle with their type, message and attributes, whatever their
+    subclass's ``__init__`` takes.
+    """
+
+    def __reduce__(self):
+        return _restore, (type(self), self.args, self.__dict__)
+
+
+def _restore(cls: type, args: tuple, state: dict) -> OntozslError:
+    """Unpickle an error without calling ``cls.__init__``, whose parameters vary."""
+    error = cls.__new__(cls)
+    error.args = args
+    error.__dict__.update(state)
+    return error
 
 
 class DataError(OntozslError):
@@ -49,6 +64,21 @@ class RangeError(DataError):
     def renamed(self, spelling: dict[str, str]) -> "RangeError":
         """The same error with each setting named as ``spelling`` names it, where it does."""
         return RangeError(self.what, [spelling.get(name, name) for name in self.names])
+
+
+# The largest parameter table a trainer allocates; training itself needs a few
+# times this much, so a larger table is refused before it exhausts memory.
+MAX_TABLE_BYTES = 1 << 30
+
+
+def check_table_size(key: str, rows: int, dim: int) -> None:
+    """A DataError naming ``key`` when a ``rows`` x ``dim`` float64 table would pass MAX_TABLE_BYTES."""
+    size = rows * dim * 8
+    if size > MAX_TABLE_BYTES:
+        raise DataError(
+            f"{key} = {dim} needs a {rows} x {dim} parameter table of {size} bytes, "
+            f"over the limit of {MAX_TABLE_BYTES}"
+        )
 
 
 def check_ranges(what: str, **in_range: bool) -> None:

@@ -1,11 +1,14 @@
 """End-to-end run orchestration driven by a flat key-value config.
 
-``run_pipeline`` executes every stage in order, writing each intermediate
-artifact into the output directory: parse, normalize, train the concept
-embeddings, project and walk the graph, train word vectors, encode the
+``run_pipeline`` executes every stage, writing each intermediate artifact
+into the output directory: parse, normalize, train the concept embeddings,
+project and walk the graph, train word vectors, load the dataset, encode the
 labels, fit the feature-to-encoding mapper on the seen split, predict the
-test split, and score it.  All randomness is derived from the single config
-seed, so re-running a config reproduces every output file byte for byte.
+test split, and score it.  The concept embeddings train in a forked child
+process (POSIX only) while the walk, word-vector and dataset stages run in
+this one; the two share nothing until the labels are encoded.  All
+randomness is derived from the single config seed, so re-running a config
+reproduces every output file byte for byte.
 """
 
 from __future__ import annotations
@@ -14,13 +17,16 @@ import dataclasses
 import hashlib
 import json
 import logging
+import os
+import pickle
+import time
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import elembed, harness, textwalk, zslmap
 from .errors import DataError, OntozslError, RangeError
-from .normalform import BY_TAG, normalize, write_normalized
+from .normalform import BY_TAG, NormalizedOntology, normalize, write_normalized
 from .ontology import parse_ontology, serialize_ontology
 from .textio import fmt, lines, read_file, read_setting, write_setting
 from .zslmap import CandidateSet, Component, Distance
@@ -149,6 +155,9 @@ class MetricsReport:
     w2v_losses: tuple[float, ...] = ()
     candidate_min_distance: float = float("nan")
     candidate_median_distance: float = float("nan")
+    # wall seconds of each stage, plus "train_el" timed in the training child;
+    # never written, since every file in out_dir must repeat byte for byte
+    stage_seconds: dict[str, float] = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -173,9 +182,10 @@ def render_report(report: MetricsReport, per_class_counts: dict[str, tuple[int, 
 
 
 def report_json(report: MetricsReport) -> str:
-    """Every field of ``report``; ``config_echo`` is written as ``config``."""
+    """Every field of ``report`` but the wall times; ``config_echo`` is written as ``config``."""
     payload = dataclasses.asdict(report)
     payload["config"] = payload.pop("config_echo")
+    del payload["stage_seconds"]
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
@@ -185,18 +195,94 @@ def report_json(report: MetricsReport) -> str:
 
 
 class _stage:
-    """Prefix any package error escaping the stage with the stage name."""
+    """Prefix any package error escaping the stage with the stage name, and time the stage."""
 
-    def __init__(self, name: str):
+    def __init__(self, name: str, seconds: dict[str, float]):
         self.name = name
+        self.seconds = seconds
 
     def __enter__(self) -> "_stage":
+        self.start = time.perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
+        self.seconds[self.name] = time.perf_counter() - self.start
         if isinstance(exc, OntozslError) and not getattr(exc, "stage", None):
             exc.stage = self.name
             exc.args = (f"{self.name}: {exc}",)
+        return False
+
+
+class _TrainElChild:
+    """``elembed.train_el`` run in a forked child, which pickles its result into a pipe.
+
+    The child inherits its inputs, so nothing is pickled on the way in, and it
+    looks ``train_el`` up on the module, so a patched one runs.  It sends
+    ``(space, seconds)`` or the error ``train_el`` raised, then exits.  A bare
+    fork, not a spawned interpreter or a pool, because it copies no input and
+    imports nothing, which keeps its cost to a few milliseconds.
+    """
+
+    def __init__(self, normalized: NormalizedOntology, cfg: elembed.ElTrainConfig):
+        read_end, write_end = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(read_end)
+            os.close(write_end)
+            raise
+        if self.pid == 0:
+            status = 1
+            try:
+                os.close(read_end)
+                start = time.perf_counter()
+                try:
+                    result = elembed.train_el(normalized, cfg), time.perf_counter() - start
+                except Exception as exc:
+                    if not isinstance(exc, OntozslError):
+                        import traceback
+
+                        traceback.print_exc()  # a fault's frames do not cross the pipe
+                    result = exc
+                with os.fdopen(write_end, "wb") as pipe:
+                    pickle.dump(result, pipe)
+                status = 0
+            finally:
+                # never return into the caller's code, nor run its exit handlers
+                os._exit(status)
+        os.close(write_end)
+        self.pipe = os.fdopen(read_end, "rb")
+
+    def result(self) -> tuple[elembed.EmbeddingSpace, float]:
+        """The trained space and the child's seconds in ``train_el``; raises its error."""
+        data = self.pipe.read()  # to EOF, so the child has nothing left to write
+        self.pipe.close()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        code = os.waitstatus_to_exitcode(status)
+        if code < 0:
+            import signal
+
+            raise OntozslError(f"training process killed by {signal.Signals(-code).name}")
+        if code != 0:
+            raise OntozslError(f"training process exited with status {code} and no result")
+        result = pickle.loads(data)
+        if isinstance(result, Exception):
+            raise result
+        return result
+
+    def __enter__(self) -> "_TrainElChild":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        """Kill and reap the child unless its result was read."""
+        if self.pid is not None:
+            import signal
+
+            self.pipe.close()
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
         return False
 
 
@@ -204,56 +290,69 @@ def run_pipeline(cfg: RunConfig) -> MetricsReport:
     """Execute all stages and write artifacts plus a manifest to ``out_dir``.
 
     Every stage config was built, and so range-checked, with ``cfg`` itself.
+    EL training runs in a child process beside the walk, w2v and load-dataset
+    stages; when it fails, its error is the one raised, as if it had run first.
+    No child outlives the call.
     """
     el_cfg = cfg.stage(elembed.ElTrainConfig)
 
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     artifacts: dict[str, str] = {}
+    seconds: dict[str, float] = {}
 
     def emit(name: str, text: str) -> None:
         (out_dir / name).write_text(text)
         artifacts[name] = text
 
-    with _stage("parse"):
+    with _stage("parse", seconds):
         ontology = parse_ontology(read_file(cfg.ontology, "ontology"))
         emit("ontology.elf", serialize_ontology(ontology))
 
-    with _stage("normalize"):
+    with _stage("normalize", seconds):
         normalized = normalize(ontology)
         emit("normalized.txt", write_normalized(normalized))
 
-    with _stage("embed-el"):
-        space = elembed.train_el(normalized, el_cfg)
-        el_loss = elembed.total_loss(space, normalized, el_cfg)
-        faithful = elembed.faithfulness(space, normalized, el_cfg.margin)
-        emit("el_space.tsv", elembed.export_space(space))
-        logger.info("embedding loss after training: %.6f", el_loss)
+    with _TrainElChild(normalized, el_cfg) as child:
+        failure = None
+        try:
+            with _stage("walk", seconds):
+                walks = textwalk.random_walks(textwalk.project(ontology), cfg.stage(textwalk.WalkConfig))
+                corpus = textwalk.lexicalize(walks, ontology)
+                emit("corpus.txt", textwalk.save_corpus(corpus))
 
-    with _stage("walk"):
-        walks = textwalk.random_walks(textwalk.project(ontology), cfg.stage(textwalk.WalkConfig))
-        corpus = textwalk.lexicalize(walks, ontology)
-        emit("corpus.txt", textwalk.save_corpus(corpus))
+            with _stage("w2v", seconds):
+                pretrained = None
+                if cfg.pretrained_vectors:
+                    pretrained = textwalk.load_word_vectors(
+                        read_file(cfg.pretrained_vectors, "pretrained vectors")
+                    )
+                vectors = textwalk.train_skipgram(corpus, cfg.stage(textwalk.SkipGramConfig), init=pretrained)
+                emit("wordvecs.txt", textwalk.save_word_vectors(vectors))
 
-    with _stage("w2v"):
-        pretrained = None
-        if cfg.pretrained_vectors:
-            pretrained = textwalk.load_word_vectors(read_file(cfg.pretrained_vectors, "pretrained vectors"))
-        vectors = textwalk.train_skipgram(corpus, cfg.stage(textwalk.SkipGramConfig), init=pretrained)
-        emit("wordvecs.txt", textwalk.save_word_vectors(vectors))
+            with _stage("load-dataset", seconds):
+                dataset = harness.load_dataset(read_file(cfg.features, "features"), read_file(cfg.split, "split"))
+                class_map = (
+                    harness.parse_class_map(read_file(cfg.class_map, "class map")) if cfg.class_map else {}
+                )
+                attributes = (
+                    harness.parse_vector_table(read_file(cfg.attributes, "attributes"), "attributes")
+                    if cfg.attributes
+                    else None
+                )
+        except Exception as exc:
+            failure = exc  # raised after embed-el, whose error wins as if it had run first
 
-    with _stage("load-dataset"):
-        dataset = harness.load_dataset(read_file(cfg.features, "features"), read_file(cfg.split, "split"))
-        class_map = (
-            harness.parse_class_map(read_file(cfg.class_map, "class map")) if cfg.class_map else {}
-        )
-        attributes = (
-            harness.parse_vector_table(read_file(cfg.attributes, "attributes"), "attributes")
-            if cfg.attributes
-            else None
-        )
+        with _stage("embed-el", seconds):
+            space, seconds["train_el"] = child.result()
+            el_loss = elembed.total_loss(space, normalized, el_cfg)
+            faithful = elembed.faithfulness(space, normalized, el_cfg.margin)
+            emit("el_space.tsv", elembed.export_space(space))
+            logger.info("embedding loss after training: %.6f", el_loss)
+        if failure is not None:
+            raise failure
 
-    with _stage("encode"):
+    with _stage("encode", seconds):
         labels = sorted(dataset.seen_labels | dataset.unseen_labels)
         table = zslmap.encode_labels(
             labels,
@@ -267,11 +366,11 @@ def run_pipeline(cfg: RunConfig) -> MetricsReport:
         )
         emit("encodings.tsv", zslmap.save_encodings(table))
 
-    with _stage("train-map"):
+    with _stage("train-map", seconds):
         model = zslmap.train_map(dataset, table, cfg.stage(zslmap.MapConfig))
         emit("model.txt", zslmap.save_model(model))
 
-    with _stage("predict"):
+    with _stage("predict", seconds):
         test, predictions = zslmap.predict_test(model, dataset, table, cfg.predict_config())
         emit("predictions.tsv", harness.write_predictions(test, predictions))
         # after predict, which has rejected every candidate set the spread cannot measure
@@ -279,7 +378,7 @@ def run_pipeline(cfg: RunConfig) -> MetricsReport:
             table, cfg.predict_config(), sorted(dataset.seen_labels), sorted(dataset.unseen_labels)
         )
 
-    with _stage("eval"):
+    with _stage("eval", seconds):
         kinds = Counter(ax.TAG for ax in normalized.axioms)
         truth = [s.label for s in test]
         macro, per_class, per_class_counts = harness.unseen_scores(
@@ -311,6 +410,7 @@ def run_pipeline(cfg: RunConfig) -> MetricsReport:
             w2v_losses=vectors.train_losses,
             candidate_min_distance=spread[0],
             candidate_median_distance=spread[1],
+            stage_seconds=seconds,
         )
         emit("report.txt", render_report(report, per_class_counts))
         emit("report.json", report_json(report))

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, NumericalError, UnknownNameError, check_ranges
+from .errors import DataError, NumericalError, UnknownNameError, check_ranges, check_table_size
 from .normalform import NF1, NF2, NF3, inclusions, rewrite
 from .ontology import LABEL, Annotation, Ontology, RoleComposition, expression_text
 from .textio import fmt, lines, read_floats, read_int, unique
@@ -295,7 +295,8 @@ def train_skipgram(
     initialization, which makes a pretrained file plus zero epochs a no-op
     and more epochs a fine-tune.
     Raises :class:`NumericalError` naming the epoch and the first token whose
-    vector is no longer finite.
+    vector is no longer finite, and a DataError naming ``w2v_dim`` before
+    allocating a table over ``errors.MAX_TABLE_BYTES``.
     """
     counts = {t: c for t, c in corpus.vocabulary.items() if c >= cfg.min_count}
     if not counts:
@@ -305,6 +306,7 @@ def train_skipgram(
     vocab = sorted(counts, key=lambda t: (-counts[t], t))
     index = {t: i for i, t in enumerate(vocab)}
     size, dim = len(vocab), cfg.dim
+    check_table_size("w2v_dim", 2 * size, dim)
 
     rng = np.random.default_rng(cfg.seed)
     # one parameter matrix: input vectors in rows [0, size), output vectors after

@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataError, NumericalError, UnknownNameError, check_ranges
+from .errors import DataError, NumericalError, RangeError, UnknownNameError, check_ranges
 from .elembed import EmbeddingSpace
 from .harness import Sample, ZslDataset, parse_vector_table, write_vector_table
 from .ontology import Ontology
@@ -56,7 +56,8 @@ class PredictConfig:
     candidates: CandidateSet = CandidateSet.UNSEEN_ONLY
 
 
-MAPPERS = ("sae", "ridge")
+# each mapper and the MapConfig field of its parameter
+MAPPERS = {"sae": "sae_lambda", "ridge": "ridge_alpha"}
 
 
 @dataclass(frozen=True)
@@ -415,6 +416,10 @@ def load_model(text: str) -> LinearMap:
     if kind[1] not in MAPPERS:
         raise DataError(f"{kind_where}: unknown model kind {kind[1]!r}")
     param = float(read_floats(kind[2:], kind_where, 1)[0])
+    try:
+        MapConfig(kind[1], **{MAPPERS[kind[1]]: param})
+    except RangeError as exc:
+        raise DataError(f"{kind_where}: {exc}") from None
     shape = shape_line.split("\t")[1:]
     if len(shape) != 2:
         raise DataError(f"{shape_where}: #shape takes two nonnegative integers")

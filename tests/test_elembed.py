@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ontozsl import elembed
+from ontozsl import elembed, errors
 from ontozsl.elembed import (
     Ball,
     ElTrainConfig,
@@ -555,6 +555,18 @@ def test_train_divergence_names_the_parameter_and_step():
         r"(center of|radius of|relation) '(A|B|C|Top|Bottom)' diverged at step [1-9][0-9]*",
         str(err.value),
     )
+
+
+def test_train_refuses_a_table_over_the_size_limit_before_allocating_it(monkeypatch):
+    # the default limit, checked by arithmetic alone: the el_dim that once exhausted memory
+    with pytest.raises(DataError, match="^el_dim = 100000000 needs a 36 x 100000000 parameter table of "
+                       "28800000000 bytes, over the limit of 1073741824$"):
+        errors.check_table_size("el_dim", 36, 100_000_000)
+    # CHAIN embeds A, B, C, Top and Bottom: 5 rows
+    monkeypatch.setattr(errors, "MAX_TABLE_BYTES", 5 * 4 * 8)
+    train_el(CHAIN, ElTrainConfig(dim=4, epochs=1))
+    with pytest.raises(DataError, match="^el_dim = 5 needs a 5 x 5 parameter table of 200 bytes"):
+        train_el(CHAIN, ElTrainConfig(dim=5, epochs=0))
 
 
 def test_train_keeps_radii_clamped():

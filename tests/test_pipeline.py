@@ -2,15 +2,29 @@
 
 import json
 import math
+import multiprocessing
+import os
+import re
+import signal
+import time
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ontozsl.cli import EXIT_DATA, main
+from ontozsl import elembed, errors, textwalk
+from ontozsl.cli import EXIT_DATA, EXIT_NUMERIC, main
 from ontozsl.elembed import import_space
-from ontozsl.errors import DataError
+from ontozsl.errors import (
+    DataError,
+    ElfError,
+    NumericalError,
+    OntozslError,
+    RangeError,
+    UnknownNameError,
+    UnsupportedAxiomError,
+)
 from ontozsl.harness import (
     gen_synthetic,
     load_dataset,
@@ -19,8 +33,8 @@ from ontozsl.harness import (
     write_split,
     write_vector_table,
 )
-from ontozsl.normalform import BOTTOM, BY_TAG, TOP, Disjointness, classify, read_normalized
-from ontozsl.ontology import serialize_ontology
+from ontozsl.normalform import BOTTOM, BY_TAG, TOP, Disjointness, classify, normalize, read_normalized
+from ontozsl.ontology import parse_ontology, serialize_ontology
 from ontozsl.pipeline import (
     MetricsReport,
     RunConfig,
@@ -56,6 +70,14 @@ FAST = dict(
 )
 
 
+@pytest.fixture(autouse=True)
+def no_child_process_remains():
+    """Every test here ends with no child process, running or unreaped."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def write_benchmark(tmp_path: Path, k_seen=4, k_unseen=2, per_class=4, noise=0.05, seed=0):
     data = gen_synthetic(k_seen, k_unseen, per_class, p=10, noise=noise, seed=seed)
     (tmp_path / "o.elf").write_text(serialize_ontology(data.ontology))
@@ -78,6 +100,10 @@ def base_config(tmp_path: Path, **overrides) -> RunConfig:
     )
     settings.update(overrides)
     return RunConfig(**settings)
+
+
+def pipeline_argv(cfg: RunConfig) -> list[str]:
+    return ["pipeline"] + [arg for key, value in cfg.to_dict().items() for arg in ("--set", f"{key}={value}")]
 
 
 def test_parse_config_reads_key_value_lines():
@@ -381,8 +407,7 @@ def test_bad_pretrained_vectors_exit_2_in_the_w2v_stage(tmp_path, capsys, text, 
     write_benchmark(tmp_path)
     (tmp_path / "pretrained.txt").write_text(text)
     cfg = base_config(tmp_path, pretrained_vectors=str(tmp_path / "pretrained.txt"))
-    argv = ["pipeline"] + [arg for key, value in cfg.to_dict().items() for arg in ("--set", f"{key}={value}")]
-    assert main(argv) == EXIT_DATA
+    assert main(pipeline_argv(cfg)) == EXIT_DATA
     assert capsys.readouterr().err.splitlines()[-1].startswith(message)
 
 
@@ -401,3 +426,168 @@ def test_word_vectors_score_above_the_floor_on_the_word_walks_inputs(tmp_path, s
         components="word", el_epochs=50, w2v_epochs=20,
     )
     assert run_pipeline(cfg).macro_unseen_accuracy >= 0.6
+
+
+# ---------------------------------------------------------------------------
+# EL training in a forked child
+# ---------------------------------------------------------------------------
+
+STAGE_NAMES = ("parse", "normalize", "walk", "w2v", "load-dataset", "embed-el", "encode", "train-map",
+               "predict", "eval")
+
+
+def test_el_artifacts_match_an_in_process_train_el(tmp_path):
+    write_benchmark(tmp_path)
+    cfg = base_config(tmp_path)
+    report = run_pipeline(cfg)
+    el_cfg = cfg.stage(elembed.ElTrainConfig)
+    normalized = normalize(parse_ontology((tmp_path / "o.elf").read_text()))
+    space = elembed.train_el(normalized, el_cfg)
+    assert (tmp_path / "run" / "el_space.tsv").read_text() == elembed.export_space(space)
+    assert report.el_losses == space.train_losses
+    assert report.el_total_loss == elembed.total_loss(space, normalized, el_cfg)
+
+
+def test_report_records_every_stage_time_outside_its_files(tmp_path):
+    write_benchmark(tmp_path)
+    report = run_pipeline(base_config(tmp_path))
+    assert set(report.stage_seconds) == {*STAGE_NAMES, "train_el"}
+    assert all(seconds > 0 for seconds in report.stage_seconds.values()), report.stage_seconds
+    out = tmp_path / "run"
+    assert "stage_seconds" not in json.loads((out / "report.json").read_text())
+    assert "train_el" not in (out / "report.txt").read_text()
+
+
+DIVERGED = r"embed-el: (center of|radius of|relation) '\w+' diverged at step [1-9][0-9]*"
+
+
+@pytest.mark.parametrize("features", ["f.tsv", "missing.tsv"])
+def test_a_diverging_el_stage_reports_its_error_even_when_a_later_stage_fails(tmp_path, capsys, features):
+    """The error of the serial order: EL ran first, so its divergence wins over a missing file."""
+    write_benchmark(tmp_path)
+    cfg = base_config(tmp_path, el_lr=1e308, features=str(tmp_path / features))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericalError) as err:
+            run_pipeline(cfg)
+        assert re.fullmatch(DIVERGED, str(err.value))
+        assert err.value.stage == "embed-el"
+        capsys.readouterr()
+        assert main(pipeline_argv(cfg)) == EXIT_NUMERIC
+    assert re.fullmatch(f"numerical failure: {DIVERGED}", capsys.readouterr().err.splitlines()[-1])
+
+
+def test_a_failing_stage_beside_el_training_keeps_its_error(tmp_path):
+    write_benchmark(tmp_path)
+    with pytest.raises(DataError, match="^load-dataset: features file not found: "):
+        run_pipeline(base_config(tmp_path, features=str(tmp_path / "missing.tsv")))
+    # the EL stage finished first, as it did when it ran before the others
+    assert (tmp_path / "run" / "el_space.tsv").is_file()
+
+
+# one of each OntozslError class; ElfError and RangeError take other arguments than a message
+PACKAGE_ERRORS = [
+    OntozslError("plain"),
+    DataError("bad data"),
+    ElfError("unexpected token", 3, 7),
+    UnknownNameError("no concept named 'X'"),
+    UnsupportedAxiomError("cannot embed it"),
+    NumericalError("center of 'A' diverged at step 4"),
+    RangeError("embedding config", ["dim", "margin"]),
+]
+
+
+def test_package_errors_has_every_error_class():
+    def subclasses(cls):
+        return {cls}.union(*(subclasses(sub) for sub in cls.__subclasses__()))
+
+    assert {type(error) for error in PACKAGE_ERRORS} == subclasses(OntozslError)
+
+
+@pytest.mark.parametrize("error", PACKAGE_ERRORS, ids=lambda error: type(error).__name__)
+def test_every_package_error_of_el_training_crosses_the_pipe(tmp_path, monkeypatch, error):
+    def fail(normalized, cfg):
+        raise error
+
+    monkeypatch.setattr(elembed, "train_el", fail)
+    write_benchmark(tmp_path)
+    with pytest.raises(OntozslError) as err:
+        run_pipeline(base_config(tmp_path))
+    assert type(err.value) is type(error)
+    assert str(err.value) == f"embed-el: {error}"
+    assert {k: v for k, v in vars(err.value).items() if k != "stage"} == vars(error)
+
+
+def test_a_fault_in_el_training_is_raised_with_the_child_traceback(tmp_path, monkeypatch, capfd):
+    def broken(normalized, cfg):
+        raise ValueError("a bug")
+
+    monkeypatch.setattr(elembed, "train_el", broken)
+    write_benchmark(tmp_path)
+    with pytest.raises(ValueError, match="^a bug$"):
+        run_pipeline(base_config(tmp_path))
+    assert 'in broken\n    raise ValueError("a bug")' in capfd.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "train_el, message",
+    [
+        (lambda normalized, cfg: os.kill(os.getpid(), signal.SIGKILL), "killed by SIGKILL"),
+        # a result pickle cannot write ends the child without one
+        (lambda normalized, cfg: lambda: None, "exited with status 1 and no result"),
+    ],
+    ids=["killed", "unpicklable"],
+)
+def test_a_child_that_ends_without_a_result_is_a_package_error(tmp_path, monkeypatch, capsys, train_el, message):
+    monkeypatch.setattr(elembed, "train_el", train_el)
+    write_benchmark(tmp_path)
+    cfg = base_config(tmp_path)
+    with pytest.raises(OntozslError) as err:
+        run_pipeline(cfg)
+    assert type(err.value) is OntozslError
+    assert str(err.value) == f"embed-el: training process {message}"
+    capsys.readouterr()
+    assert main(pipeline_argv(cfg)) == EXIT_DATA
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: embed-el: training process {message}"
+
+
+def test_an_interrupt_kills_and_reaps_the_training_child(tmp_path, monkeypatch):
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(elembed, "train_el", lambda normalized, cfg: time.sleep(60))
+    monkeypatch.setattr(textwalk, "random_walks", interrupt)
+    write_benchmark(tmp_path)
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        run_pipeline(base_config(tmp_path))
+    assert time.perf_counter() - start < 30
+
+
+def _run_in_daemon(cfg: RunConfig) -> None:
+    run_pipeline(cfg)
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    raise AssertionError("a child process remains")
+
+
+def test_run_pipeline_works_inside_a_daemonic_multiprocessing_worker(tmp_path):
+    write_benchmark(tmp_path)
+    cfg = base_config(tmp_path)
+    worker = multiprocessing.get_context("fork").Process(target=_run_in_daemon, args=(cfg,), daemon=True)
+    worker.start()
+    worker.join(120)
+    assert worker.exitcode == 0
+    manifest = (tmp_path / "run" / "manifest.txt").read_text()
+    run_pipeline(cfg)
+    assert (tmp_path / "run" / "manifest.txt").read_text() == manifest
+
+
+def test_an_oversized_el_table_exits_2_naming_el_dim(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(errors, "MAX_TABLE_BYTES", 1 << 20)  # small, so a miss allocates little
+    write_benchmark(tmp_path)
+    assert main(pipeline_argv(base_config(tmp_path, el_dim=100_000))) == EXIT_DATA
+    error = capsys.readouterr().err.splitlines()[-1]
+    assert re.fullmatch(r"error: embed-el: el_dim = 100000 needs a \d+ x 100000 parameter table "
+                        r"of \d+ bytes, over the limit of 1048576", error), error

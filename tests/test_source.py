@@ -3,6 +3,8 @@
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -84,3 +86,12 @@ def test_name_tokens_takes_a_name_and_an_ontology():
     ontology = gen_synthetic(2, 1, 1).ontology
     assert textwalk.name_tokens("Class_00", ontology) == ["class", "00"]
     assert textwalk.name_tokens("hasTrait", ontology) == ["has", "trait"]
+
+
+def test_importing_the_package_loads_no_process_machinery():
+    """EL training forks with ``os``; the benchmark's ``setup_s`` times ``import ontozsl``."""
+    heavy = ["multiprocessing", "concurrent.futures", "subprocess"]
+    code = f"import sys, ontozsl; print([m for m in {heavy!r} if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": str(Path(ontozsl.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from ontozsl import textwalk
+from ontozsl import errors, textwalk
 from ontozsl.errors import DataError, NumericalError, UnknownNameError
 from ontozsl.ontology import parse_ontology
 from ontozsl.textwalk import (
@@ -254,6 +254,15 @@ def test_skipgram_min_count_filters_vocabulary():
     assert "rock" not in wv.vectors
     with pytest.raises(DataError):
         train_skipgram(corpus, SkipGramConfig(dim=4, epochs=1, min_count=10, seed=0))
+
+
+def test_skipgram_refuses_a_table_over_the_size_limit_before_allocating_it(monkeypatch):
+    corpus = load_corpus("sun moon star\n")  # input and output rows of 3 tokens
+    monkeypatch.setattr(errors, "MAX_TABLE_BYTES", 6 * 4 * 8)
+    train_skipgram(corpus, SkipGramConfig(dim=4, epochs=1))
+    with pytest.raises(DataError, match="^w2v_dim = 5 needs a 6 x 5 parameter table of 240 bytes, "
+                       "over the limit of 192$"):
+        train_skipgram(corpus, SkipGramConfig(dim=5, epochs=1))
 
 
 def test_skipgram_rejects_mismatched_init_dim():

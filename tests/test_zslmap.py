@@ -529,3 +529,12 @@ def test_model_file_errors():
         load_model("#kind\tmystery\t0.5\n#shape\t2\t2\n1,0\n0,1\n")
     with pytest.raises(DataError):
         load_model("#kind\tsae\t0.5\n#shape\t2\t2\n1,0\n")  # row count mismatch
+
+
+def test_model_file_parameter_is_range_checked_like_the_config():
+    for kind, named in [("ridge\t0", "ridge_alpha"), ("ridge\t-1", "ridge_alpha"), ("sae\t-1", "sae_lambda")]:
+        with pytest.raises(DataError, match=f"^model line 1: mapper config out of range: {named}$"):
+            load_model(f"#kind\t{kind}\n#shape\t1\t1\n1\n")
+    # the smallest value each config accepts loads
+    assert load_model("#kind\tsae\t0\n#shape\t1\t1\n1\n").param == 0.0
+    assert load_model("#kind\tridge\t5e-324\n#shape\t1\t1\n1\n").param == 5e-324
