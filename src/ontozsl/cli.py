@@ -18,7 +18,7 @@ from . import elembed, harness, pipeline, textwalk, zslmap
 from .errors import NumericalError, OntozslError, RangeError
 from .normalform import classify, normalize, read_normalized, write_normalized
 from .ontology import parse_ontology, serialize_ontology
-from .textio import fmt, lines, read_file, read_setting, unique
+from .textio import file_lines, fmt, read_file, read_setting, unique
 from .zslmap import CandidateSet, Distance
 
 EXIT_OK = 0
@@ -98,24 +98,24 @@ def cmd_walk(args) -> None:
 
 def cmd_w2v(args) -> None:
     cfg = _stage_config(args, textwalk.SkipGramConfig)
-    corpus = textwalk.load_corpus(read_file(args.corpus, "corpus"))
-    init = textwalk.load_word_vectors(read_file(args.init, "pretrained vectors")) if args.init else None
+    corpus = textwalk.load_corpus(file_lines(args.corpus, "corpus"))
+    init = None
+    if args.init:
+        init = textwalk.load_word_vectors(file_lines(args.init, "pretrained vectors", "word vectors"))
     _write(args.out, textwalk.save_word_vectors(textwalk.train_skipgram(corpus, cfg, init=init)))
 
 
 def cmd_encode(args) -> None:
     components = zslmap.parse_components(args.components)
-    space = elembed.import_space(read_file(args.space, "embedding space")) if args.space else None
-    vectors = textwalk.load_word_vectors(read_file(args.vectors, "word vectors")) if args.vectors else None
+    space = elembed.read_space(file_lines(args.space, "embedding space")) if args.space else None
+    vectors = textwalk.load_word_vectors(file_lines(args.vectors, "word vectors")) if args.vectors else None
     ontology = parse_ontology(read_file(args.ontology, "ontology")) if args.ontology else None
     attributes = (
-        harness.parse_vector_table(read_file(args.attributes, "attributes"), "attributes")
-        if args.attributes
-        else None
+        harness.parse_vector_table(file_lines(args.attributes, "attributes")) if args.attributes else None
     )
-    class_map = harness.parse_class_map(read_file(args.class_map, "class map")) if args.class_map else None
+    class_map = harness.parse_class_map(file_lines(args.class_map, "class map")) if args.class_map else None
     labels: dict[str, None] = {}
-    for where, line in lines(read_file(args.labels, "labels"), "labels"):
+    for where, line in file_lines(args.labels, "labels"):
         labels[unique(labels, line.strip(), where, "label")] = None
     table = zslmap.encode_labels(
         list(labels),
@@ -132,23 +132,23 @@ def cmd_encode(args) -> None:
 
 def cmd_train_map(args) -> None:
     cfg = _stage_config(args, zslmap.MapConfig)
-    table = zslmap.load_encodings(read_file(args.encodings, "encodings"))
-    dataset = harness.load_dataset(read_file(args.features, "features"), read_file(args.split, "split"))
+    table = zslmap.load_encodings(file_lines(args.encodings, "encodings"))
+    dataset = harness.load_dataset(file_lines(args.features, "features"), file_lines(args.split, "split"))
     _write(args.out, zslmap.save_model(zslmap.train_map(dataset, table, cfg)))
 
 
 def cmd_predict(args) -> None:
-    table = zslmap.load_encodings(read_file(args.encodings, "encodings"))
-    model = zslmap.load_model(read_file(args.model, "model"))
-    dataset = harness.load_dataset(read_file(args.features, "features"), read_file(args.split, "split"))
+    table = zslmap.load_encodings(file_lines(args.encodings, "encodings"))
+    model = zslmap.load_model(file_lines(args.model, "model"))
+    dataset = harness.load_dataset(file_lines(args.features, "features"), file_lines(args.split, "split"))
     cfg = zslmap.PredictConfig(Distance(args.distance), CandidateSet(args.candidates))
     test, labels = zslmap.predict_test(model, dataset, table, cfg)
     _write(args.out, harness.write_predictions(test, labels))
 
 
 def cmd_eval(args) -> None:
-    _seen, unseen = harness.parse_split(read_file(args.split, "split"))
-    predictions, truth = harness.parse_predictions(read_file(args.predictions, "predictions"))
+    _seen, unseen = harness.parse_split(file_lines(args.split, "split"))
+    predictions, truth = harness.parse_predictions(file_lines(args.predictions, "predictions"))
     macro, per_class, _counts = harness.unseen_scores(predictions, truth, unseen)
     rows = [
         f"macro_unseen_accuracy\t{fmt(macro)}",

@@ -44,7 +44,7 @@ from .normalform import (
     RSub,
     classify,
 )
-from .textio import fmt, lines, read_floats, read_int, unique
+from .textio import Rows, fmt, lines, read_floats, read_int, unique
 
 
 @dataclass
@@ -266,6 +266,7 @@ def axiom_loss(
 _BETA1, _BETA2, _EPSILON = 0.9, 0.999, 1e-8
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow shows as a non-finite loss
 def total_loss(space: EmbeddingSpace, n: NormalizedOntology, cfg: ElTrainConfig) -> float:
     """Sum of axiom losses plus sampled NF2 corruption losses.
 
@@ -294,6 +295,7 @@ def _initialize(n: NormalizedOntology, cfg: ElTrainConfig, rng: np.random.Genera
     return EmbeddingSpace(cfg.dim, concepts, relations)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # divergence is a NumericalError
 def train_el(n: NormalizedOntology, cfg: ElTrainConfig) -> EmbeddingSpace:
     """Minibatch Adam over the axiom losses, one kernel call per minibatch.
 
@@ -304,11 +306,12 @@ def train_el(n: NormalizedOntology, cfg: ElTrainConfig) -> EmbeddingSpace:
     Training starts from unit-sphere centers, relation vectors within 0.1 of
     zero and radius ``max(0.1, min_radius)``, which ``epochs=0`` returns.  A
     radius is clamped to ``min_radius`` after each step; nominal-derived
-    concepts keep exactly ``min_radius``.  Non-finite parameters abort with the
-    offending name and step index.  A parameter table over
-    ``errors.MAX_TABLE_BYTES`` is a DataError naming ``el_dim``, raised before
-    anything is allocated.  The returned space carries the summed batch
-    loss of each epoch.
+    concepts keep exactly ``min_radius``.  A non-finite batch loss, or a
+    non-finite parameter (which is named), aborts with a NumericalError
+    naming the step; numpy's overflow warnings are silenced, since that error
+    reports them.  A parameter table over ``errors.MAX_TABLE_BYTES`` is a
+    DataError naming ``el_dim``, raised before anything is allocated.  The
+    returned space carries the summed batch loss of each epoch.
     """
     rng = np.random.default_rng(cfg.seed)
     space = _initialize(n, cfg, rng)
@@ -361,6 +364,8 @@ def train_el(n: NormalizedOntology, cfg: ElTrainConfig) -> EmbeddingSpace:
             theta -= update
             if not np.isfinite(theta).all():
                 raise _diverged(keys, params, radii, step)
+            if not np.isfinite(loss):  # taken before the update, at finite parameters
+                raise NumericalError(f"batch loss diverged at step {step}")
             np.maximum(concept_radii, cfg.min_radius, out=concept_radii)
             concept_radii[pinned] = cfg.min_radius
         losses.append(epoch_loss)
@@ -429,10 +434,15 @@ def export_space(space: EmbeddingSpace) -> str:
 
 def import_space(text: str) -> EmbeddingSpace:
     """Parse :func:`export_space` output; malformed or non-finite values are DataErrors."""
+    return read_space(lines(text, "embedding space"))
+
+
+def read_space(rows: Rows) -> EmbeddingSpace:
+    """:func:`import_space` over ``(where, line)`` rows, such as ``textio.file_lines`` yields."""
     dim: int | None = None
     concepts: dict[str, Ball] = {}
     relations: dict[str, np.ndarray] = {}
-    for where, line in lines(text, "embedding space"):
+    for where, line in rows:
         parts = line.split("\t")
         if parts[0] == "#dim":
             if dim is not None:

@@ -5,8 +5,11 @@ the seen set form the training split; samples with unseen labels form the
 test split.  Metrics follow the usual zero-shot conventions: the headline
 number is the unweighted mean of per-class accuracy over the unseen classes,
 with plain sample accuracy reported alongside for generalized evaluation.
-The dataset tables and the predictions file are tab-separated rows; their
-lines, numbers and repeated keys go through :mod:`ontozsl.textio`.
+The dataset tables and the predictions file are tab-separated rows.  Each
+loader takes the ``(where, line)`` rows of :func:`ontozsl.textio.lines` or
+:func:`ontozsl.textio.file_lines` and keeps only what it parses, so loading
+a file never holds its text; numbers and repeated keys go through
+:mod:`ontozsl.textio` too.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .ontology import (
     LABEL,
     Ontology,
 )
-from .textio import fmt, lines, read_floats, unique
+from .textio import Rows, fmt, read_floats, unique
 
 
 @dataclass(frozen=True)
@@ -60,9 +63,9 @@ class ZslDataset:
 # ---------------------------------------------------------------------------
 
 
-def _tab_rows(text: str, what: str, *fields: str) -> Iterator[tuple[str, list[str]]]:
-    """``(where, fields)`` of each tab-separated row; blank and ``#`` lines are skipped."""
-    for where, line in lines(text, what):
+def _tab_rows(rows: Rows, *fields: str) -> Iterator[tuple[str, list[str]]]:
+    """``(where, fields)`` of each tab-separated row; ``#`` lines are skipped."""
+    for where, line in rows:
         if line.startswith("#"):
             continue
         parts = line.split("\t")
@@ -71,12 +74,12 @@ def _tab_rows(text: str, what: str, *fields: str) -> Iterator[tuple[str, list[st
         yield where, parts
 
 
-def parse_split(text: str) -> tuple[frozenset[str], frozenset[str]]:
+def parse_split(rows: Rows) -> tuple[frozenset[str], frozenset[str]]:
     """Read ``[seen]`` / ``[unseen]`` sections of one label per line; a label may not repeat."""
     section = None
     seen: set[str] = set()
     unseen: set[str] = set()
-    for where, raw in lines(text, "split"):
+    for where, raw in rows:
         line = raw.strip()
         if line.startswith("#"):
             continue
@@ -101,10 +104,10 @@ def write_split(seen: Iterable[str], unseen: Iterable[str]) -> str:
     return "".join(row + "\n" for row in rows)
 
 
-def parse_features(text: str) -> tuple[int, list[Sample]]:
+def parse_features(rows: Rows) -> tuple[int, list[Sample]]:
     samples: dict[str, Sample] = {}
     dim: int | None = None
-    for where, (sample_id, label, values) in _tab_rows(text, "features", "id", "label", "values"):
+    for where, (sample_id, label, values) in _tab_rows(rows, "id", "label", "values"):
         unique(samples, sample_id, where, "sample id")
         row = read_floats(values.split(","), where, dim)
         dim = row.size
@@ -118,21 +121,24 @@ def write_features(samples: Iterable[Sample]) -> str:
     return "".join(f"{s.id}\t{s.label}\t{','.join(map(fmt, s.features))}\n" for s in samples)
 
 
-def load_dataset(features_text: str, split_text: str) -> ZslDataset:
-    """Combine feature and split files, rejecting unlisted labels."""
-    dim, samples = parse_features(features_text)
-    seen, unseen = parse_split(split_text)
+def load_dataset(features: Rows, split: Rows) -> ZslDataset:
+    """Combine feature and split rows, rejecting unlisted labels.
+
+    The feature rows are read to the end before the first split row.
+    """
+    dim, samples = parse_features(features)
+    seen, unseen = parse_split(split)
     for s in samples:
         if s.label not in seen and s.label not in unseen:
             raise DataError(f"sample {s.id!r} has label {s.label!r} outside both splits")
     return ZslDataset(dim, samples, seen, unseen)
 
 
-def parse_vector_table(text: str, what: str) -> dict[str, np.ndarray]:
+def parse_vector_table(rows: Rows) -> dict[str, np.ndarray]:
     """``label<TAB>v1,...,vk`` rows (used for attributes and similar tables)."""
     table: dict[str, np.ndarray] = {}
     dim: int | None = None
-    for where, (label, values) in _tab_rows(text, what, "label", "values"):
+    for where, (label, values) in _tab_rows(rows, "label", "values"):
         unique(table, label, where, "label")
         table[label] = read_floats(values.split(","), where, dim)
         dim = table[label].size
@@ -143,9 +149,9 @@ def write_vector_table(table: Mapping[str, np.ndarray]) -> str:
     return "".join(f"{label}\t{','.join(map(fmt, table[label]))}\n" for label in sorted(table))
 
 
-def parse_class_map(text: str) -> dict[str, str]:
+def parse_class_map(rows: Rows) -> dict[str, str]:
     mapping: dict[str, str] = {}
-    for where, (label, concept) in _tab_rows(text, "class map", "label", "concept"):
+    for where, (label, concept) in _tab_rows(rows, "label", "concept"):
         mapping[unique(mapping, label, where, "label")] = concept
     return mapping
 
@@ -154,12 +160,12 @@ def write_class_map(mapping: Mapping[str, str]) -> str:
     return "".join(f"{label}\t{mapping[label]}\n" for label in sorted(mapping))
 
 
-def parse_predictions(text: str) -> tuple[list[str], list[str]]:
+def parse_predictions(rows: Rows) -> tuple[list[str], list[str]]:
     """Predicted and true labels of ``id<TAB>prediction<TAB>truth`` rows; an id may not repeat."""
-    rows: dict[str, list[str]] = {}
-    for where, (sample_id, *labels) in _tab_rows(text, "predictions", "id", "prediction", "truth"):
-        rows[unique(rows, sample_id, where, "sample id")] = labels
-    return [row[0] for row in rows.values()], [row[1] for row in rows.values()]
+    found: dict[str, list[str]] = {}
+    for where, (sample_id, *labels) in _tab_rows(rows, "id", "prediction", "truth"):
+        found[unique(found, sample_id, where, "sample id")] = labels
+    return [row[0] for row in found.values()], [row[1] for row in found.values()]
 
 
 def write_predictions(samples: Sequence[Sample], predictions: Sequence[str]) -> str:

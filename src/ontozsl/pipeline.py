@@ -17,6 +17,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 import os
 import pickle
 import time
@@ -25,10 +26,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import elembed, harness, textwalk, zslmap
-from .errors import DataError, OntozslError, RangeError
+from .errors import DataError, NumericalError, OntozslError, RangeError
 from .normalform import BY_TAG, NormalizedOntology, normalize, write_normalized
 from .ontology import parse_ontology, serialize_ontology
-from .textio import fmt, lines, read_file, read_setting, write_setting
+from .textio import file_lines, fmt, lines, read_file, read_setting, write_setting
 from .zslmap import CandidateSet, Component, Distance
 
 logger = logging.getLogger(__name__)
@@ -325,18 +326,20 @@ def run_pipeline(cfg: RunConfig) -> MetricsReport:
                 pretrained = None
                 if cfg.pretrained_vectors:
                     pretrained = textwalk.load_word_vectors(
-                        read_file(cfg.pretrained_vectors, "pretrained vectors")
+                        file_lines(cfg.pretrained_vectors, "pretrained vectors", "word vectors")
                     )
                 vectors = textwalk.train_skipgram(corpus, cfg.stage(textwalk.SkipGramConfig), init=pretrained)
                 emit("wordvecs.txt", textwalk.save_word_vectors(vectors))
 
             with _stage("load-dataset", seconds):
-                dataset = harness.load_dataset(read_file(cfg.features, "features"), read_file(cfg.split, "split"))
+                dataset = harness.load_dataset(
+                    file_lines(cfg.features, "features"), file_lines(cfg.split, "split")
+                )
                 class_map = (
-                    harness.parse_class_map(read_file(cfg.class_map, "class map")) if cfg.class_map else {}
+                    harness.parse_class_map(file_lines(cfg.class_map, "class map")) if cfg.class_map else {}
                 )
                 attributes = (
-                    harness.parse_vector_table(read_file(cfg.attributes, "attributes"), "attributes")
+                    harness.parse_vector_table(file_lines(cfg.attributes, "attributes"))
                     if cfg.attributes
                     else None
                 )
@@ -346,6 +349,8 @@ def run_pipeline(cfg: RunConfig) -> MetricsReport:
         with _stage("embed-el", seconds):
             space, seconds["train_el"] = child.result()
             el_loss = elembed.total_loss(space, normalized, el_cfg)
+            if not math.isfinite(el_loss):
+                raise NumericalError(f"embedding loss is not finite: {el_loss}")
             faithful = elembed.faithfulness(space, normalized, el_cfg.margin)
             emit("el_space.tsv", elembed.export_space(space))
             logger.info("embedding loss after training: %.6f", el_loss)

@@ -8,18 +8,23 @@ Config keys and CLI flags both go through :func:`read_setting`.  A malformed
 value is a :class:`DataError` naming where it was found.
 
 Loaders other than the ontology parser and the normal-form reader (which
-report columns too) read rows with :func:`lines`, naming each one ``<file>
-line <n>``, and reject a repeated key with :func:`unique`.
+report columns too) take rows from :func:`lines`, or from :func:`file_lines`,
+which reads the same rows from a file one line at a time, so a table's text
+is never held whole; each row is named ``<file> line <n>``, and a repeated
+key is rejected with :func:`unique`.
 """
 
 from __future__ import annotations
 
+import locale
 from pathlib import Path
-from typing import Container, Iterator, Sequence
+from typing import Container, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import DataError
+
+Rows = Iterable[tuple[str, str]]  # (where, line) pairs, as lines and file_lines yield them
 
 
 def fmt(x: float) -> str:
@@ -30,7 +35,7 @@ def fmt(x: float) -> str:
 def read_floats(fields: Sequence[str], where: str, size: int | None = None) -> np.ndarray:
     """Finite floats, one per field; anything else is a DataError at ``where``."""
     try:
-        row = np.array([float(v) for v in fields], dtype=float)
+        row = np.array(fields, dtype=float)
     except ValueError as exc:
         raise DataError(f"{where}: {exc}") from None
     if not np.isfinite(row).all():
@@ -40,11 +45,45 @@ def read_floats(fields: Sequence[str], where: str, size: int | None = None) -> n
     return row
 
 
-def lines(text: str, what: str) -> Iterator[tuple[str, str]]:
-    """``(where, line)`` of each non-blank line, ``where`` reading ``<what> line <n>``."""
-    for number, line in enumerate(text.splitlines(), start=1):
+def _numbered(pieces: Iterable[str], what: str) -> Iterator[tuple[str, str]]:
+    for number, line in enumerate(pieces, start=1):
         if line.strip():
             yield f"{what} line {number}", line
+
+
+def lines(text: str, what: str) -> Iterator[tuple[str, str]]:
+    """``(where, line)`` of each non-blank line, ``where`` reading ``<what> line <n>``."""
+    return _numbered(text.splitlines(), what)
+
+
+def file_lines(path: str, what: str, rows: str | None = None) -> Iterator[tuple[str, str]]:
+    """What ``lines(read_file(path, what), rows or what)`` yields, read one line at a time.
+
+    The path is checked at the call, with :func:`read_file`'s errors; the file
+    is opened when the first row is taken.  It is read in binary up to each
+    ``\\n`` and each piece is decoded alone, in the encoding ``read_file`` uses
+    (an ASCII-compatible one, in which no character's bytes hold ``\\n``), then
+    split with ``str.splitlines``, so the numbering is the same.  An
+    undecodable byte is the same DataError, with the same absolute offset,
+    but it is raised only when its line is reached, after the rows before it.
+    ``rows`` names the rows where the file's noun is not theirs: a pretrained
+    vectors file holds ``word vectors`` rows.
+    """
+    _checked(path, what)
+    return _numbered(_decoded(path, what), rows or what)
+
+
+def _decoded(path: str, what: str) -> Iterator[str]:
+    encoding = locale.getpreferredencoding(False)
+    offset = 0
+    with open(path, "rb") as stream:
+        for raw in stream:
+            try:
+                text = raw.decode(encoding)
+            except UnicodeDecodeError as exc:
+                raise DataError(f"{what} file {path}: not text at byte {offset + exc.start}") from None
+            offset += len(raw)
+            yield from text.splitlines()
 
 
 def unique(seen: Container[str], key: str, where: str, noun: str) -> str:
@@ -87,13 +126,23 @@ def write_setting(value: object) -> str:
     return fmt(value) if isinstance(value, float) else str(value)
 
 
-def read_file(path: str, what: str) -> str:
-    """The text of a named input file; a missing or undecodable one is a DataError."""
+def _checked(path: str, what: str) -> Path:
+    """``path``, unless it is empty or names no file: then a DataError."""
     if not path:
         raise DataError(f"no {what} file configured")
     p = Path(path)
     if not p.exists():
         raise DataError(f"{what} file not found: {path}")
+    return p
+
+
+def read_file(path: str, what: str) -> str:
+    """The text of a named input file; a missing or undecodable one is a DataError.
+
+    Only the ontology, the normalized axioms and the config are read whole;
+    every table goes through :func:`file_lines`.
+    """
+    p = _checked(path, what)
     try:
         return p.read_text()
     except UnicodeDecodeError as exc:

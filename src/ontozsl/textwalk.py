@@ -40,7 +40,7 @@ import numpy as np
 from .errors import DataError, NumericalError, UnknownNameError, check_ranges, check_table_size
 from .normalform import NF1, NF2, NF3, inclusions, rewrite
 from .ontology import LABEL, Annotation, Ontology, RoleComposition, expression_text
-from .textio import fmt, lines, read_floats, read_int, unique
+from .textio import Rows, fmt, read_floats, read_int, unique
 
 logger = logging.getLogger(__name__)
 
@@ -413,8 +413,9 @@ def save_corpus(corpus: WalkCorpus) -> str:
     return "".join(" ".join(sentence) + "\n" for sentence in corpus.sentences)
 
 
-def load_corpus(text: str) -> WalkCorpus:
-    return WalkCorpus([line.split() for _where, line in lines(text, "corpus")])
+def load_corpus(rows: Rows) -> WalkCorpus:
+    """One sentence per ``(where, line)`` row of :func:`ontozsl.textio.lines`."""
+    return WalkCorpus([line.split() for _where, line in rows])
 
 
 def save_word_vectors(wv: WordVectors) -> str:
@@ -424,19 +425,25 @@ def save_word_vectors(wv: WordVectors) -> str:
     return "".join(row + "\n" for row in rows)
 
 
-def load_word_vectors(text: str) -> WordVectors:
-    """Parse :func:`save_word_vectors` output; malformed or non-finite values are DataErrors."""
-    rows = [(where, line.split()) for where, line in lines(text, "word vectors")]
-    if not rows:
+def load_word_vectors(rows: Rows) -> WordVectors:
+    """Parse :func:`save_word_vectors` output from its rows; malformed or non-finite values are DataErrors.
+
+    Rows are parsed as they come and the header's count is checked at the
+    end, so a malformed row is reported before a count that does not match.
+    """
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is None:
         raise DataError("empty word-vector file")
-    head_where, head = rows[0]
+    head_where, head = first[0], first[1].split()
     if len(head) != 2:
         raise DataError(f"{head_where}: word-vector header must be 'count dim'")
     count, dim = read_int(head[0], head_where), read_int(head[1], head_where, 1)
-    if len(rows) - 1 != count:
-        raise DataError(f"expected {count} vector rows, found {len(rows) - 1}")
     vectors: dict[str, np.ndarray] = {}
-    for where, (token, *values) in rows[1:]:
+    for where, line in rows:
+        token, *values = line.split()
         unique(vectors, token, where, "token")
         vectors[token] = read_floats(values, where, dim)
+    if len(vectors) != count:
+        raise DataError(f"expected {count} vector rows, found {len(vectors)}")
     return WordVectors(dim, vectors)

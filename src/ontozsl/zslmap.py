@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .errors import DataError, NumericalError, RangeError, UnknownNameError, che
 from .elembed import EmbeddingSpace
 from .harness import Sample, ZslDataset, parse_vector_table, write_vector_table
 from .ontology import Ontology
-from .textio import fmt, lines, read_floats, read_int
+from .textio import Rows, fmt, read_floats, read_int
 from .textwalk import WordVectors, label_table, word_encoding
 
 
@@ -187,9 +187,12 @@ def sae_loss(w: np.ndarray, x: np.ndarray, z: np.ndarray, lam: float) -> float:
     _check_xz(x, z)
     if w.shape != (z.shape[0], x.shape[0]):
         raise DataError(f"weights must be {z.shape[0]} x {x.shape[0]}, got {w.shape}")
-    recon = x - w.T @ z
-    code = w @ x - z
-    return float(np.sum(recon * recon) + lam * np.sum(code * code))
+    # each residual is squared where its product was: one matrix per term
+    recon = w.T @ z
+    np.square(np.subtract(x, recon, out=recon), out=recon)
+    code = w @ x
+    np.square(np.subtract(code, z, out=code), out=code)
+    return float(np.sum(recon) + lam * np.sum(code))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # _decoupled_solve reports overflow
@@ -380,21 +383,30 @@ def save_encodings(table: EncodingTable) -> str:
     return head + write_vector_table(table.encodings)
 
 
-def load_encodings(text: str) -> EncodingTable:
-    """Read :func:`save_encodings` output, header required; other ``#`` lines are comments."""
+def load_encodings(rows: Rows) -> EncodingTable:
+    """Read :func:`save_encodings` output, header required; other ``#`` lines are comments.
+
+    One pass over the rows, so errors come in line order; a missing header
+    is reported once every row has been read.
+    """
     components: tuple[Component, ...] = ()
-    for where, line in lines(text, "encodings"):
-        if not line.startswith("#components\t"):
-            continue
-        if components:
-            raise DataError(f"{where}: a second #components header")
-        try:
-            components = parse_components(line.split("\t", 1)[1])
-        except DataError as exc:
-            raise DataError(f"{where}: {exc}") from None
+
+    def table_rows() -> Iterator[tuple[str, str]]:
+        nonlocal components
+        for where, line in rows:
+            if not line.startswith("#components\t"):
+                yield where, line
+            elif components:
+                raise DataError(f"{where}: a second #components header")
+            else:
+                try:
+                    components = parse_components(line.split("\t", 1)[1])
+                except DataError as exc:
+                    raise DataError(f"{where}: {exc}") from None
+
+    encodings = parse_vector_table(table_rows())
     if not components:
         raise DataError("encodings file has no #components header")
-    encodings = parse_vector_table(text, "encodings")
     return EncodingTable(components, next(iter(encodings.values())).size if encodings else 0, encodings)
 
 
@@ -405,11 +417,17 @@ def save_model(model: LinearMap) -> str:
     return "".join(row + "\n" for row in rows)
 
 
-def load_model(text: str) -> LinearMap:
-    found = list(lines(text, "model"))
-    if len(found) < 2 or not found[0][1].startswith("#kind\t") or not found[1][1].startswith("#shape\t"):
+def load_model(rows: Rows) -> LinearMap:
+    """Read :func:`save_model` output.
+
+    Weight rows are parsed as they come and counted at the end, so a
+    malformed row is reported before a row count that does not match.
+    """
+    rows = iter(rows)
+    head = [next(rows, None), next(rows, None)]
+    if None in head or not head[0][1].startswith("#kind\t") or not head[1][1].startswith("#shape\t"):
         raise DataError("model file must start with #kind and #shape headers")
-    (kind_where, kind_line), (shape_where, shape_line) = found[:2]
+    (kind_where, kind_line), (shape_where, shape_line) = head
     kind = kind_line.split("\t")
     if len(kind) != 3:
         raise DataError(f"{kind_where}: #kind takes a mapper name and one number")
@@ -423,8 +441,8 @@ def load_model(text: str) -> LinearMap:
     shape = shape_line.split("\t")[1:]
     if len(shape) != 2:
         raise DataError(f"{shape_where}: #shape takes two nonnegative integers")
-    rows, cols = (read_int(v, shape_where) for v in shape)
-    if len(found) - 2 != rows:
-        raise DataError(f"expected {rows} weight rows, found {len(found) - 2}")
-    weights = np.array([read_floats(line.split(","), where, cols) for where, line in found[2:]])
-    return LinearMap(kind[1], param, weights.reshape(rows, cols))
+    height, width = (read_int(v, shape_where) for v in shape)
+    weights = [read_floats(line.split(","), where, width) for where, line in rows]
+    if len(weights) != height:
+        raise DataError(f"expected {height} weight rows, found {len(weights)}")
+    return LinearMap(kind[1], param, np.array(weights).reshape(height, width))

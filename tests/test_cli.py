@@ -13,7 +13,7 @@ import pytest
 
 import ontozsl
 from conftest import deep_some, wide_and
-from ontozsl import cli, elembed, harness, textwalk, zslmap
+from ontozsl import cli, elembed, harness, textio, textwalk, zslmap
 from ontozsl.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from ontozsl.normalform import normalize, write_normalized
 from ontozsl.ontology import serialize_ontology
@@ -112,7 +112,7 @@ def test_encode_word_falls_back_to_the_label_words_of_a_plain_vector_file(tmp_pa
 
     (tmp_path / "vecs.txt").write_text(textwalk.save_word_vectors(textwalk.WordVectors(3, words)))
     assert main([*argv, "--out", str(tmp_path / "e.tsv")]) == EXIT_OK
-    table = zslmap.load_encodings((tmp_path / "e.tsv").read_text())
+    table = zslmap.load_encodings(textio.file_lines(str(tmp_path / "e.tsv"), "encodings"))
     for i, label in enumerate(labels):  # label "class 0i" has no vector of its own
         mean = (words["class"] + words[f"{i:02d}"]) / 2
         np.testing.assert_allclose(table.encodings[label], mean / np.linalg.norm(mean))
@@ -260,7 +260,7 @@ def test_full_command_chain(tmp_path, capsys):
         ["w2v", "--corpus", str(corpus), "--out", str(vectors), "--dim", "5", "--epochs", "2"]
     ) == EXIT_OK
 
-    seen, unseen = harness.parse_split((data_dir / "split.txt").read_text())
+    seen, unseen = harness.parse_split(textio.file_lines(str(data_dir / "split.txt"), "split"))
     labels = tmp_path / "labels.txt"
     labels.write_text("".join(name + "\n" for name in sorted(seen | unseen)))
     encodings = tmp_path / "e.tsv"
@@ -561,7 +561,7 @@ def test_bad_config_values_exit_2_before_any_stage_runs(tiny_inputs, tmp_path, a
 
 
 def test_ridge_overflow_exits_3_in_train_map_without_a_warning(tiny_inputs, tmp_path):
-    samples = harness.parse_features(tiny_inputs["features"].read_text())[1]
+    samples = harness.parse_features(textio.file_lines(str(tiny_inputs["features"]), "features"))[1]
     huge = [harness.Sample(s.id, s.label, np.full_like(s.features, 1e300)) for s in samples]
     tiny_inputs["features"].write_text(harness.write_features(huge))
     done = run_cli(["pipeline", "--set", "mapper=ridge", *tiny_pipeline_argv(tiny_inputs, tmp_path / "out")])
@@ -569,6 +569,25 @@ def test_ridge_overflow_exits_3_in_train_map_without_a_warning(tiny_inputs, tmp_
     assert "train-map: mapper inputs overflow" in done.stderr
     assert "RuntimeWarning" not in done.stderr
     assert "Traceback" not in done.stderr
+
+
+def test_an_el_loss_that_overflows_exits_3_without_a_warning(tmp_path):
+    """The centers stay finite near 3e300, but the batch loss does not: a divergence, not a result."""
+    data = tmp_path / "data"
+    assert run_cli(["synth", "--k-seen", "4", "--k-unseen", "2", "--per-class", "4",
+                    "--out-dir", str(data)]).returncode == EXIT_OK
+    inputs = [f"{key}={data / name}" for key, name in
+              [("ontology", "ontology.elf"), ("features", "features.tsv"), ("split", "split.txt")]]
+    argv = ["pipeline", "--set", "el_lr=1e300", "--set", "el_epochs=5"]
+    for setting in [*inputs, f"out_dir={tmp_path / 'run'}"]:
+        argv += ["--set", setting]
+    done = run_cli(argv)
+    assert done.returncode == EXIT_NUMERIC, done.stderr
+    assert re.search(r"^numerical failure: embed-el: batch loss diverged at step [1-9][0-9]*$",
+                     done.stderr, re.M), done.stderr
+    assert "Warning" not in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not (tmp_path / "run" / "report.txt").exists()
 
 
 # The stage subcommands with their required arguments.

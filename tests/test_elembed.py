@@ -557,6 +557,13 @@ def test_train_divergence_names_the_parameter_and_step():
     )
 
 
+def test_train_reports_a_non_finite_batch_loss_as_divergence_without_a_warning():
+    # centers near 1e300 stay finite, but their squared distances overflow;
+    # the suite turns any numpy warning into an error
+    with pytest.raises(NumericalError, match=r"^batch loss diverged at step [1-9][0-9]*$"):
+        train_el(CHAIN, ElTrainConfig(dim=5, learning_rate=1e300, epochs=5))
+
+
 def test_train_refuses_a_table_over_the_size_limit_before_allocating_it(monkeypatch):
     # the default limit, checked by arithmetic alone: the el_dim that once exhausted memory
     with pytest.raises(DataError, match="^el_dim = 100000000 needs a 36 x 100000000 parameter table of "

@@ -1,5 +1,7 @@
 """Dataset files, accuracy metrics, and the synthetic benchmark generator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,41 +26,42 @@ from ontozsl.harness import (
 )
 from ontozsl.normalform import classify, normalize
 from ontozsl.ontology import serialize_ontology, validate
+from ontozsl.textio import file_lines, lines
 
 SPLIT = "[seen]\ncat\ndog\n[unseen]\nzebra\n"
 FEATURES = "s1\tcat\t1.0,2.0\ns2\tzebra\t3.0,4.0\n"
 
 
 def test_parse_split_sections():
-    seen, unseen = parse_split(SPLIT)
+    seen, unseen = parse_split(lines(SPLIT, "split"))
     assert seen == {"cat", "dog"}
     assert unseen == {"zebra"}
 
 
 def test_parse_split_rejects_a_label_listed_twice_in_one_section():
     with pytest.raises(DataError, match="^split line 3: label 'a' appears twice$"):
-        parse_split("[seen]\na\na\n[unseen]\nb\n")
+        parse_split(lines("[seen]\na\na\n[unseen]\nb\n", "split"))
     with pytest.raises(DataError, match="^split line 6: label 'b' appears twice$"):
-        parse_split("[seen]\na\n[unseen]\nb\n# twice\nb\n")
+        parse_split(lines("[seen]\na\n[unseen]\nb\n# twice\nb\n", "split"))
 
 
 def test_parse_split_rejects_overlap_and_stray_lines():
     with pytest.raises(DataError):
-        parse_split("[seen]\ncat\n[unseen]\ncat\n")
+        parse_split(lines("[seen]\ncat\n[unseen]\ncat\n", "split"))
     with pytest.raises(DataError):
-        parse_split("cat\n[seen]\n")
+        parse_split(lines("cat\n[seen]\n", "split"))
     with pytest.raises(DataError):
-        parse_split("[wat]\ncat\n")
+        parse_split(lines("[wat]\ncat\n", "split"))
 
 
 def test_split_round_trip_is_sorted():
     text = write_split({"dog", "cat"}, {"zebra"})
     assert text == "[seen]\ncat\ndog\n[unseen]\nzebra\n"
-    assert parse_split(text) == ({"cat", "dog"}, {"zebra"})
+    assert parse_split(lines(text, "split")) == ({"cat", "dog"}, {"zebra"})
 
 
 def test_parse_features_shapes():
-    dim, samples = parse_features(FEATURES)
+    dim, samples = parse_features(lines(FEATURES, "features"))
     assert dim == 2
     assert samples[0] == Sample("s1", "cat", samples[0].features)
     assert_allclose(samples[1].features, [3.0, 4.0])
@@ -66,27 +69,27 @@ def test_parse_features_shapes():
 
 def test_parse_features_rejects_bad_rows():
     with pytest.raises(DataError):
-        parse_features("s1\tcat\n")
+        parse_features(lines("s1\tcat\n", "features"))
     with pytest.raises(DataError):
-        parse_features("s1\tcat\t1,2\ns2\tdog\t1,2,3\n")
+        parse_features(lines("s1\tcat\t1,2\ns2\tdog\t1,2,3\n", "features"))
     with pytest.raises(DataError):
-        parse_features("")
+        parse_features(lines("", "features"))
     with pytest.raises(DataError, match="features line 3: sample id 's1' appears twice"):
-        parse_features("s1\tcat\t1,2\ns2\tdog\t1,2\ns1\tdog\t3,4\n")
+        parse_features(lines("s1\tcat\t1,2\ns2\tdog\t1,2\ns1\tdog\t3,4\n", "features"))
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "x-0.05", ""])
 def test_float_tables_reject_non_finite_and_malformed_numbers(value):
     with pytest.raises(DataError, match="line 2"):
-        parse_features(f"s1\tcat\t1,2\ns2\tdog\t1,{value}\n")
+        parse_features(lines(f"s1\tcat\t1,2\ns2\tdog\t1,{value}\n", "features"))
     with pytest.raises(DataError, match="attributes line 2"):
-        parse_vector_table(f"a\t1,2\nb\t{value},1\n", "attributes")
+        parse_vector_table(lines(f"a\t1,2\nb\t{value},1\n", "attributes"))
 
 
 def test_features_round_trip():
-    dim, samples = parse_features(FEATURES)
+    dim, samples = parse_features(lines(FEATURES, "features"))
     text = write_features(samples)  # canonical form: no trailing zeros
-    dim2, again = parse_features(text)
+    dim2, again = parse_features(lines(text, "features"))
     assert dim2 == dim
     assert [(s.id, s.label) for s in again] == [(s.id, s.label) for s in samples]
     for a, b in zip(again, samples):
@@ -95,28 +98,52 @@ def test_features_round_trip():
 
 
 def test_load_dataset_checks_label_coverage():
-    ds = load_dataset(FEATURES, SPLIT)
+    ds = load_dataset(lines(FEATURES, "features"), lines(SPLIT, "split"))
     assert ds.feature_dim == 2
     assert [s.id for s in ds.train_samples()] == ["s1"]
     assert [s.id for s in ds.test_samples()] == ["s2"]
     with pytest.raises(DataError):
-        load_dataset("s1\tmouse\t1.0,2.0\n", SPLIT)
+        load_dataset(lines("s1\tmouse\t1.0,2.0\n", "features"), lines(SPLIT, "split"))
+
+
+def test_loading_a_feature_file_peaks_below_its_size(tmp_path):
+    """The rows stream from the file: loading holds the parsed samples, not the text.
+
+    Reading the whole text first peaked at about 2.5x the file, and at 4.9x
+    the dataset, on this file.
+    """
+    data = gen_synthetic(8, 2, 200, p=128)
+    features, split = tmp_path / "features.tsv", tmp_path / "split.txt"
+    features.write_text(write_features(data.dataset.samples))
+    split.write_text(write_split(data.dataset.seen_labels, data.dataset.unseen_labels))
+    size = features.stat().st_size
+    assert size >= 4 * 2**20
+    del data
+    tracemalloc.start()
+    try:
+        dataset = load_dataset(file_lines(str(features), "features"), file_lines(str(split), "split"))
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(dataset.samples) == 2000
+    assert peak < size
+    assert peak < 1.2 * kept
 
 
 def test_vector_table_round_trip():
     table = {"b": np.array([1.0, 2.0]), "a": np.array([0.5, -1.0])}
     text = write_vector_table(table)
     assert text.splitlines()[0].startswith("a\t")  # sorted by label
-    back = parse_vector_table(text, "attributes")
+    back = parse_vector_table(lines(text, "attributes"))
     assert set(back) == {"a", "b"}
     assert np.array_equal(back["b"], table["b"])
 
 
 def test_class_map_round_trip():
     text = write_class_map({"zebra": "Zebra_Concept"})
-    assert parse_class_map(text) == {"zebra": "Zebra_Concept"}
+    assert parse_class_map(lines(text, "class map")) == {"zebra": "Zebra_Concept"}
     with pytest.raises(DataError):
-        parse_class_map("only-one-field\n")
+        parse_class_map(lines("only-one-field\n", "class map"))
 
 
 def test_sample_accuracy_example():

@@ -44,7 +44,7 @@ from ontozsl.pipeline import (
     report_json,
     run_pipeline,
 )
-from ontozsl.textio import fmt
+from ontozsl.textio import fmt, lines
 from ontozsl.textwalk import load_word_vectors
 from ontozsl.zslmap import (
     CandidateSet,
@@ -343,7 +343,7 @@ def test_report_carries_the_candidate_spread(tmp_path, kind, candidates):
     data = write_benchmark(tmp_path, k_seen=6, k_unseen=4)
     report = run_pipeline(base_config(tmp_path, distance=kind, candidates=candidates))
     out = tmp_path / "run"
-    table = load_encodings((out / "encodings.tsv").read_text())
+    table = load_encodings(lines((out / "encodings.tsv").read_text(), "encodings"))
     ds = data.dataset
     labels = sorted(ds.unseen_labels | (ds.seen_labels if candidates == "all" else set()))
     gaps = [
@@ -370,7 +370,7 @@ def test_candidate_spread_of_a_single_candidate_is_nan(tmp_path):
     assert math.isnan(payload["candidate_min_distance"])
     assert "candidate_median_distance\tnan\n" in (tmp_path / "run" / "report.txt").read_text()
     # the same table read with every label a candidate has pairs again
-    table = load_encodings((tmp_path / "run" / "encodings.tsv").read_text())
+    table = load_encodings(lines((tmp_path / "run" / "encodings.tsv").read_text(), "encodings"))
     cfg = PredictConfig(Distance.L2, CandidateSet.SEEN_AND_UNSEEN)
     low, mid = candidate_spread(table, cfg, sorted(ds.seen_labels), sorted(ds.unseen_labels))
     assert 0.0 < low <= mid
@@ -379,7 +379,8 @@ def test_candidate_spread_of_a_single_candidate_is_nan(tmp_path):
 def test_pretrained_vectors_survive_zero_epochs_exactly(tmp_path):
     write_benchmark(tmp_path)
     run_pipeline(base_config(tmp_path, w2v_epochs=0))
-    tokens = sorted(load_word_vectors((tmp_path / "run" / "wordvecs.txt").read_text()).vectors)[::2]
+    saved = (tmp_path / "run" / "wordvecs.txt").read_text()
+    tokens = sorted(load_word_vectors(lines(saved, "word vectors")).vectors)[::2]
     # "class" is a word of every class label; it reaches the corpus through the label sentences
     tokens = sorted({*tokens, "class"})
     rng = np.random.default_rng(4)
@@ -390,7 +391,8 @@ def test_pretrained_vectors_survive_zero_epochs_exactly(tmp_path):
         + "".join(f"{t} {' '.join(map(fmt, v))}\n" for t, v in pretrained.items())
     )
     run_pipeline(base_config(tmp_path, w2v_epochs=0, pretrained_vectors=str(path)))
-    vectors = load_word_vectors((tmp_path / "run" / "wordvecs.txt").read_text()).vectors
+    saved = (tmp_path / "run" / "wordvecs.txt").read_text()
+    vectors = load_word_vectors(lines(saved, "word vectors")).vectors
     for token, vector in pretrained.items():
         assert np.array_equal(vectors[token], vector), token
 
@@ -474,6 +476,15 @@ def test_a_diverging_el_stage_reports_its_error_even_when_a_later_stage_fails(tm
         capsys.readouterr()
         assert main(pipeline_argv(cfg)) == EXIT_NUMERIC
     assert re.fullmatch(f"numerical failure: {DIVERGED}", capsys.readouterr().err.splitlines()[-1])
+
+
+@pytest.mark.parametrize("loss", [math.nan, math.inf])
+def test_a_non_finite_el_total_loss_is_a_numerical_error(tmp_path, monkeypatch, loss):
+    write_benchmark(tmp_path)
+    monkeypatch.setattr(elembed, "total_loss", lambda *args: loss)
+    with pytest.raises(NumericalError, match=f"^embed-el: embedding loss is not finite: {loss}$"):
+        run_pipeline(base_config(tmp_path))
+    assert not (tmp_path / "run" / "report.txt").exists()
 
 
 def test_a_failing_stage_beside_el_training_keeps_its_error(tmp_path):

@@ -95,3 +95,33 @@ def test_importing_the_package_loads_no_process_machinery():
     env = {**os.environ, "PYTHONPATH": str(Path(ontozsl.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert done.stdout == "[]\n"
+
+
+# The inputs that are read whole: each is parsed by a reader that reports columns, or is tiny.
+WHOLE_TEXT_READERS = {"parse_ontology": "ontology", "read_normalized": "normalized axioms", "parse_config": "config"}
+
+
+@pytest.mark.parametrize("name", ["pipeline.py", "cli.py"])
+def test_only_the_ontology_the_normalized_axioms_and_the_config_are_read_whole(name):
+    """Every table streams through ``file_lines``; ``read_file`` text goes to three readers only."""
+    tree = ast.parse((Path(ontozsl.__file__).parent / name).read_text())
+
+    def called(node) -> str | None:
+        if isinstance(node, ast.Call):
+            func = node.func
+            return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        return None
+
+    reads = [node for node in ast.walk(tree) if called(node) == "read_file"]
+    allowed = []
+    for node in ast.walk(tree):
+        reader = called(node)
+        for arg in node.args if reader else []:
+            if called(arg) == "read_file":
+                what = arg.args[1].value if isinstance(arg.args[1], ast.Constant) else None
+                assert WHOLE_TEXT_READERS.get(reader) == what, (
+                    f"{name} line {arg.lineno}: read_file({what!r}) text goes to {reader}"
+                )
+                allowed.append(arg)
+    assert reads, f"{name} reads no file whole"
+    assert len(allowed) == len(reads), f"{name}: a read_file result is not passed straight to a reader"

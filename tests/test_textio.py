@@ -6,6 +6,7 @@ Fuzzed configs only go through ``parse_config``: running the pipeline on one
 could ask for an arbitrarily large model.
 """
 
+import itertools
 import re
 import tempfile
 from pathlib import Path
@@ -57,20 +58,25 @@ VALID = {
     "labels": "a\nb\n",
 }
 
+def rows_of(load, what: str):
+    """``load`` over the rows of a text (or over rows), as the CLI runs it over a file's rows."""
+    return lambda text: load(textio.lines(text, what) if isinstance(text, str) else text)
+
+
 LOADERS = {
     "ontology": parse_ontology,
     "normalized": read_normalized,
-    "features": harness.parse_features,
-    "split": harness.parse_split,
-    "attributes": lambda text: harness.parse_vector_table(text, "attributes"),
-    "class_map": harness.parse_class_map,
-    "encodings": zslmap.load_encodings,
-    "model": zslmap.load_model,
+    "features": rows_of(harness.parse_features, "features"),
+    "split": rows_of(harness.parse_split, "split"),
+    "attributes": rows_of(harness.parse_vector_table, "attributes"),
+    "class_map": rows_of(harness.parse_class_map, "class map"),
+    "encodings": rows_of(zslmap.load_encodings, "encodings"),
+    "model": rows_of(zslmap.load_model, "model"),
     "space": elembed.import_space,
-    "vectors": textwalk.load_word_vectors,
-    "corpus": textwalk.load_corpus,
+    "vectors": rows_of(textwalk.load_word_vectors, "word vectors"),
+    "corpus": rows_of(textwalk.load_corpus, "corpus"),
     "config": parse_config,
-    "predictions": harness.parse_predictions,
+    "predictions": rows_of(harness.parse_predictions, "predictions"),
 }
 
 # Pieces of the formats above, so fuzzed text reaches past the first check.
@@ -182,11 +188,11 @@ def test_integer_spellings_are_rejected_in_every_format(spelling):
     with pytest.raises(DataError, match="el_dim"):
         parse_config(f"el_dim = {spelling}\n")
     with pytest.raises(DataError, match="line 2"):
-        zslmap.load_model(f"#kind\tsae\t0.5\n#shape\t{spelling}\t2\n1,0\n0,1\n1,1\n")
+        LOADERS["model"](f"#kind\tsae\t0.5\n#shape\t{spelling}\t2\n1,0\n0,1\n1,1\n")
     with pytest.raises(DataError, match="line 1"):
         elembed.import_space(f"#dim\t{spelling}\n")
     with pytest.raises(DataError, match="line 1"):
-        textwalk.load_word_vectors(f"{spelling} 2\n" + "a 1 0\n" * 3)
+        LOADERS["vectors"](f"{spelling} 2\n" + "a 1 0\n" * 3)
 
 
 def test_read_file_errors_are_data_errors(tmp_path):
@@ -198,6 +204,150 @@ def test_read_file_errors_are_data_errors(tmp_path):
     binary.write_bytes(b"ok\n\xff\xfe")
     with pytest.raises(DataError, match="not text at byte 3"):
         textio.read_file(str(binary), "features")
+
+
+def test_file_lines_checks_the_path_at_the_call(tmp_path):
+    """Before any row is taken, as ``read_file`` does, so the first of two files named fails first."""
+    for path in ["", str(tmp_path / "absent")]:
+        with pytest.raises(DataError) as whole:
+            textio.read_file(path, "features")
+        with pytest.raises(DataError) as streamed:
+            textio.file_lines(path, "features")  # not iterated
+        assert str(streamed.value) == str(whole.value)
+
+
+# The line breaks of str.splitlines, a BOM and text around them.
+LINE_PIECES = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
+               "\ufeff", " ", "\t", "a", "bc", "é", "€"]
+
+
+def streamed_and_whole(data: bytes, what: str = "labels") -> tuple[list, list]:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "file")
+        Path(path).write_bytes(data)
+        return list(textio.file_lines(path, what)), list(textio.lines(textio.read_file(path, what), what))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(LINE_PIECES), max_size=40).map("".join), st.booleans())
+def test_file_lines_yield_what_lines_of_read_file_yields(text, bom):
+    streamed, whole = streamed_and_whole((b"\xef\xbb\xbf" if bom else b"") + text.encode())
+    assert streamed == whole
+
+
+def test_file_lines_number_every_kind_of_line_break():
+    text = "a\r\nb\rc\x0bd\x0ce\x1cf\x85g\u2028h\n\n  \ni"  # blank lines count, no final newline
+    streamed, whole = streamed_and_whole(("\ufeff" + text).encode())
+    assert streamed == whole
+    assert [where for where, _ in streamed][-3:] == ["labels line 7", "labels line 8", "labels line 11"]
+    assert streamed[0] == ("labels line 1", "\ufeffa")
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        b"row one\n" * 2000 + b"bad \xff byte\n",  # past the first 8 KiB, mid-line
+        b"x" * 9000 + b"\n" + b"\xe2\x82",  # a character cut off at the end
+        b"\xc3\nrest\n",  # a lead byte before a line break
+        b"ok\n\xff\xfe",
+    ],
+    ids=["past-8-KiB", "cut-at-end", "lead-byte", "second-line"],
+)
+def test_file_lines_report_an_undecodable_byte_at_its_file_offset(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "file")
+        Path(path).write_bytes(data)
+        with pytest.raises(DataError) as whole:
+            textio.read_file(path, "features")
+        with pytest.raises(DataError) as streamed:
+            list(textio.file_lines(path, "features"))
+    assert str(streamed.value) == str(whole.value)
+    assert str(streamed.value).startswith(f"features file {path}: not text at byte ")
+
+
+def test_a_streamed_table_reports_a_bad_row_before_a_later_undecodable_byte(tmp_path):
+    path = tmp_path / "features.tsv"
+    path.write_bytes(b"s1\tcat\t1,2\ns2\tcat\t1,q\ns3\tcat\t\xff\n")
+    with pytest.raises(DataError, match="^features line 2: could not convert string to float: 'q'$"):
+        harness.parse_features(textio.file_lines(str(path), "features"))
+
+
+def test_file_lines_can_name_the_rows_apart_from_the_file(tmp_path):
+    with pytest.raises(DataError, match="^pretrained vectors file not found: "):
+        textio.file_lines(str(tmp_path / "absent"), "pretrained vectors", "word vectors")
+    path = tmp_path / "vectors.txt"
+    path.write_text("1 2\na 1 q\n")
+    with pytest.raises(DataError, match="^word vectors line 2: "):
+        textwalk.load_word_vectors(textio.file_lines(str(path), "pretrained vectors", "word vectors"))
+
+
+@pytest.mark.parametrize(
+    "token", ["1", "-0", " 1", "1 ", "1_0", "١", "１", "infinity", "1e400", "nan", "", "0x10", "1,2", "1 2",
+              "+.5", "5.", "1e-320", "\u20071", "\x00"],
+)
+def test_read_floats_reads_each_field_as_float_does(token):
+    try:
+        expected = float(token)
+    except ValueError as exc:
+        with pytest.raises(DataError) as err:
+            textio.read_floats(["0", token], "here")
+        assert str(err.value) == f"here: {exc}"
+        return
+    if not np.isfinite(expected):
+        with pytest.raises(DataError, match="^here: values must be finite$"):
+            textio.read_floats(["0", token], "here")
+    else:
+        assert textio.read_floats(["0", token], "here")[1:].tobytes() == np.float64(expected).tobytes()
+
+
+ROW_LOADERS = {
+    "features": ("x0\ta\t1,0\nx1\tb\t0,q\n", "x9\tc\t1,1\n"),
+    "split": ("[seen]\na\na\n", "b\n"),
+    "attributes": ("a\t1,0\nb\tq,1\n", "c\t1,1\n"),
+    "class_map": ("a\tA\nb\n", "c\tC\n"),
+    "encodings": ("#components\tattribute\na\t1,0\nb\t0,q\n", "c\t1,1\n"),
+    "model": ("#kind\tsae\t0.5\n#shape\t3\t2\n1,0\n0,q\n", "1,1\n"),
+    "vectors": ("3 2\na 1 0\nb 0 q\n", "c 1 1\n"),
+    "predictions": ("x1\tb\tb\nx1\ta\tb\n", "x2\ta\ta\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_LOADERS))
+def test_row_loaders_stop_at_the_first_bad_row(name):
+    """No loader takes all of its rows before it parses them: one past the bad row fails the test."""
+    head, tail = ROW_LOADERS[name]
+
+    def never():
+        raise AssertionError(f"{name}: a row past the bad one was read")
+        yield  # a generator
+
+    loader = LOADERS[name]
+    with pytest.raises(DataError, match=r"line \d+: "):
+        loader(itertools.chain(textio.lines(head, "x"), never()))
+    with pytest.raises(DataError):  # with the tail as text, the same rows fail the same way
+        loader(head + tail)
+
+
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("vectors", "3 2\na 1 q\n", "word vectors line 2: could not convert string to float: 'q'"),
+        ("vectors", "3 2\na 1 2\n", "expected 3 vector rows, found 1"),
+        ("model", "#kind\tsae\t0.5\n#shape\t3\t2\n1,q\n", "model line 3: could not convert string to float: 'q'"),
+        ("model", "#kind\tsae\t0.5\n#shape\t3\t2\n1,0\n", "expected 3 weight rows, found 1"),
+        ("encodings", "a\t1,q\n", "encodings line 1: could not convert string to float: 'q'"),
+        ("encodings", "a\t1,0\n", "encodings file has no #components header"),
+        ("encodings", "#components\tattribute\na\tq\n#components\tword\n",
+         "encodings line 2: could not convert string to float: 'q'"),
+    ],
+    ids=["vectors-row", "vectors-count", "model-row", "model-count", "encodings-row", "encodings-header",
+         "encodings-second-header"],
+)
+def test_streamed_loaders_report_errors_in_line_order(name, text, message):
+    """A row error comes before a count or header check that needs every row."""
+    with pytest.raises(DataError) as err:
+        LOADERS[name](text)
+    assert str(err.value) == message
 
 
 # ---------------------------------------------------------------------------

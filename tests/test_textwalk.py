@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 from ontozsl import errors, textwalk
 from ontozsl.errors import DataError, NumericalError, UnknownNameError
 from ontozsl.ontology import parse_ontology
+from ontozsl.textio import lines
 from ontozsl.textwalk import (
     SUBCLASS_PREDICATE,
     SkipGramConfig,
@@ -210,7 +211,7 @@ def test_a_label_word_equal_to_a_lowercase_name_shares_its_token():
 
 
 def test_skipgram_epochs_zero_is_identity_on_initialized_tokens():
-    corpus = load_corpus("sun moon\nsun moon\n")
+    corpus = load_corpus(lines("sun moon\nsun moon\n", "corpus"))
     init = WordVectors(4, {"sun": np.arange(4.0)})
     cfg = SkipGramConfig(dim=4, epochs=0, seed=0)
     wv = train_skipgram(corpus, cfg, init=init)
@@ -219,7 +220,7 @@ def test_skipgram_epochs_zero_is_identity_on_initialized_tokens():
 
 
 def test_skipgram_is_deterministic():
-    corpus = load_corpus("sun moon star\nmoon sun\nrock\n" * 3)
+    corpus = load_corpus(lines("sun moon star\nmoon sun\nrock\n" * 3, "corpus"))
     cfg = SkipGramConfig(dim=8, epochs=5, seed=3)
     a = train_skipgram(corpus, cfg)
     b = train_skipgram(corpus, cfg)
@@ -229,7 +230,7 @@ def test_skipgram_is_deterministic():
 
 
 def test_skipgram_loss_decreases_early():
-    corpus = load_corpus("sun moon\n" * 30 + "rock stone\n" * 30)
+    corpus = load_corpus(lines("sun moon\n" * 30 + "rock stone\n" * 30, "corpus"))
     cfg = SkipGramConfig(dim=10, epochs=10, seed=0)
     wv = train_skipgram(corpus, cfg)
     assert len(wv.train_losses) == 10
@@ -238,7 +239,7 @@ def test_skipgram_loss_decreases_early():
 
 def test_skipgram_groups_tokens_with_shared_contexts():
     # sun and moon appear in the same contexts; rock never trains a pair
-    corpus = load_corpus("sun sky glow\n" * 40 + "moon sky glow\n" * 40 + "rock\n" * 20)
+    corpus = load_corpus(lines("sun sky glow\n" * 40 + "moon sky glow\n" * 40 + "rock\n" * 20, "corpus"))
     wv = train_skipgram(corpus, SkipGramConfig(dim=12, epochs=40, seed=1))
 
     def cos(a, b):
@@ -249,7 +250,7 @@ def test_skipgram_groups_tokens_with_shared_contexts():
 
 
 def test_skipgram_min_count_filters_vocabulary():
-    corpus = load_corpus("sun moon\nsun moon\nrock sun\n")
+    corpus = load_corpus(lines("sun moon\nsun moon\nrock sun\n", "corpus"))
     wv = train_skipgram(corpus, SkipGramConfig(dim=4, epochs=1, min_count=2, seed=0))
     assert "rock" not in wv.vectors
     with pytest.raises(DataError):
@@ -257,7 +258,7 @@ def test_skipgram_min_count_filters_vocabulary():
 
 
 def test_skipgram_refuses_a_table_over_the_size_limit_before_allocating_it(monkeypatch):
-    corpus = load_corpus("sun moon star\n")  # input and output rows of 3 tokens
+    corpus = load_corpus(lines("sun moon star\n", "corpus"))  # input and output rows of 3 tokens
     monkeypatch.setattr(errors, "MAX_TABLE_BYTES", 6 * 4 * 8)
     train_skipgram(corpus, SkipGramConfig(dim=4, epochs=1))
     with pytest.raises(DataError, match="^w2v_dim = 5 needs a 6 x 5 parameter table of 240 bytes, "
@@ -266,7 +267,7 @@ def test_skipgram_refuses_a_table_over_the_size_limit_before_allocating_it(monke
 
 
 def test_skipgram_rejects_mismatched_init_dim():
-    corpus = load_corpus("sun moon\n")
+    corpus = load_corpus(lines("sun moon\n", "corpus"))
     with pytest.raises(DataError):
         train_skipgram(corpus, SkipGramConfig(dim=4, seed=0), init=WordVectors(3, {}))
 
@@ -322,7 +323,7 @@ def _oracle_skipgram(corpus, cfg, pairs_per_step):
 def test_skipgram_matches_per_pair_oracle(monkeypatch, pairs_per_step, negatives):
     # 4 tokens and 5 draws per pair: draws repeat a row and hit the context;
     # 26 pairs per epoch leave a short last step for 3 and 8 pairs per step
-    corpus = load_corpus("sun moon star\nmoon sun\nrock\n" * 2 + "star rock sun moon\n")
+    corpus = load_corpus(lines("sun moon star\nmoon sun\nrock\n" * 2 + "star rock sun moon\n", "corpus"))
     cfg = SkipGramConfig(dim=6, epochs=3, negatives=negatives, learning_rate=0.2, seed=4)
     monkeypatch.setattr(textwalk, "_PAIRS_PER_STEP", pairs_per_step)
     wv = train_skipgram(corpus, cfg)
@@ -341,7 +342,7 @@ def test_skipgram_matches_per_pair_oracle_on_random_corpora(data):
     sentences = data.draw(
         st.lists(st.lists(st.sampled_from(words), min_size=1, max_size=6), min_size=1, max_size=6)
     )
-    corpus = load_corpus("".join(" ".join(s) + "\n" for s in sentences))
+    corpus = load_corpus(lines("".join(" ".join(s) + "\n" for s in sentences), "corpus"))
     cfg = SkipGramConfig(
         dim=data.draw(st.integers(1, 8)),
         window=data.draw(st.integers(1, 3)),
@@ -372,7 +373,7 @@ def test_skipgram_matches_per_pair_oracle_on_random_corpora(data):
     ids=["26-pairs", "480-pairs"],
 )
 def test_skipgram_result_does_not_depend_on_the_block_size(monkeypatch, text):
-    corpus = load_corpus(text)
+    corpus = load_corpus(lines(text, "corpus"))
     cfg = SkipGramConfig(dim=6, epochs=3, learning_rate=0.2, seed=4)
     runs = []
     for steps in (1, 3, textwalk._STEPS_PER_BLOCK):
@@ -413,13 +414,13 @@ def test_epoch_negatives_equal_per_pair_choice_draws():
 @pytest.mark.parametrize("seed", range(6))
 def test_skipgram_is_stable_at_learning_rate_0_2(text, seed):
     cfg = SkipGramConfig(dim=10, epochs=10, learning_rate=0.2, seed=seed)
-    wv = train_skipgram(load_corpus(text), cfg)
+    wv = train_skipgram(load_corpus(lines(text, "corpus")), cfg)
     assert np.isfinite(wv.train_losses).all()
     assert wv.train_losses[-1] < wv.train_losses[0]
 
 
 def test_skipgram_divergence_names_the_epoch_and_token():
-    corpus = load_corpus("sun moon star\nmoon sun\n" * 3)
+    corpus = load_corpus(lines("sun moon star\nmoon sun\n" * 3, "corpus"))
     with pytest.raises(NumericalError, match=r"epoch 1: vector of '\w+' is not finite"):
         train_skipgram(corpus, SkipGramConfig(dim=4, epochs=3, learning_rate=1e200, seed=0))
 
@@ -453,14 +454,14 @@ def test_word_encoding_all_oov_raises():
 
 
 def test_corpus_round_trip():
-    corpus = load_corpus("a b c\nd e\n")
+    corpus = load_corpus(lines("a b c\nd e\n", "corpus"))
     assert save_corpus(corpus) == "a b c\nd e\n"
     assert corpus.vocabulary == {"a": 1, "b": 1, "c": 1, "d": 1, "e": 1}
 
 
 def test_word_vector_file_round_trip():
     wv = WordVectors(3, {"sun": np.array([1.0, -2.5, 0.25]), "moon": np.zeros(3)})
-    back = load_word_vectors(save_word_vectors(wv))
+    back = load_word_vectors(lines(save_word_vectors(wv), "word vectors"))
     assert back.dim == 3
     assert set(back.vectors) == {"sun", "moon"}
     assert np.array_equal(back.vectors["sun"], wv.vectors["sun"])
@@ -468,11 +469,11 @@ def test_word_vector_file_round_trip():
 
 def test_word_vector_file_header_is_validated():
     with pytest.raises(DataError):
-        load_word_vectors("nonsense\n")
+        load_word_vectors(lines("nonsense\n", "word vectors"))
     with pytest.raises(DataError):
-        load_word_vectors("2 3\nsun 1 2 3\n")  # promised two rows, gave one
+        load_word_vectors(lines("2 3\nsun 1 2 3\n", "word vectors"))  # promised two rows, gave one
     with pytest.raises(DataError):
-        load_word_vectors("1 3\nsun 1 2\n")  # wrong dimension
+        load_word_vectors(lines("1 3\nsun 1 2\n", "word vectors"))  # wrong dimension
 
 
 @pytest.mark.parametrize(
@@ -489,7 +490,7 @@ def test_word_vector_file_header_is_validated():
 )
 def test_word_vector_file_rejects_non_numbers_with_line_number(text, line):
     with pytest.raises(DataError, match=f"line {line}"):
-        load_word_vectors(text)
+        load_word_vectors(lines(text, "word vectors"))
 
 
 def test_config_validation():

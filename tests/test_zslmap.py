@@ -11,6 +11,7 @@ from ontozsl.elembed import Ball, EmbeddingSpace
 from ontozsl.errors import DataError, NumericalError, UnknownNameError
 from ontozsl.harness import Sample, ZslDataset
 from ontozsl.ontology import parse_ontology
+from ontozsl.textio import lines
 from ontozsl.textwalk import WordVectors
 from ontozsl.zslmap import (
     CandidateSet,
@@ -150,7 +151,7 @@ def test_encode_missing_sources_raise():
 def test_load_encodings_rejects_a_second_components_header():
     text = "#components\tel_center\nCat\t1,0\n#components\tattribute\nDog\t0,1\n"
     with pytest.raises(DataError, match="encodings line 3: a second #components header"):
-        load_encodings(text)
+        load_encodings(lines(text, "encodings"))
 
 
 def test_encodings_file_round_trip():
@@ -159,7 +160,7 @@ def test_encodings_file_round_trip():
         for components in itertools.permutations(Component, size):
             encodings = {label: rng.normal(size=2 * size) for label in ("Cat", "Dog")}
             table = EncodingTable(components, 2 * size, encodings)
-            back = load_encodings(save_encodings(table))
+            back = load_encodings(lines(save_encodings(table), "encodings"))
             assert back.components == table.components
             assert back.dim == table.dim
             for label in table.encodings:
@@ -168,7 +169,7 @@ def test_encodings_file_round_trip():
 
 def test_load_encodings_requires_the_components_header():
     with pytest.raises(DataError, match="encodings file has no #components header"):
-        load_encodings("Cat\t1,0\nDog\t0,1\n")
+        load_encodings(lines("Cat\t1,0\nDog\t0,1\n", "encodings"))
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +506,7 @@ def test_batched_distances_equal_single_pairs_bit_for_bit():
 
 
 def assert_round_trips(model):
-    back = load_model(save_model(model))
+    back = load_model(lines(save_model(model), "model"))
     assert (back.kind, back.param) == (model.kind, model.param)
     assert np.array_equal(back.weights, model.weights)
 
@@ -515,7 +516,7 @@ def test_sae_model_file_round_trip():
     model = train_sae(rng.normal(size=(5, 8)), rng.normal(size=(3, 8)), 0.25)
     assert model.kind == "sae" and np.isfinite(model.train_loss)
     assert_round_trips(model)
-    assert np.isnan(load_model(save_model(model)).train_loss)  # the file holds no loss
+    assert np.isnan(load_model(lines(save_model(model), "model")).train_loss)  # the file holds no loss
 
 
 def test_ridge_model_file_round_trip():
@@ -526,15 +527,15 @@ def test_ridge_model_file_round_trip():
 
 def test_model_file_errors():
     with pytest.raises(DataError, match="model line 1: unknown model kind 'mystery'"):
-        load_model("#kind\tmystery\t0.5\n#shape\t2\t2\n1,0\n0,1\n")
+        load_model(lines("#kind\tmystery\t0.5\n#shape\t2\t2\n1,0\n0,1\n", "model"))
     with pytest.raises(DataError):
-        load_model("#kind\tsae\t0.5\n#shape\t2\t2\n1,0\n")  # row count mismatch
+        load_model(lines("#kind\tsae\t0.5\n#shape\t2\t2\n1,0\n", "model"))  # row count mismatch
 
 
 def test_model_file_parameter_is_range_checked_like_the_config():
     for kind, named in [("ridge\t0", "ridge_alpha"), ("ridge\t-1", "ridge_alpha"), ("sae\t-1", "sae_lambda")]:
         with pytest.raises(DataError, match=f"^model line 1: mapper config out of range: {named}$"):
-            load_model(f"#kind\t{kind}\n#shape\t1\t1\n1\n")
+            load_model(lines(f"#kind\t{kind}\n#shape\t1\t1\n1\n", "model"))
     # the smallest value each config accepts loads
-    assert load_model("#kind\tsae\t0\n#shape\t1\t1\n1\n").param == 0.0
-    assert load_model("#kind\tridge\t5e-324\n#shape\t1\t1\n1\n").param == 5e-324
+    assert load_model(lines("#kind\tsae\t0\n#shape\t1\t1\n1\n", "model")).param == 0.0
+    assert load_model(lines("#kind\tridge\t5e-324\n#shape\t1\t1\n1\n", "model")).param == 5e-324
