@@ -25,6 +25,7 @@ Training runs Adam on minibatch gradients, the optimizer EL Embeddings
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -266,17 +267,21 @@ def axiom_loss(
 _BETA1, _BETA2, _EPSILON = 0.9, 0.999, 1e-8
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflow shows as a non-finite loss
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is a NumericalError
 def total_loss(space: EmbeddingSpace, n: NormalizedOntology, cfg: ElTrainConfig) -> float:
     """Sum of axiom losses plus sampled NF2 corruption losses.
 
     Deterministic: corrupted fillers are redrawn from a generator seeded with
-    ``cfg.seed`` on every call, in axiom order.
+    ``cfg.seed`` on every call, in axiom order.  A loss that is not finite is
+    a :class:`NumericalError`.
     """
     keys, params, radii = _pack(space)
     terms, nf2 = _compile(n.axioms, keys, cfg.margin)
     terms = _with_negatives(terms, nf2, cfg, len(space.concepts), np.random.default_rng(cfg.seed))
-    return _loss_grad(params, radii, terms, grad=False)[0]
+    loss = _loss_grad(params, radii, terms, grad=False)[0]
+    if not math.isfinite(loss):
+        raise NumericalError(f"embedding loss is not finite: {loss}")
+    return loss
 
 
 def _initialize(n: NormalizedOntology, cfg: ElTrainConfig, rng: np.random.Generator) -> EmbeddingSpace:

@@ -46,7 +46,6 @@ class Sample:
 
 @dataclass
 class ZslDataset:
-    feature_dim: int
     samples: list[Sample]
     seen_labels: frozenset[str]
     unseen_labels: frozenset[str]
@@ -104,17 +103,24 @@ def write_split(seen: Iterable[str], unseen: Iterable[str]) -> str:
     return "".join(row + "\n" for row in rows)
 
 
-def parse_features(rows: Rows) -> tuple[int, list[Sample]]:
+def parse_features(rows: Rows) -> list[Sample]:
+    return _read_features(rows)[0]
+
+
+def _read_features(rows: Rows) -> tuple[list[Sample], dict[str, str]]:
+    """The samples, and where the first row of each label is."""
     samples: dict[str, Sample] = {}
+    first_rows: dict[str, str] = {}
     dim: int | None = None
     for where, (sample_id, label, values) in _tab_rows(rows, "id", "label", "values"):
         unique(samples, sample_id, where, "sample id")
         row = read_floats(values.split(","), where, dim)
         dim = row.size
         samples[sample_id] = Sample(sample_id, label, row)
-    if dim is None:
+        first_rows.setdefault(label, where)
+    if not samples:
         raise DataError("feature file has no samples")
-    return dim, list(samples.values())
+    return list(samples.values()), first_rows
 
 
 def write_features(samples: Iterable[Sample]) -> str:
@@ -124,14 +130,17 @@ def write_features(samples: Iterable[Sample]) -> str:
 def load_dataset(features: Rows, split: Rows) -> ZslDataset:
     """Combine feature and split rows, rejecting unlisted labels.
 
-    The feature rows are read to the end before the first split row.
+    The feature rows are read to the end before the first split row.  The
+    first sample whose label is in neither split is an error at its line,
+    which is the first row of its label.
     """
-    dim, samples = parse_features(features)
+    samples, first_rows = _read_features(features)
     seen, unseen = parse_split(split)
     for s in samples:
         if s.label not in seen and s.label not in unseen:
-            raise DataError(f"sample {s.id!r} has label {s.label!r} outside both splits")
-    return ZslDataset(dim, samples, seen, unseen)
+            where = first_rows[s.label]
+            raise DataError(f"{where}: sample {s.id!r} has label {s.label!r} outside both splits")
+    return ZslDataset(samples, seen, unseen)
 
 
 def parse_vector_table(rows: Rows) -> dict[str, np.ndarray]:
@@ -331,7 +340,6 @@ def gen_synthetic(
         for i, name in enumerate(class_names)
     }
     dataset = ZslDataset(
-        feature_dim=p,
         samples=samples,
         seen_labels=frozenset(class_names[:k_seen]),
         unseen_labels=frozenset(class_names[k_seen:]),

@@ -24,6 +24,12 @@ Every name must be declared before its first use, and label and comment text
 must not be empty.  n-ary ``And`` folds to the right into binary conjunctions,
 so ``And(A B C)`` is ``And(A And(B C))``.
 
+The statement table ``_STATEMENTS`` is the grammar of the fixed-shape
+statements: one entry per keyword gives the axiom class and the kinds of its
+arguments, and the parser reads it as the serializer writes from it.
+Declarations, ``RelationChain``, ``Label`` and ``Comment`` are the only other
+statements.
+
 The parser is the one definition of a well-formed ontology.  :func:`validate`
 checks an ontology built in code by parsing ``serialize_ontology(o)``, so the
 line and column of a violation refer to that text.
@@ -33,7 +39,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Collection, Iterator
+from typing import Collection, Iterator, NamedTuple
 
 from .errors import ElfError
 
@@ -162,8 +168,28 @@ MAX_EXPRESSION_DEPTH = 256
 
 
 # ---------------------------------------------------------------------------
-# tokenizer
+# the statement grammar
 # ---------------------------------------------------------------------------
+
+# The name kinds in signature order; ``Concept(x)`` declares a concept.
+_KINDS = ("concept", "relation", "individual")
+_DECLARATIONS = {kind.capitalize(): kind for kind in _KINDS}
+
+# keyword -> (axiom class, the kind of each of its fields in field order), where
+# "expr" is a concept expression and a name kind is a name declared as that kind
+_STATEMENTS = {
+    "SubClassOf": (Gci, ("expr", "expr")),
+    "EquivalentTo": (Equivalence, ("expr", "expr")),
+    "SubRelationOf": (RoleInclusion, ("relation", "relation")),
+    "Instance": (ConceptAssertion, ("individual", "expr")),
+    "RelationInstance": (RoleAssertion, ("relation", "individual", "individual")),
+}
+_KEYWORDS = {cls: (keyword, kinds) for keyword, (cls, kinds) in _STATEMENTS.items()}
+_ANNOTATIONS = {"Label": LABEL, "Comment": COMMENT}
+
+# what a name of each kind is called in "expected ..." errors; None is any kind
+_NAME_WORDS = {"concept": "a concept name", "relation": "a relation name",
+               "individual": "an individual name", None: "an entity name"}
 
 _TOKEN_RE = re.compile(
     r"""
@@ -179,28 +205,10 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     value: str
-    line: int
     col: int
-
-
-def _tokenize_line(text: str, line_no: int) -> list[_Token]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ElfError(f"unexpected character {text[pos]!r}", line_no, pos + 1)
-        kind = m.lastgroup
-        if kind == "comment":
-            break
-        if kind != "ws":
-            tokens.append(_Token(kind, m.group(), line_no, pos + 1))
-        pos = m.end()
-    return tokens
 
 
 def _unquote(raw: str) -> str:
@@ -211,178 +219,145 @@ def _quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-class _Cursor:
-    """Token stream over a single statement line."""
+# ---------------------------------------------------------------------------
+# parser
+# ---------------------------------------------------------------------------
 
-    def __init__(self, tokens: list[_Token], line_no: int, line_len: int):
-        self.tokens = tokens
-        self.pos = 0
-        self.line_no = line_no
-        self.line_len = line_len
 
-    def peek(self) -> _Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+class _Parser:
+    """The names declared and axioms read so far, and the tokens of the current line."""
 
-    def take(self) -> _Token | None:
-        tok = self.peek()
-        if tok is not None:
-            self.pos += 1
-        return tok
+    def __init__(self) -> None:
+        # insertion-ordered name sets, keyed by kind
+        self.names: dict[str, Collection[str]] = {kind: {} for kind in _KINDS}
+        self.axioms: list[Axiom] = []
+
+    # -- the current line ---------------------------------------------------
+
+    def start_line(self, text: str, line: int) -> bool:
+        """Tokenize line number ``line``; False when it holds no statement.
+
+        The tokens end with an ``end`` token one column past the text.
+        """
+        self.line, self.pos, self.tokens = line, 0, []
+        pos = 0
+        while pos < len(text):
+            m = _TOKEN_RE.match(text, pos)
+            if m is None:
+                raise ElfError(f"unexpected character {text[pos]!r}", line, pos + 1)
+            if m.lastgroup == "comment":
+                break
+            if m.lastgroup != "ws":
+                self.tokens.append(_Token(m.lastgroup, m.group(), pos + 1))
+            pos = m.end()
+        self.tokens.append(_Token("end", "", len(text) + 1))
+        return len(self.tokens) > 1
+
+    def error(self, message: str, tok: _Token) -> ElfError:
+        return ElfError(message, self.line, tok.col)
+
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
 
     def fail(self, expected: str) -> ElfError:
         tok = self.peek()
-        if tok is None:
-            return ElfError(f"expected {expected}, found end of line", self.line_no, self.line_len + 1)
-        return ElfError(f"expected {expected}, found {tok.value!r}", tok.line, tok.col)
+        found = "end of line" if tok.kind == "end" else repr(tok.value)
+        return self.error(f"expected {expected}, found {found}", tok)
 
     def expect(self, kind: str, expected: str) -> _Token:
         tok = self.peek()
-        if tok is None or tok.kind != kind:
+        if tok.kind != kind:
             raise self.fail(expected)
         self.pos += 1
         return tok
 
     def expect_end(self) -> None:
         tok = self.peek()
-        if tok is not None:
-            raise ElfError(f"trailing input {tok.value!r}", tok.line, tok.col)
+        if tok.kind != "end":
+            raise self.error(f"trailing input {tok.value!r}", tok)
 
+    # -- names --------------------------------------------------------------
 
-# ---------------------------------------------------------------------------
-# parser
-# ---------------------------------------------------------------------------
+    def name(self, kind: str | None) -> str:
+        """Read a name declared as ``kind``, or as any kind when ``kind`` is None."""
+        tok = self.expect("ident", _NAME_WORDS[kind])
+        if not any(tok.value in self.names[k] for k in ([kind] if kind else _KINDS)):
+            raise self.error(f"undeclared {kind or 'name'} {tok.value!r}", tok)
+        return tok.value
 
-_DECLARATIONS = {"Concept": "concept", "Relation": "relation", "Individual": "individual"}
-
-
-class _Parser:
-    def __init__(self) -> None:
-        # insertion-ordered declaration tables
-        self.concepts: dict[str, None] = {}
-        self.relations: dict[str, None] = {}
-        self.individuals: dict[str, None] = {}
-        self.axioms: list[Axiom] = []
-
-    # -- declarations -------------------------------------------------------
-
-    def declare(self, table: str, tok: _Token) -> None:
+    def declare(self, kind: str) -> None:
+        tok = self.expect("ident", "a name")
         name = tok.value
         if name in RESERVED_NAMES:
-            raise ElfError(f"{name!r} is a reserved word and cannot be declared", tok.line, tok.col)
-        owner = self._owner_of(name)
-        if owner == table:
-            raise ElfError(f"duplicate declaration of {name!r}", tok.line, tok.col)
+            raise self.error(f"{name!r} is a reserved word and cannot be declared", tok)
+        owner = next((k for k in _KINDS if name in self.names[k]), None)
+        if owner == kind:
+            raise self.error(f"duplicate declaration of {name!r}", tok)
         if owner is not None:
-            raise ElfError(
-                f"{name!r} already declared as a {owner}; name sets must be disjoint", tok.line, tok.col
-            )
-        getattr(self, table + "s")[name] = None
+            raise self.error(f"{name!r} already declared as a {owner}; name sets must be disjoint", tok)
+        self.names[kind][name] = None
 
-    def _owner_of(self, name: str) -> str | None:
-        if name in self.concepts:
-            return "concept"
-        if name in self.relations:
-            return "relation"
-        if name in self.individuals:
-            return "individual"
-        return None
+    # -- expressions and statements -----------------------------------------
 
-    def _resolve(self, tok: _Token, table: str) -> str:
-        name = tok.value
-        if name not in getattr(self, table + "s"):
-            raise ElfError(f"undeclared {table} {name!r}", tok.line, tok.col)
-        return name
-
-    # -- expressions --------------------------------------------------------
-
-    def parse_expr(self, cur: _Cursor, depth: int = 1) -> ConceptExpression:
-        tok = cur.peek()
-        if tok is None or tok.kind != "ident":
-            raise cur.fail("a concept expression")
+    def parse_expr(self, depth: int = 1) -> ConceptExpression:
+        tok = self.peek()
+        if tok.kind != "ident":
+            raise self.fail("a concept expression")
         if depth > MAX_EXPRESSION_DEPTH:
-            raise ElfError(f"nested deeper than {MAX_EXPRESSION_DEPTH} levels", tok.line, tok.col)
-        cur.take()
+            raise self.error(f"nested deeper than {MAX_EXPRESSION_DEPTH} levels", tok)
         word = tok.value
+        if word not in ("Top", "Bottom", "And", "Some", "One"):
+            return Atomic(self.name("concept"))
+        self.pos += 1
         if word == "Top":
             return Top()
         if word == "Bottom":
             return Bottom()
+        self.expect("lparen", "'('")
         if word == "And":
-            cur.expect("lparen", "'('")
-            args = [self.parse_expr(cur, depth + 1)]
-            while cur.peek() is not None and cur.peek().kind != "rparen":
-                args.append(self.parse_expr(cur, depth + len(args) + 1))
-            cur.expect("rparen", "')'")
+            args = [self.parse_expr(depth + 1)]
+            while self.peek().kind not in ("rparen", "end"):
+                args.append(self.parse_expr(depth + len(args) + 1))
+            self.expect("rparen", "')'")
             if len(args) < 2:
-                raise ElfError("And needs at least two operands", tok.line, tok.col)
+                raise self.error("And needs at least two operands", tok)
             expr = args[-1]
             for arg in reversed(args[:-1]):
                 expr = Conjunction(arg, expr)
             return expr
         if word == "Some":
-            cur.expect("lparen", "'('")
-            rel = self._resolve(cur.expect("ident", "a relation name"), "relation")
-            filler = self.parse_expr(cur, depth + 1)
-            cur.expect("rparen", "')'")
-            return Existential(rel, filler)
-        if word == "One":
-            cur.expect("lparen", "'('")
-            ind = self._resolve(cur.expect("ident", "an individual name"), "individual")
-            cur.expect("rparen", "')'")
-            return Nominal(ind)
-        if word not in self.concepts:
-            raise ElfError(f"undeclared concept {word!r}", tok.line, tok.col)
-        return Atomic(word)
+            expr = Existential(self.name("relation"), self.parse_expr(depth + 1))
+        else:
+            expr = Nominal(self.name("individual"))
+        self.expect("rparen", "')'")
+        return expr
 
-    # -- statements ---------------------------------------------------------
-
-    def parse_statement(self, cur: _Cursor) -> None:
-        head = cur.expect("ident", "a statement keyword")
-        cur.expect("lparen", "'('")
+    def parse_statement(self) -> None:
+        head = self.expect("ident", "a statement keyword")
+        self.expect("lparen", "'('")
         word = head.value
-        if word in _DECLARATIONS:
-            self.declare(_DECLARATIONS[word], cur.expect("ident", "a name"))
-        elif word == "SubClassOf":
-            sub = self.parse_expr(cur)
-            sup = self.parse_expr(cur)
-            self.axioms.append(Gci(sub, sup))
-        elif word == "EquivalentTo":
-            left = self.parse_expr(cur)
-            right = self.parse_expr(cur)
-            self.axioms.append(Equivalence(left, right))
-        elif word == "SubRelationOf":
-            sub = self._resolve(cur.expect("ident", "a relation name"), "relation")
-            sup = self._resolve(cur.expect("ident", "a relation name"), "relation")
-            self.axioms.append(RoleInclusion(sub, sup))
+        if word in _STATEMENTS:
+            cls, kinds = _STATEMENTS[word]
+            self.axioms.append(cls(*[self.parse_expr() if k == "expr" else self.name(k) for k in kinds]))
+        elif word in _DECLARATIONS:
+            self.declare(_DECLARATIONS[word])
         elif word == "RelationChain":
-            chain = [self._resolve(cur.expect("ident", "a relation name"), "relation")]
-            while cur.peek() is not None and cur.peek().kind == "ident":
-                chain.append(self._resolve(cur.take(), "relation"))
-            cur.expect("arrow", "'->'")
-            sup = self._resolve(cur.expect("ident", "a relation name"), "relation")
-            self.axioms.append(RoleComposition(tuple(chain), sup))
-        elif word == "Instance":
-            ind = self._resolve(cur.expect("ident", "an individual name"), "individual")
-            concept = self.parse_expr(cur)
-            self.axioms.append(ConceptAssertion(ind, concept))
-        elif word == "RelationInstance":
-            rel = self._resolve(cur.expect("ident", "a relation name"), "relation")
-            subj = self._resolve(cur.expect("ident", "an individual name"), "individual")
-            obj = self._resolve(cur.expect("ident", "an individual name"), "individual")
-            self.axioms.append(RoleAssertion(rel, subj, obj))
-        elif word in ("Label", "Comment"):
-            ent = cur.expect("ident", "an entity name")
-            if self._owner_of(ent.value) is None:
-                raise ElfError(f"undeclared name {ent.value!r}", ent.line, ent.col)
-            string = cur.expect("string", "a quoted string")
+            chain = [self.name("relation")]
+            while self.peek().kind == "ident":
+                chain.append(self.name("relation"))
+            self.expect("arrow", "'->'")
+            self.axioms.append(RoleComposition(tuple(chain), self.name("relation")))
+        elif word in _ANNOTATIONS:
+            entity = self.name(None)
+            string = self.expect("string", "a quoted string")
             text = _unquote(string.value)
             if not text:
-                raise ElfError("empty annotation text", string.line, string.col)
-            self.axioms.append(Annotation(ent.value, LABEL if word == "Label" else COMMENT, text))
+                raise self.error("empty annotation text", string)
+            self.axioms.append(Annotation(entity, _ANNOTATIONS[word], text))
         else:
-            raise ElfError(f"unknown statement {word!r}", head.line, head.col)
-        cur.expect("rparen", "')'")
-        cur.expect_end()
+            raise self.error(f"unknown statement {word!r}", head)
+        self.expect("rparen", "')'")
+        self.expect_end()
 
 
 def parse_ontology(text: str) -> Ontology:
@@ -394,16 +369,9 @@ def parse_ontology(text: str) -> Ontology:
     """
     parser = _Parser()
     for line_no, line in enumerate(text.splitlines(), start=1):
-        tokens = _tokenize_line(line, line_no)
-        if not tokens:
-            continue
-        parser.parse_statement(_Cursor(tokens, line_no, len(line)))
-    return Ontology(
-        tuple(parser.concepts),
-        tuple(parser.relations),
-        tuple(parser.individuals),
-        tuple(parser.axioms),
-    )
+        if parser.start_line(line, line_no):
+            parser.parse_statement()
+    return Ontology(*(tuple(parser.names[kind]) for kind in _KINDS), tuple(parser.axioms))
 
 
 def parse_expression(
@@ -414,10 +382,10 @@ def parse_expression(
     Raises :class:`ElfError` at ``line``, with columns counted in ``text``.
     """
     parser = _Parser()
-    parser.concepts, parser.relations = concepts, relations
-    cur = _Cursor(_tokenize_line(text, line), line, len(text))
-    expr = parser.parse_expr(cur)
-    cur.expect_end()
+    parser.names.update(concept=concepts, relation=relations)
+    parser.start_line(text, line)
+    expr = parser.parse_expr()
+    parser.expect_end()
     return expr
 
 
@@ -470,18 +438,13 @@ def expression_text(expr: ConceptExpression) -> str:
 
 
 def _axiom_text(ax: Axiom) -> str:
-    if isinstance(ax, Gci):
-        return f"SubClassOf({expression_text(ax.sub)} {expression_text(ax.sup)})"
-    if isinstance(ax, Equivalence):
-        return f"EquivalentTo({expression_text(ax.left)} {expression_text(ax.right)})"
-    if isinstance(ax, RoleInclusion):
-        return f"SubRelationOf({ax.sub} {ax.sup})"
+    if type(ax) in _KEYWORDS:
+        keyword, kinds = _KEYWORDS[type(ax)]
+        values = [getattr(ax, field) for field in ax.__dataclass_fields__]
+        args = [expression_text(v) if k == "expr" else str(v) for k, v in zip(kinds, values)]
+        return f"{keyword}({' '.join(args)})"
     if isinstance(ax, RoleComposition):
         return f"RelationChain({' '.join(ax.chain)} -> {ax.sup})"
-    if isinstance(ax, ConceptAssertion):
-        return f"Instance({ax.individual} {expression_text(ax.concept)})"
-    if isinstance(ax, RoleAssertion):
-        return f"RelationInstance({ax.relation} {ax.subject} {ax.object})"
     if isinstance(ax, Annotation):
         head = "Label" if ax.kind == LABEL else "Comment"
         return f"{head}({ax.entity} {_quote(ax.text)})"

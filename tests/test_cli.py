@@ -365,10 +365,12 @@ GOOD_INPUTS = {
         ("features", "x0\ta\t1,0\nx0\tb\t0,1\n"),
         ("encodings", "#components\tattribute\n#components\tel_center\na\t1,0\nb\t0,1\n"),
         ("predictions", "x1\tb\tb\nx1\ta\tb\nx2\ta\ta\n"),
+        ("model", "#kind\tsae\t0.5\n#shape\t2\n1,0\n0,1\n"),
     ],
     ids=["nan-feature", "bad-attribute", "sae-without-lambda", "non-integer-shape", "unknown-component",
          "deep-some", "wide-and", "repeated-attribute", "repeated-class-map-label",
-         "repeated-encoding", "repeated-sample-id", "second-components-header", "repeated-prediction-id"],
+         "repeated-encoding", "repeated-sample-id", "second-components-header", "repeated-prediction-id",
+         "one-field-shape"],
 )
 def test_malformed_numeric_files_exit_2_without_traceback(tmp_path, name, text):
     paths = {}
@@ -434,6 +436,32 @@ def test_every_tabular_file_names_itself_and_the_line(tmp_path, capsys, name):
     assert not (tmp_path / "out").exists()
 
 
+def test_a_feature_label_outside_both_splits_is_an_error_at_its_line(tmp_path, capsys):
+    paths = {}
+    for key, content in {**GOOD_INPUTS, "features": "x0\ta\t1,0\nx1\tNope\t0,1\nx2\tNope\t1,1\n"}.items():
+        paths[key] = str(tmp_path / key)
+        (tmp_path / key).write_text(content)
+    argv = ["predict"] + [
+        arg for key in ("features", "split", "encodings", "model") for arg in (f"--{key}", paths[key])
+    ]
+    assert main(argv) == EXIT_DATA
+    expected = "error: features line 2: sample 'x1' has label 'Nope' outside both splits"
+    assert capsys.readouterr().err.splitlines()[-1] == expected
+
+
+@pytest.mark.parametrize(
+    "component, message",
+    [("el_center", "el_center component requires an embedding space"),
+     ("word", "word component requires word vectors"),
+     ("attribute", "attribute component requires an attribute table")],
+)
+def test_encode_without_the_source_of_a_component_exits_2(tmp_path, capsys, component, message):
+    labels = tmp_path / "labels.txt"
+    labels.write_text("a\n")
+    assert main(["encode", "--labels", str(labels), "--components", component]) == EXIT_DATA
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
+
+
 @pytest.mark.parametrize(
     "flag, text",
     [
@@ -448,10 +476,13 @@ def test_every_tabular_file_names_itself_and_the_line(tmp_path, capsys, name):
         ("--space", "#dim\t2\nC\ta\t1,0\t0.1\nC\ta\t0,1\t0.1\n"),
         ("--space", "#dim\t2\nC\ta\t1,0\t0.1\nR\tr\t1,0\nR\tr\t0,1\n"),
         ("--vectors", "2 2\na 1 2\na 3 4\n"),
+        ("--space", "#dim\t2\nC\ta\t1,0\n"),
+        ("--space", "#dim\t2\nC\ta\t1,0\t0.1\nR\tr\n"),
     ],
     ids=["space-dim", "space-radius", "space-nan-center", "space-inf-radius",
          "vectors-header", "vectors-coordinate", "vectors-nan", "space-second-dim",
-         "space-repeated-concept", "space-repeated-relation", "vectors-repeated-token"],
+         "space-repeated-concept", "space-repeated-relation", "vectors-repeated-token",
+         "space-short-concept-row", "space-short-relation-row"],
 )
 def test_malformed_embedding_files_exit_2_without_traceback(tmp_path, flag, text):
     labels, bad = tmp_path / "labels.txt", tmp_path / "bad.txt"
@@ -561,7 +592,7 @@ def test_bad_config_values_exit_2_before_any_stage_runs(tiny_inputs, tmp_path, a
 
 
 def test_ridge_overflow_exits_3_in_train_map_without_a_warning(tiny_inputs, tmp_path):
-    samples = harness.parse_features(textio.file_lines(str(tiny_inputs["features"]), "features"))[1]
+    samples = harness.parse_features(textio.file_lines(str(tiny_inputs["features"]), "features"))
     huge = [harness.Sample(s.id, s.label, np.full_like(s.features, 1e300)) for s in samples]
     tiny_inputs["features"].write_text(harness.write_features(huge))
     done = run_cli(["pipeline", "--set", "mapper=ridge", *tiny_pipeline_argv(tiny_inputs, tmp_path / "out")])
@@ -588,6 +619,16 @@ def test_an_el_loss_that_overflows_exits_3_without_a_warning(tmp_path):
     assert "Warning" not in done.stderr
     assert "Traceback" not in done.stderr
     assert not (tmp_path / "run" / "report.txt").exists()
+
+
+
+def test_embed_el_exits_3_on_a_non_finite_loss(tmp_path, capsys):
+    normalized, out = tmp_path / "n.txt", tmp_path / "space.tsv"
+    normalized.write_text("NF2 A r B\nNF2 B r A\n")
+    argv = ["embed-el", "--normalized", str(normalized), "--epochs", "0", "--margin", "1e308", "--out", str(out)]
+    assert main(argv) == EXIT_NUMERIC
+    assert capsys.readouterr().err.splitlines()[-1] == "numerical failure: embedding loss is not finite: inf"
+    assert not out.exists()
 
 
 # The stage subcommands with their required arguments.

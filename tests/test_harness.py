@@ -61,8 +61,8 @@ def test_split_round_trip_is_sorted():
 
 
 def test_parse_features_shapes():
-    dim, samples = parse_features(lines(FEATURES, "features"))
-    assert dim == 2
+    samples = parse_features(lines(FEATURES, "features"))
+    assert [s.features.size for s in samples] == [2, 2]
     assert samples[0] == Sample("s1", "cat", samples[0].features)
     assert_allclose(samples[1].features, [3.0, 4.0])
 
@@ -87,10 +87,9 @@ def test_float_tables_reject_non_finite_and_malformed_numbers(value):
 
 
 def test_features_round_trip():
-    dim, samples = parse_features(lines(FEATURES, "features"))
+    samples = parse_features(lines(FEATURES, "features"))
     text = write_features(samples)  # canonical form: no trailing zeros
-    dim2, again = parse_features(lines(text, "features"))
-    assert dim2 == dim
+    again = parse_features(lines(text, "features"))
     assert [(s.id, s.label) for s in again] == [(s.id, s.label) for s in samples]
     for a, b in zip(again, samples):
         assert np.array_equal(a.features, b.features)
@@ -99,7 +98,6 @@ def test_features_round_trip():
 
 def test_load_dataset_checks_label_coverage():
     ds = load_dataset(lines(FEATURES, "features"), lines(SPLIT, "split"))
-    assert ds.feature_dim == 2
     assert [s.id for s in ds.train_samples()] == ["s1"]
     assert [s.id for s in ds.test_samples()] == ["s2"]
     with pytest.raises(DataError):

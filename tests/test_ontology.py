@@ -155,6 +155,40 @@ def test_parse_serialize_round_trip_fuzzed():
         assert serialize_ontology(back) == text
 
 
+_JUNK = ["(", ")", "->", '"x"', '""', "And", "Some", "One(", "Top", "C0", "r0", "ind0", "Concept",
+         "SubClassOf", "RelationChain", "Label", "Instance", "Ghost", "1x", "@", "#"]
+
+
+def _mutate(rng, text):
+    """``text`` with a span deleted, a junk token inserted or a line duplicated."""
+    op = int(rng.integers(3))
+    i = int(rng.integers(len(text) + 1))
+    if op == 0:
+        return text[:i] + text[i + int(rng.integers(1, 12)) :]
+    if op == 1:
+        return f"{text[:i]} {_JUNK[int(rng.integers(len(_JUNK)))]} {text[i:]}"
+    lines = text.splitlines(keepends=True) or [""]
+    k = int(rng.integers(len(lines)))
+    return "".join(lines[: k + 1] + lines[k:])
+
+
+def test_a_mutated_text_parses_to_a_fixed_point_or_fails_inside_the_text():
+    rng = np.random.default_rng(11)
+    parsed = 0
+    for _ in range(1500):
+        text = _mutate(rng, serialize_ontology(random_full_ontology(rng)))
+        try:
+            once = serialize_ontology(parse_ontology(text))
+        except ElfError as exc:
+            lines = text.splitlines()
+            assert 1 <= exc.line <= len(lines)
+            assert 1 <= exc.col <= len(lines[exc.line - 1]) + 1
+            continue
+        assert serialize_ontology(parse_ontology(once)) == once
+        parsed += 1
+    assert 100 < parsed < 1400  # both outcomes are exercised
+
+
 def test_validate_accepts_generated_ontologies():
     rng = np.random.default_rng(8)
     for _ in range(50):

@@ -481,9 +481,22 @@ def test_a_diverging_el_stage_reports_its_error_even_when_a_later_stage_fails(tm
 @pytest.mark.parametrize("loss", [math.nan, math.inf])
 def test_a_non_finite_el_total_loss_is_a_numerical_error(tmp_path, monkeypatch, loss):
     write_benchmark(tmp_path)
-    monkeypatch.setattr(elembed, "total_loss", lambda *args: loss)
+    if math.isnan(loss):
+        train_el = elembed.train_el
+
+        def with_a_nan_center(n, cfg):
+            space = train_el(n, cfg)
+            name = min(space.concepts)
+            space.concepts[name] = elembed.Ball(np.full(space.dim, math.nan), space.concepts[name].radius)
+            return space
+
+        monkeypatch.setattr(elembed, "train_el", with_a_nan_center)
+        cfg = base_config(tmp_path)
+    else:
+        # the untrained space's margin terms sum past the largest float
+        cfg = base_config(tmp_path, el_epochs=0, el_margin=1e308)
     with pytest.raises(NumericalError, match=f"^embed-el: embedding loss is not finite: {loss}$"):
-        run_pipeline(base_config(tmp_path))
+        run_pipeline(cfg)
     assert not (tmp_path / "run" / "report.txt").exists()
 
 

@@ -353,7 +353,7 @@ def test_map_config_rejects_out_of_range_and_nan(settings, named):
 def test_train_map_fits_and_saves_the_configured_mapper():
     rng = np.random.default_rng(11)
     samples = [Sample(f"x{i}", "abc"[i % 3], rng.normal(size=4)) for i in range(12)]
-    dataset = ZslDataset(4, samples, frozenset("ab"), frozenset("c"))
+    dataset = ZslDataset(samples, frozenset("ab"), frozenset("c"))
     table = EncodingTable((Component.ATTRIBUTE,), 2, {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])})
     train = dataset.train_samples()
     x = np.stack([s.features for s in train], axis=1)
@@ -363,21 +363,21 @@ def test_train_map_fits_and_saves_the_configured_mapper():
     model = train_map(dataset, table, MapConfig("ridge", ridge_alpha=0.25))
     assert model.kind == "ridge" and save_model(model) == save_model(train_ridge(x, z, 0.25))
     with pytest.raises(DataError, match="without encodings: c"):
-        train_map(ZslDataset(4, samples, frozenset("abc"), frozenset()), table, MapConfig())
+        train_map(ZslDataset(samples, frozenset("abc"), frozenset()), table, MapConfig())
     with pytest.raises(DataError, match="no training samples"):
-        train_map(ZslDataset(4, samples, frozenset(), frozenset("abc")), table, MapConfig())
+        train_map(ZslDataset(samples, frozenset(), frozenset("abc")), table, MapConfig())
 
 
 def test_predict_test_labels_each_unseen_sample():
     samples = [Sample("x0", "a", np.array([1.0, 0.0])), Sample("x1", "b", np.array([0.1, 0.9])),
                Sample("x2", "c", np.array([0.0, 1.0]))]
     table = EncodingTable((Component.ATTRIBUTE,), 2, {"b": np.array([1.0, 0.0]), "c": np.array([0.0, 1.0])})
-    dataset = ZslDataset(2, samples, frozenset("a"), frozenset("bc"))
+    dataset = ZslDataset(samples, frozenset("a"), frozenset("bc"))
     model = LinearMap("ridge", 1e-3, np.eye(2))
     test, labels = predict_test(model, dataset, table, PredictConfig())
     assert [s.id for s in test] == ["x1", "x2"] and labels == ["c", "c"]
     with pytest.raises(DataError, match="no test samples"):
-        predict_test(model, ZslDataset(2, samples, frozenset("abc"), frozenset()), table, PredictConfig())
+        predict_test(model, ZslDataset(samples, frozenset("abc"), frozenset()), table, PredictConfig())
 
 
 
