@@ -125,7 +125,6 @@ def cmd_encode(args) -> None:
         ontology=ontology,
         attributes=attributes,
         class_map=class_map,
-        normalize_components=not args.no_normalize,
     )
     _write(args.out, zslmap.save_encodings(table))
 
@@ -271,7 +270,6 @@ def build_parser() -> _Parser:
     p.add_argument("--ontology", default=None)
     p.add_argument("--attributes", default=None)
     p.add_argument("--class-map", default=None)
-    p.add_argument("--no-normalize", action="store_true")
 
     p = add("train-map", cmd_train_map, "fit the feature-to-encoding mapper")
     p.add_argument("--features", required=True)

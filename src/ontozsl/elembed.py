@@ -93,10 +93,10 @@ class ElTrainConfig:
 
     def __post_init__(self) -> None:
         check_ranges(
-            "embedding config", dim=self.dim >= 1, margin=self.margin >= 0,
-            learning_rate=self.learning_rate > 0, epochs=self.epochs >= 0,
+            "embedding config", dim=self.dim >= 1, margin=0 <= self.margin < math.inf,
+            learning_rate=0 < self.learning_rate < math.inf, epochs=self.epochs >= 0,
             batch_size=self.batch_size >= 1, negatives=self.negatives >= 0,
-            min_radius=self.min_radius > 0, seed=self.seed >= 0,
+            min_radius=0 < self.min_radius < math.inf, seed=self.seed >= 0,
         )
 
 

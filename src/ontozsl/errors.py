@@ -82,6 +82,10 @@ def check_table_size(key: str, rows: int, dim: int) -> None:
 
 
 def check_ranges(what: str, **in_range: bool) -> None:
-    """A RangeError naming each setting whose check is false; write ``x > 0``, which NaN fails."""
+    """A RangeError naming each setting whose check is false.
+
+    Bound a float on both sides, as in ``0 < x < math.inf``, which NaN and
+    infinity both fail.
+    """
     if bad := [name for name, ok in in_range.items() if not ok]:
         raise RangeError(what, bad)

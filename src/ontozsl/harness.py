@@ -282,7 +282,7 @@ def gen_synthetic(
     """
     check_ranges(
         "synthetic benchmark", k_seen=k_seen >= 2, k_unseen=k_unseen >= 1,
-        per_class=per_class >= 1, p=p >= 2, noise=noise >= 0, seed=seed >= 0,
+        per_class=per_class >= 1, p=p >= 2, noise=0 <= noise < math.inf, seed=seed >= 0,
     )
     rng = np.random.default_rng(seed)
     k = k_seen + k_unseen

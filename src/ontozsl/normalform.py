@@ -438,13 +438,13 @@ def read_normalized(text: str) -> NormalizedOntology:
             elif body.startswith("nominal:"):
                 for pair in body[len("nominal:"):].split():
                     if "=" not in pair:
-                        raise DataError(f"line {line_no}: malformed nominal entry {pair!r}")
+                        raise DataError(f"normalized axioms line {line_no}: malformed nominal entry {pair!r}")
                     ind, name = pair.split("=", 1)
                     nominal[ind] = name
             elif body.startswith("prov:"):
                 name, eq, _ = body[len("prov:"):].partition("=")
                 if not eq:
-                    raise DataError(f"line {line_no}: provenance needs 'name = expression'")
+                    raise DataError(f"normalized axioms line {line_no}: provenance needs 'name = expression'")
                 # blanking the head keeps error columns counted from the start of the line
                 start = raw.index("=") + 1
                 prov_lines.append((line_no, name.strip(), " " * start + raw[start:]))
@@ -455,11 +455,11 @@ def read_normalized(text: str) -> NormalizedOntology:
             continue
         kind, *args = line.split()
         if kind not in BY_TAG:
-            raise DataError(f"line {line_no}: unknown normal form {kind!r}")
+            raise DataError(f"normalized axioms line {line_no}: unknown normal form {kind!r}")
         ctor = BY_TAG[kind]
         arity = len(ctor.__dataclass_fields__)
         if len(args) != arity:
-            raise DataError(f"line {line_no}: {kind} takes {arity} names, got {len(args)}")
+            raise DataError(f"normalized axioms line {line_no}: {kind} takes {arity} names, got {len(args)}")
         axioms.append(ctor(*args))
     concept_names = set(extra_concepts) | set(fresh) | set(nominal.values())
     relation_names = set(extra_relations)

@@ -28,7 +28,7 @@ from . import elembed, harness, textwalk, zslmap
 from .errors import DataError, OntozslError, RangeError
 from .normalform import BY_TAG, NormalizedOntology, normalize, write_normalized
 from .ontology import parse_ontology, serialize_ontology
-from .textio import file_lines, fmt, lines, read_file, read_setting, write_setting
+from .textio import file_lines, fmt, lines, read_file, read_setting, unique, write_setting
 from .zslmap import CandidateSet, Component, Distance
 
 logger = logging.getLogger(__name__)
@@ -80,7 +80,6 @@ class RunConfig(_StageKeys):
     out_dir: str = "run"
     seed: int = 0
     components: str = "el_center"
-    normalize_components: bool = True
     distance: str = "l2"
     candidates: str = "unseen"
 
@@ -128,7 +127,7 @@ def config_from_pairs(pairs: dict[str, str], base: RunConfig = RunConfig()) -> R
 
 
 def parse_config(text: str, base: RunConfig = RunConfig()) -> RunConfig:
-    """Read ``key = value`` lines; ``#`` comments and blank lines are ignored."""
+    """Read ``key = value`` lines, each key at most once; ``#`` comments and blank lines are ignored."""
     pairs = {}
     for where, raw in lines(text, "config"):
         line = raw.split("#", 1)[0].strip()
@@ -136,8 +135,8 @@ def parse_config(text: str, base: RunConfig = RunConfig()) -> RunConfig:
             continue
         if "=" not in line:
             raise DataError(f"{where}: expected key = value")
-        key, value = line.split("=", 1)
-        pairs[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        pairs[unique(pairs, key, where, "config key")] = value
     return config_from_pairs(pairs, base)
 
 
@@ -364,7 +363,6 @@ def run_pipeline(cfg: RunConfig) -> MetricsReport:
             ontology=ontology,
             attributes=attributes,
             class_map=class_map,
-            normalize_components=cfg.normalize_components,
         )
         emit("encodings.tsv", zslmap.save_encodings(table))
 

@@ -4,8 +4,9 @@ Every artifact, config and report writes its floats with :func:`fmt`, at 17
 significant digits, which round-trips every double exactly; it reads them
 back with :func:`read_floats`, which accepts only finite values, and reads
 integers with :func:`read_int`, which accepts only plain ASCII digits.
-Config keys and CLI flags both go through :func:`read_setting`.  A malformed
-value is a :class:`DataError` naming where it was found.
+Config keys and CLI flags both go through :func:`read_setting`, and every
+setting is an integer, a float or text.  A malformed value is a
+:class:`DataError` naming where it was found.
 
 Loaders other than the ontology parser and the normal-form reader (which
 report columns too) take rows from :func:`lines`, or from :func:`file_lines`,
@@ -103,15 +104,8 @@ def read_int(text: str, where: str, minimum: int = 0) -> int:
     raise DataError(f"{where}: expected an integer >= {minimum}, got {text!r}")
 
 
-_BOOL_WORDS = {"true": True, "false": False, "1": True, "0": False, "yes": True, "no": False}
-
-
 def read_setting(text: str, like: object, where: str) -> object:
-    """``text`` read as the type of ``like``: a boolean word, an integer, a float or text."""
-    if isinstance(like, bool):
-        if text.lower() not in _BOOL_WORDS:
-            raise DataError(f"{where}: expected a boolean, got {text!r}")
-        return _BOOL_WORDS[text.lower()]
+    """``text`` read as the type of ``like``: an integer, a float or text."""
     if isinstance(like, int):
         return read_int(text, where)
     if isinstance(like, float):
@@ -121,8 +115,6 @@ def read_setting(text: str, like: object, where: str) -> object:
 
 def write_setting(value: object) -> str:
     """The text that :func:`read_setting` reads back as ``value``."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
     return fmt(value) if isinstance(value, float) else str(value)
 
 

@@ -31,6 +31,7 @@ to converge; a run whose vectors or loss stop being finite raises
 from __future__ import annotations
 
 import logging
+import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -78,9 +79,9 @@ class SkipGramConfig:
 
     def __post_init__(self) -> None:
         check_ranges(
-            "skip-gram config", dim=self.dim >= 1, window=self.window >= 1,
-            negatives=self.negatives >= 0, epochs=self.epochs >= 0,
-            learning_rate=self.learning_rate > 0, min_count=self.min_count >= 1, seed=self.seed >= 0,
+            "skip-gram config", dim=self.dim >= 1, window=self.window >= 1, negatives=self.negatives >= 0,
+            epochs=self.epochs >= 0, learning_rate=0 < self.learning_rate < math.inf,
+            min_count=self.min_count >= 1, seed=self.seed >= 0,
         )
 
 

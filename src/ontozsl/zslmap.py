@@ -20,6 +20,7 @@ is the same decoupled solve with ``U = I``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -69,7 +70,10 @@ class MapConfig:
     def __post_init__(self) -> None:
         if self.mapper not in MAPPERS:
             raise DataError(f"unknown mapper {self.mapper!r}")
-        check_ranges("mapper config", sae_lambda=self.sae_lambda >= 0, ridge_alpha=self.ridge_alpha > 0)
+        check_ranges(
+            "mapper config", sae_lambda=0 <= self.sae_lambda < math.inf,
+            ridge_alpha=0 < self.ridge_alpha < math.inf,
+        )
 
 
 @dataclass
@@ -126,13 +130,12 @@ def encode_labels(
     ontology: Ontology | None = None,
     attributes: Mapping[str, np.ndarray] | None = None,
     class_map: Mapping[str, str] | None = None,
-    normalize_components: bool = True,
 ) -> EncodingTable:
     """Build the encoding table for ``labels``.
 
     ``class_map`` translates dataset labels to concept names; absent entries
-    fall back to the label itself.  Each component vector is L2-normalized
-    before concatenation unless ``normalize_components`` is off.
+    fall back to the label itself.  Each component vector is divided by its
+    L2 norm before concatenation; a zero vector stays zero.
     """
     parts_order = _distinct_components(components)
     words = label_table(ontology) if ontology is not None and Component.WORD in parts_order else {}
@@ -157,11 +160,8 @@ def encode_labels(
                 if label not in attributes:
                     raise UnknownNameError(f"no attribute vector for label {label!r}")
                 part = np.asarray(attributes[label], dtype=float)
-            if normalize_components:
-                norm = float(np.linalg.norm(part))
-                if norm > 0.0:
-                    part = part / norm
-            parts.append(part)
+            norm = float(np.linalg.norm(part))
+            parts.append(part / norm if norm > 0.0 else part)
         encodings[label] = np.concatenate(parts)
     dims = {v.size for v in encodings.values()}
     if len(dims) > 1:

@@ -13,7 +13,7 @@ import pytest
 
 import ontozsl
 from conftest import deep_some, wide_and
-from ontozsl import cli, elembed, harness, textio, textwalk, zslmap
+from ontozsl import cli, elembed, harness, pipeline, textio, textwalk, zslmap
 from ontozsl.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from ontozsl.normalform import normalize, write_normalized
 from ontozsl.ontology import serialize_ontology
@@ -335,6 +335,23 @@ w2v_epochs = 2
     out = capsys.readouterr().out
     assert out.startswith("macro_unseen_accuracy\t")
     assert (tmp_path / "run" / "report.json").exists()
+
+
+def test_a_config_file_key_set_twice_exits_2_but_repeated_set_flags_override(tmp_path, monkeypatch, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("seed = 1\nseed = 2\n")
+    assert main(["pipeline", "--config", str(config)]) == EXIT_DATA
+    assert capsys.readouterr().err == "error: config line 2: config key 'seed' appears twice\n"
+    runs = []
+
+    def run_pipeline(cfg):
+        runs.append(cfg)
+        raise ontozsl.DataError("not run")
+
+    monkeypatch.setattr(pipeline, "run_pipeline", run_pipeline)
+    config.write_text("seed = 1\n")
+    assert main(["pipeline", "--config", str(config), "--set", "seed=2", "--set", "seed=3"]) == EXIT_DATA
+    assert [cfg.seed for cfg in runs] == [3]
 
 
 GOOD_INPUTS = {

@@ -420,8 +420,9 @@ def test_config_rejects_nonsense():
     with pytest.raises(DataError):
         ElTrainConfig(min_radius=0.0)
     for name in ("margin", "learning_rate", "min_radius"):
-        with pytest.raises(DataError, match=name):
-            ElTrainConfig(**{name: float("nan")})
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(DataError, match=name):
+                ElTrainConfig(**{name: value})
 
 
 def test_initialize_space_is_seeded_and_well_formed():

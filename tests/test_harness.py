@@ -229,5 +229,6 @@ def test_gen_synthetic_rejects_nonsense():
         gen_synthetic(4, 2, 0)
     with pytest.raises(DataError):
         gen_synthetic(4, 2, 5, noise=-0.1)
-    with pytest.raises(DataError, match="noise"):
-        gen_synthetic(4, 2, 5, noise=float("nan"))
+    for noise in (float("nan"), float("inf")):
+        with pytest.raises(DataError, match="noise"):
+            gen_synthetic(4, 2, 5, noise=noise)

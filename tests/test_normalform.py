@@ -282,10 +282,14 @@ def test_read_normalized_rejects_a_malformed_provenance_trailer(trailer, message
 
 
 def test_read_normalized_rejects_wrong_arity():
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="^normalized axioms line 1: NF1 takes 2 names, got 1$"):
         read_normalized("NF1 A\n")
-    with pytest.raises(DataError):
-        read_normalized("NF9 A B\n")
+    with pytest.raises(DataError, match="^normalized axioms line 2: unknown normal form 'NF9'$"):
+        read_normalized("NF1 A B\nNF9 A B\n")
+    with pytest.raises(DataError, match="^normalized axioms line 2: malformed nominal entry 'a'$"):
+        read_normalized("NF1 A B\n# nominal: a\n")
+    with pytest.raises(DataError, match="^normalized axioms line 2: provenance needs 'name = expression'$"):
+        read_normalized("NF1 A B\n# prov: N\n")
 
 
 def normalized_to_ontology(n):

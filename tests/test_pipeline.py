@@ -120,19 +120,29 @@ def test_parse_config_rejects_unknown_keys_and_bad_values():
         parse_config("seed = banana\n")
     with pytest.raises(DataError):
         parse_config("just a line without equals\n")
+    with pytest.raises(DataError, match="^config line 3: config key 'seed' appears twice$"):
+        parse_config("seed = 1\n# seed = 2\nseed=3\n")
+
+
+# Each used to build, and then fail mid-run after earlier stages had written their artifacts.
+@pytest.mark.parametrize("key", ["el_margin", "el_lr", "el_min_radius", "w2v_lr", "sae_lambda", "ridge_alpha"])
+def test_an_infinite_setting_fails_before_any_stage_runs(tmp_path, key):
+    write_benchmark(tmp_path)
+    with pytest.raises(RangeError) as err:
+        run_pipeline(base_config(tmp_path, mapper="ridge", **{key: math.inf}))
+    assert err.value.names == [key]
+    assert not (tmp_path / "run").exists()
 
 
 def test_config_from_pairs_coerces_types():
-    cfg = config_from_pairs(
-        {"el_margin": "0.25", "normalize_components": "false", "w2v_epochs": "3"}
-    )
+    cfg = config_from_pairs({"el_margin": "0.25", "components": "word", "w2v_epochs": "3"})
     assert cfg.el_margin == 0.25
-    assert cfg.normalize_components is False
+    assert cfg.components == "word"
     assert cfg.w2v_epochs == 3
 
 
 def test_config_round_trips_through_its_echo():
-    cfg = RunConfig(seed=5, el_margin=0.125, normalize_components=False, components="word")
+    cfg = RunConfig(seed=5, el_margin=0.125, sae_lambda=0.1, components="word")
     echoed = config_from_pairs(cfg.to_dict())
     assert echoed == cfg
 
@@ -305,7 +315,6 @@ def test_noise_free_seen_classes_are_linearly_separable():
         sorted(ds.seen_labels | ds.unseen_labels),
         [Component.ATTRIBUTE],
         attributes=data.attributes,
-        normalize_components=False,
     )
     train = ds.train_samples()
     x = np.stack([s.features for s in train], axis=1)

@@ -53,7 +53,7 @@ VALID = {
     "space": SPACE,
     "vectors": "2 2\na 1 0\nb 0 1\n",
     "corpus": "a r b\nb subclass of c\n",
-    "config": "seed = 1\nel_dim = 4\nel_margin = 0.5\nmapper = ridge\nnormalize_components = no\n",
+    "config": "seed = 1\nel_dim = 4\nel_margin = 0.5\nmapper = ridge\ndistance = cosine\n",
     "predictions": "x1\tb\tb\nx2\ta\tb\n",
     "labels": "a\nb\n",
 }

@@ -502,5 +502,6 @@ def test_config_validation():
         SkipGramConfig(dim=0)
     with pytest.raises(DataError):
         SkipGramConfig(learning_rate=-1.0)
-    with pytest.raises(DataError, match="learning_rate"):
-        SkipGramConfig(learning_rate=math.nan)
+    for value in (math.nan, math.inf):
+        with pytest.raises(DataError, match="learning_rate"):
+            SkipGramConfig(learning_rate=value)

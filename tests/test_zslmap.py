@@ -71,25 +71,24 @@ def tiny_vectors():
 
 
 def test_encode_el_center_only():
-    table = encode_labels(
-        ["Cat"], [Component.EL_CENTER], space=tiny_space(), normalize_components=False
-    )
+    space = tiny_space()
+    space.concepts["Cat"] = Ball(np.array([0.0, -2.5]), 0.1)
+    table = encode_labels(["Cat"], [Component.EL_CENTER], space=space)
     assert table.dim == 2
-    assert_allclose(table.encodings["Cat"], [1.0, 0.0])
+    assert_allclose(table.encodings["Cat"], [0.0, -1.0])
 
 
 def test_encode_concatenates_components_in_order():
     o = parse_ontology("Concept(Cat)\nConcept(Dog)\n")
     table = encode_labels(
         ["Cat"],
-        [Component.EL_CENTER, Component.WORD],
+        [Component.WORD, Component.EL_CENTER],
         space=tiny_space(),
         word_vectors=tiny_vectors(),
         ontology=o,
-        normalize_components=False,
     )
     assert table.dim == 4
-    assert_allclose(table.encodings["Cat"], [1.0, 0.0, 3.0, 4.0])
+    assert_allclose(table.encodings["Cat"], [0.6, 0.8, 1.0, 0.0])
 
 
 def test_encode_normalizes_each_component_by_default():
@@ -105,21 +104,19 @@ def test_encode_normalizes_each_component_by_default():
 
 
 def test_encode_attribute_component_and_class_map():
-    attrs = {"Cat": np.array([2.0, 0.0, 0.0])}
     table = encode_labels(
-        ["cat-label"],
+        ["cat-label", "blank"],
         [Component.ATTRIBUTE],
-        attributes={"cat-label": np.array([2.0, 0.0, 0.0])},
-        normalize_components=False,
+        attributes={"cat-label": np.array([2.0, 0.0, 0.0]), "blank": np.zeros(3)},
     )
-    assert_allclose(table.encodings["cat-label"], [2.0, 0.0, 0.0])
+    assert_allclose(table.encodings["cat-label"], [1.0, 0.0, 0.0])
+    assert_allclose(table.encodings["blank"], [0.0, 0.0, 0.0])  # a zero part stays zero
     # the class map redirects only the ontology-backed components
     table = encode_labels(
         ["cat-label"],
         [Component.EL_CENTER],
         space=tiny_space(),
         class_map={"cat-label": "Cat"},
-        normalize_components=False,
     )
     assert_allclose(table.encodings["cat-label"], [1.0, 0.0])
 
@@ -130,7 +127,6 @@ def test_encode_rejects_duplicate_components():
             ["Cat"],
             [Component.EL_CENTER, Component.EL_CENTER],
             space=tiny_space(),
-            normalize_components=False,
         )
 
 
@@ -340,6 +336,8 @@ def test_ridge_rejects_overflowing_inputs(x, z):
         ({"sae_lambda": float("nan")}, "sae_lambda"),
         ({"ridge_alpha": 0.0}, "ridge_alpha"),
         ({"ridge_alpha": float("nan")}, "ridge_alpha"),
+        ({"sae_lambda": float("inf")}, "sae_lambda"),
+        ({"ridge_alpha": float("inf")}, "ridge_alpha"),
     ],
 )
 def test_map_config_rejects_out_of_range_and_nan(settings, named):
