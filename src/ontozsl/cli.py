@@ -99,10 +99,7 @@ def cmd_walk(args) -> None:
 def cmd_w2v(args) -> None:
     cfg = _stage_config(args, textwalk.SkipGramConfig)
     corpus = textwalk.load_corpus(file_lines(args.corpus, "corpus"))
-    init = None
-    if args.init:
-        init = textwalk.load_word_vectors(file_lines(args.init, "pretrained vectors", "word vectors"))
-    _write(args.out, textwalk.save_word_vectors(textwalk.train_skipgram(corpus, cfg, init=init)))
+    _write(args.out, textwalk.save_word_vectors(textwalk.train_skipgram(corpus, cfg)))
 
 
 def cmd_encode(args) -> None:
@@ -259,7 +256,6 @@ def build_parser() -> _Parser:
 
     p = add("w2v", cmd_w2v, "train word vectors on a corpus")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--init", default=None, help="pretrained vectors to fine-tune")
     _add_stage_flags(p, textwalk.SkipGramConfig)
 
     p = add("encode", cmd_encode, "build label encodings")

@@ -5,6 +5,9 @@ unknown names, malformed files) exits with 2, a :class:`NumericalError`
 (divergence, non-finite values, degenerate geometry) exits with 3.
 """
 
+import dataclasses
+import numbers
+
 
 class OntozslError(Exception):
     """Base class for every error raised by this package.
@@ -71,21 +74,33 @@ class RangeError(DataError):
 MAX_TABLE_BYTES = 1 << 30
 
 
-def check_table_size(key: str, rows: int, dim: int) -> None:
-    """A DataError naming ``key`` when a ``rows`` x ``dim`` float64 table would pass MAX_TABLE_BYTES."""
+def check_table_size(key: str, rows: int, dim: int, value: int | None = None) -> None:
+    """A DataError naming ``key`` when a ``rows`` x ``dim`` float64 table would pass MAX_TABLE_BYTES.
+
+    ``value`` is the setting's value, when the table is not ``key`` wide.
+    """
     size = rows * dim * 8
     if size > MAX_TABLE_BYTES:
         raise DataError(
-            f"{key} = {dim} needs a {rows} x {dim} parameter table of {size} bytes, "
+            f"{key} = {dim if value is None else value} needs a {rows} x {dim} parameter table of {size} bytes, "
             f"over the limit of {MAX_TABLE_BYTES}"
         )
 
 
-def check_ranges(what: str, **in_range: bool) -> None:
+def check_ranges(what: str, config: object = None, **in_range: bool) -> None:
     """A RangeError naming each setting whose check is false.
 
     Bound a float on both sides, as in ``0 < x < math.inf``, which NaN and
-    infinity both fail.
+    infinity both fail.  With the dataclass ``config``, every field whose
+    default is an ``int`` must also hold an integer, so ``2.5``, ``3.0`` and
+    infinity fail there too.
     """
-    if bad := [name for name, ok in in_range.items() if not ok]:
+    bad = [name for name, ok in in_range.items() if not ok]
+    if config is not None:
+        bad += [
+            f.name for f in dataclasses.fields(config)
+            if type(f.default) is int and not isinstance(getattr(config, f.name), numbers.Integral)
+            and f.name not in bad
+        ]
+    if bad:
         raise RangeError(what, bad)

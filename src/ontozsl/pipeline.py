@@ -40,7 +40,7 @@ logger = logging.getLogger(__name__)
 STAGES: dict[type, tuple[str, int | None, dict[str, str]]] = {
     elembed.ElTrainConfig: ("el_", 0, {"learning_rate": "lr", "batch_size": "batch"}),
     textwalk.WalkConfig: ("", 1, {}),
-    textwalk.SkipGramConfig: ("w2v_", 2, {"learning_rate": "lr"}),
+    textwalk.SkipGramConfig: ("w2v_", 2, {}),
     zslmap.MapConfig: ("", None, {}),
 }
 FLAG_NAMES = {"ridge_alpha": "alpha"}  # the one flag that is not its key minus the prefix
@@ -321,12 +321,12 @@ def run_pipeline(cfg: RunConfig) -> MetricsReport:
                 emit("corpus.txt", textwalk.save_corpus(corpus))
 
             with _stage("w2v", seconds):
-                pretrained = None
-                if cfg.pretrained_vectors:
-                    pretrained = textwalk.load_word_vectors(
+                if cfg.pretrained_vectors:  # they stand in for the trained vectors
+                    vectors = textwalk.load_word_vectors(
                         file_lines(cfg.pretrained_vectors, "pretrained vectors", "word vectors")
                     )
-                vectors = textwalk.train_skipgram(corpus, cfg.stage(textwalk.SkipGramConfig), init=pretrained)
+                else:
+                    vectors = textwalk.train_skipgram(corpus, cfg.stage(textwalk.SkipGramConfig))
                 emit("wordvecs.txt", textwalk.save_word_vectors(vectors))
 
             with _stage("load-dataset", seconds):

@@ -10,35 +10,29 @@ nominals contribute edges over the individuals themselves.
 The corpus is the two documents of OWL2Vec*: uniform random walks over the
 graph, kept verbatim with one token per node or predicate name, and one
 lexical sentence per label or comment, the entity's name followed by the
-words of its text.  A small skip-gram model with negative sampling turns the
-corpus into vectors of entity names and label words alike.  Pretrained
-vectors can be passed as initialization, so running extra epochs fine-tunes
-them on the corpus.
-
-Skip-gram training is minibatched.  The (center, context) pairs are index
-arrays built once per run.  Each epoch runs in blocks of 16 steps: a block
-draws its negatives, computes its learning rates and builds one flat index
-into the parameters that both the gather and the scatter of its steps use,
-so the tables take memory in proportion to the block, not the corpus.  Each
-step then takes 8 consecutive pairs, computes their updates from the vectors
-as they stood at the start of the step and adds them into the entries the
-step touched, summing the updates of rows that repeat within the step; its
-cost does not depend on the vocabulary.  Learning rates up to 0.2 are tested
-to converge; a run whose vectors or loss stop being finite raises
-:class:`NumericalError` at the end of the epoch.
+words of its text.  The corpus becomes vectors of entity names and label
+words alike by a closed-form stand-in for skip-gram: a truncated
+factorization of the positive PMI of its (center, context) counts.  Skip-gram
+with negative sampling implicitly factorizes a shifted PMI matrix (Levy &
+Goldberg, NeurIPS 2014), and a truncated factorization of PPMI matches it
+(Levy, Goldberg & Dagan, TACL 2015).  The counts stay a sparse table, and a
+seeded subspace iteration, whose products with the table sum rows with
+``reduceat`` instead of calling BLAS, gives the same bytes under any number
+of BLAS threads.  The function and config keep their skip-gram names,
+:func:`train_skipgram` and :class:`SkipGramConfig`, because the benchmark
+patches the one and its workloads set the other's ``epochs``.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, NumericalError, UnknownNameError, check_ranges, check_table_size
+from .errors import DataError, UnknownNameError, check_ranges, check_table_size
 from .normalform import NF1, NF2, NF3, inclusions, rewrite
 from .ontology import LABEL, Annotation, Ontology, RoleComposition, expression_text
 from .textio import Rows, fmt, read_floats, read_int, unique
@@ -62,25 +56,26 @@ class WalkConfig:
 
     def __post_init__(self) -> None:
         check_ranges(
-            "walk config", walks_per_node=self.walks_per_node >= 1,
+            "walk config", self, walks_per_node=self.walks_per_node >= 1,
             walk_length=self.walk_length >= 1, seed=self.seed >= 0,
         )
 
 
 @dataclass(frozen=True)
 class SkipGramConfig:
+    """Settings of :func:`train_skipgram`: vector width, context window, rounds of
+    subspace iteration (``epochs``), the token count threshold and the seed of
+    the starting columns."""
+
     dim: int = 25
     window: int = 2
-    negatives: int = 5
     epochs: int = 50
-    learning_rate: float = 0.05
     min_count: int = 1
     seed: int = 0
 
     def __post_init__(self) -> None:
         check_ranges(
-            "skip-gram config", dim=self.dim >= 1, window=self.window >= 1, negatives=self.negatives >= 0,
-            epochs=self.epochs >= 0, learning_rate=0 < self.learning_rate < math.inf,
+            "skip-gram config", self, dim=self.dim >= 1, window=self.window >= 1, epochs=self.epochs >= 1,
             min_count=self.min_count >= 1, seed=self.seed >= 0,
         )
 
@@ -234,20 +229,13 @@ def lexicalize(walks: list[list[str]], o: Ontology) -> WalkCorpus:
 
 
 # ---------------------------------------------------------------------------
-# skip-gram with negative sampling
+# word vectors: a truncated factorization of the corpus's PPMI table
 # ---------------------------------------------------------------------------
 
 
-# Pairs per minibatch step.  Rows repeated within a step add their updates, so
-# a larger step overshoots on a small vocabulary: on the two test corpora at
-# learning rate 0.2, 16 pairs per step blew up in 4 of 12 seeded runs and 64
-# in all 12, while 8 converged in all of them.
-_PAIRS_PER_STEP = 8
-# Steps per block.  A block's negatives, rates and flat gather/scatter index
-# are tabulated at once, so training memory grows with the block, not the
-# corpus.  The index takes (2 + negatives) * dim * 8 bytes a pair, 179 KB a
-# block at the defaults; 16 steps ran as fast as 64 on the word-walks corpus.
-_STEPS_PER_BLOCK = 16
+# Columns the subspace iteration carries beyond ``dim``: column i <= dim then
+# converges by (s[dim + 11] / s[i]) ** 2 a round, not by (s[dim + 1] / s[i]) ** 2.
+_EXTRA_COLUMNS = 10
 
 
 def _pairs(sentences: list[list[int]], window: int) -> tuple[np.ndarray, np.ndarray]:
@@ -264,129 +252,113 @@ def _pairs(sentences: list[list[int]], window: int) -> tuple[np.ndarray, np.ndar
     return centers, contexts
 
 
-def _draw_negatives(
-    rng: np.random.Generator, cdf: np.ndarray, n_pairs: int, negatives: int
-) -> np.ndarray:
-    """Noise tokens: what ``n_pairs`` calls of ``rng.choice(p=noise)`` draw.
+@dataclass(frozen=True)
+class _Sparse:
+    """A ``size`` x ``size`` matrix as COO arrays sorted by row, then column."""
 
-    Consecutive calls continue one stream, so drawing block by block gives
-    the same tokens as one call for the whole epoch.
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    size: int
+
+    def transpose(self) -> _Sparse:
+        order = np.lexsort((self.rows, self.cols))
+        return _Sparse(self.cols[order], self.rows[order], self.vals[order], self.size)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """The product with dense ``x``: each row's terms summed in column order by ``reduceat``.
+
+        No BLAS call, so the bytes do not depend on the number of BLAS threads.
+        """
+        starts = np.flatnonzero(np.diff(self.rows, prepend=-1))
+        out = np.zeros((self.size, x.shape[1]))
+        out[self.rows[starts]] = np.add.reduceat(self.vals[:, None] * x[self.cols], starts, axis=0)
+        return out
+
+
+def _ppmi(centers: np.ndarray, contexts: np.ndarray, size: int) -> _Sparse:
+    """Positive PMI of the (center, context) counts, context counts raised to 3/4.
+
+    ``log(n(w, c) * Z / (n(w) * n(c) ** 0.75))`` with ``Z`` the sum of
+    ``n(c) ** 0.75``, computed on the nonzero counts only; entries that are
+    not positive are left out.
     """
-    draws = cdf.searchsorted(rng.random(n_pairs * negatives), side="right")
-    return draws.reshape(n_pairs, negatives)
+    keys, counts = np.unique(centers * size + contexts, return_counts=True)
+    rows, cols = np.divmod(keys, size)
+    row_totals = np.bincount(rows, counts, size)
+    smoothed = np.bincount(cols, counts, size) ** 0.75
+    pmi = np.log(counts * smoothed.sum() / (row_totals[rows] * smoothed[cols]))
+    keep = pmi > 0
+    return _Sparse(rows[keep], cols[keep], pmi[keep], size)
 
 
-def train_skipgram(
-    corpus: WalkCorpus, cfg: SkipGramConfig, init: WordVectors | None = None
-) -> WordVectors:
-    """Train input vectors on the corpus; ``init`` seeds known tokens.
+def _orthonormal(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal columns spanning ``y`` and their squared singular values, largest first.
 
-    Tokens below ``min_count`` are dropped.  Negative targets are drawn from
-    the unigram distribution raised to 3/4, and a negative equal to its
-    pair's context is skipped.  Each step takes the next 8 (center, context)
-    pairs in corpus order, computes every pair's update from the vectors as
-    they stood at the start of the step, and adds them all into the entries
-    it gathered, summing the updates of rows repeated within the step.
-    Steps run in blocks of 16; a block draws its negatives and builds the
-    flat index of its gathered entries at once, so memory is bounded by the
-    block and a step's cost by the rows it touches, whatever the corpus or
-    vocabulary size.  The learning rate decays linearly per pair to 1e-4 of
-    ``learning_rate``; rates up to 0.2 are tested to converge.  With
-    ``epochs=0`` the result for initialized tokens is exactly the
-    initialization, which makes a pretrained file plus zero epochs a no-op
-    and more epochs a fine-tune.
-    Raises :class:`NumericalError` naming the epoch and the first token whose
-    vector is no longer finite, and a DataError naming ``w2v_dim`` before
-    allocating a table over ``errors.MAX_TABLE_BYTES``.
+    The left singular vectors of ``y``, from the SVD of its small Gram
+    matrix.  A direction whose squared singular value is below 1e-12 of the
+    largest is rounding noise: its column and its value come out zero.
+    Products go through ``einsum``, not BLAS, as in :meth:`_Sparse.__matmul__`.
+    The SVD, not ``eigh``: from 26 columns on, numpy's ``eigh`` wakes
+    OpenBLAS threads that then spin for about 0.1 s beside the EL training
+    child, while its SVD stays on one thread up to 40 columns.
+    """
+    basis, squares, _ = np.linalg.svd(np.einsum("ij,ik->jk", y, y))
+    keep = squares > squares[0] * 1e-12
+    scale = np.zeros_like(squares)
+    scale[keep] = squares[keep] ** -0.5
+    return np.einsum("ij,jk->ik", y, basis * scale), np.where(keep, squares, 0.0)
+
+
+def train_skipgram(corpus: WalkCorpus, cfg: SkipGramConfig) -> WordVectors:
+    """Word vectors from a truncated factorization of the corpus's PPMI table.
+
+    Skip-gram with negative sampling implicitly factorizes a shifted PMI
+    matrix (Levy & Goldberg, 2014); this factorizes the positive PMI of the
+    (center, context) counts within ``window`` explicitly.  Tokens below
+    ``min_count`` are dropped.  The counts are a sparse table sorted by
+    (center, context), and PPMI is computed on its nonzero entries with the
+    context counts raised to 3/4.  ``epochs`` rounds of subspace iteration on
+    ``dim`` + 10 columns, started from seeded Gaussian columns, approach its
+    top left singular vectors U and values S; each round multiplies by the
+    table's transpose and then by the table, orthonormalizing after each.
+    A token's vector is its row of ``U sqrt(S)`` over the top ``dim``
+    columns, each column signed so its largest entry is positive.  Products
+    with the table are ``reduceat`` sums, not BLAS calls, and the only LAPACK
+    call is the SVD of a (dim + 10)-square matrix, so the vectors do not
+    depend on the number of BLAS threads.
+
+    ``train_losses`` holds one value per round: the share of the table's
+    squared Frobenius norm outside the top ``dim`` squared singular values
+    found so far (0 for an all-zero table).  ``pairs_per_epoch`` counts the
+    pairs the table sums.  A DataError names ``w2v_dim`` before a product
+    would allocate a table over ``errors.MAX_TABLE_BYTES``.  The name and
+    the ``epochs`` field predate the factorization; the benchmark reads them.
     """
     counts = {t: c for t, c in corpus.vocabulary.items() if c >= cfg.min_count}
     if not counts:
         raise DataError("corpus has no tokens above the count threshold")
-    if init is not None and init.dim != cfg.dim:
-        raise DataError(f"pretrained vectors have dim {init.dim}, expected {cfg.dim}")
     vocab = sorted(counts, key=lambda t: (-counts[t], t))
     index = {t: i for i, t in enumerate(vocab)}
-    size, dim = len(vocab), cfg.dim
-    check_table_size("w2v_dim", 2 * size, dim)
-
-    rng = np.random.default_rng(cfg.seed)
-    # one parameter matrix: input vectors in rows [0, size), output vectors after
-    params = np.zeros((2 * size, dim))
-    for token, i in index.items():
-        if init is not None and token in init.vectors:
-            params[i] = init.vectors[token]
-        else:
-            params[i] = rng.uniform(-0.5 / dim, 0.5 / dim, size=dim)
-
-    noise = np.array([counts[t] for t in vocab], dtype=float) ** 0.75
-    cdf = noise.cumsum()
-    cdf /= cdf[-1]
+    size, width = len(vocab), cfg.dim + _EXTRA_COLUMNS
 
     sentences = [[index[t] for t in sent if t in index] for sent in corpus.sentences]
     centers, contexts = _pairs(sentences, cfg.window)
-    n_pairs, k = len(centers), cfg.negatives
-    total_pairs = max(1, n_pairs * cfg.epochs)
-    # score column 0 is the context (label 1), the others are negatives (label 0)
-    sign = np.where(np.arange(1 + k) == 0, 1.0, -1.0)
-    flat = params.reshape(-1)
-    step = _PAIRS_PER_STEP
-    block = step * _STEPS_PER_BLOCK
-    # star[:, i, j] weighs gathered row j in the update of gathered row i: the
-    # center takes every target's term and each target only the center's, so
-    # one matmul gives all 2 + k updates of a pair
-    star = np.zeros((step, 2 + k, 2 + k))
+    table = _ppmi(centers, contexts, size)
+    check_table_size("w2v_dim", max(size, len(table.vals)), width, cfg.dim)
+    transposed = table.transpose()
+    total = float(np.sum(table.vals**2))
+
+    left, _ = _orthonormal(np.random.default_rng(cfg.seed).standard_normal((size, width)))
     losses = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(cfg.epochs):
-            loss = 0.0
-            for start in range(0, n_pairs, block):
-                n = min(block, n_pairs - start)
-                rows = np.empty((n, 2 + k), dtype=np.intp)
-                rows[:, 0] = centers[start : start + n]
-                rows[:, 1] = contexts[start : start + n] + size
-                rows[:, 2:] = _draw_negatives(rng, cdf, n, k) + size
-                kept = rows[:, 1:] != rows[:, 1:2]
-                kept[:, 0] = True  # the context itself
-                processed = epoch * n_pairs + np.arange(start, start + n)
-                alpha = cfg.learning_rate * np.maximum(1e-4, 1.0 - processed / total_pairs)
-                # -alpha * d(loss)/d(score) = rate / (1 + exp(sign * score));
-                # skipped negatives get rate 0
-                rate = kept * alpha[:, None] * sign
-                # one flat index table, row * dim + column, serves both the
-                # gather and the scatter
-                at = rows[:, :, None] * dim + np.arange(dim)
-                signed = np.empty(kept.shape)  # sign * score, kept for the loss
-                for lo in range(0, n, step):
-                    idx = at[lo : lo + step]
-                    gathered = flat[idx]
-                    scores = np.vecdot(gathered[:, 1:], gathered[:, :1])
-                    np.multiply(scores, sign, out=signed[lo : lo + step])
-                    coef = np.exp(signed[lo : lo + step])
-                    coef += 1.0
-                    np.divide(rate[lo : lo + step], coef, out=coef)
-                    weights = star[: len(coef)]
-                    weights[:, 0, 1:] = coef
-                    weights[:, 1:, 0] = coef
-                    # add.at sums the updates of rows repeated within the step
-                    np.add.at(flat, idx.ravel(), (weights @ gathered).ravel())
-                # a target's loss is softplus(-signed score), written to not overflow
-                softplus = np.maximum(-signed, 0.0) + np.log1p(np.exp(-np.abs(signed)))
-                loss += float(np.sum(softplus, where=kept))
-            losses.append(loss / max(1, n_pairs))
-            _check_finite(epoch, vocab, params, losses[-1])
-    vectors = {t: params[i].copy() for t, i in index.items()}
-    return WordVectors(dim, vectors, tuple(losses), n_pairs)
-
-
-def _check_finite(epoch: int, vocab: list[str], params: np.ndarray, loss: float) -> None:
-    bad = (~np.isfinite(params).all(axis=1)).reshape(2, len(vocab)).any(axis=0)
-    if bad.any():
-        token = vocab[int(np.argmax(bad))]
-        raise NumericalError(
-            f"skip-gram diverged in epoch {epoch + 1}: vector of {token!r} is not finite"
-        )
-    if not np.isfinite(loss):
-        raise NumericalError(f"skip-gram diverged in epoch {epoch + 1}: loss is not finite")
+    for _ in range(cfg.epochs):
+        right, _ = _orthonormal(transposed @ left)
+        left, squares = _orthonormal(table @ right)
+        losses.append(1.0 - squares[: cfg.dim].sum() / total if total else 0.0)
+    top = left[:, : cfg.dim]
+    top[:, top[np.abs(top).argmax(axis=0), np.arange(cfg.dim)] < 0] *= -1.0
+    vectors = top * squares[: cfg.dim] ** 0.25 + 0.0  # + 0.0 turns -0.0 into 0.0
+    return WordVectors(cfg.dim, {t: vectors[i] for t, i in index.items()}, tuple(losses), len(centers))
 
 
 def word_encoding(name: str, wv: WordVectors, o: Ontology | dict[str, list[str]]) -> np.ndarray:

@@ -137,17 +137,12 @@ def test_w2v_requires_a_corpus(capsys):
     assert main(["w2v"]) == EXIT_USAGE
 
 
-def test_w2v_divergence_exits_3_without_traceback(tmp_path):
+@pytest.mark.parametrize("flag", ["--init", "--negatives", "--lr"])
+def test_w2v_flags_of_the_removed_skipgram_trainer_are_usage_errors(tmp_path, capsys, flag):
     corpus, out = tmp_path / "corpus.txt", tmp_path / "vecs.txt"
-    corpus.write_text("sun moon star\nmoon sun\n" * 3)
-    argv = ["w2v", "--corpus", str(corpus), "--out", str(out), "--dim", "4", "--lr", "1e200"]
-    env = {**os.environ, "PYTHONPATH": str(Path(ontozsl.__file__).parents[1])}
-    done = subprocess.run(
-        [sys.executable, "-m", "ontozsl.cli", *argv], capture_output=True, text=True, env=env
-    )
-    assert done.returncode == EXIT_NUMERIC, done.stderr
-    assert "Traceback" not in done.stderr
-    assert "epoch 1" in done.stderr
+    corpus.write_text("sun moon star\n")
+    assert main(["w2v", "--corpus", str(corpus), "--out", str(out), flag, "1"]) == EXIT_USAGE
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -578,10 +573,11 @@ def run_cli(argv):
         (["pipeline", "--set", "mapper=ridge", "--set", "ridge_alpha=0"], "ridge_alpha"),
         # range errors name the key or flag typed, not the stage config's field
         (["pipeline", "--set", "el_lr=0"], "out of range: el_lr"),
-        (["pipeline", "--set", "w2v_lr=0"], "out of range: w2v_lr"),
+        (["pipeline", "--set", "w2v_lr=0"], "unknown config key 'w2v_lr'"),
+        (["pipeline", "--set", "w2v_negatives=5"], "unknown config key 'w2v_negatives'"),
         (["embed-el", "--normalized", "{normalized}", "--batch", "0"], "out of range: --batch"),
         (["walk", "{ontology}", "--walk-length", "0"], "out of range: --walk-length"),
-        (["w2v", "--corpus", "{corpus}", "--lr", "0"], "out of range: --lr"),
+        (["w2v", "--corpus", "{corpus}", "--epochs", "0"], "out of range: --epochs"),
         (["train-map", "--features", "{features}", "--split", "{split}", "--encodings", "{encodings}",
           "--alpha", "0"], "out of range: --alpha"),
         (["pipeline", "--set", "components="], "at least one encoding component"),
@@ -591,7 +587,7 @@ def run_cli(argv):
          "distance", "candidates", "mapper", "inf-margin", "nan-alpha", "train-map-nan-alpha",
          "embed-el-nan-margin", "embed-el-underscore-epochs", "embed-el-arabic-indic-dim",
          "synth-nan-noise", "synth-features-dim", "negative-sae-lambda", "zero-ridge-alpha", "zero-el-lr", "zero-w2v-lr",
-         "embed-el-zero-batch", "walk-zero-length", "w2v-zero-lr", "train-map-zero-alpha",
+         "w2v-negatives", "embed-el-zero-batch", "walk-zero-length", "w2v-zero-epochs", "train-map-zero-alpha",
          "empty-components", "repeated-component"],
 )
 def test_bad_config_values_exit_2_before_any_stage_runs(tiny_inputs, tmp_path, argv, named):

@@ -124,12 +124,21 @@ def test_parse_config_rejects_unknown_keys_and_bad_values():
         parse_config("seed = 1\n# seed = 2\nseed=3\n")
 
 
+FLOAT_KEYS = ["el_margin", "el_lr", "el_min_radius", "sae_lambda", "ridge_alpha"]
+INT_KEYS = ["el_dim", "el_epochs", "el_batch", "el_negatives", "walks_per_node", "walk_length",
+            "w2v_dim", "w2v_window", "w2v_epochs", "w2v_min_count", "seed"]
+
+
 # Each used to build, and then fail mid-run after earlier stages had written their artifacts.
-@pytest.mark.parametrize("key", ["el_margin", "el_lr", "el_min_radius", "w2v_lr", "sae_lambda", "ridge_alpha"])
-def test_an_infinite_setting_fails_before_any_stage_runs(tmp_path, key):
+@pytest.mark.parametrize(
+    "key, value",
+    [(key, math.inf) for key in FLOAT_KEYS] + [(key, v) for key in INT_KEYS for v in (math.inf, 2.5, 3.0)],
+    ids=FLOAT_KEYS + [f"{key}={v}" for key in INT_KEYS for v in (math.inf, 2.5, 3.0)],
+)
+def test_a_non_finite_or_non_integer_setting_fails_before_any_stage_runs(tmp_path, key, value):
     write_benchmark(tmp_path)
     with pytest.raises(RangeError) as err:
-        run_pipeline(base_config(tmp_path, mapper="ridge", **{key: math.inf}))
+        run_pipeline(base_config(tmp_path, mapper="ridge", **{key: value}))
     assert err.value.names == [key]
     assert not (tmp_path / "run").exists()
 
@@ -385,34 +394,38 @@ def test_candidate_spread_of_a_single_candidate_is_nan(tmp_path):
     assert 0.0 < low <= mid
 
 
-def test_pretrained_vectors_survive_zero_epochs_exactly(tmp_path):
-    write_benchmark(tmp_path)
-    run_pipeline(base_config(tmp_path, w2v_epochs=0))
-    saved = (tmp_path / "run" / "wordvecs.txt").read_text()
-    tokens = sorted(load_word_vectors(lines(saved, "word vectors")).vectors)[::2]
-    # "class" is a word of every class label; it reaches the corpus through the label sentences
-    tokens = sorted({*tokens, "class"})
+def test_pretrained_vectors_stand_in_for_the_trained_ones(tmp_path):
+    """The file's vectors are written as they are; labels without their own token read their words."""
+    data = write_benchmark(tmp_path)
     rng = np.random.default_rng(4)
-    pretrained = {token: rng.normal(size=FAST["w2v_dim"]) for token in tokens}
+    words = {word: rng.normal(size=3) for word in ["class", *(f"{i:02d}" for i in range(6)), "unused"]}
     path = tmp_path / "pretrained.txt"
     path.write_text(
-        f"{len(pretrained)} {FAST['w2v_dim']}\n"
-        + "".join(f"{t} {' '.join(map(fmt, v))}\n" for t, v in pretrained.items())
+        "8 3\n" + "".join(f"{t} {' '.join(map(fmt, v))}\n" for t, v in words.items())
     )
-    run_pipeline(base_config(tmp_path, w2v_epochs=0, pretrained_vectors=str(path)))
-    saved = (tmp_path / "run" / "wordvecs.txt").read_text()
-    vectors = load_word_vectors(lines(saved, "word vectors")).vectors
-    for token, vector in pretrained.items():
-        assert np.array_equal(vectors[token], vector), token
+    # w2v_dim = 6 is not read: the file's width is the vectors' width
+    report = run_pipeline(base_config(tmp_path, components="word", pretrained_vectors=str(path)))
+    out = tmp_path / "run"
+    written = load_word_vectors(lines((out / "wordvecs.txt").read_text(), "word vectors"))
+    assert written.dim == 3 and written.vectors.keys() == words.keys()
+    for token, vector in words.items():
+        assert np.array_equal(written.vectors[token], vector), token
+    assert report.w2v_losses == () and report.counts["w2v_pairs_per_epoch"] == 0
+    assert report.counts["w2v_vocab"] == 8
+    table = load_encodings(lines((out / "encodings.tsv").read_text(), "encodings"))
+    labels = sorted(data.dataset.seen_labels | data.dataset.unseen_labels)
+    for i, label in enumerate(labels):  # label "class 0i" has no vector of its own
+        mean = (words["class"] + words[f"{i:02d}"]) / 2
+        np.testing.assert_allclose(table.encodings[label], mean / np.linalg.norm(mean), rtol=1e-15)
 
 
 @pytest.mark.parametrize(
     "text, message",
     [
-        ("1 7\nclass 1 2 3 4 5 6 7\n", "error: w2v: pretrained vectors have dim 7, expected 6"),
+        ("2 6\nclass 1 2 3 4 5 6\n", "error: w2v: expected 2 vector rows, found 1"),
         ("2 6\nclass 1 2 3 4 5 6\n\ntrait 1 2 q 4 5 6\n", "error: w2v: word vectors line 4: "),
     ],
-    ids=["wrong-dim", "malformed-row"],
+    ids=["missing-row", "malformed-row"],
 )
 def test_bad_pretrained_vectors_exit_2_in_the_w2v_stage(tmp_path, capsys, text, message):
     write_benchmark(tmp_path)

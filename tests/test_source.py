@@ -1,8 +1,10 @@
 """Source hygiene checks over the package modules."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -14,6 +16,7 @@ import pytest
 import ontozsl
 from ontozsl import textwalk
 from ontozsl.harness import gen_synthetic
+from ontozsl.pipeline import RunConfig, run_pipeline
 
 MODULES = sorted(p for p in Path(ontozsl.__file__).parent.glob("*.py") if p.name != "__init__.py")
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -47,12 +50,17 @@ def test_no_module_imports_a_private_name_of_another(path):
     assert not private, f"{path.name} imports private names: {private}"
 
 
+def _load_perfbench(name: str, monkeypatch):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_every_function_the_benchmark_patches_exists(monkeypatch):
     """The tracer patches ``ontozsl.<module>.<attribute>``; a missing one crashes the benchmark."""
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclasses look their module up
-    spec.loader.exec_module(tracing)
+    tracing = _load_perfbench("tracing", monkeypatch)
     for module, attribute, *_name in (*tracing.SPANS, *tracing.COUNTED):
         assert callable(getattr(importlib.import_module(f"ontozsl.{module}"), attribute, None)), (
             f"ontozsl.{module}.{attribute}"
@@ -79,6 +87,26 @@ def test_every_name_the_benchmark_takes_from_the_package_exists(path):
             if not hasattr(modules[node.value.id], node.attr):
                 missing.append(f"{modules[node.value.id].__name__}.{node.attr}")
     assert not missing, f"{path.name} uses names the package no longer has: {missing}"
+
+
+def _workload_names() -> list[str]:
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    return [node.args[0].value for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Workload"]
+
+
+@pytest.mark.parametrize("name", _workload_names())
+def test_every_benchmark_workload_runs_on_the_settings_it_reads(tmp_path, monkeypatch, name):
+    """The config keys and report fields the benchmark reads at run time, beyond the names it imports."""
+    workloads = _load_perfbench("workloads", monkeypatch)
+    workload = workloads.WORKLOADS[name]
+    RunConfig(**workload.overrides)
+    # worker.layer_metrics reads both
+    assert {"w2v_epochs", "w2v_window"} <= {f.name for f in dataclasses.fields(RunConfig)}
+    workloads.write_inputs(workload, 0, tmp_path, tiny=True)
+    settings = json.loads((tmp_path / "settings.json").read_text())
+    report = run_pipeline(RunConfig(**settings["config"]))
+    assert len(report.w2v_losses) > 0  # worker.layer_metrics reads the last one
 
 
 def test_name_tokens_takes_a_name_and_an_ontology():

@@ -1,15 +1,18 @@
-"""Graph projection, random walks, lexicalization, and skip-gram vectors."""
+"""Graph projection, random walks, lexicalization, and PPMI word vectors."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from ontozsl import errors, textwalk
-from ontozsl.errors import DataError, NumericalError, UnknownNameError
+from ontozsl.errors import DataError, UnknownNameError
+from ontozsl.harness import gen_synthetic
 from ontozsl.ontology import parse_ontology
 from ontozsl.textio import lines
 from ontozsl.textwalk import (
@@ -206,17 +209,8 @@ def test_a_label_word_equal_to_a_lowercase_name_shares_its_token():
     corpus = lexicalize([["Puppy", "subClassOf", "dog"], ["dog"]], o)
     assert corpus.sentences[-1] == ["Puppy", "young", "dog"]
     assert corpus.vocabulary["dog"] == 3
-    wv = train_skipgram(corpus, SkipGramConfig(dim=3, epochs=0, seed=0))
+    wv = train_skipgram(corpus, SkipGramConfig(dim=3, epochs=1, seed=0))
     assert set(wv.vectors) == {"Puppy", "subClassOf", "dog", "young"}
-
-
-def test_skipgram_epochs_zero_is_identity_on_initialized_tokens():
-    corpus = load_corpus(lines("sun moon\nsun moon\n", "corpus"))
-    init = WordVectors(4, {"sun": np.arange(4.0)})
-    cfg = SkipGramConfig(dim=4, epochs=0, seed=0)
-    wv = train_skipgram(corpus, cfg, init=init)
-    assert np.array_equal(wv.vectors["sun"], np.arange(4.0))
-    assert set(wv.vectors) == {"sun", "moon"}
 
 
 def test_skipgram_is_deterministic():
@@ -229,24 +223,13 @@ def test_skipgram_is_deterministic():
         assert np.array_equal(a.vectors[tok], b.vectors[tok])
 
 
-def test_skipgram_loss_decreases_early():
-    corpus = load_corpus(lines("sun moon\n" * 30 + "rock stone\n" * 30, "corpus"))
-    cfg = SkipGramConfig(dim=10, epochs=10, seed=0)
-    wv = train_skipgram(corpus, cfg)
-    assert len(wv.train_losses) == 10
-    assert wv.train_losses[-1] < wv.train_losses[0]
-
-
 def test_skipgram_groups_tokens_with_shared_contexts():
-    # sun and moon appear in the same contexts; rock never trains a pair
+    # sun and moon appear in the same contexts; rock never forms a pair, so its vector is zero
     corpus = load_corpus(lines("sun sky glow\n" * 40 + "moon sky glow\n" * 40 + "rock\n" * 20, "corpus"))
-    wv = train_skipgram(corpus, SkipGramConfig(dim=12, epochs=40, seed=1))
-
-    def cos(a, b):
-        va, vb = wv.vectors[a], wv.vectors[b]
-        return float(va @ vb / (np.linalg.norm(va) * np.linalg.norm(vb)))
-
-    assert cos("sun", "moon") > cos("sun", "rock")
+    wv = train_skipgram(corpus, SkipGramConfig(dim=2, epochs=40, seed=1))
+    sun, moon = wv.vectors["sun"], wv.vectors["moon"]
+    assert_allclose(sun @ moon / (np.linalg.norm(sun) * np.linalg.norm(moon)), 1.0, rtol=1e-12)
+    assert not wv.vectors["rock"].any()
 
 
 def test_skipgram_min_count_filters_vocabulary():
@@ -258,171 +241,121 @@ def test_skipgram_min_count_filters_vocabulary():
 
 
 def test_skipgram_refuses_a_table_over_the_size_limit_before_allocating_it(monkeypatch):
-    corpus = load_corpus(lines("sun moon star\n", "corpus"))  # input and output rows of 3 tokens
-    monkeypatch.setattr(errors, "MAX_TABLE_BYTES", 6 * 4 * 8)
+    # 3 tokens and 6 positive PPMI entries; a product gathers 6 rows of dim + 10 columns
+    corpus = load_corpus(lines("sun moon star\n", "corpus"))
+    monkeypatch.setattr(errors, "MAX_TABLE_BYTES", 6 * 14 * 8)
     train_skipgram(corpus, SkipGramConfig(dim=4, epochs=1))
-    with pytest.raises(DataError, match="^w2v_dim = 5 needs a 6 x 5 parameter table of 240 bytes, "
-                       "over the limit of 192$"):
+    with pytest.raises(DataError, match="^w2v_dim = 5 needs a 6 x 15 parameter table of 720 bytes, "
+                       "over the limit of 672$"):
         train_skipgram(corpus, SkipGramConfig(dim=5, epochs=1))
 
 
-def test_skipgram_rejects_mismatched_init_dim():
-    corpus = load_corpus(lines("sun moon\n", "corpus"))
-    with pytest.raises(DataError):
-        train_skipgram(corpus, SkipGramConfig(dim=4, seed=0), init=WordVectors(3, {}))
-
-
-def _oracle_skipgram(corpus, cfg, pairs_per_step):
-    """Plain per-pair loop: every pair of a step updates from the step's starting
-    vectors, and updates aimed at one row add up.  Returns the vectors, the
-    epoch losses and whether any pair drew the same row twice."""
-    counts = {t: c for t, c in corpus.vocabulary.items() if c >= cfg.min_count}
-    vocab = sorted(counts, key=lambda t: (-counts[t], t))
+def _dense_ppmi(corpus, window):
+    """The PPMI matrix by a loop over every token's window, in the vocabulary order of train_skipgram."""
+    vocab = sorted(corpus.vocabulary, key=lambda t: (-corpus.vocabulary[t], t))
     index = {t: i for i, t in enumerate(vocab)}
-    rng = np.random.default_rng(cfg.seed)
-    w_in = np.array([rng.uniform(-0.5 / cfg.dim, 0.5 / cfg.dim, size=cfg.dim) for _ in vocab])
-    w_out = np.zeros_like(w_in)
-    noise = np.array([counts[t] for t in vocab], dtype=float) ** 0.75
-    noise /= noise.sum()
-    pairs = []
-    for sent in corpus.sentences:
-        ids = [index[t] for t in sent if t in index]
-        for i, center in enumerate(ids):
-            for j in range(max(0, i - cfg.window), min(len(ids), i + cfg.window + 1)):
+    counts = np.zeros((len(vocab), len(vocab)))
+    for sentence in corpus.sentences:
+        for i, token in enumerate(sentence):
+            for j in range(max(0, i - window), min(len(sentence), i + window + 1)):
                 if j != i:
-                    pairs.append((center, ids[j]))
-    total = max(1, len(pairs) * cfg.epochs)
-    losses, repeated, processed = [], False, 0
-    for _epoch in range(cfg.epochs):
-        loss = 0.0
-        for lo in range(0, len(pairs), pairs_per_step):
-            d_in, d_out = np.zeros_like(w_in), np.zeros_like(w_out)
-            for center, context in pairs[lo : lo + pairs_per_step]:
-                alpha = cfg.learning_rate * max(1e-4, 1.0 - processed / total)
-                processed += 1
-                drawn = rng.choice(len(vocab), cfg.negatives, p=noise) if cfg.negatives else []
-                rows = [context] + [int(d) for d in drawn if d != context]
-                repeated |= len(set(rows)) < len(rows)
-                for k, row in enumerate(rows):
-                    sig = 1.0 / (1.0 + math.exp(-float(w_out[row] @ w_in[center])))
-                    loss -= math.log(sig) if k == 0 else math.log(1.0 - sig)
-                    err = alpha * (sig - (1.0 if k == 0 else 0.0))
-                    d_out[row] += err * w_in[center]
-                    d_in[center] += err * w_out[row]
-            w_in -= d_in
-            w_out -= d_out
-        losses.append(loss / max(1, len(pairs)))
-    return {t: w_in[i] for t, i in index.items()}, losses, repeated
+                    counts[index[token], index[sentence[j]]] += 1
+    smoothed = counts.sum(axis=0) ** 0.75
+    ppmi = np.zeros_like(counts)
+    for w, c in zip(*np.nonzero(counts)):
+        pmi = math.log(counts[w, c] * smoothed.sum() / (counts[w].sum() * smoothed[c]))
+        ppmi[w, c] = max(pmi, 0.0)
+    return ppmi, vocab
 
 
-@pytest.mark.parametrize(
-    "pairs_per_step, negatives",
-    [(1, 5), (3, 5), (8, 5), (8, 0)],
-    ids=["1", "3", "8", "8-no-negatives"],
-)
-def test_skipgram_matches_per_pair_oracle(monkeypatch, pairs_per_step, negatives):
-    # 4 tokens and 5 draws per pair: draws repeat a row and hit the context;
-    # 26 pairs per epoch leave a short last step for 3 and 8 pairs per step
-    corpus = load_corpus(lines("sun moon star\nmoon sun\nrock\n" * 2 + "star rock sun moon\n", "corpus"))
-    cfg = SkipGramConfig(dim=6, epochs=3, negatives=negatives, learning_rate=0.2, seed=4)
-    monkeypatch.setattr(textwalk, "_PAIRS_PER_STEP", pairs_per_step)
-    wv = train_skipgram(corpus, cfg)
-    vectors, losses, repeated = _oracle_skipgram(corpus, cfg, pairs_per_step)
-    assert repeated == (negatives > 0)
-    assert wv.pairs_per_epoch == 26
-    for token, vec in vectors.items():
-        assert_allclose(wv.vectors[token], vec, rtol=0, atol=1e-12)
-    assert_allclose(wv.train_losses, losses, rtol=1e-12)
+def _random_corpus(seed):
+    rng = np.random.default_rng(seed)
+    words = [f"w{i}" for i in range(40)]
+    weights = 1.0 / np.arange(1, len(words) + 1)
+    sentences = [
+        " ".join(rng.choice(words, size=int(rng.integers(2, 9)), p=weights / weights.sum()))
+        for _ in range(80)
+    ]
+    return load_corpus(lines("".join(s + "\n" for s in sentences), "corpus"))
 
 
-@settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_skipgram_matches_per_pair_oracle_on_random_corpora(data):
-    words = ["sun", "moon", "star", "rock", "sky", "glow"]
-    sentences = data.draw(
-        st.lists(st.lists(st.sampled_from(words), min_size=1, max_size=6), min_size=1, max_size=6)
-    )
-    corpus = load_corpus(lines("".join(" ".join(s) + "\n" for s in sentences), "corpus"))
-    cfg = SkipGramConfig(
-        dim=data.draw(st.integers(1, 8)),
-        window=data.draw(st.integers(1, 3)),
-        negatives=data.draw(st.integers(0, 5)),
-        epochs=data.draw(st.integers(1, 3)),
-        learning_rate=data.draw(st.floats(1e-3, 0.2)),
-        seed=data.draw(st.integers(0, 2**16)),
-    )
-    pairs_per_step = data.draw(st.integers(1, 8))
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(textwalk, "_PAIRS_PER_STEP", pairs_per_step)
-        patch.setattr(textwalk, "_STEPS_PER_BLOCK", data.draw(st.integers(1, 4)))
-        wv = train_skipgram(corpus, cfg)
-    vectors, losses, _repeated = _oracle_skipgram(corpus, cfg, pairs_per_step)
-    for token, vec in vectors.items():
-        assert_allclose(wv.vectors[token], vec, rtol=0, atol=1e-12)
-    assert_allclose(wv.train_losses, losses, rtol=1e-12, atol=1e-15)
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        # 26 pairs: blocks of 3 steps leave a short last block
-        "sun moon star\nmoon sun\nrock\n" * 2 + "star rock sun moon\n",
-        # 480 pairs: the default block leaves a short last block too
-        "sun sky glow\n" * 40 + "moon sky glow\n" * 40 + "rock\n" * 20,
-    ],
-    ids=["26-pairs", "480-pairs"],
-)
-def test_skipgram_result_does_not_depend_on_the_block_size(monkeypatch, text):
-    corpus = load_corpus(lines(text, "corpus"))
-    cfg = SkipGramConfig(dim=6, epochs=3, learning_rate=0.2, seed=4)
-    runs = []
-    for steps in (1, 3, textwalk._STEPS_PER_BLOCK):
-        monkeypatch.setattr(textwalk, "_STEPS_PER_BLOCK", steps)
-        runs.append(train_skipgram(corpus, cfg))
-    first = runs[0]
-    for wv in runs[1:]:
-        assert wv.vectors.keys() == first.vectors.keys()
-        for token, vec in first.vectors.items():
-            assert np.array_equal(wv.vectors[token], vec)
-        # per-block loss sums may round differently
-        assert_allclose(wv.train_losses, first.train_losses, rtol=1e-13)
-
-
-def test_epoch_negatives_equal_per_pair_choice_draws():
-    for seed in range(20):
-        gen = np.random.default_rng(seed)
-        noise = gen.random(int(gen.integers(1, 30))) ** 3
-        noise /= noise.sum()
-        cdf = noise.cumsum()
-        cdf /= cdf[-1]
-        n_pairs, negatives = int(gen.integers(0, 50)), int(gen.integers(0, 6))
-        table = textwalk._draw_negatives(np.random.default_rng(seed), cdf, n_pairs, negatives)
-        rng = np.random.default_rng(seed)
-        expected = [rng.choice(len(noise), size=negatives, p=noise) for _ in range(n_pairs)]
-        assert table.shape == (n_pairs, negatives)
-        assert np.array_equal(table, np.array(expected, dtype=int).reshape(n_pairs, negatives))
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        "sun moon\n" * 30 + "rock stone\n" * 30,
-        "sun sky glow\n" * 40 + "moon sky glow\n" * 40 + "rock\n" * 20,
-    ],
-    ids=["sun-moon", "sun-sky-glow"],
-)
+# 37-40 tokens against dim + 10 columns.  Each case has a gap of at least
+# 0.2 % of the largest singular value between singular values dim and dim + 1,
+# so its top-dim subspace is well defined; the vectors matched the oracle to
+# 2e-14 of it, and the loss sequence rose by at most 1e-15.
 @pytest.mark.parametrize("seed", range(6))
-def test_skipgram_is_stable_at_learning_rate_0_2(text, seed):
-    cfg = SkipGramConfig(dim=10, epochs=10, learning_rate=0.2, seed=seed)
-    wv = train_skipgram(load_corpus(lines(text, "corpus")), cfg)
-    assert np.isfinite(wv.train_losses).all()
-    assert wv.train_losses[-1] < wv.train_losses[0]
+@pytest.mark.parametrize("dim, window", [(2, 1), (4, 2), (6, 2)])
+def test_skipgram_spans_the_top_singular_subspace_of_a_dense_ppmi(seed, dim, window):
+    corpus = _random_corpus(seed)
+    ppmi, vocab = _dense_ppmi(corpus, window)
+    u, s, _ = np.linalg.svd(ppmi)
+    assert s[dim - 1] - s[dim] > 0.002 * s[0]
+    wv = train_skipgram(corpus, SkipGramConfig(dim=dim, window=window, epochs=60, seed=seed))
+    vectors = np.array([wv.vectors[t] for t in vocab])
+    # U sqrt(S) has orthogonal columns whose squared norms are the singular values
+    assert_allclose(vectors.T @ vectors, np.diag(s[:dim]), rtol=0, atol=1e-9 * s[0])
+    projector = u[:, :dim] @ u[:, :dim].T
+    assert_allclose(projector @ vectors, vectors, rtol=0, atol=1e-9 * s[0])
+    # each column's largest entry is positive
+    assert (vectors[np.abs(vectors).argmax(axis=0), np.arange(dim)] > 0).all()
+    assert len(wv.train_losses) == 60
+    assert_allclose(wv.train_losses[-1], 1 - np.sum(s[:dim] ** 2) / np.sum(s**2), rtol=0, atol=1e-12)
+    assert (np.diff(wv.train_losses) <= 1e-12).all()
 
 
-def test_skipgram_divergence_names_the_epoch_and_token():
-    corpus = load_corpus(lines("sun moon star\nmoon sun\n" * 3, "corpus"))
-    with pytest.raises(NumericalError, match=r"epoch 1: vector of '\w+' is not finite"):
-        train_skipgram(corpus, SkipGramConfig(dim=4, epochs=3, learning_rate=1e200, seed=0))
+@pytest.mark.parametrize(
+    "text, pairs, rank",
+    [
+        ("sun moon star\n", 6, 3),  # 3 tokens against 35 columns
+        ("sun sun sun\n", 6, 0),  # one token: every PMI is log 1 = 0
+        ("sun\nmoon\n", 0, 0),  # no pairs at all
+    ],
+    ids=["small-vocabulary", "all-zero-ppmi", "no-pairs"],
+)
+def test_skipgram_on_a_degenerate_corpus_gives_finite_vectors_of_full_width(text, pairs, rank):
+    # the suite turns numpy warnings into errors
+    wv = train_skipgram(load_corpus(lines(text, "corpus")), SkipGramConfig(dim=25, epochs=3))
+    vectors = np.array(list(wv.vectors.values()))
+    assert wv.pairs_per_epoch == pairs
+    assert vectors.shape[1] == 25 and np.isfinite(vectors).all()
+    assert np.count_nonzero(vectors.any(axis=0)) == rank
+    # the table's rank is below dim, so every round keeps all of it
+    assert len(wv.train_losses) == 3
+    assert_allclose(wv.train_losses, 0.0, rtol=0, atol=1e-12)
+
+
+def _synthetic_corpus(sizes):
+    ontology = gen_synthetic(*sizes).ontology
+    return save_corpus(lexicalize(random_walks(project(ontology), WalkConfig(seed=1)), ontology))
+
+
+def _uniform_corpus():
+    rng = np.random.default_rng(0)
+    return "".join(
+        " ".join(f"w{i}" for i in rng.integers(0, 700, int(rng.integers(3, 9)))) + "\n" for _ in range(1500)
+    )
+
+
+# A dense BLAS product of the PPMI matrix with the columns gave different
+# bytes under 1 and 2 threads on the uniform corpus, whose frequency order
+# spreads each row's entries over the whole vocabulary; on the two synthetic
+# corpora it happened to agree.
+@pytest.mark.parametrize(
+    "text",
+    [lambda: _synthetic_corpus((40, 10, 10)), lambda: _synthetic_corpus((160, 40, 5)), _uniform_corpus],
+    ids=["40-classes", "200-classes", "uniform-700-tokens"],
+)
+def test_word_vectors_are_the_same_bytes_under_one_and_two_blas_threads(tmp_path, text):
+    (tmp_path / "corpus.txt").write_text(text())
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"wordvecs-{threads}.txt"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": str(Path(textwalk.__file__).parents[1])}
+        argv = ["w2v", "--corpus", str(tmp_path / "corpus.txt"), "--seed", "2", "--out", str(out)]
+        subprocess.run([sys.executable, "-m", "ontozsl.cli", *argv], env=env, check=True)
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
 
 
 def test_word_encoding_averages_token_vectors():
@@ -500,8 +433,10 @@ def test_config_validation():
         WalkConfig(1, 0, 0)
     with pytest.raises(DataError):
         SkipGramConfig(dim=0)
-    with pytest.raises(DataError):
-        SkipGramConfig(learning_rate=-1.0)
-    for value in (math.nan, math.inf):
-        with pytest.raises(DataError, match="learning_rate"):
-            SkipGramConfig(learning_rate=value)
+    with pytest.raises(DataError, match="epochs"):
+        SkipGramConfig(epochs=0)
+    for value in (math.inf, 2.5, 3.0):
+        with pytest.raises(DataError, match="out of range: window$"):
+            SkipGramConfig(window=value)
+        with pytest.raises(DataError, match="out of range: walk_length$"):
+            WalkConfig(walk_length=value)
