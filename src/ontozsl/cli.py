@@ -138,8 +138,8 @@ def cmd_predict(args) -> None:
     model = zslmap.load_model(file_lines(args.model, "model"))
     dataset = harness.load_dataset(file_lines(args.features, "features"), file_lines(args.split, "split"))
     cfg = zslmap.PredictConfig(Distance(args.distance), CandidateSet(args.candidates))
-    test, labels = zslmap.predict_test(model, dataset, table, cfg)
-    _write(args.out, harness.write_predictions(test, labels))
+    ids, truth, labels = zslmap.predict_test(model, dataset, table, cfg)
+    _write(args.out, harness.write_predictions(ids, labels, truth))
 
 
 def cmd_eval(args) -> None:

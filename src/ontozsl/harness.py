@@ -1,24 +1,29 @@
 """Datasets, evaluation metrics, and a synthetic benchmark generator.
 
-A dataset is a feature table plus a label split.  Samples whose label is in
-the seen set form the training split; samples with unseen labels form the
-test split.  Metrics follow the usual zero-shot conventions: the headline
+A dataset is a feature table plus a label split: one N x p matrix of
+features, with each row's sample id and label beside it.  Samples whose
+label is in the seen set form the training split; samples with unseen
+labels form the test split, and each is taken from the matrix with a
+boolean mask.  Metrics follow the usual zero-shot conventions: the headline
 number is the unweighted mean of per-class accuracy over the unseen classes,
 with plain sample accuracy reported alongside for generalized evaluation.
 The dataset tables and the predictions file are tab-separated rows.  Each
 loader takes the ``(where, line)`` rows of :func:`ontozsl.textio.lines` or
 :func:`ontozsl.textio.file_lines` and keeps only what it parses, so loading
-a file never holds its text; numbers and repeated keys go through
+a file never holds its text.  The comma-separated values of the feature and
+vector tables go to :func:`ontozsl.textio.read_float_rows`, which parses
+them in blocks into one matrix; numbers and repeated keys go through
 :mod:`ontozsl.textio` too.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Container, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -34,11 +39,13 @@ from .ontology import (
     LABEL,
     Ontology,
 )
-from .textio import Rows, fmt, read_floats, unique
+from .textio import Rows, fmt, read_float_rows, unique
 
 
 @dataclass(frozen=True)
 class Sample:
+    """One sample, its ``features`` a view of its row of the dataset's matrix."""
+
     id: str
     label: str
     features: np.ndarray
@@ -46,12 +53,22 @@ class Sample:
 
 @dataclass
 class ZslDataset:
-    samples: list[Sample]
+    """Row ``i`` of the N x p ``features`` matrix is sample ``ids[i]``, of label ``labels[i]``."""
+
+    ids: list[str]
+    labels: list[str]
+    features: np.ndarray
     seen_labels: frozenset[str]
     unseen_labels: frozenset[str]
 
-    def train_samples(self) -> list[Sample]:
-        return [s for s in self.samples if s.label in self.seen_labels]
+    def rows_of(self, labels: Container[str]) -> np.ndarray:
+        """The boolean mask of the samples whose label is in ``labels``."""
+        return np.array([label in labels for label in self.labels], dtype=bool)
+
+    @property
+    def samples(self) -> list[Sample]:
+        """Every sample, built when asked for; the mapper and predict read the matrix."""
+        return [Sample(*row) for row in zip(self.ids, self.labels, self.features)]
 
     def test_samples(self) -> list[Sample]:
         return [s for s in self.samples if s.label in self.unseen_labels]
@@ -103,24 +120,30 @@ def write_split(seen: Iterable[str], unseen: Iterable[str]) -> str:
     return "".join(row + "\n" for row in rows)
 
 
-def parse_features(rows: Rows) -> list[Sample]:
-    return _read_features(rows)[0]
+def parse_features(rows: Rows) -> tuple[list[str], list[str], np.ndarray]:
+    """The ids, the labels and the N x p matrix of ``id<TAB>label<TAB>v1,...,vp`` rows."""
+    ids, labels, features, _firsts = _read_features(rows)
+    return ids, labels, features
 
 
-def _read_features(rows: Rows) -> tuple[list[Sample], dict[str, str]]:
-    """The samples, and where the first row of each label is."""
-    samples: dict[str, Sample] = {}
-    first_rows: dict[str, str] = {}
-    dim: int | None = None
-    for where, (sample_id, label, values) in _tab_rows(rows, "id", "label", "values"):
-        unique(samples, sample_id, where, "sample id")
-        row = read_floats(values.split(","), where, dim)
-        dim = row.size
-        samples[sample_id] = Sample(sample_id, label, row)
-        first_rows.setdefault(label, where)
-    if not samples:
+def _read_features(rows: Rows) -> tuple[list[str], list[str], np.ndarray, dict[str, tuple[str, str]]]:
+    """:func:`parse_features`, and where each label first occurs, with that row's sample id."""
+    ids: dict[str, None] = {}
+    labels: list[str] = []
+    firsts: dict[str, tuple[str, str]] = {}
+
+    def values() -> Iterator[tuple[str, str]]:
+        for where, (sample_id, label, text) in _tab_rows(rows, "id", "label", "values"):
+            ids[unique(ids, sample_id, where, "sample id")] = None
+            label = sys.intern(label)  # one string per label, not per row
+            labels.append(label)
+            firsts.setdefault(label, (where, sample_id))
+            yield where, text
+
+    features = read_float_rows(values())
+    if not ids:
         raise DataError("feature file has no samples")
-    return list(samples.values()), first_rows
+    return list(ids), labels, features, firsts
 
 
 def write_features(samples: Iterable[Sample]) -> str:
@@ -134,24 +157,28 @@ def load_dataset(features: Rows, split: Rows) -> ZslDataset:
     first sample whose label is in neither split is an error at its line,
     which is the first row of its label.
     """
-    samples, first_rows = _read_features(features)
+    ids, labels, matrix, firsts = _read_features(features)
     seen, unseen = parse_split(split)
-    for s in samples:
-        if s.label not in seen and s.label not in unseen:
-            where = first_rows[s.label]
-            raise DataError(f"{where}: sample {s.id!r} has label {s.label!r} outside both splits")
-    return ZslDataset(samples, seen, unseen)
+    for label, (where, sample_id) in firsts.items():
+        if label not in seen and label not in unseen:
+            raise DataError(f"{where}: sample {sample_id!r} has label {label!r} outside both splits")
+    return ZslDataset(ids, labels, matrix, seen, unseen)
 
 
 def parse_vector_table(rows: Rows) -> dict[str, np.ndarray]:
-    """``label<TAB>v1,...,vk`` rows (used for attributes and similar tables)."""
-    table: dict[str, np.ndarray] = {}
-    dim: int | None = None
-    for where, (label, values) in _tab_rows(rows, "label", "values"):
-        unique(table, label, where, "label")
-        table[label] = read_floats(values.split(","), where, dim)
-        dim = table[label].size
-    return table
+    """``label<TAB>v1,...,vk`` rows (used for attributes and similar tables).
+
+    Each vector is a row of one matrix.
+    """
+    labels: dict[str, None] = {}
+
+    def values() -> Iterator[tuple[str, str]]:
+        for where, (label, text) in _tab_rows(rows, "label", "values"):
+            labels[unique(labels, label, where, "label")] = None
+            yield where, text
+
+    matrix = read_float_rows(values())
+    return dict(zip(labels, matrix))
 
 
 def write_vector_table(table: Mapping[str, np.ndarray]) -> str:
@@ -177,8 +204,8 @@ def parse_predictions(rows: Rows) -> tuple[list[str], list[str]]:
     return [row[0] for row in found.values()], [row[1] for row in found.values()]
 
 
-def write_predictions(samples: Sequence[Sample], predictions: Sequence[str]) -> str:
-    return "".join(f"{s.id}\t{label}\t{s.label}\n" for s, label in zip(samples, predictions))
+def write_predictions(ids: Sequence[str], predictions: Sequence[str], truth: Sequence[str]) -> str:
+    return "".join(f"{i}\t{p}\t{t}\n" for i, p, t in zip(ids, predictions, truth))
 
 
 # ---------------------------------------------------------------------------
@@ -327,20 +354,19 @@ def gen_synthetic(
             prototypes[i, n_groups + t] = 1.0
     mix = rng.normal(size=(p, q)) / np.sqrt(q)
 
-    samples: list[Sample] = []
-    idx = 0
-    for i, name in enumerate(class_names):
+    features = np.empty((k * per_class, p))
+    for i in range(k):
         base = mix @ prototypes[i]
-        for _ in range(per_class):
-            x = base + rng.normal(0.0, noise, size=p)
-            samples.append(Sample(f"s{idx:05d}", name, x))
-            idx += 1
+        for row in range(i * per_class, (i + 1) * per_class):
+            features[row] = base + rng.normal(0.0, noise, size=p)
     attributes = {
         name: prototypes[i] + rng.normal(0.0, noise, size=q)
         for i, name in enumerate(class_names)
     }
     dataset = ZslDataset(
-        samples=samples,
+        ids=[f"s{row:05d}" for row in range(k * per_class)],
+        labels=[name for name in class_names for _ in range(per_class)],
+        features=features,
         seen_labels=frozenset(class_names[:k_seen]),
         unseen_labels=frozenset(class_names[k_seen:]),
     )

@@ -371,8 +371,8 @@ def run_pipeline(cfg: RunConfig) -> MetricsReport:
         emit("model.txt", zslmap.save_model(model))
 
     with _stage("predict", seconds):
-        test, predictions = zslmap.predict_test(model, dataset, table, cfg.predict_config())
-        emit("predictions.tsv", harness.write_predictions(test, predictions))
+        test_ids, truth, predictions = zslmap.predict_test(model, dataset, table, cfg.predict_config())
+        emit("predictions.tsv", harness.write_predictions(test_ids, predictions, truth))
         # after predict, which has rejected every candidate set the spread cannot measure
         spread = zslmap.candidate_spread(
             table, cfg.predict_config(), sorted(dataset.seen_labels), sorted(dataset.unseen_labels)
@@ -380,7 +380,6 @@ def run_pipeline(cfg: RunConfig) -> MetricsReport:
 
     with _stage("eval", seconds):
         kinds = Counter(ax.TAG for ax in normalized.axioms)
-        truth = [s.label for s in test]
         macro, per_class, per_class_counts = harness.unseen_scores(
             predictions, truth, dataset.unseen_labels
         )
@@ -389,8 +388,8 @@ def run_pipeline(cfg: RunConfig) -> MetricsReport:
             sample_accuracy=harness.sample_accuracy(predictions, truth),
             per_class_accuracy=per_class,
             counts={
-                "train_samples": len(dataset.train_samples()),
-                "test_samples": len(test),
+                "train_samples": int(dataset.rows_of(dataset.seen_labels).sum()),
+                "test_samples": len(truth),
                 "correct": sum(p == t for p, t in zip(predictions, truth)),
                 "seen_classes": len(dataset.seen_labels),
                 "unseen_classes": len(dataset.unseen_labels),

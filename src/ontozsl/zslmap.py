@@ -23,15 +23,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import DataError, NumericalError, RangeError, UnknownNameError, check_ranges
 from .elembed import EmbeddingSpace
-from .harness import Sample, ZslDataset, parse_vector_table, write_vector_table
+from .harness import ZslDataset, parse_vector_table, write_vector_table
 from .ontology import Ontology
-from .textio import Rows, fmt, read_floats, read_int
+from .textio import Rows, fmt, read_float_rows, read_floats, read_int
 from .textwalk import WordVectors, label_table, word_encoding
 
 
@@ -247,17 +248,37 @@ def _eigh_clipped(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def train_map(dataset: ZslDataset, table: EncodingTable, cfg: MapConfig) -> LinearMap:
     """Fit the configured mapper on the seen samples."""
-    samples = dataset.train_samples()
-    if not samples:
+    train = dataset.rows_of(dataset.seen_labels)
+    if not train.any():
         raise DataError("no training samples: every sample has an unseen label")
-    missing = sorted({s.label for s in samples} - set(table.encodings))
+    labels = list(compress(dataset.labels, train))
+    names = sorted(set(labels))
+    missing = [name for name in names if name not in table.encodings]
     if missing:
         raise DataError(f"labels without encodings: {', '.join(missing)}")
-    x = np.stack([s.features for s in samples], axis=1)
-    z = np.stack([table.encodings[s.label] for s in samples], axis=1)
+    encodings = np.array([table.encodings[name] for name in names])
+    code = {name: i for i, name in enumerate(names)}
+    x = _columns(dataset.features, np.flatnonzero(train))
+    z = _columns(encodings, np.array([code[label] for label in labels]))
     if cfg.mapper == "sae":
         return train_sae(x, z, cfg.sae_lambda)
     return train_ridge(x, z, cfg.ridge_alpha)
+
+
+_GATHER_ROWS = 1024
+
+
+def _columns(rows: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``rows[index].T`` in C order, gathered ``_GATHER_ROWS`` rows at a time, so no second copy is held.
+
+    BLAS rounds a product by its operands' layout, and the mapper's products
+    are rounded in this one.
+    """
+    out = np.empty((rows.shape[1], index.size))
+    for start in range(0, index.size, _GATHER_ROWS):
+        part = index[start : start + _GATHER_ROWS]
+        out[:, start : start + part.size] = rows[part].T
+    return out
 
 
 def map_features(model: LinearMap, x: np.ndarray) -> np.ndarray:
@@ -363,13 +384,14 @@ def candidate_spread(
 
 def predict_test(
     model: LinearMap, dataset: ZslDataset, table: EncodingTable, cfg: PredictConfig
-) -> tuple[list[Sample], list[str]]:
-    """The unseen samples of ``dataset`` and the label :func:`predict` gives each."""
-    test = dataset.test_samples()
-    if not test:
+) -> tuple[list[str], list[str], list[str]]:
+    """The ids and labels of the unseen samples of ``dataset``, and the label :func:`predict` gives each."""
+    test = dataset.rows_of(dataset.unseen_labels)
+    if not test.any():
         raise DataError("no test samples: every sample has a seen label")
-    gx = map_features(model, np.stack([s.features for s in test], axis=1))
-    return test, predict(gx, table, cfg, sorted(dataset.seen_labels), sorted(dataset.unseen_labels))
+    gx = map_features(model, _columns(dataset.features, np.flatnonzero(test)))
+    predictions = predict(gx, table, cfg, sorted(dataset.seen_labels), sorted(dataset.unseen_labels))
+    return list(compress(dataset.ids, test)), list(compress(dataset.labels, test)), predictions
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +442,8 @@ def save_model(model: LinearMap) -> str:
 def load_model(rows: Rows) -> LinearMap:
     """Read :func:`save_model` output.
 
-    Weight rows are parsed as they come and counted at the end, so a
-    malformed row is reported before a row count that does not match.
+    Weight rows are parsed in blocks as they come and counted at the end, so
+    a malformed row is reported before a row count that does not match.
     """
     rows = iter(rows)
     head = [next(rows, None), next(rows, None)]
@@ -442,7 +464,7 @@ def load_model(rows: Rows) -> LinearMap:
     if len(shape) != 2:
         raise DataError(f"{shape_where}: #shape takes two nonnegative integers")
     height, width = (read_int(v, shape_where) for v in shape)
-    weights = [read_floats(line.split(","), where, width) for where, line in rows]
+    weights = read_float_rows(rows, width)
     if len(weights) != height:
         raise DataError(f"expected {height} weight rows, found {len(weights)}")
-    return LinearMap(kind[1], param, np.array(weights).reshape(height, width))
+    return LinearMap(kind[1], param, weights)

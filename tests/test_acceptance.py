@@ -311,7 +311,7 @@ def test_a7_end_to_end_gate(bench):
             cfg.el_dim,
             {lbl: rng.normal(size=cfg.el_dim) for lbl in sorted(ds.seen_labels | ds.unseen_labels)},
         )
-        train = ds.train_samples()
+        train = [s for s in ds.samples if s.label in ds.seen_labels]
         x = np.stack([s.features for s in train], axis=1)
         z = np.stack([table.encodings[s.label] for s in train], axis=1)
         model = train_sae(x, z, cfg.sae_lambda)

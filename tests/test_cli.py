@@ -1,6 +1,7 @@
 """Exit codes and subcommand behaviour, driven in-process through main()."""
 
 import dataclasses
+import hashlib
 import os
 import re
 import shlex
@@ -307,6 +308,19 @@ def test_full_command_chain(tmp_path, capsys):
     assert 0.0 <= macro <= 1.0
 
 
+def test_synth_writes_the_same_bytes(tmp_path):
+    """The default synthetic benchmark, file by file, as sha256 digests of its text."""
+    assert main(["synth", "--out-dir", str(tmp_path)]) == EXIT_OK
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(tmp_path.iterdir())}
+    assert digests == {
+        "attributes.tsv": "145f531249bec5719de852b5304cadd6162c78813aca26b14fa6f4f545fd6a5c",
+        "classmap.tsv": "c19a86e49a0eb1e59057ab95990e57439358f31a35c8a74b2fd03b80c3c3954a",
+        "features.tsv": "b766c63eef6855e3bbc4ed1f38f75ea75907fbc93b0194a2a5557127fd41351f",
+        "ontology.elf": "fca273056b4a8faf69086eebe936e67faf4522a84a02332d78f266b13d3f419d",
+        "split.txt": "19aee8c7ff8e0e51fb3c50a706bf3d095cf069951d7e9658fa7f8daa457ba1da",
+    }
+
+
 def test_pipeline_subcommand_runs_from_config(tmp_path, capsys):
     data_dir = tmp_path / "data"
     assert main(["synth", "--k-seen", "3", "--k-unseen", "1", "--per-class", "3",
@@ -605,8 +619,8 @@ def test_bad_config_values_exit_2_before_any_stage_runs(tiny_inputs, tmp_path, a
 
 
 def test_ridge_overflow_exits_3_in_train_map_without_a_warning(tiny_inputs, tmp_path):
-    samples = harness.parse_features(textio.file_lines(str(tiny_inputs["features"]), "features"))
-    huge = [harness.Sample(s.id, s.label, np.full_like(s.features, 1e300)) for s in samples]
+    ids, labels, features = harness.parse_features(textio.file_lines(str(tiny_inputs["features"]), "features"))
+    huge = [harness.Sample(*row) for row in zip(ids, labels, np.full_like(features, 1e300))]
     tiny_inputs["features"].write_text(harness.write_features(huge))
     done = run_cli(["pipeline", "--set", "mapper=ridge", *tiny_pipeline_argv(tiny_inputs, tmp_path / "out")])
     assert done.returncode == EXIT_NUMERIC, done.stderr

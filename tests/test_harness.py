@@ -1,5 +1,6 @@
 """Dataset files, accuracy metrics, and the synthetic benchmark generator."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -25,6 +26,15 @@ from ontozsl.harness import (
     write_vector_table,
 )
 from ontozsl.normalform import classify, normalize
+from ontozsl.zslmap import (
+    CandidateSet,
+    Component,
+    MapConfig,
+    PredictConfig,
+    encode_labels,
+    predict_test,
+    train_map,
+)
 from ontozsl.ontology import serialize_ontology, validate
 from ontozsl.textio import file_lines, lines
 
@@ -61,10 +71,10 @@ def test_split_round_trip_is_sorted():
 
 
 def test_parse_features_shapes():
-    samples = parse_features(lines(FEATURES, "features"))
-    assert [s.features.size for s in samples] == [2, 2]
-    assert samples[0] == Sample("s1", "cat", samples[0].features)
-    assert_allclose(samples[1].features, [3.0, 4.0])
+    ids, labels, features = parse_features(lines(FEATURES, "features"))
+    assert (ids, labels) == (["s1", "s2"], ["cat", "zebra"])
+    assert features.shape == (2, 2) and features.flags.c_contiguous
+    assert_allclose(features[1], [3.0, 4.0])
 
 
 def test_parse_features_rejects_bad_rows():
@@ -78,7 +88,7 @@ def test_parse_features_rejects_bad_rows():
         parse_features(lines("s1\tcat\t1,2\ns2\tdog\t1,2\ns1\tdog\t3,4\n", "features"))
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "x-0.05", ""])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "x-0.05", "", "1_0", "٣.٥", "１", "\xa01", "1\x1f"])
 def test_float_tables_reject_non_finite_and_malformed_numbers(value):
     with pytest.raises(DataError, match="line 2"):
         parse_features(lines(f"s1\tcat\t1,2\ns2\tdog\t1,{value}\n", "features"))
@@ -87,18 +97,17 @@ def test_float_tables_reject_non_finite_and_malformed_numbers(value):
 
 
 def test_features_round_trip():
-    samples = parse_features(lines(FEATURES, "features"))
-    text = write_features(samples)  # canonical form: no trailing zeros
+    ids, labels, features = parse_features(lines(FEATURES, "features"))
+    text = write_features(map(Sample, ids, labels, features))  # canonical form: no trailing zeros
     again = parse_features(lines(text, "features"))
-    assert [(s.id, s.label) for s in again] == [(s.id, s.label) for s in samples]
-    for a, b in zip(again, samples):
-        assert np.array_equal(a.features, b.features)
-    assert write_features(again) == text
+    assert again[:2] == (ids, labels)
+    assert again[2].tobytes() == features.tobytes()
+    assert write_features(map(Sample, *again)) == text
 
 
 def test_load_dataset_checks_label_coverage():
     ds = load_dataset(lines(FEATURES, "features"), lines(SPLIT, "split"))
-    assert [s.id for s in ds.train_samples()] == ["s1"]
+    assert ds.rows_of(ds.seen_labels).tolist() == [True, False]
     assert [s.id for s in ds.test_samples()] == ["s2"]
     with pytest.raises(DataError):
         load_dataset(lines("s1\tmouse\t1.0,2.0\n", "features"), lines(SPLIT, "split"))
@@ -123,9 +132,44 @@ def test_loading_a_feature_file_peaks_below_its_size(tmp_path):
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(dataset.samples) == 2000
+    assert dataset.features.shape == (2000, 128)
     assert peak < size
     assert peak < 1.2 * kept
+
+
+def test_loading_training_and_predicting_peak_near_twice_the_floats(tmp_path):
+    """One feature matrix, and one split at a time gathered from it.
+
+    On 12,000 x 512 features (49.2 MB of floats) the traced peak of these
+    three calls was 113.5 MB (2.31x) with a Sample per row and the splits
+    stacked from them, and 110.4 MB (2.25x) with one matrix.  This file has
+    the same width and split at a sixth of the rows; the peak comes while
+    the autoencoder's loss holds its reconstruction of the training split.
+    """
+    data = gen_synthetic(24, 16, 50, p=512)
+    features, split = tmp_path / "features.tsv", tmp_path / "split.txt"
+    features.write_text(write_features(data.dataset.samples))
+    split.write_text(write_split(data.dataset.seen_labels, data.dataset.unseen_labels))
+    table = encode_labels(sorted(data.attributes), [Component.ATTRIBUTE], attributes=data.attributes)
+    floats = data.dataset.features.nbytes
+    del data
+    tracemalloc.start()
+    try:
+        dataset = load_dataset(file_lines(str(features), "features"), file_lines(str(split), "split"))
+        model = train_map(dataset, table, MapConfig())
+        predict_test(model, dataset, table, PredictConfig(candidates=CandidateSet.SEEN_AND_UNSEEN))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dataset.features.nbytes == floats == 2000 * 512 * 8
+    assert peak < 2.3 * floats
+
+
+def test_generated_features_keep_their_bytes():
+    """``write_features`` of the acceptance inputs, as its sha256 digest."""
+    text = write_features(gen_synthetic(8, 2, 30).dataset.samples)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "b766c63eef6855e3bbc4ed1f38f75ea75907fbc93b0194a2a5557127fd41351f"
 
 
 def test_vector_table_round_trip():

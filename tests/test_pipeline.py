@@ -325,7 +325,7 @@ def test_noise_free_seen_classes_are_linearly_separable():
         [Component.ATTRIBUTE],
         attributes=data.attributes,
     )
-    train = ds.train_samples()
+    train = [s for s in ds.samples if s.label in ds.seen_labels]
     x = np.stack([s.features for s in train], axis=1)
     z = np.stack([table.encodings[s.label] for s in train], axis=1)
     model = train_ridge(x, z, 1e-9)

@@ -10,10 +10,11 @@ import itertools
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ontozsl import elembed, harness, textio, textwalk, zslmap
@@ -170,6 +171,115 @@ def test_read_floats_checks_the_size():
         textio.read_floats(["1", "2"], "here", 3)
 
 
+# Values both readers take, the edge cases among them, and values neither takes.
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(textio.fmt),
+    st.sampled_from(["-0.0", "-0", "5e-324", "4.9406564584124654e-324", "2.2250738585072009e-308",
+                     "1e308", "1.7976931348623157e308", " 1", "1\t", "+.5", "5.", "1E5", "\x0c1"]),
+)
+NOT_FINITE = st.sampled_from(["nan", "inf", "-inf", "Infinity", "1e400", "-1e999"])
+MALFORMED = st.one_of(
+    st.sampled_from(["q", "1.2.3", "1e", "0x10", "--1", "1 2", '"1"', "\x00", "1_0", "٣", "1\x1f", "\x1f1",
+                     "\xa01", "1\r", "\r1", "1\r2", "1\n", "\u2028"]),
+    st.sampled_from(["1\x1c", "\x1d1", "1\x1e", "1\u2007", "１", "1#", "#"]),
+    st.text(max_size=3),
+)
+
+
+@st.composite
+def mutated_rows(draw, max_rows: int) -> list[list[str]]:
+    """Rows of finite values, with up to three of: a bad token, a ``#`` in a value, an empty,
+    blank or line-break row, a wrong value count, a non-finite value."""
+    width = draw(st.integers(1, 4))
+    rows = [[draw(FINITE) for _ in range(width)] for _ in range(draw(st.integers(1, max_rows)))]
+    for _ in range(draw(st.integers(0, 3))):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        j = draw(st.integers(0, len(row) - 1))
+        kind = draw(st.sampled_from(["token", "token", "hash", "empty", "count", "non-finite"]))
+        if kind == "token":
+            row[j] = draw(MALFORMED)
+        elif kind == "hash":
+            at = draw(st.integers(0, len(row[j])))
+            row[j] = row[j][:at] + "#" + row[j][at:]
+        elif kind == "empty":
+            row[:] = [draw(st.sampled_from(["", " ", "  ", "\t", "\r", "\n"]))]
+        elif kind == "count":
+            row[:] = row[:-1] if draw(st.booleans()) and len(row) > 1 else row + ["1"]
+        else:
+            row[j] = draw(NOT_FINITE)
+    return rows
+
+
+@st.composite
+def feature_table(draw) -> str:
+    """A feature file of :func:`mutated_rows`, perhaps with a repeated id."""
+    rows = draw(mutated_rows(12))
+    ids = [f"s{i}" for i in range(len(rows))]
+    if draw(st.booleans()):
+        ids[draw(st.integers(0, len(ids) - 1))] = ids[draw(st.integers(0, len(ids) - 1))]
+    return "".join(f"{ids[i]}\t{'ab'[i % 2]}\t{','.join(row)}\n" for i, row in enumerate(rows))
+
+
+def features_row_by_row(rows):
+    """The feature loader as it was before blocks, one read_floats per row: the oracle."""
+    ids, labels, matrix, size = {}, [], [], None
+    for where, (sample_id, label, values) in harness._tab_rows(rows, "id", "label", "values"):
+        ids[textio.unique(ids, sample_id, where, "sample id")] = None
+        matrix.append(textio.read_floats(values.split(","), where, size))
+        size = matrix[-1].size
+        labels.append(label)
+    if not ids:
+        raise DataError("feature file has no samples")
+    return list(ids), labels, np.array(matrix)
+
+
+def outcome(read, *args):
+    """What ``read`` returns, with each array as its shape and bytes, or its DataError's text."""
+    try:
+        result = read(*args)
+    except DataError as exc:
+        return str(exc)
+    return [(x.shape, x.tobytes()) if isinstance(x, np.ndarray) else x for x in result]
+
+
+@settings(max_examples=400, deadline=None)
+@given(feature_table(), st.integers(1, 400))
+@example("s0\ta\t1,2\ns1\tb\t3\n", 80)
+@example("s0\ta\t1,2\ns1\tb\t3,4\n", 80)
+@example("s0\ta\t1,2\ns1\tb\t3,4\ns0\ta\tq,4\n", 80)
+@example("s0\ta\t1,2\ns1\tb\t3,4\ns2\ta\t5\n", 4)
+@example("s0\ta\t1\x1f\n", 80)
+@example("s0\ta\t\xa01\n", 80)
+def test_the_block_reader_gives_what_the_row_reader_gives(text, block_chars):
+    """The same doubles bit for bit, or the same DataError, with blocks small enough to end anywhere."""
+    with mock.patch.object(textio, "_BLOCK_CHARS", block_chars):
+        blocks = outcome(harness.parse_features, textio.lines(text, "features"))
+    assert blocks == outcome(features_row_by_row, textio.lines(text, "features"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.just([]), mutated_rows(8)), st.integers(1, 400), st.sampled_from([None, 1, 2]))
+@example([["1", "2"], ["3"]], 40, None)
+@example([["\r"]], 40, None)
+@example([["1", "2"], ["\n"]], 40, None)
+@example([["1", "2"], ["inf", "2"]], 40, None)
+@example([["1"]], 40, 2)
+def test_read_float_rows_reads_any_row_as_read_floats_does(values, block_chars, size):
+    """Rows given in code may hold line breaks, which a file's rows cannot."""
+    rows = [(f"row {i}", ",".join(row)) for i, row in enumerate(values)]
+
+    def row_by_row():
+        matrix, width = [], size
+        for where, text in rows:
+            matrix.append(textio.read_floats(text.split(","), where, width))
+            width = matrix[-1].size
+        return [np.array(matrix) if matrix else np.empty((0, size or 0))]
+
+    with mock.patch.object(textio, "_BLOCK_CHARS", block_chars):
+        blocks = outcome(lambda: [textio.read_float_rows(rows, size)])
+    assert blocks == outcome(row_by_row)
+
+
 @pytest.mark.parametrize("text", ["+3", "1_0", " 3", "3 ", "-1", "-0", "3.0", "", "٣", "３", "9" * 5000])
 def test_read_int_takes_ascii_digits_only(text):
     with pytest.raises(DataError, match="^here: expected an integer >= 0"):
@@ -181,6 +291,24 @@ def test_read_int_minimum_and_leading_zeros():
     assert textio.read_int("0", "here") == 0
     with pytest.raises(DataError, match=">= 1"):
         textio.read_int("0", "here", 1)
+
+
+@pytest.mark.parametrize("spelling", ["1_0", "٣.٥", "٠.٢", "１", "1e\u0663"])
+def test_float_spellings_float_takes_but_loadtxt_does_not_are_rejected_in_every_format(spelling):
+    """Underscores and non-ASCII digits, which ``float()`` reads, are errors in every file."""
+    with pytest.raises(DataError, match="el_margin"):
+        parse_config(f"el_margin = {spelling}\n")
+    for name, text in [
+        ("features", f"x0\ta\t1,{spelling}\n"),
+        ("attributes", f"a\t{spelling},1\n"),
+        ("encodings", f"#components\tattribute\na\t1,{spelling}\n"),
+        ("model", f"#kind\tsae\t{spelling}\n#shape\t1\t1\n1\n"),
+        ("model", f"#kind\tsae\t0.5\n#shape\t1\t2\n1,{spelling}\n"),
+        ("space", f"#dim\t1\nC\tA\t{spelling}\t0.5\n"),
+        ("vectors", f"1 2\na 1 {spelling}\n"),
+    ]:
+        with pytest.raises(DataError, match=f"could not convert string to float: {re.escape(repr(spelling))}"):
+            LOADERS[name](text)
 
 
 @pytest.mark.parametrize("spelling", ["+3", "1_0", "٣"])
@@ -286,7 +414,10 @@ def test_file_lines_can_name_the_rows_apart_from_the_file(tmp_path):
               "+.5", "5.", "1e-320", "\u20071", "\x00"],
 )
 def test_read_floats_reads_each_field_as_float_does(token):
+    """As ``float()`` does, once a field with ``_`` or a non-ASCII character is refused as it refuses one."""
     try:
+        if not token.isascii() or "_" in token:
+            raise ValueError(f"could not convert string to float: {token!r}")
         expected = float(token)
     except ValueError as exc:
         with pytest.raises(DataError) as err:
@@ -314,16 +445,21 @@ ROW_LOADERS = {
 
 @pytest.mark.parametrize("name", sorted(ROW_LOADERS))
 def test_row_loaders_stop_at_the_first_bad_row(name):
-    """No loader takes all of its rows before it parses them: one past the bad row fails the test."""
+    """A bad row's error wins over the error of the row past it, as over a later undecodable byte.
+
+    Most loaders never take that row.  The comma-separated float tables read
+    a block of rows ahead, so they take it, and report the bad row first.
+    """
     head, tail = ROW_LOADERS[name]
 
-    def never():
-        raise AssertionError(f"{name}: a row past the bad one was read")
+    def past():
+        raise DataError("x line 99: the row past the bad one")
         yield  # a generator
 
     loader = LOADERS[name]
-    with pytest.raises(DataError, match=r"line \d+: "):
-        loader(itertools.chain(textio.lines(head, "x"), never()))
+    with pytest.raises(DataError, match=r"line \d+: ") as err:
+        loader(itertools.chain(textio.lines(head, "x"), past()))
+    assert "line 99" not in str(err.value)
     with pytest.raises(DataError):  # with the tail as text, the same rows fail the same way
         loader(head + tail)
 

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 from conftest import sae_grad
 from ontozsl.elembed import Ball, EmbeddingSpace
 from ontozsl.errors import DataError, NumericalError, UnknownNameError
-from ontozsl.harness import Sample, ZslDataset
+from ontozsl.harness import ZslDataset
 from ontozsl.ontology import parse_ontology
 from ontozsl.textio import lines
 from ontozsl.textwalk import WordVectors
@@ -350,10 +350,11 @@ def test_map_config_rejects_out_of_range_and_nan(settings, named):
 
 def test_train_map_fits_and_saves_the_configured_mapper():
     rng = np.random.default_rng(11)
-    samples = [Sample(f"x{i}", "abc"[i % 3], rng.normal(size=4)) for i in range(12)]
-    dataset = ZslDataset(samples, frozenset("ab"), frozenset("c"))
+    ids, labels = [f"x{i}" for i in range(12)], ["abc"[i % 3] for i in range(12)]
+    features = rng.normal(size=(12, 4))
+    dataset = ZslDataset(ids, labels, features, frozenset("ab"), frozenset("c"))
     table = EncodingTable((Component.ATTRIBUTE,), 2, {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])})
-    train = dataset.train_samples()
+    train = [s for s in dataset.samples if s.label in "ab"]
     x = np.stack([s.features for s in train], axis=1)
     z = np.stack([table.encodings[s.label] for s in train], axis=1)
     model = train_map(dataset, table, MapConfig())
@@ -361,21 +362,19 @@ def test_train_map_fits_and_saves_the_configured_mapper():
     model = train_map(dataset, table, MapConfig("ridge", ridge_alpha=0.25))
     assert model.kind == "ridge" and save_model(model) == save_model(train_ridge(x, z, 0.25))
     with pytest.raises(DataError, match="without encodings: c"):
-        train_map(ZslDataset(samples, frozenset("abc"), frozenset()), table, MapConfig())
+        train_map(ZslDataset(ids, labels, features, frozenset("abc"), frozenset()), table, MapConfig())
     with pytest.raises(DataError, match="no training samples"):
-        train_map(ZslDataset(samples, frozenset(), frozenset("abc")), table, MapConfig())
+        train_map(ZslDataset(ids, labels, features, frozenset(), frozenset("abc")), table, MapConfig())
 
 
 def test_predict_test_labels_each_unseen_sample():
-    samples = [Sample("x0", "a", np.array([1.0, 0.0])), Sample("x1", "b", np.array([0.1, 0.9])),
-               Sample("x2", "c", np.array([0.0, 1.0]))]
+    rows = (["x0", "x1", "x2"], ["a", "b", "c"], np.array([[1.0, 0.0], [0.1, 0.9], [0.0, 1.0]]))
     table = EncodingTable((Component.ATTRIBUTE,), 2, {"b": np.array([1.0, 0.0]), "c": np.array([0.0, 1.0])})
-    dataset = ZslDataset(samples, frozenset("a"), frozenset("bc"))
+    dataset = ZslDataset(*rows, frozenset("a"), frozenset("bc"))
     model = LinearMap("ridge", 1e-3, np.eye(2))
-    test, labels = predict_test(model, dataset, table, PredictConfig())
-    assert [s.id for s in test] == ["x1", "x2"] and labels == ["c", "c"]
+    assert predict_test(model, dataset, table, PredictConfig()) == (["x1", "x2"], ["b", "c"], ["c", "c"])
     with pytest.raises(DataError, match="no test samples"):
-        predict_test(model, ZslDataset(samples, frozenset("abc"), frozenset()), table, PredictConfig())
+        predict_test(model, ZslDataset(*rows, frozenset("abc"), frozenset()), table, PredictConfig())
 
 
 
