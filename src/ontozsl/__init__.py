@@ -31,9 +31,7 @@ from .textwalk import (
 from .zslmap import (
     CandidateSet,
     Component,
-    Distance,
     EncodingTable,
-    PredictConfig,
     encode_labels,
     predict,
     train_ridge,
@@ -47,7 +45,6 @@ __all__ = [
     "CandidateSet",
     "Component",
     "DataError",
-    "Distance",
     "ElTrainConfig",
     "ElfError",
     "EmbeddingSpace",
@@ -57,7 +54,6 @@ __all__ = [
     "NumericalError",
     "Ontology",
     "OntozslError",
-    "PredictConfig",
     "ProjectedGraph",
     "RunConfig",
     "SkipGramConfig",

@@ -19,7 +19,7 @@ from .errors import NumericalError, OntozslError, RangeError
 from .normalform import classify, normalize, read_normalized, write_normalized
 from .ontology import parse_ontology, serialize_ontology
 from .textio import file_lines, fmt, read_file, read_setting, unique
-from .zslmap import CandidateSet, Distance
+from .zslmap import CandidateSet
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -137,8 +137,7 @@ def cmd_predict(args) -> None:
     table = zslmap.load_encodings(file_lines(args.encodings, "encodings"))
     model = zslmap.load_model(file_lines(args.model, "model"))
     dataset = harness.load_dataset(file_lines(args.features, "features"), file_lines(args.split, "split"))
-    cfg = zslmap.PredictConfig(Distance(args.distance), CandidateSet(args.candidates))
-    ids, truth, labels = zslmap.predict_test(model, dataset, table, cfg)
+    ids, truth, labels = zslmap.predict_test(model, dataset, table, CandidateSet(args.candidates))
     _write(args.out, harness.write_predictions(ids, labels, truth))
 
 
@@ -279,7 +278,6 @@ def build_parser() -> _Parser:
     p.add_argument("--split", required=True)
     p.add_argument("--encodings", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--distance", choices=[d.value for d in Distance], default=pipeline.RunConfig.distance)
     p.add_argument("--candidates", choices=[c.value for c in CandidateSet],
                    default=pipeline.RunConfig.candidates)
 

@@ -29,7 +29,7 @@ from .errors import DataError, OntozslError, RangeError
 from .normalform import BY_TAG, NormalizedOntology, normalize, write_normalized
 from .ontology import parse_ontology, serialize_ontology
 from .textio import file_lines, fmt, lines, read_file, read_setting, unique, write_setting
-from .zslmap import CandidateSet, Component, Distance
+from .zslmap import CandidateSet, Component
 
 logger = logging.getLogger(__name__)
 
@@ -80,13 +80,12 @@ class RunConfig(_StageKeys):
     out_dir: str = "run"
     seed: int = 0
     components: str = "el_center"
-    distance: str = "l2"
     candidates: str = "unseen"
 
     def __post_init__(self) -> None:
         """Build every stage config, so a bad value fails before any stage runs."""
         self.component_list()
-        self.predict_config()
+        self.candidate_set()
         for config in STAGES:
             self.stage(config)
 
@@ -105,9 +104,9 @@ class RunConfig(_StageKeys):
     def component_list(self) -> tuple[Component, ...]:
         return zslmap.parse_components(self.components)
 
-    def predict_config(self) -> zslmap.PredictConfig:
+    def candidate_set(self) -> CandidateSet:
         try:
-            return zslmap.PredictConfig(Distance(self.distance), CandidateSet(self.candidates))
+            return CandidateSet(self.candidates)
         except ValueError as exc:
             raise DataError(f"unknown prediction setting: {exc}") from None
 
@@ -154,6 +153,7 @@ class MetricsReport:
     w2v_losses: tuple[float, ...] = ()
     candidate_min_distance: float = float("nan")
     candidate_median_distance: float = float("nan")
+    map_train_loss: float = float("nan")  # the autoencoder objective at its fitted weights; NaN for ridge
     # wall seconds of each stage, plus "train_el" timed in the training child;
     # never written, since every file in out_dir must repeat byte for byte
     stage_seconds: dict[str, float] = field(default_factory=dict)
@@ -166,7 +166,7 @@ class MetricsReport:
 
 def render_report(report: MetricsReport, per_class_counts: dict[str, tuple[int, int]]) -> str:
     scalars = ("macro_unseen_accuracy", "sample_accuracy", "el_total_loss",
-               "candidate_min_distance", "candidate_median_distance")
+               "candidate_min_distance", "candidate_median_distance", "map_train_loss")
     rows = [f"{key}\t{fmt(getattr(report, key))}" for key in scalars]
     for key in sorted(report.counts):
         rows.append(f"{key}\t{report.counts[key]}")
@@ -371,11 +371,11 @@ def run_pipeline(cfg: RunConfig) -> MetricsReport:
         emit("model.txt", zslmap.save_model(model))
 
     with _stage("predict", seconds):
-        test_ids, truth, predictions = zslmap.predict_test(model, dataset, table, cfg.predict_config())
+        test_ids, truth, predictions = zslmap.predict_test(model, dataset, table, cfg.candidate_set())
         emit("predictions.tsv", harness.write_predictions(test_ids, predictions, truth))
         # after predict, which has rejected every candidate set the spread cannot measure
         spread = zslmap.candidate_spread(
-            table, cfg.predict_config(), sorted(dataset.seen_labels), sorted(dataset.unseen_labels)
+            table, cfg.candidate_set(), sorted(dataset.seen_labels), sorted(dataset.unseen_labels)
         )
 
     with _stage("eval", seconds):
@@ -409,6 +409,7 @@ def run_pipeline(cfg: RunConfig) -> MetricsReport:
             w2v_losses=vectors.train_losses,
             candidate_min_distance=spread[0],
             candidate_median_distance=spread[1],
+            map_train_loss=model.train_loss,
             stage_seconds=seconds,
         )
         emit("report.txt", render_report(report, per_class_counts))

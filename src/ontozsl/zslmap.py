@@ -4,7 +4,9 @@ A label's semantic encoding concatenates, in a declared order, any of: the
 center of its concept's embedding ball, its word-vector encoding, and a
 hand-made attribute vector.  A linear mapper ``g`` is trained on seen-class
 features so that ``g(x)`` lands near the encoding of the right label; test
-features are classified by the nearest candidate encoding.
+features are classified by the nearest candidate encoding.  Nearness is L2
+only: each part is unit-norm, so encodings share one norm and L2 ranks the
+candidates exactly as cosine would.
 
 Two mappers are provided, both in closed form.  The autoencoder mapper
 minimizes the tied-weight objective
@@ -42,20 +44,9 @@ class Component(Enum):
     ATTRIBUTE = "attribute"
 
 
-class Distance(Enum):
-    L2 = "l2"
-    COSINE = "cosine"
-
-
 class CandidateSet(Enum):
     UNSEEN_ONLY = "unseen"
     SEEN_AND_UNSEEN = "all"
-
-
-@dataclass(frozen=True)
-class PredictConfig:
-    distance: Distance = Distance.L2
-    candidates: CandidateSet = CandidateSet.UNSEEN_ONLY
 
 
 # each mapper and the MapConfig field of its parameter
@@ -294,37 +285,29 @@ def map_features(model: LinearMap, x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _row_norms(rows: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(rows * rows, axis=1))
-
-
-def _row_distances(rows: np.ndarray, point: np.ndarray, kind: Distance) -> np.ndarray:
-    """Distance from each row of a C-contiguous N x m array to one m-vector.
+def _row_distances(rows: np.ndarray, point: np.ndarray) -> np.ndarray:
+    """L2 distance from each row of a C-contiguous N x m array to one m-vector.
 
     Both :func:`distance` and :func:`predict` go through here, so a batch and
     a single pair round identically and exact distance ties stay exact.
     """
-    if kind is Distance.L2:
-        return _row_norms(rows - point)
-    norms = _row_norms(rows)
-    point_norm = _row_norms(point[None, :])[0]
-    if point_norm == 0.0 or not norms.all():
-        raise NumericalError("cosine distance is undefined for a zero vector")
-    return 1.0 - np.sum(rows * point, axis=1) / (norms * point_norm)
+    diff = rows - point
+    return np.sqrt(np.sum(diff * diff, axis=1))
 
 
-def distance(a: np.ndarray, b: np.ndarray, kind: Distance) -> float:
+def distance(a: np.ndarray, b: np.ndarray) -> float:
+    """The L2 distance of two vectors, one pair at a time: :func:`predict`'s oracle."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape or a.ndim != 1:
         raise DataError(f"cannot compare vectors of shapes {a.shape} and {b.shape}")
-    return float(_row_distances(a[None, :], b, kind)[0])
+    return float(_row_distances(a[None, :], b)[0])
 
 
 def _candidates(
-    table: EncodingTable, cfg: PredictConfig, seen_labels: Sequence[str], unseen_labels: Sequence[str]
+    table: EncodingTable, pool: CandidateSet, seen_labels: Sequence[str], unseen_labels: Sequence[str]
 ) -> list[str]:
-    if cfg.candidates is CandidateSet.SEEN_AND_UNSEEN:
+    if pool is CandidateSet.SEEN_AND_UNSEEN:
         candidates = sorted(set(unseen_labels) | set(seen_labels))
     else:
         candidates = sorted(set(unseen_labels))
@@ -339,16 +322,16 @@ def _candidates(
 def predict(
     gx: np.ndarray,
     table: EncodingTable,
-    cfg: PredictConfig,
+    pool: CandidateSet,
     seen_labels: Sequence[str],
     unseen_labels: Sequence[str],
 ) -> list[str]:
-    """Label of the nearest encoding for each column of the m x N batch ``gx``.
+    """Label of the L2-nearest encoding for each column of the m x N batch ``gx``.
 
     Ties go to the smaller label.  The candidate set is the unseen labels, or
     their union with the seen ones under :attr:`CandidateSet.SEEN_AND_UNSEEN`.
     """
-    candidates = _candidates(table, cfg, seen_labels, unseen_labels)
+    candidates = _candidates(table, pool, seen_labels, unseen_labels)
     gx = np.asarray(gx, dtype=float)
     if gx.ndim != 2 or gx.shape[0] != table.dim:
         raise DataError(f"mapped features must be {table.dim} x N, got shape {gx.shape}")
@@ -359,7 +342,7 @@ def predict(
     best_index = np.zeros(rows.shape[0], dtype=int)
     # candidates are sorted and only a strictly smaller distance wins
     for index, label in enumerate(candidates):
-        d = _row_distances(rows, table.encodings[label], cfg.distance)
+        d = _row_distances(rows, table.encodings[label])
         closer = d < best
         best[closer] = d[closer]
         best_index[closer] = index
@@ -367,15 +350,15 @@ def predict(
 
 
 def candidate_spread(
-    table: EncodingTable, cfg: PredictConfig, seen_labels: Sequence[str], unseen_labels: Sequence[str]
+    table: EncodingTable, pool: CandidateSet, seen_labels: Sequence[str], unseen_labels: Sequence[str]
 ) -> tuple[float, float]:
     """Smallest and median distance between the encodings of two of :func:`predict`'s candidates.
 
     A minimum far below the median means two labels that prediction can
     hardly tell apart.  With a single candidate there is no pair: both are NaN.
     """
-    rows = np.array([table.encodings[c] for c in _candidates(table, cfg, seen_labels, unseen_labels)])
-    gaps = sorted(d for i, row in enumerate(rows) for d in _row_distances(rows[i + 1:], row, cfg.distance))
+    rows = np.array([table.encodings[c] for c in _candidates(table, pool, seen_labels, unseen_labels)])
+    gaps = sorted(d for i, row in enumerate(rows) for d in _row_distances(rows[i + 1:], row))
     if not gaps:
         return float("nan"), float("nan")
     half = len(gaps) // 2  # the middle one or two, as np.median takes them without its 0.5 MB of RSS
@@ -383,14 +366,14 @@ def candidate_spread(
 
 
 def predict_test(
-    model: LinearMap, dataset: ZslDataset, table: EncodingTable, cfg: PredictConfig
+    model: LinearMap, dataset: ZslDataset, table: EncodingTable, pool: CandidateSet
 ) -> tuple[list[str], list[str], list[str]]:
     """The ids and labels of the unseen samples of ``dataset``, and the label :func:`predict` gives each."""
     test = dataset.rows_of(dataset.unseen_labels)
     if not test.any():
         raise DataError("no test samples: every sample has a seen label")
     gx = map_features(model, _columns(dataset.features, np.flatnonzero(test)))
-    predictions = predict(gx, table, cfg, sorted(dataset.seen_labels), sorted(dataset.unseen_labels))
+    predictions = predict(gx, table, pool, sorted(dataset.seen_labels), sorted(dataset.unseen_labels))
     return list(compress(dataset.ids, test)), list(compress(dataset.labels, test)), predictions
 
 

@@ -191,32 +191,17 @@ def test_pipeline_unknown_key_is_a_data_error(capsys):
     assert main(["pipeline", "--set", "warp_drive=1"]) == EXIT_DATA
 
 
-def test_predict_cosine_zero_vector_is_numerical(tmp_path, capsys):
-    features = tmp_path / "f.tsv"
-    features.write_text(harness.write_features([harness.Sample("x1", "b", np.array([1.0, 2.0]))]))
-    split = tmp_path / "s.txt"
-    split.write_text(harness.write_split({"a"}, {"b"}))
-    table = zslmap.EncodingTable(
-        (zslmap.Component.EL_CENTER,),
-        2,
-        {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])},
-    )
-    encodings = tmp_path / "e.tsv"
-    encodings.write_text(zslmap.save_encodings(table))
-    model = tmp_path / "m.txt"
-    model.write_text(zslmap.save_model(zslmap.LinearMap("ridge", 1e-3, np.zeros((2, 2)))))
-    code = main(
-        [
-            "predict",
-            "--features", str(features),
-            "--split", str(split),
-            "--encodings", str(encodings),
-            "--model", str(model),
-            "--distance", "cosine",
-        ]
-    )
-    assert code == EXIT_NUMERIC
-    assert "zero" in capsys.readouterr().err.lower()
+def test_the_distance_setting_is_gone(tmp_path, capsys):
+    """Prediction is L2 only: ``distance`` is an unknown config key and ``predict --distance`` a usage error."""
+    config, out = tmp_path / "run.cfg", tmp_path / "run"
+    config.write_text(f"out_dir = {out}\ndistance = l2\n")
+    assert main(["pipeline", "--config", str(config)]) == EXIT_DATA
+    assert capsys.readouterr().err == "error: unknown config key 'distance'\n"
+    assert not out.exists()
+    argv = ["predict", "--features", "f", "--split", "s", "--encodings", "e", "--model", "m"]
+    assert main([*argv, "--distance", "l2", "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == "usage error: unrecognized arguments: --distance l2\n"
+    assert not out.exists()
 
 
 def test_full_command_chain(tmp_path, capsys):
@@ -571,7 +556,7 @@ def run_cli(argv):
         (["walk", "{ontology}", "--seed", "-1"], "--seed"),
         (["w2v", "--corpus", "{corpus}", "--seed", "-1"], "--seed"),
         (["synth", "--seed", "-1"], "seed"),
-        (["pipeline", "--set", "distance=foo"], "'foo'"),
+        (["pipeline", "--set", "distance=cosine"], "unknown config key 'distance'"),
         (["pipeline", "--set", "candidates=bar"], "'bar'"),
         (["pipeline", "--set", "mapper=foo"], "'foo'"),
         (["pipeline", "--set", "el_margin=inf"], "'el_margin'"),
@@ -681,7 +666,6 @@ def test_stage_flag_and_run_config_defaults_are_the_stage_defaults(config):
 # RunConfig keys outside the stage configs, each with a subcommand that takes it as a flag.
 RUN_KEY_COMMANDS = {
     "components": ["encode", "--labels", "l.txt"],
-    "distance": ["predict", "--features", "f", "--split", "s", "--encodings", "e", "--model", "m"],
     "candidates": ["predict", "--features", "f", "--split", "s", "--encodings", "e", "--model", "m"],
 }
 

@@ -30,7 +30,6 @@ from ontozsl.zslmap import (
     CandidateSet,
     Component,
     MapConfig,
-    PredictConfig,
     encode_labels,
     predict_test,
     train_map,
@@ -157,7 +156,7 @@ def test_loading_training_and_predicting_peak_near_twice_the_floats(tmp_path):
     try:
         dataset = load_dataset(file_lines(str(features), "features"), file_lines(str(split), "split"))
         model = train_map(dataset, table, MapConfig())
-        predict_test(model, dataset, table, PredictConfig(candidates=CandidateSet.SEEN_AND_UNSEEN))
+        predict_test(model, dataset, table, CandidateSet.SEEN_AND_UNSEEN)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -49,14 +49,14 @@ from ontozsl.textwalk import load_word_vectors
 from ontozsl.zslmap import (
     CandidateSet,
     Component,
-    Distance,
-    PredictConfig,
     candidate_spread,
     distance,
     encode_labels,
     load_encodings,
+    load_model,
     map_features,
     predict,
+    sae_loss,
     train_ridge,
 )
 
@@ -294,18 +294,41 @@ def test_encoding_dims_add_up_across_components(tmp_path):
     assert dims["both"] == FAST["el_dim"] + FAST["w2v_dim"]
 
 
-def test_run_pipeline_supports_ridge_and_cosine(tmp_path):
+def test_run_pipeline_supports_ridge_over_all_candidates(tmp_path):
     write_benchmark(tmp_path)
     cfg = base_config(
         tmp_path,
         components="attribute",
         mapper="ridge",
         ridge_alpha=1e-6,
-        distance="cosine",
         candidates="all",
     )
     report = run_pipeline(cfg)
     assert 0.0 <= report.sample_accuracy <= 1.0
+    # ridge has no autoencoder objective
+    assert math.isnan(report.map_train_loss)
+    assert math.isnan(json.loads((tmp_path / "run" / "report.json").read_text())["map_train_loss"])
+    assert "map_train_loss\tnan\n" in (tmp_path / "run" / "report.txt").read_text()
+
+
+def test_report_carries_the_autoencoder_objective(tmp_path):
+    """``map_train_loss`` is ``sae_loss`` at the written weights, over the seen samples."""
+    write_benchmark(tmp_path)
+    report = run_pipeline(base_config(tmp_path, components="attribute", sae_lambda=0.3))
+    out = tmp_path / "run"
+    dataset = load_dataset(
+        lines((tmp_path / "f.tsv").read_text(), "features"), lines((tmp_path / "s.txt").read_text(), "split")
+    )
+    table = load_encodings(lines((out / "encodings.tsv").read_text(), "encodings"))
+    model = load_model(lines((out / "model.txt").read_text(), "model"))
+    train = dataset.rows_of(dataset.seen_labels)
+    x = np.ascontiguousarray(dataset.features[train].T)
+    z = np.array([table.encodings[label] for label, keep in zip(dataset.labels, train) if keep]).T
+    expected = sae_loss(model.weights, x, z, 0.3)
+    assert report.map_train_loss == expected
+    assert 0.0 < expected
+    assert json.loads((out / "report.json").read_text())["map_train_loss"] == report.map_train_loss
+    assert f"map_train_loss\t{fmt(report.map_train_loss)}\n" in (out / "report.txt").read_text()
 
 
 def test_run_pipeline_tags_errors_with_the_stage(tmp_path):
@@ -329,7 +352,7 @@ def test_noise_free_seen_classes_are_linearly_separable():
     x = np.stack([s.features for s in train], axis=1)
     z = np.stack([table.encodings[s.label] for s in train], axis=1)
     model = train_ridge(x, z, 1e-9)
-    cfg = PredictConfig(Distance.L2, CandidateSet.SEEN_AND_UNSEEN)
+    cfg = CandidateSet.SEEN_AND_UNSEEN
     preds = [
         predict(map_features(model, s.features)[:, None], table, cfg, sorted(ds.seen_labels), sorted(ds.unseen_labels))[0]
         for s in train
@@ -356,16 +379,16 @@ def test_render_report_layout():
 
 
 # 4 unseen candidates give 6 pairs, an even count; all 10 labels give 45
-@pytest.mark.parametrize("kind, candidates", [("l2", "unseen"), ("cosine", "all")])
-def test_report_carries_the_candidate_spread(tmp_path, kind, candidates):
+@pytest.mark.parametrize("candidates", ["unseen", "all"])
+def test_report_carries_the_candidate_spread(tmp_path, candidates):
     data = write_benchmark(tmp_path, k_seen=6, k_unseen=4)
-    report = run_pipeline(base_config(tmp_path, distance=kind, candidates=candidates))
+    report = run_pipeline(base_config(tmp_path, candidates=candidates))
     out = tmp_path / "run"
     table = load_encodings(lines((out / "encodings.tsv").read_text(), "encodings"))
     ds = data.dataset
     labels = sorted(ds.unseen_labels | (ds.seen_labels if candidates == "all" else set()))
     gaps = [
-        distance(table.encodings[a], table.encodings[b], Distance(kind))
+        distance(table.encodings[a], table.encodings[b])
         for i, a in enumerate(labels)
         for b in labels[i + 1:]
     ]
@@ -389,7 +412,7 @@ def test_candidate_spread_of_a_single_candidate_is_nan(tmp_path):
     assert "candidate_median_distance\tnan\n" in (tmp_path / "run" / "report.txt").read_text()
     # the same table read with every label a candidate has pairs again
     table = load_encodings(lines((tmp_path / "run" / "encodings.tsv").read_text(), "encodings"))
-    cfg = PredictConfig(Distance.L2, CandidateSet.SEEN_AND_UNSEEN)
+    cfg = CandidateSet.SEEN_AND_UNSEEN
     low, mid = candidate_spread(table, cfg, sorted(ds.seen_labels), sorted(ds.unseen_labels))
     assert 0.0 < low <= mid
 

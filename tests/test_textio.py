@@ -54,7 +54,7 @@ VALID = {
     "space": SPACE,
     "vectors": "2 2\na 1 0\nb 0 1\n",
     "corpus": "a r b\nb subclass of c\n",
-    "config": "seed = 1\nel_dim = 4\nel_margin = 0.5\nmapper = ridge\ndistance = cosine\n",
+    "config": "seed = 1\nel_dim = 4\nel_margin = 0.5\nmapper = ridge\ncandidates = all\n",
     "predictions": "x1\tb\tb\nx2\ta\tb\n",
     "labels": "a\nb\n",
 }
@@ -87,7 +87,7 @@ TOKENS = [
     "ridge", "#components", "el_center", "[seen]", "[unseen]", "NF1", "NF2", "NF4", "DISJ",
     "RSUB", "# prov:", "# fresh:", "# nominal:", "# concepts:", "# relations:", "And", "Some",
     "One", "Top", "Bottom", "Concept", "SubClassOf", '"', "seed", "el_dim", "el_margin",
-    "mapper", "distance", "true",
+    "mapper", "candidates", "true",
 ]
 PIECES = st.one_of(st.sampled_from(TOKENS), st.text(max_size=3))
 FUZZ = st.one_of(st.text(), st.lists(PIECES, max_size=30).map("".join))

@@ -16,11 +16,9 @@ from ontozsl.textwalk import WordVectors
 from ontozsl.zslmap import (
     CandidateSet,
     Component,
-    Distance,
     EncodingTable,
     LinearMap,
     MapConfig,
-    PredictConfig,
     _row_distances,
     distance,
     encode_labels,
@@ -372,9 +370,10 @@ def test_predict_test_labels_each_unseen_sample():
     table = EncodingTable((Component.ATTRIBUTE,), 2, {"b": np.array([1.0, 0.0]), "c": np.array([0.0, 1.0])})
     dataset = ZslDataset(*rows, frozenset("a"), frozenset("bc"))
     model = LinearMap("ridge", 1e-3, np.eye(2))
-    assert predict_test(model, dataset, table, PredictConfig()) == (["x1", "x2"], ["b", "c"], ["c", "c"])
+    unseen = CandidateSet.UNSEEN_ONLY
+    assert predict_test(model, dataset, table, unseen) == (["x1", "x2"], ["b", "c"], ["c", "c"])
     with pytest.raises(DataError, match="no test samples"):
-        predict_test(model, ZslDataset(*rows, frozenset("abc"), frozenset()), table, PredictConfig())
+        predict_test(model, ZslDataset(*rows, frozenset("abc"), frozenset()), table, unseen)
 
 
 
@@ -392,17 +391,30 @@ def test_map_features_applies_the_matrix():
 
 
 def test_distance_values():
-    assert distance(np.array([0.0, 0.0]), np.array([3.0, 4.0]), Distance.L2) == 5.0
+    assert distance(np.array([0.0, 0.0]), np.array([3.0, 4.0])) == 5.0
     a = np.array([1.0, 2.0])
-    assert_allclose(distance(a, a, Distance.COSINE), 0.0, atol=1e-12)
-    assert_allclose(
-        distance(np.array([1.0, 0.0]), np.array([0.0, 1.0]), Distance.COSINE), 1.0
-    )
+    assert distance(a, a) == 0.0
+    assert distance(np.zeros(2), np.zeros(2)) == 0.0
+    with pytest.raises(DataError, match="shapes"):
+        distance(np.zeros(2), np.zeros(3))
 
 
-def test_cosine_rejects_zero_vectors():
-    with pytest.raises(NumericalError):
-        distance(np.zeros(2), np.ones(2), Distance.COSINE)
+def test_l2_on_unit_norm_parts_ranks_labels_as_cosine_does():
+    """Every encoding has norm sqrt(parts), so the L2-nearest label is the cosine-nearest one."""
+    rng = np.random.default_rng(23)
+    labels = [f"y{i:02d}" for i in range(15)]
+    for _ in range(200):
+        dims = rng.integers(1, 6, size=2)
+        attributes = {lbl: rng.normal(size=dims[0]) for lbl in labels}
+        vectors = WordVectors(int(dims[1]), {lbl: rng.normal(size=dims[1]) for lbl in labels})
+        table = encode_labels(labels, [Component.ATTRIBUTE, Component.WORD],
+                              attributes=attributes, word_vectors=vectors)
+        gx = rng.normal(size=(table.dim, 8)) * rng.uniform(0.1, 10.0)
+        rows = np.array([table.encodings[lbl] for lbl in labels])
+        assert_allclose(np.linalg.norm(rows, axis=1), np.sqrt(2.0))
+        cosine = (rows @ gx) / np.linalg.norm(rows, axis=1)[:, None] / np.linalg.norm(gx, axis=0)
+        got = predict(gx, table, CandidateSet.UNSEEN_ONLY, [], labels)
+        assert got == [labels[i] for i in np.argmax(cosine, axis=0)]
 
 
 def test_predict_picks_nearest_candidate():
@@ -411,7 +423,7 @@ def test_predict_picks_nearest_candidate():
         2,
         {"y1": np.array([0.0, 0.0]), "y2": np.array([1.0, 1.0])},
     )
-    got = predict(np.array([[0.9, 0.0], [0.8, -0.1]]), table, PredictConfig(), [], ["y1", "y2"])
+    got = predict(np.array([[0.9, 0.0], [0.8, -0.1]]), table, CandidateSet.UNSEEN_ONLY, [], ["y1", "y2"])
     assert got == ["y2", "y1"]
 
 
@@ -421,9 +433,10 @@ def test_predict_breaks_ties_lexicographically():
         1,
         {"b": np.array([1.0]), "a": np.array([-1.0]), "c": np.array([1.0])},
     )
-    assert predict(np.array([[0.0]]), table, PredictConfig(), [], ["b", "a", "c"]) == ["a"]
+    unseen = CandidateSet.UNSEEN_ONLY
+    assert predict(np.array([[0.0]]), table, unseen, [], ["b", "a", "c"]) == ["a"]
     # between the two exactly tied candidates the smaller label wins
-    assert predict(np.array([[1.0]]), table, PredictConfig(), [], ["b", "c"]) == ["b"]
+    assert predict(np.array([[1.0]]), table, unseen, [], ["b", "c"]) == ["b"]
 
 
 def test_predict_candidate_sets():
@@ -433,22 +446,21 @@ def test_predict_candidate_sets():
         {"seen": np.array([0.0]), "unseen": np.array([5.0])},
     )
     gx = np.array([[0.1]])
-    unseen_only = PredictConfig(candidates=CandidateSet.UNSEEN_ONLY)
-    both = PredictConfig(candidates=CandidateSet.SEEN_AND_UNSEEN)
-    assert predict(gx, table, unseen_only, ["seen"], ["unseen"]) == ["unseen"]
-    assert predict(gx, table, both, ["seen"], ["unseen"]) == ["seen"]
+    assert predict(gx, table, CandidateSet.UNSEEN_ONLY, ["seen"], ["unseen"]) == ["unseen"]
+    assert predict(gx, table, CandidateSet.SEEN_AND_UNSEEN, ["seen"], ["unseen"]) == ["seen"]
 
 
 def test_predict_empty_candidates_or_missing_encoding():
     table = EncodingTable((Component.EL_CENTER,), 1, {"a": np.array([0.0])})
+    unseen = CandidateSet.UNSEEN_ONLY
     with pytest.raises(DataError):
-        predict(np.zeros((1, 1)), table, PredictConfig(), [], [])
+        predict(np.zeros((1, 1)), table, unseen, [], [])
     with pytest.raises(UnknownNameError):
-        predict(np.zeros((1, 1)), table, PredictConfig(), [], ["ghost"])
+        predict(np.zeros((1, 1)), table, unseen, [], ["ghost"])
     with pytest.raises(DataError):
-        predict(np.zeros((2, 1)), table, PredictConfig(), [], ["a"])
+        predict(np.zeros((2, 1)), table, unseen, [], ["a"])
     with pytest.raises(NumericalError):
-        predict(np.full((1, 1), np.nan), table, PredictConfig(), [], ["a"])
+        predict(np.full((1, 1), np.nan), table, unseen, [], ["a"])
 
 
 def test_predict_matches_brute_force_scan():
@@ -462,18 +474,9 @@ def test_predict_matches_brute_force_scan():
             {lbl: np.round(rng.normal(size=dim), 1) for lbl in labels},
         )
         unseen = [lbl for lbl in labels if rng.random() < 0.5] or [labels[0]]
-        kind = Distance.L2 if rng.random() < 0.5 else Distance.COSINE
         gx = np.round(rng.normal(size=dim), 1)
-        if kind is Distance.COSINE and not np.linalg.norm(gx):
-            continue
-        if kind is Distance.COSINE and any(
-            not np.linalg.norm(table.encodings[lbl]) for lbl in unseen
-        ):
-            continue
-        got = predict(gx[:, None], table, PredictConfig(distance=kind), [], unseen)[0]
-        best = min(
-            sorted(unseen), key=lambda lbl: (distance(table.encodings[lbl], gx, kind), lbl)
-        )
+        got = predict(gx[:, None], table, CandidateSet.UNSEEN_ONLY, [], unseen)[0]
+        best = min(sorted(unseen), key=lambda lbl: (distance(table.encodings[lbl], gx), lbl))
         assert got == best
 
 
@@ -485,16 +488,15 @@ def test_batched_distances_equal_single_pairs_bit_for_bit():
         point = rng.normal(size=m)
         labels = [f"c{i}" for i in range(3)]
         table = EncodingTable((Component.EL_CENTER,), m, {lbl: rng.normal(size=m) for lbl in labels})
-        for kind in Distance:
-            batch = _row_distances(np.ascontiguousarray(gx.T), point, kind)
-            single = [distance(point, gx[:, j], kind) for j in range(n)]
-            assert batch.tolist() == single
-            got = predict(gx, table, PredictConfig(distance=kind), [], labels)
-            want = [
-                min(labels, key=lambda lbl: (distance(table.encodings[lbl], gx[:, j], kind), lbl))
-                for j in range(n)
-            ]
-            assert got == want
+        batch = _row_distances(np.ascontiguousarray(gx.T), point)
+        single = [distance(point, gx[:, j]) for j in range(n)]
+        assert batch.tolist() == single
+        got = predict(gx, table, CandidateSet.UNSEEN_ONLY, [], labels)
+        want = [
+            min(labels, key=lambda lbl: (distance(table.encodings[lbl], gx[:, j]), lbl))
+            for j in range(n)
+        ]
+        assert got == want
 
 
 # ---------------------------------------------------------------------------
