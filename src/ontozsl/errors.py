@@ -2,7 +2,9 @@
 
 The CLI maps these onto exit codes: any :class:`DataError` (bad input text,
 unknown names, malformed files) exits with 2, a :class:`NumericalError`
-(divergence, non-finite values, degenerate geometry) exits with 3.
+(divergence, non-finite values, degenerate geometry) exits with 3.  Every
+error the package raises is one of these two kinds; catch
+:class:`OntozslError` for either.
 """
 
 import dataclasses
@@ -10,22 +12,7 @@ import numbers
 
 
 class OntozslError(Exception):
-    """Base class for every error raised by this package.
-
-    Errors pickle with their type, message and attributes, whatever their
-    subclass's ``__init__`` takes.
-    """
-
-    def __reduce__(self):
-        return _restore, (type(self), self.args, self.__dict__)
-
-
-def _restore(cls: type, args: tuple, state: dict) -> OntozslError:
-    """Unpickle an error without calling ``cls.__init__``, whose parameters vary."""
-    error = cls.__new__(cls)
-    error.args = args
-    error.__dict__.update(state)
-    return error
+    """Base class for every error raised by this package."""
 
 
 class DataError(OntozslError):

@@ -4,11 +4,9 @@
 into the output directory: parse, normalize, train the concept embeddings,
 project and walk the graph, train word vectors, load the dataset, encode the
 labels, fit the feature-to-encoding mapper on the seen split, predict the
-test split, and score it.  The concept embeddings train in a forked child
-process (POSIX only) while the walk, word-vector and dataset stages run in
-this one; the two share nothing until the labels are encoded.  All
-randomness is derived from the single config seed, so re-running a config
-reproduces every output file byte for byte.
+test split, and score it.  The stages run one after another, in this
+order.  All randomness is derived from the single config seed, so
+re-running a config reproduces every output file byte for byte.
 """
 
 from __future__ import annotations
@@ -17,8 +15,6 @@ import dataclasses
 import hashlib
 import json
 import logging
-import os
-import pickle
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -26,7 +22,7 @@ from pathlib import Path
 
 from . import elembed, harness, textwalk, zslmap
 from .errors import DataError, OntozslError, RangeError
-from .normalform import BY_TAG, NormalizedOntology, normalize, write_normalized
+from .normalform import BY_TAG, normalize, write_normalized
 from .ontology import parse_ontology, serialize_ontology
 from .textio import file_lines, fmt, lines, read_file, read_setting, unique, write_setting
 from .zslmap import CandidateSet, Component
@@ -154,8 +150,8 @@ class MetricsReport:
     candidate_min_distance: float = float("nan")
     candidate_median_distance: float = float("nan")
     map_train_loss: float = float("nan")  # the autoencoder objective at its fitted weights; NaN for ridge
-    # wall seconds of each stage, plus "train_el" timed in the training child;
-    # never written, since every file in out_dir must repeat byte for byte
+    # wall seconds of each stage in run order, plus "train_el", the part of embed-el
+    # spent in train_el; never written, since every file in out_dir must repeat byte for byte
     stage_seconds: dict[str, float] = field(default_factory=dict)
 
 
@@ -212,86 +208,11 @@ class _stage:
         return False
 
 
-class _TrainElChild:
-    """``elembed.train_el`` run in a forked child, which pickles its result into a pipe.
-
-    The child inherits its inputs, so nothing is pickled on the way in, and it
-    looks ``train_el`` up on the module, so a patched one runs.  It sends
-    ``(space, seconds)`` or the error ``train_el`` raised, then exits.  A bare
-    fork, not a spawned interpreter or a pool, because it copies no input and
-    imports nothing, which keeps its cost to a few milliseconds.
-    """
-
-    def __init__(self, normalized: NormalizedOntology, cfg: elembed.ElTrainConfig):
-        read_end, write_end = os.pipe()
-        try:
-            self.pid = os.fork()
-        except OSError:
-            os.close(read_end)
-            os.close(write_end)
-            raise
-        if self.pid == 0:
-            status = 1
-            try:
-                os.close(read_end)
-                start = time.perf_counter()
-                try:
-                    result = elembed.train_el(normalized, cfg), time.perf_counter() - start
-                except Exception as exc:
-                    if not isinstance(exc, OntozslError):
-                        import traceback
-
-                        traceback.print_exc()  # a fault's frames do not cross the pipe
-                    result = exc
-                with os.fdopen(write_end, "wb") as pipe:
-                    pickle.dump(result, pipe)
-                status = 0
-            finally:
-                # never return into the caller's code, nor run its exit handlers
-                os._exit(status)
-        os.close(write_end)
-        self.pipe = os.fdopen(read_end, "rb")
-
-    def result(self) -> tuple[elembed.EmbeddingSpace, float]:
-        """The trained space and the child's seconds in ``train_el``; raises its error."""
-        data = self.pipe.read()  # to EOF, so the child has nothing left to write
-        self.pipe.close()
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = None
-        code = os.waitstatus_to_exitcode(status)
-        if code < 0:
-            import signal
-
-            raise OntozslError(f"training process killed by {signal.Signals(-code).name}")
-        if code != 0:
-            raise OntozslError(f"training process exited with status {code} and no result")
-        result = pickle.loads(data)
-        if isinstance(result, Exception):
-            raise result
-        return result
-
-    def __enter__(self) -> "_TrainElChild":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        """Kill and reap the child unless its result was read."""
-        if self.pid is not None:
-            import signal
-
-            self.pipe.close()
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pid = None
-        return False
-
-
 def run_pipeline(cfg: RunConfig) -> MetricsReport:
     """Execute all stages and write artifacts plus a manifest to ``out_dir``.
 
     Every stage config was built, and so range-checked, with ``cfg`` itself.
-    EL training runs in a child process beside the walk, w2v and load-dataset
-    stages; when it fails, its error is the one raised, as if it had run first.
-    No child outlives the call.
+    The stages run one after another, in the order of ``stage_seconds``.
     """
     el_cfg = cfg.stage(elembed.ElTrainConfig)
 
@@ -312,46 +233,35 @@ def run_pipeline(cfg: RunConfig) -> MetricsReport:
         normalized = normalize(ontology)
         emit("normalized.txt", write_normalized(normalized))
 
-    with _TrainElChild(normalized, el_cfg) as child:
-        failure = None
-        try:
-            with _stage("walk", seconds):
-                walks = textwalk.random_walks(textwalk.project(ontology), cfg.stage(textwalk.WalkConfig))
-                corpus = textwalk.lexicalize(walks, ontology)
-                emit("corpus.txt", textwalk.save_corpus(corpus))
+    with _stage("embed-el", seconds):
+        start = time.perf_counter()
+        space = elembed.train_el(normalized, el_cfg)  # looked up on the module, so a patched one runs
+        seconds["train_el"] = time.perf_counter() - start
+        el_loss = elembed.total_loss(space, normalized, el_cfg)
+        faithful = elembed.faithfulness(space, normalized, el_cfg.margin)
+        emit("el_space.tsv", elembed.export_space(space))
+        logger.info("embedding loss after training: %.6f", el_loss)
 
-            with _stage("w2v", seconds):
-                if cfg.pretrained_vectors:  # they stand in for the trained vectors
-                    vectors = textwalk.load_word_vectors(
-                        file_lines(cfg.pretrained_vectors, "pretrained vectors", "word vectors")
-                    )
-                else:
-                    vectors = textwalk.train_skipgram(corpus, cfg.stage(textwalk.SkipGramConfig))
-                emit("wordvecs.txt", textwalk.save_word_vectors(vectors))
+    with _stage("walk", seconds):
+        walks = textwalk.random_walks(textwalk.project(ontology), cfg.stage(textwalk.WalkConfig))
+        corpus = textwalk.lexicalize(walks, ontology)
+        emit("corpus.txt", textwalk.save_corpus(corpus))
 
-            with _stage("load-dataset", seconds):
-                dataset = harness.load_dataset(
-                    file_lines(cfg.features, "features"), file_lines(cfg.split, "split")
-                )
-                class_map = (
-                    harness.parse_class_map(file_lines(cfg.class_map, "class map")) if cfg.class_map else {}
-                )
-                attributes = (
-                    harness.parse_vector_table(file_lines(cfg.attributes, "attributes"))
-                    if cfg.attributes
-                    else None
-                )
-        except Exception as exc:
-            failure = exc  # raised after embed-el, whose error wins as if it had run first
+    with _stage("w2v", seconds):
+        if cfg.pretrained_vectors:  # they stand in for the trained vectors
+            vectors = textwalk.load_word_vectors(
+                file_lines(cfg.pretrained_vectors, "pretrained vectors", "word vectors")
+            )
+        else:
+            vectors = textwalk.train_skipgram(corpus, cfg.stage(textwalk.SkipGramConfig))
+        emit("wordvecs.txt", textwalk.save_word_vectors(vectors))
 
-        with _stage("embed-el", seconds):
-            space, seconds["train_el"] = child.result()
-            el_loss = elembed.total_loss(space, normalized, el_cfg)
-            faithful = elembed.faithfulness(space, normalized, el_cfg.margin)
-            emit("el_space.tsv", elembed.export_space(space))
-            logger.info("embedding loss after training: %.6f", el_loss)
-        if failure is not None:
-            raise failure
+    with _stage("load-dataset", seconds):
+        dataset = harness.load_dataset(file_lines(cfg.features, "features"), file_lines(cfg.split, "split"))
+        class_map = harness.parse_class_map(file_lines(cfg.class_map, "class map")) if cfg.class_map else {}
+        attributes = (
+            harness.parse_vector_table(file_lines(cfg.attributes, "attributes")) if cfg.attributes else None
+        )
 
     with _stage("encode", seconds):
         labels = sorted(dataset.seen_labels | dataset.unseen_labels)

@@ -300,8 +300,9 @@ def _orthonormal(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     largest is rounding noise: its column and its value come out zero.
     Products go through ``einsum``, not BLAS, as in :meth:`_Sparse.__matmul__`.
     The SVD, not ``eigh``: from 26 columns on, numpy's ``eigh`` wakes
-    OpenBLAS threads that then spin for about 0.1 s beside the EL training
-    child, while its SVD stays on one thread up to 40 columns.
+    OpenBLAS threads that then spin for about 0.1 s, holding cores that the
+    later stages and other processes could use, while its SVD stays on one
+    thread up to 40 columns.
     """
     basis, squares, _ = np.linalg.svd(np.einsum("ij,ik->jk", y, y))
     keep = squares > squares[0] * 1e-12

@@ -5,26 +5,16 @@ import math
 import multiprocessing
 import os
 import re
-import signal
-import time
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ontozsl import elembed, errors, textwalk
+from ontozsl import elembed, errors
 from ontozsl.cli import EXIT_DATA, EXIT_NUMERIC, main
 from ontozsl.elembed import import_space
-from ontozsl.errors import (
-    DataError,
-    ElfError,
-    NumericalError,
-    OntozslError,
-    RangeError,
-    UnknownNameError,
-    UnsupportedAxiomError,
-)
+from ontozsl.errors import DataError, NumericalError, RangeError
 from ontozsl.harness import (
     gen_synthetic,
     load_dataset,
@@ -476,10 +466,10 @@ def test_word_vectors_score_above_the_floor_on_the_word_walks_inputs(tmp_path, s
 
 
 # ---------------------------------------------------------------------------
-# EL training in a forked child
+# EL training and the stage order
 # ---------------------------------------------------------------------------
 
-STAGE_NAMES = ("parse", "normalize", "walk", "w2v", "load-dataset", "embed-el", "encode", "train-map",
+STAGE_NAMES = ("parse", "normalize", "embed-el", "walk", "w2v", "load-dataset", "encode", "train-map",
                "predict", "eval")
 
 
@@ -503,6 +493,24 @@ def test_report_records_every_stage_time_outside_its_files(tmp_path):
     out = tmp_path / "run"
     assert "stage_seconds" not in json.loads((out / "report.json").read_text())
     assert "train_el" not in (out / "report.txt").read_text()
+
+
+def test_stage_times_come_in_the_serial_stage_order(tmp_path):
+    write_benchmark(tmp_path)
+    report = run_pipeline(base_config(tmp_path))
+    assert list(report.stage_seconds) == ["parse", "normalize", "train_el", *STAGE_NAMES[2:]]
+    assert report.stage_seconds["train_el"] <= report.stage_seconds["embed-el"]
+
+
+def test_run_pipeline_forks_no_process(tmp_path, monkeypatch):
+    def no_fork():
+        raise AssertionError("os.fork called")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    write_benchmark(tmp_path)
+    report = run_pipeline(base_config(tmp_path))
+    assert (tmp_path / "run" / "manifest.txt").is_file()
+    assert report.stage_seconds["train_el"] > 0
 
 
 DIVERGED = r"embed-el: (center of|radius of|relation) '\w+' diverged at step [1-9][0-9]*"
@@ -549,87 +557,8 @@ def test_a_failing_stage_beside_el_training_keeps_its_error(tmp_path):
     write_benchmark(tmp_path)
     with pytest.raises(DataError, match="^load-dataset: features file not found: "):
         run_pipeline(base_config(tmp_path, features=str(tmp_path / "missing.tsv")))
-    # the EL stage finished first, as it did when it ran before the others
+    # the EL stage ran first and wrote its space
     assert (tmp_path / "run" / "el_space.tsv").is_file()
-
-
-# one of each OntozslError class; ElfError and RangeError take other arguments than a message
-PACKAGE_ERRORS = [
-    OntozslError("plain"),
-    DataError("bad data"),
-    ElfError("unexpected token", 3, 7),
-    UnknownNameError("no concept named 'X'"),
-    UnsupportedAxiomError("cannot embed it"),
-    NumericalError("center of 'A' diverged at step 4"),
-    RangeError("embedding config", ["dim", "margin"]),
-]
-
-
-def test_package_errors_has_every_error_class():
-    def subclasses(cls):
-        return {cls}.union(*(subclasses(sub) for sub in cls.__subclasses__()))
-
-    assert {type(error) for error in PACKAGE_ERRORS} == subclasses(OntozslError)
-
-
-@pytest.mark.parametrize("error", PACKAGE_ERRORS, ids=lambda error: type(error).__name__)
-def test_every_package_error_of_el_training_crosses_the_pipe(tmp_path, monkeypatch, error):
-    def fail(normalized, cfg):
-        raise error
-
-    monkeypatch.setattr(elembed, "train_el", fail)
-    write_benchmark(tmp_path)
-    with pytest.raises(OntozslError) as err:
-        run_pipeline(base_config(tmp_path))
-    assert type(err.value) is type(error)
-    assert str(err.value) == f"embed-el: {error}"
-    assert {k: v for k, v in vars(err.value).items() if k != "stage"} == vars(error)
-
-
-def test_a_fault_in_el_training_is_raised_with_the_child_traceback(tmp_path, monkeypatch, capfd):
-    def broken(normalized, cfg):
-        raise ValueError("a bug")
-
-    monkeypatch.setattr(elembed, "train_el", broken)
-    write_benchmark(tmp_path)
-    with pytest.raises(ValueError, match="^a bug$"):
-        run_pipeline(base_config(tmp_path))
-    assert 'in broken\n    raise ValueError("a bug")' in capfd.readouterr().err
-
-
-@pytest.mark.parametrize(
-    "train_el, message",
-    [
-        (lambda normalized, cfg: os.kill(os.getpid(), signal.SIGKILL), "killed by SIGKILL"),
-        # a result pickle cannot write ends the child without one
-        (lambda normalized, cfg: lambda: None, "exited with status 1 and no result"),
-    ],
-    ids=["killed", "unpicklable"],
-)
-def test_a_child_that_ends_without_a_result_is_a_package_error(tmp_path, monkeypatch, capsys, train_el, message):
-    monkeypatch.setattr(elembed, "train_el", train_el)
-    write_benchmark(tmp_path)
-    cfg = base_config(tmp_path)
-    with pytest.raises(OntozslError) as err:
-        run_pipeline(cfg)
-    assert type(err.value) is OntozslError
-    assert str(err.value) == f"embed-el: training process {message}"
-    capsys.readouterr()
-    assert main(pipeline_argv(cfg)) == EXIT_DATA
-    assert capsys.readouterr().err.splitlines()[-1] == f"error: embed-el: training process {message}"
-
-
-def test_an_interrupt_kills_and_reaps_the_training_child(tmp_path, monkeypatch):
-    def interrupt(*args, **kwargs):
-        raise KeyboardInterrupt
-
-    monkeypatch.setattr(elembed, "train_el", lambda normalized, cfg: time.sleep(60))
-    monkeypatch.setattr(textwalk, "random_walks", interrupt)
-    write_benchmark(tmp_path)
-    start = time.perf_counter()
-    with pytest.raises(KeyboardInterrupt):
-        run_pipeline(base_config(tmp_path))
-    assert time.perf_counter() - start < 30
 
 
 def _run_in_daemon(cfg: RunConfig) -> None:

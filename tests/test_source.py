@@ -117,7 +117,7 @@ def test_name_tokens_takes_a_name_and_an_ontology():
 
 
 def test_importing_the_package_loads_no_process_machinery():
-    """EL training forks with ``os``; the benchmark's ``setup_s`` times ``import ontozsl``."""
+    """The benchmark's ``setup_s`` times ``import ontozsl``, which should not pay for process pools."""
     heavy = ["multiprocessing", "concurrent.futures", "subprocess"]
     code = f"import sys, ontozsl; print([m for m in {heavy!r} if m in sys.modules])"
     env = {**os.environ, "PYTHONPATH": str(Path(ontozsl.__file__).parents[1])}
