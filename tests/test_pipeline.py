@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ontozsl import elembed, errors
+from ontozsl import elembed, errors, textwalk
 from ontozsl.cli import EXIT_DATA, EXIT_NUMERIC, main
 from ontozsl.elembed import import_space
 from ontozsl.errors import DataError, NumericalError, RangeError
@@ -559,6 +559,82 @@ def test_a_failing_stage_beside_el_training_keeps_its_error(tmp_path):
         run_pipeline(base_config(tmp_path, features=str(tmp_path / "missing.tsv")))
     # the EL stage ran first and wrote its space
     assert (tmp_path / "run" / "el_space.tsv").is_file()
+
+
+# one of each OntozslError class, as (class, arguments), so each test raises a fresh one;
+# ElfError and RangeError take other arguments than a message
+PACKAGE_ERRORS = [
+    (errors.OntozslError, ("plain",)),
+    (DataError, ("bad data",)),
+    (errors.ElfError, ("unexpected token", 3, 7)),
+    (errors.UnknownNameError, ("no concept named 'X'",)),
+    (errors.UnsupportedAxiomError, ("cannot embed it",)),
+    (NumericalError, ("center of 'A' diverged at step 4",)),
+    (RangeError, ("embedding config", ["dim", "margin"])),
+]
+
+# what out_dir holds when embed-el fails: the files of the two stages before it
+BEFORE_EL = ["normalized.txt", "ontology.elf"]
+
+
+def test_package_errors_has_every_error_class():
+    def subclasses(cls):
+        return {cls}.union(*(subclasses(sub) for sub in cls.__subclasses__()))
+
+    assert {cls for cls, _ in PACKAGE_ERRORS} == subclasses(errors.OntozslError)
+
+
+@pytest.mark.parametrize("cls, args", PACKAGE_ERRORS, ids=[cls.__name__ for cls, _ in PACKAGE_ERRORS])
+def test_every_package_error_of_el_training_reaches_the_caller(tmp_path, monkeypatch, capsys, cls, args):
+    raised = []
+
+    def fail(normalized, cfg):
+        raised.append(cls(*args))
+        raise raised[-1]
+
+    monkeypatch.setattr(elembed, "train_el", fail)
+    write_benchmark(tmp_path)
+    cfg = base_config(tmp_path)
+    with pytest.raises(cls) as err:
+        run_pipeline(cfg)
+    assert err.value is raised[0]
+    assert str(err.value) == f"embed-el: {cls(*args)}"
+    assert err.value.stage == "embed-el"
+    assert {k: v for k, v in vars(err.value).items() if k != "stage"} == vars(cls(*args))
+    assert sorted(path.name for path in (tmp_path / "run").iterdir()) == BEFORE_EL
+    capsys.readouterr()
+    numerical = issubclass(cls, NumericalError)
+    assert main(pipeline_argv(cfg)) == (EXIT_NUMERIC if numerical else EXIT_DATA)
+    prefix = "numerical failure" if numerical else "error"
+    assert capsys.readouterr().err.splitlines()[-1] == f"{prefix}: embed-el: {cls(*args)}"
+
+
+def test_a_fault_in_el_training_is_raised_with_its_own_traceback(tmp_path, monkeypatch):
+    def broken(normalized, cfg):
+        raise ValueError("a bug")
+
+    monkeypatch.setattr(elembed, "train_el", broken)
+    write_benchmark(tmp_path)
+    with pytest.raises(ValueError, match="^a bug$") as err:
+        run_pipeline(base_config(tmp_path))
+    # not a package error, so no stage prefix; its own frame is the last one
+    assert not hasattr(err.value, "stage")
+    assert err.traceback[-1].name == "broken"
+    assert sorted(path.name for path in (tmp_path / "run").iterdir()) == BEFORE_EL
+
+
+def test_an_interrupt_in_el_training_stops_the_run_before_the_walks(tmp_path, monkeypatch):
+    def interrupt(normalized, cfg):
+        raise KeyboardInterrupt
+
+    walked = []
+    monkeypatch.setattr(elembed, "train_el", interrupt)
+    monkeypatch.setattr(textwalk, "random_walks", lambda *args: walked.append(args))
+    write_benchmark(tmp_path)
+    with pytest.raises(KeyboardInterrupt):
+        run_pipeline(base_config(tmp_path))
+    assert walked == []
+    assert sorted(path.name for path in (tmp_path / "run").iterdir()) == BEFORE_EL
 
 
 def _run_in_daemon(cfg: RunConfig) -> None:
