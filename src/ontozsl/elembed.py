@@ -14,13 +14,18 @@ pull the centers of its concept operands onto the unit sphere.  With margin
     RSUB t [= s           |v(t) - v(s)|        (no regularizers)
 
 plus a negative loss that pushes corrupted NF2 fillers out of reach.  Each is
-a sum of norm penalties and hinges ``max(0, sd*|x(a) + sv*x(t) - x(b)| +
+a sum of norm penalties and hinges ``max(0, sd*|x(a) - x(b) + sv*x(t)| +
 sa*r(a) + sb*r(b) + m*e)`` over rows ``x`` of one matrix (concept centers, then
-relation vectors).  Axioms compile once into index and coefficient tables, and
-one array kernel gives the loss and analytic gradient of any set of table rows,
-for training, :func:`total_loss` and the one-axiom :func:`axiom_loss` alike.
-Training runs Adam on minibatch gradients, the optimizer EL Embeddings
-(Kulmanov et al., 2019) uses for these losses.
+relation vectors), with ``sv`` 1 on a hinge with a relation and 0 on one
+without.  Axioms compile once into index and coefficient tables.  One array
+kernel gives the loss and analytic gradient of a batch of table rows, for
+training, :func:`total_loss` and the one-axiom :func:`axiom_loss` alike: it
+adds ``x(t)`` only to the hinges with a relation, sums the norm penalties per
+penalised row (its count of penalised operand slots times the row's penalty)
+and writes the whole gradient through one ``np.bincount``.  Every array of
+``el_dim`` columns it needs lives in a buffer allocated once per call of
+:func:`train_el`.  Training runs Adam on minibatch gradients, the optimizer
+EL Embeddings (Kulmanov et al., 2019) uses for these losses.
 """
 
 from __future__ import annotations
@@ -108,8 +113,9 @@ class ElTrainConfig:
 # dictionaries use the same keys plus ("r", concept) for radii.
 Key = tuple[str, str]
 
-# Hinge coefficients (sv, sd, sa, sb, m, pa, pb): pa and pb weight the norm
-# penalties of rows a and b.  These are the ones of a corrupted NF2 term.
+# Hinge coefficients (sv, sd, sa, sb, m, pa, pb): sv is 1 on a hinge with a
+# relation and 0 on one without, pa and pb weight the norm penalties of rows a
+# and b.  These are the ones of a corrupted NF2 term.
 _NEGATIVE = (1, -1, 1, 1, 1, 1, 1)
 
 
@@ -125,7 +131,8 @@ def _hinges(ax: NormalAxiom) -> list[tuple]:
     if isinstance(ax, NF2):
         return [(("c", ax.sub), ("c", ax.filler), ("v", ax.relation), 1, 1, 1, -1, -1, 1, 1)]
     if isinstance(ax, NF3):
-        return [(("c", ax.filler), ("c", ax.sup), ("v", ax.relation), -1, 1, -1, -1, -1, 1, 1)]
+        # |c(A)-v(t)-c(B)| read as |c(B)+v(t)-c(A)|, so every relation is added
+        return [(("c", ax.sup), ("c", ax.filler), ("v", ax.relation), 1, 1, -1, -1, -1, 1, 1)]
     # And(A, B) [= Bottom is a disjointness in disguise
     if isinstance(ax, Disjointness) or (isinstance(ax, NF4) and ax.sup == BOTTOM):
         return [(("c", ax.left), ("c", ax.right), None, 0, -1, 1, 1, 1, 1, 1)]
@@ -174,60 +181,155 @@ def _corrupt(terms: _Terms, j: np.ndarray, fake: np.ndarray, margin: float) -> _
     return _Terms(rows, coef)
 
 
-def _with_negatives(
-    terms: _Terms, nf2: np.ndarray, cfg: ElTrainConfig, n_concepts: int, rng: np.random.Generator
-) -> _Terms:
-    """Append ``cfg.negatives`` corruptions of NF2 hinge rows ``nf2``, drawn in that order."""
-    if cfg.negatives == 0 or n_concepts < 2 or nf2.size == 0:
-        return terms
-    j = np.repeat(nf2, cfg.negatives)
-    # uniform over the other concepts; concept rows come first
-    drawn = rng.integers(n_concepts - 1, size=j.size)
-    negative = _corrupt(terms, j, drawn + (drawn >= terms.rows[j, 1]), cfg.margin)
+def _with_negatives(terms: _Terms, nf2: np.ndarray, copies: int, margin: float) -> _Terms:
+    """``terms`` followed by ``copies`` corrupted copies of each NF2 hinge row ``nf2``, in that order.
+
+    The copies keep the true filler until :func:`_draw_fillers` draws theirs.
+    """
+    j = np.repeat(nf2, copies)
+    negative = _corrupt(terms, j, terms.rows[j, 1], margin)
     return _Terms(*(np.concatenate(pair) for pair in zip(terms, negative)))
 
 
-def _loss_grad(
-    params: np.ndarray, radii: np.ndarray, terms: _Terms, grad: bool = True
-) -> tuple[float, np.ndarray | None, np.ndarray | None]:
-    """Summed loss of ``terms`` and, when asked, its gradients on params and radii.
+def _draw_fillers(
+    terms: _Terms, nf2: np.ndarray, visits: np.ndarray, copies: int, n_concepts: int, rng: np.random.Generator
+) -> None:
+    """Draw fillers for the corrupted copies that end ``terms`` (see :func:`_with_negatives`).
 
-    Gradients of repeated rows accumulate.  Subgradients at kinks: a zero
-    distance gives a zero direction, a zero center no penalty gradient.
+    The NF2 hinge rows ``nf2`` are visited in the order ``visits``, each
+    drawing its ``copies`` fakes in turn.
     """
-    a, b, rel, _ = terms.rows.T
-    sv, sd, sa, sb, bias = terms.coef[:, :5].T
-    ends = params[terms.rows[:, :2]]
-    diff = ends[:, 0] + sv[:, None] * params[rel] - ends[:, 1]
-    # vecdot rounds like np.linalg.norm on one vector, keeping exact zeros exact
-    dist = np.sqrt(np.vecdot(diff, diff))
-    raw = sd * dist + (sa * radii[a] + sb * radii[b]) + bias
-    norms = np.sqrt(np.vecdot(ends, ends))
-    penalty = terms.coef[:, 5:]
-    loss = float(np.maximum(raw, 0.0).sum() + (penalty * np.abs(norms - 1.0)).sum())
-    if not grad:
-        return loss, None, None
-    active = raw > 0.0
-    step = diff * np.divide(sd, dist, out=np.zeros_like(dist), where=active & (dist > 0.0))[:, None]
-    pull = penalty * np.sign(norms - 1.0)
-    pull = np.divide(pull, norms, out=np.zeros_like(norms), where=norms > 0.0)
-    ends *= pull[:, :, None]
-    weights = np.stack([ends[:, 0] + step, ends[:, 1] - step, sv[:, None] * step], axis=1)
-    dim = params.shape[1]
-    flat = terms.rows[:, :3, None] * dim + np.arange(dim)
-    g_params = np.bincount(flat.ravel(), weights.ravel(), minlength=params.size)
-    radius_signs = terms.coef[:, 2:4] * active[:, None]
-    g_radii = np.bincount(terms.rows[:, :2].ravel(), radius_signs.ravel(), minlength=radii.size)
-    return loss, g_params.reshape(params.shape), g_radii
+    first = len(terms.rows) - nf2.size * copies
+    copy = (first + visits[:, None] * copies + np.arange(copies)).ravel()
+    drawn = rng.integers(n_concepts - 1, size=copy.size)
+    # uniform over the other concepts; concept rows come first
+    terms.rows[copy, 1] = drawn + (drawn >= np.repeat(terms.rows[nf2[visits], 1], copies))
 
 
-def _pack(space: EmbeddingSpace) -> tuple[list[Key], np.ndarray, np.ndarray]:
-    """Row keys, parameter matrix and radii (0 on relation rows) of a space."""
+class _Batches(NamedTuple):
+    """Terms grouped by batch, the hinges without a relation first in each batch."""
+
+    rows: np.ndarray  # (n, 4) rows a, b, t and axiom number, in batch order
+    coef: np.ndarray  # (n, 7) their coefficients
+    bounds: list[int]  # batch k is hinges bounds[2k]:bounds[2k+2], with a relation from bounds[2k+1]
+    pen_rows: np.ndarray  # each batch's penalised rows, once each, batch after batch
+    pen_counts: np.ndarray  # how many operand slots of the batch penalise each
+    pen_bounds: list[int]  # batch k's are pen_bounds[k]:pen_bounds[k+1]
+
+
+def _batches(terms: _Terms, batch: np.ndarray, n_batches: int, n_rows: int) -> _Batches:
+    """``terms`` grouped by their batch numbers ``batch``, with each batch's penalised rows."""
+    key = 2 * batch + (terms.coef[:, 0] != 0)
+    order = np.argsort(key, kind="stable")
+    # every penalised operand slot, numbered by its batch, then its row
+    slots = (batch * n_rows)[:, None] + terms.rows[:, :2]
+    counts = np.bincount(slots[terms.coef[:, 5:] != 0], minlength=n_batches * n_rows)
+    penalised = np.flatnonzero(counts)
+    return _Batches(
+        terms.rows.take(order, axis=0), terms.coef.take(order, axis=0),
+        np.searchsorted(key.take(order), np.arange(2 * n_batches + 1)).tolist(),
+        penalised % max(n_rows, 1), counts.take(penalised).astype(float),
+        np.searchsorted(penalised, np.arange(n_batches + 1) * n_rows).tolist(),
+    )
+
+
+class _Kernel:
+    """Loss and gradient of one batch of terms at a time, over the parameter vector ``theta``.
+
+    ``theta`` holds the parameter rows (concept centers, then relation
+    vectors) one after another, then one radius per row, and gradients come
+    back in the same layout.  Each array of ``el_dim`` columns that a step
+    needs lives in a buffer allocated here, once, for batches of at most
+    ``hinges`` hinges, ``shifts`` of them with a relation, and ``penalised``
+    penalised rows.  Without ``grad`` the scatter buffers are left out.
+    """
+
+    def __init__(self, theta: np.ndarray, dim: int, hinges: int, shifts: int, penalised: int, grad: bool = True):
+        n_rows = theta.size // (dim + 1)
+        self.params = theta[: n_rows * dim].reshape(n_rows, dim)
+        self.radii = theta[n_rows * dim :]
+        # the scatter takes rows a, then rows b, of every hinge, row t of each
+        # shift, each penalised row, then the radii of rows a and b
+        scatter_rows = 2 * hinges + shifts + penalised + -(-2 * hinges // dim)
+        # the largest buffer bounds the others
+        check_table_size("el_dim", scatter_rows if grad else 2 * hinges, dim, what="step buffer")
+        self.ends = np.empty(2 * hinges * dim)
+        self.pen = np.empty((penalised, dim))
+        if grad:
+            self.weights = np.empty(scatter_rows * dim)
+            self.index = np.empty(scatter_rows * dim, dtype=np.intp)
+            # where each parameter row's entries sit in theta
+            self.slots = np.arange(self.params.size).reshape(self.params.shape)
+
+    def __call__(self, b: _Batches, k: int, grad: bool = True) -> tuple[float, np.ndarray | None]:
+        """Summed loss of batch ``k`` of ``b`` and, when asked, its gradient.
+
+        Gradients of repeated rows accumulate.  Subgradients at kinks: a zero
+        distance gives a zero direction, a zero center no penalty gradient.
+        """
+        start, shifted, end = b.bounds[2 * k : 2 * k + 3]
+        first, last = b.pen_bounds[k : k + 2]
+        n, q, dim = end - start, shifted - start, self.params.shape[1]
+        rows, coef = b.rows[start:end], b.coef[start:end]
+        ab = rows[:, :2].T
+        # mode="clip" writes straight into out; every row is in range
+        ends = self.params.take(ab, axis=0, out=self.ends[: 2 * n * dim].reshape(2, n, dim), mode="clip")
+        diff = np.subtract(ends[0], ends[1], out=ends[0])
+        shift = self.params.take(rows[q:, 2], axis=0, out=ends[1, q:], mode="clip")
+        diff[q:] += shift
+        # vecdot rounds like np.linalg.norm on one vector, keeping exact zeros exact
+        dist = np.sqrt(np.vecdot(diff, diff))
+        radius = self.radii[ab] * coef[:, 2:4].T
+        raw = coef[:, 1] * dist
+        raw += radius[0] + radius[1]
+        raw += coef[:, 4]
+        pen = self.params.take(b.pen_rows[first:last], axis=0, out=self.pen[: last - first], mode="clip")
+        norms = np.sqrt(np.vecdot(pen, pen))
+        off = norms - 1.0
+        counts = b.pen_counts[first:last]
+        loss = float(np.maximum(raw, 0.0).sum() + (counts * np.abs(off)).sum())
+        if not grad:
+            return loss, None
+        active = raw > 0.0
+        scale = np.divide(coef[:, 1], dist, out=np.zeros(n), where=active & (dist > 0.0))
+        pull = np.divide(counts * np.sign(off), norms, out=np.zeros(norms.size), where=norms > 0.0)
+        # one scatter: step on rows a and t, -step on rows b,
+        # the penalty pulls on their rows, then the radius signs
+        weights, index = self.weights, self.index
+        at_t = ends.size
+        at_pen = at_t + shift.size
+        at_radii = at_pen + pen.size
+        size = at_radii + 2 * n
+        step = weights[:at_t].reshape(ends.shape)
+        np.multiply(diff, scale[:, None], out=step[0])
+        np.negative(step[0], out=step[1])
+        np.copyto(weights[at_t:at_pen].reshape(shift.shape), step[0, q:])
+        np.multiply(pen, pull[:, None], out=weights[at_pen:at_radii].reshape(pen.shape))
+        np.multiply(coef[:, 2:4].T, active, out=weights[at_radii:size].reshape(ab.shape))
+        self.slots.take(ab, axis=0, out=index[:at_t].reshape(ends.shape), mode="clip")
+        self.slots.take(rows[q:, 2], axis=0, out=index[at_t:at_pen].reshape(shift.shape), mode="clip")
+        self.slots.take(b.pen_rows[first:last], axis=0, out=index[at_pen:at_radii].reshape(pen.shape), mode="clip")
+        np.add(ab, self.params.size, out=index[at_radii:size].reshape(ab.shape))
+        return loss, np.bincount(index[:size], weights[:size], minlength=self.params.size + self.radii.size)
+
+
+def _loss(theta: np.ndarray, dim: int, terms: _Terms, grad: bool) -> tuple[float, np.ndarray | None]:
+    """Loss of ``terms`` as one batch and, with ``grad``, its gradient in ``theta``'s layout."""
+    b = _batches(terms, np.zeros(len(terms.rows), dtype=np.intp), 1, theta.size // (dim + 1))
+    return _Kernel(theta, dim, b.bounds[2], b.bounds[2] - b.bounds[1], len(b.pen_rows), grad)(b, 0, grad)
+
+
+def _pack(space: EmbeddingSpace) -> tuple[list[Key], np.ndarray]:
+    """Row keys and parameter vector of a space, laid out as :class:`_Kernel` reads it.
+
+    Relation rows carry a radius of 0.
+    """
     concepts, relations = sorted(space.concepts), sorted(space.relations)
     vectors = [space.concepts[c].center for c in concepts] + [space.relations[r] for r in relations]
     radii = [space.concepts[c].radius for c in concepts] + [0.0] * len(relations)
     keys = [("c", c) for c in concepts] + [("v", r) for r in relations]
-    return keys, np.array(vectors, dtype=float).reshape(len(keys), space.dim), np.array(radii)
+    params = np.array(vectors, dtype=float).reshape(len(keys), space.dim)
+    return keys, np.concatenate((params.ravel(), np.array(radii, dtype=float)))
 
 
 def axiom_loss(
@@ -243,13 +345,14 @@ def axiom_loss(
     """
     if negative and not isinstance(axiom, NF2):
         raise DataError(f"only NF2 axioms have negative terms, not {axiom!r}")
-    keys, params, radii = _pack(space)
+    keys, theta = _pack(space)
     terms, nf2 = _compile([axiom], keys, margin)
     if negative:
         terms = _corrupt(terms, nf2, terms.rows[nf2, 1], margin)
-    loss, g_params, g_radii = _loss_grad(params, radii, terms, grad)
+    loss, g = _loss(theta, space.dim, terms, grad)
     if not grad:
         return loss
+    g_params, g_radii = g[: len(keys) * space.dim].reshape(len(keys), space.dim), g[len(keys) * space.dim :]
     grads: dict[Key, np.ndarray | float] = {}
     for i in np.unique(terms.rows[:, :3]):
         kind, name = keys[i]
@@ -275,10 +378,13 @@ def total_loss(space: EmbeddingSpace, n: NormalizedOntology, cfg: ElTrainConfig)
     ``cfg.seed`` on every call, in axiom order.  A loss that is not finite is
     a :class:`NumericalError`.
     """
-    keys, params, radii = _pack(space)
+    keys, theta = _pack(space)
     terms, nf2 = _compile(n.axioms, keys, cfg.margin)
-    terms = _with_negatives(terms, nf2, cfg, len(space.concepts), np.random.default_rng(cfg.seed))
-    loss = _loss_grad(params, radii, terms, grad=False)[0]
+    if cfg.negatives and len(space.concepts) >= 2 and nf2.size:
+        terms = _with_negatives(terms, nf2, cfg.negatives, cfg.margin)
+        rng = np.random.default_rng(cfg.seed)
+        _draw_fillers(terms, nf2, np.arange(nf2.size), cfg.negatives, len(space.concepts), rng)
+    loss = _loss(theta, space.dim, terms, grad=False)[0]
     if not math.isfinite(loss):
         raise NumericalError(f"embedding loss is not finite: {loss}")
     return loss
@@ -305,7 +411,10 @@ def train_el(n: NormalizedOntology, cfg: ElTrainConfig) -> EmbeddingSpace:
     """Minibatch Adam over the axiom losses, one kernel call per minibatch.
 
     Axioms are reshuffled every epoch; each NF2 axiom in a batch contributes
-    ``cfg.negatives`` corruption terms.  A step feeds the mean batch gradient
+    ``cfg.negatives`` corruption terms.  The terms, corrupted copies included,
+    compile once per call, and so do the kernel's buffers, sized for the
+    largest batch; an epoch only draws the permutation and the fakes, then
+    groups the terms by batch.  A step feeds the mean batch gradient
     to Adam (Kingma & Ba, 2015) with step size ``learning_rate``, moving every
     parameter at once; the moment estimates start at zero for each call.
     Training starts from unit-sphere centers, relation vectors within 0.1 of
@@ -314,49 +423,47 @@ def train_el(n: NormalizedOntology, cfg: ElTrainConfig) -> EmbeddingSpace:
     concepts keep exactly ``min_radius``.  A non-finite batch loss, or a
     non-finite parameter (which is named), aborts with a NumericalError
     naming the step; numpy's overflow warnings are silenced, since that error
-    reports them.  A parameter table over ``errors.MAX_TABLE_BYTES`` is a
-    DataError naming ``el_dim``, raised before anything is allocated.  The
-    returned space carries the summed batch loss of each epoch.
+    reports them.  A parameter table or step buffer over
+    ``errors.MAX_TABLE_BYTES`` is a DataError naming ``el_dim``, raised
+    before it is allocated.  The returned space carries the summed batch
+    loss of each epoch.
     """
     rng = np.random.default_rng(cfg.seed)
     space = _initialize(n, cfg, rng)
     if not n.axioms or cfg.epochs == 0:
         return space
-    keys, params, radii = _pack(space)
-    # one flat vector holds every parameter, so one update moves them all
-    theta = np.concatenate((params.ravel(), radii))
-    params, radii = theta[: params.size].reshape(params.shape), theta[params.size :]
-    moment, square = np.zeros_like(theta), np.zeros_like(theta)
-    grad, work = np.empty_like(theta), np.empty_like(theta)
-    base, nf2 = _compile(n.axioms, keys, cfg.margin)
-    n_concepts = len(space.concepts)
+    keys, theta = _pack(space)
+    terms, nf2 = _compile(n.axioms, keys, cfg.margin)
+    copies = cfg.negatives if nf2.size else 0
+    terms = _with_negatives(terms, nf2, copies, cfg.margin)
+    n_concepts, n_axioms = len(space.concepts), len(n.axioms)
+    axiom = terms.rows[:, 3].copy()
+    kernel = _Kernel(theta, cfg.dim, *_largest_batch(terms, n_axioms, cfg.batch_size))
+    params, radii = kernel.params, kernel.radii
+    moment, square, work = np.zeros_like(theta), np.zeros_like(theta), np.empty_like(theta)
     nominal = set(n.nominal_map.values())
     pinned = np.array([name in nominal for _, name in keys[:n_concepts]])
     concept_radii = radii[:n_concepts]
-    n_axioms = len(n.axioms)
-    bounds = np.append(np.arange(0, n_axioms, cfg.batch_size), n_axioms)
+    n_batches = -(-n_axioms // cfg.batch_size)
     position = np.empty(n_axioms, dtype=np.intp)
     losses = []
     step = 0
     for _epoch in range(cfg.epochs):
         order = rng.permutation(n_axioms)
         position[order] = np.arange(n_axioms)
-        # negatives are drawn in batch order, like one draw per NF2 axiom visited
-        nf2_order = nf2[np.argsort(position[base.rows[nf2, 3]])]
-        terms = _with_negatives(base, nf2_order, cfg, n_concepts, rng)
-        by_position = np.argsort(position[terms.rows[:, 3]], kind="stable")
-        rows, coef = terms.rows[by_position], terms.coef[by_position]
-        starts = np.searchsorted(position[rows[:, 3]], bounds)
+        if copies:
+            # negatives are drawn in batch order, like one draw per NF2 axiom visited
+            visits = np.argsort(position.take(axiom.take(nf2)))
+            _draw_fillers(terms, nf2, visits, copies, n_concepts, rng)
+        batches = _batches(terms, position.take(axiom) // cfg.batch_size, n_batches, len(keys))
         epoch_loss = 0.0
-        for k in range(len(bounds) - 1):
-            batch = slice(starts[k], starts[k + 1])
-            loss, g_params, g_radii = _loss_grad(params, radii, _Terms(rows[batch], coef[batch]))
+        for k in range(n_batches):
+            loss, grad = kernel(batches, k)
             epoch_loss += loss
             step += 1
             # Adam on the mean batch gradient, in place: the batch length and
             # both bias corrections fold into scalar factors
-            size = bounds[k + 1] - bounds[k]
-            np.concatenate((g_params.ravel(), g_radii), out=grad)
+            size = min(cfg.batch_size, n_axioms - k * cfg.batch_size)
             moment *= _BETA1
             moment += np.multiply(grad, (1.0 - _BETA1) / size, out=work)
             square *= _BETA2
@@ -378,6 +485,16 @@ def train_el(n: NormalizedOntology, cfg: ElTrainConfig) -> EmbeddingSpace:
     balls = [Ball(params[i].copy(), float(radii[i])) for i in range(n_concepts)]
     relations = {name: params[i].copy() for i, name in enumerate(names) if i >= n_concepts}
     return EmbeddingSpace(cfg.dim, dict(zip(names[:n_concepts], balls)), relations, tuple(losses))
+
+
+def _largest_batch(terms: _Terms, n_axioms: int, batch_size: int) -> tuple[int, int, int]:
+    """The most hinges, hinges with a relation and penalised slots ``batch_size`` axioms can hold."""
+
+    def largest(weights: np.ndarray | None = None) -> int:
+        per_axiom = np.bincount(terms.rows[:, 3], weights, minlength=n_axioms)
+        return int(np.sort(per_axiom)[-batch_size:].sum())
+
+    return largest(), largest(terms.coef[:, 0] != 0), largest(np.count_nonzero(terms.coef[:, 5:], axis=1))
 
 
 class Faithfulness(NamedTuple):

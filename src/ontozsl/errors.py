@@ -56,20 +56,24 @@ class RangeError(DataError):
         return RangeError(self.what, [spelling.get(name, name) for name in self.names])
 
 
-# The largest parameter table a trainer allocates; training itself needs a few
-# times this much, so a larger table is refused before it exhausts memory.
+# The largest parameter table or step buffer a trainer allocates; training
+# itself needs a few times this much, so a larger one is refused before it
+# exhausts memory.
 MAX_TABLE_BYTES = 1 << 30
 
 
-def check_table_size(key: str, rows: int, dim: int, value: int | None = None) -> None:
+def check_table_size(
+    key: str, rows: int, dim: int, value: int | None = None, what: str = "parameter table"
+) -> None:
     """A DataError naming ``key`` when a ``rows`` x ``dim`` float64 table would pass MAX_TABLE_BYTES.
 
-    ``value`` is the setting's value, when the table is not ``key`` wide.
+    ``value`` is the setting's value, when the table is not ``key`` wide;
+    ``what`` names the table.
     """
     size = rows * dim * 8
     if size > MAX_TABLE_BYTES:
         raise DataError(
-            f"{key} = {dim if value is None else value} needs a {rows} x {dim} parameter table of {size} bytes, "
+            f"{key} = {dim if value is None else value} needs a {rows} x {dim} {what} of {size} bytes, "
             f"over the limit of {MAX_TABLE_BYTES}"
         )
 

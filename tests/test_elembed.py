@@ -1,7 +1,11 @@
 """Ball-embedding losses, analytic gradients, Adam training and faithfulness."""
 
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -336,6 +340,11 @@ def random_batch(rng):
     return axioms, negatives
 
 
+def split(theta, rows):
+    """The parameter rows and radii of a parameter vector over ``rows`` rows."""
+    return theta[: rows * DIM].reshape(rows, DIM), theta[rows * DIM :]
+
+
 def test_batch_kernel_matches_finite_differences_and_single_axiom_sum():
     rng = np.random.default_rng(11)
     checked = 0
@@ -350,7 +359,8 @@ def test_batch_kernel_matches_finite_differences_and_single_axiom_sum():
         )
         margin = float(rng.uniform(0.0, 0.3))
         axioms, negatives = random_batch(rng)
-        keys, params, radii = elembed._pack(space)
+        keys, theta = elembed._pack(space)
+        params, radii = split(theta, len(keys))
         terms, nf2 = elembed._compile(axioms, keys, margin)
         fakes = np.array([keys.index(("c", neg.filler)) for neg in negatives])
         j = nf2[: len(negatives)]
@@ -367,21 +377,18 @@ def test_batch_kernel_matches_finite_differences_and_single_axiom_sum():
         if gaps.min() <= 1e-3:
             continue
 
-        loss, g_params, g_radii = elembed._loss_grad(params, radii, terms)
+        loss, grad = elembed._loss(theta, DIM, terms, grad=True)
         step = 1e-5
-        for values, grad in ((params, g_params), (radii, g_radii)):
-            fd = np.zeros_like(values)
-            for i in np.ndindex(values.shape):
-                keep = values[i]
-                values[i] = keep + step
-                hi = elembed._loss_grad(params, radii, terms, grad=False)[0]
-                values[i] = keep - step
-                lo = elembed._loss_grad(params, radii, terms, grad=False)[0]
-                values[i] = keep
-                fd[i] = (hi - lo) / (2 * step)
-            if values is radii:  # relation rows carry no radius
-                fd[len(BATCH_CONCEPTS) :] = 0.0
-            assert np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-12) < 1e-4
+        fd = np.zeros_like(theta)
+        for i in range(theta.size):
+            keep = theta[i]
+            theta[i] = keep + step
+            hi = elembed._loss(theta, DIM, terms, grad=False)[0]
+            theta[i] = keep - step
+            lo = elembed._loss(theta, DIM, terms, grad=False)[0]
+            theta[i] = keep
+            fd[i] = (hi - lo) / (2 * step)
+        assert np.linalg.norm(grad - fd) / max(np.linalg.norm(fd), 1e-12) < 1e-4
 
         summed_params, summed_radii, summed_loss = np.zeros_like(params), np.zeros_like(radii), 0.0
         for term, negative in [(ax, False) for ax in axioms] + [(ax, True) for ax in negatives]:
@@ -393,10 +400,104 @@ def test_batch_kernel_matches_finite_differences_and_single_axiom_sum():
                     summed_radii[row] += g
                 else:
                     summed_params[row] += g
+        g_params, g_radii = split(grad, len(keys))
         assert_allclose(g_params, summed_params, rtol=0, atol=1e-12)
         assert_allclose(g_radii, summed_radii, rtol=0, atol=1e-12)
         assert_allclose(loss, summed_loss, rtol=1e-12)
         checked += 1
+
+
+def reference_loss_grad(params, radii, terms, grad=True):
+    """The per-term kernel the batched one replaced, kept as its oracle.
+
+    One operand slot at a time: each hinge gathers rows a, b and t, and each
+    slot pays its own norm penalty.  Gradients of repeated rows accumulate.
+    Subgradients at kinks: a zero distance gives a zero direction, a zero
+    center no penalty gradient.
+    """
+    a, b, rel, _ = terms.rows.T
+    sv, sd, sa, sb, bias = terms.coef[:, :5].T
+    ends = params[terms.rows[:, :2]]
+    diff = ends[:, 0] + sv[:, None] * params[rel] - ends[:, 1]
+    dist = np.sqrt(np.vecdot(diff, diff))
+    raw = sd * dist + (sa * radii[a] + sb * radii[b]) + bias
+    norms = np.sqrt(np.vecdot(ends, ends))
+    penalty = terms.coef[:, 5:]
+    loss = float(np.maximum(raw, 0.0).sum() + (penalty * np.abs(norms - 1.0)).sum())
+    if not grad:
+        return loss, None, None
+    active = raw > 0.0
+    step = diff * np.divide(sd, dist, out=np.zeros_like(dist), where=active & (dist > 0.0))[:, None]
+    pull = penalty * np.sign(norms - 1.0)
+    pull = np.divide(pull, norms, out=np.zeros_like(norms), where=norms > 0.0)
+    ends *= pull[:, :, None]
+    weights = np.stack([ends[:, 0] + step, ends[:, 1] - step, sv[:, None] * step], axis=1)
+    dim = params.shape[1]
+    flat = terms.rows[:, :3, None] * dim + np.arange(dim)
+    g_params = np.bincount(flat.ravel(), weights.ravel(), minlength=params.size)
+    radius_signs = terms.coef[:, 2:4] * active[:, None]
+    g_radii = np.bincount(terms.rows[:, :2].ravel(), radius_signs.ravel(), minlength=radii.size)
+    return loss, g_params.reshape(params.shape), g_radii
+
+
+# C and D share a center, Z sits at the origin and relation z is zero, so exact
+# zero distances and zero centers come up; the test counts them.  Five names
+# and two relations for up to eleven axioms repeat rows within a batch.
+ORACLE_CONCEPTS = ("A", "B", "C", "D", "Z")
+ORACLE_KINDS = {
+    "relation-free": ("nf1", "nf4", "nf4-bottom", "disjoint", "role"),
+    "relation": ("nf2", "nf3"),
+    "mixed": ("nf1", "nf2", "nf3", "nf4", "nf4-bottom", "disjoint", "role"),
+}
+
+
+def oracle_space(rng):
+    centers = {n: rng.normal(size=DIM) * rng.uniform(0.4, 1.8) for n in "ABC"}
+    centers |= {"D": centers["C"].copy(), "Z": np.zeros(DIM)}
+    concepts = {n: Ball(c, float(rng.uniform(0.05, 0.6))) for n, c in centers.items()}
+    return EmbeddingSpace(DIM, concepts, {"r": rng.normal(size=DIM) * 0.5, "z": np.zeros(DIM)})
+
+
+def oracle_axiom(kind, rng):
+    a, b, c = (str(name) for name in rng.choice(ORACLE_CONCEPTS, size=3))
+    r, t = (str(name) for name in rng.choice(("r", "z"), size=2))
+    return {
+        "nf1": NF1(a, b), "nf2": NF2(a, r, b), "nf3": NF3(r, a, b), "nf4": NF4(a, b, c),
+        "nf4-bottom": NF4(a, b, BOTTOM), "disjoint": Disjointness(a, b), "role": RSub(r, t),
+    }[kind]
+
+
+@pytest.mark.parametrize("kinds", sorted(ORACLE_KINDS))
+def test_kernel_matches_the_per_term_oracle_batch_by_batch(kinds):
+    rng = np.random.default_rng(900 + sorted(ORACLE_KINDS).index(kinds))
+    zero_distances = zero_centers = 0
+    for _ in range(40):
+        space = oracle_space(rng)
+        margin = float(rng.uniform(0.0, 0.3))
+        axioms = [oracle_axiom(str(rng.choice(ORACLE_KINDS[kinds])), rng) for _ in range(rng.integers(1, 12))]
+        keys, theta = elembed._pack(space)
+        params, radii = split(theta, len(keys))
+        terms, nf2 = elembed._compile(axioms, keys, margin)
+        copies = int(rng.integers(3))
+        terms = elembed._with_negatives(terms, nf2, copies, margin)
+        if copies and nf2.size:
+            elembed._draw_fillers(terms, nf2, rng.permutation(nf2.size), copies, len(space.concepts), rng)
+        n_batches = 3
+        batch = rng.integers(n_batches, size=len(axioms))[terms.rows[:, 3]]
+        batches = elembed._batches(terms, batch, n_batches, len(keys))
+        kernel = elembed._Kernel(theta, DIM, len(batch), len(batch), 2 * len(batch))
+        for k in range(n_batches):
+            part = elembed._Terms(terms.rows[batch == k], terms.coef[batch == k])
+            want, want_params, want_radii = reference_loss_grad(params, radii, part)
+            loss, grad = kernel(batches, k)
+            assert_allclose(loss, want, rtol=1e-12, atol=0)
+            assert kernel(batches, k, grad=False) == (loss, None)
+            assert_allclose(grad, np.concatenate((want_params.ravel(), want_radii)), rtol=0, atol=1e-12)
+            a, b, rel, _ = part.rows.T
+            diff = params[a] + part.coef[:, :1] * params[rel] - params[b]
+            zero_distances += int((~diff.any(axis=1)).sum())
+            zero_centers += int(np.isin(part.rows[:, :2], keys.index(("c", "Z"))).sum())
+    assert zero_distances > 0 and zero_centers > 0
 
 
 # ---------------------------------------------------------------------------
@@ -570,11 +671,41 @@ def test_train_refuses_a_table_over_the_size_limit_before_allocating_it(monkeypa
     with pytest.raises(DataError, match="^el_dim = 100000000 needs a 36 x 100000000 parameter table of "
                        "28800000000 bytes, over the limit of 1073741824$"):
         errors.check_table_size("el_dim", 36, 100_000_000)
-    # CHAIN embeds A, B, C, Top and Bottom: 5 rows
+    # CHAIN embeds A, B, C, Top and Bottom: 5 rows; the step buffers come after
     monkeypatch.setattr(errors, "MAX_TABLE_BYTES", 5 * 4 * 8)
-    train_el(CHAIN, ElTrainConfig(dim=4, epochs=1))
+    train_el(CHAIN, ElTrainConfig(dim=4, epochs=0))
     with pytest.raises(DataError, match="^el_dim = 5 needs a 5 x 5 parameter table of 200 bytes"):
         train_el(CHAIN, ElTrainConfig(dim=5, epochs=0))
+
+
+def test_train_refuses_a_step_buffer_over_the_size_limit_before_allocating_it(monkeypatch):
+    # one batch of CHAIN's two NF1 hinges scatters rows a and b (4), their 4
+    # penalised slots and one row of 4 radius slots: 9 rows of el_dim slots
+    monkeypatch.setattr(errors, "MAX_TABLE_BYTES", 9 * 4 * 8)
+    train_el(CHAIN, ElTrainConfig(dim=4, epochs=1))
+    monkeypatch.setattr(errors, "MAX_TABLE_BYTES", 9 * 4 * 8 - 1)
+    with pytest.raises(DataError, match="^el_dim = 4 needs a 9 x 4 step buffer of 288 bytes"):
+        train_el(CHAIN, ElTrainConfig(dim=4, epochs=1))
+    # the buffers fit the largest batch, not the epoch: batches of one axiom fit under this limit
+    train_el(CHAIN, ElTrainConfig(dim=4, epochs=1, batch_size=1))
+
+
+def test_a_repeated_training_run_reuses_its_memory():
+    """Every per-step array lives in a run-long buffer, so a second run faults in few new pages."""
+    code = (
+        "import resource\n"
+        "from ontozsl.elembed import ElTrainConfig, train_el\n"
+        "from ontozsl.harness import gen_synthetic\n"
+        "from ontozsl.normalform import normalize\n"
+        "n = normalize(gen_synthetic(24, 6, 20, seed=0).ontology)\n"
+        "train_el(n, ElTrainConfig())\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "train_el(n, ElTrainConfig())\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(elembed.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert int(done.stdout) < 4000
 
 
 def test_train_keeps_radii_clamped():
@@ -658,8 +789,11 @@ def adam_reference(n, cfg):
     return values, losses, clamped
 
 
-def test_train_matches_a_plain_adam_reference():
-    cfg = ElTrainConfig(dim=3, learning_rate=0.05, epochs=4, batch_size=3, min_radius=0.08, seed=5)
+ADAM_CONFIG = ElTrainConfig(dim=3, learning_rate=0.05, epochs=4, batch_size=3, min_radius=0.08, seed=5)
+
+
+def check_adam_reference(cfg):
+    """``train_el`` against :func:`adam_reference`; returns how often the clamp raised a radius."""
     s = train_el(ADAM_ONTOLOGY, cfg)
     values, losses, clamped = adam_reference(ADAM_ONTOLOGY, cfg)
     for name, ball in s.concepts.items():
@@ -668,9 +802,20 @@ def test_train_matches_a_plain_adam_reference():
     for name, vector in s.relations.items():
         assert_allclose(vector, values["v", name], rtol=0, atol=1e-12)
     assert_allclose(s.train_losses, losses, rtol=1e-12)
-    # the run exercises the clamp and the pin
-    assert clamped > 0
     assert s.concepts["IND_a"].radius == cfg.min_radius
+    return clamped
+
+
+def test_train_matches_a_plain_adam_reference():
+    # the run exercises the clamp and the pin
+    assert check_adam_reference(ADAM_CONFIG) > 0
+
+
+# a batch of one axiom holds hinges without a relation or only hinges with one
+@pytest.mark.parametrize("changes", [{"negatives": 0}, {"negatives": 2}, {"batch_size": 1}],
+                         ids=["no-negatives", "two-negatives", "batch-of-one"])
+def test_train_matches_a_plain_adam_reference_on_other_settings(changes):
+    check_adam_reference(replace(ADAM_CONFIG, **changes))
 
 
 def test_faithfulness_counts_nested_and_separated_pairs():

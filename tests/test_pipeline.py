@@ -1,10 +1,13 @@
 """Config handling and the end-to-end run orchestration."""
 
+import importlib.util
 import json
 import math
 import multiprocessing
 import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -267,6 +270,45 @@ def test_run_pipeline_is_deterministic(tmp_path):
     run_pipeline(cfg)
     second = {p.name: p.read_bytes() for p in (tmp_path / "run").iterdir()}
     assert first == second
+
+
+# Runs each benchmark workload's inputs, named on the command line, into out_dir
+# run-<OPENBLAS_NUM_THREADS> beside them.
+RUN_WORKLOADS = """
+import json, os, sys
+from ontozsl.pipeline import RunConfig, run_pipeline
+for inputs in sys.argv[1:]:
+    config = json.load(open(os.path.join(inputs, "settings.json")))["config"]
+    config["out_dir"] = os.path.join(inputs, "run-" + os.environ["OPENBLAS_NUM_THREADS"])
+    run_pipeline(RunConfig(**config))
+"""
+
+
+def test_every_output_but_the_reports_is_the_same_bytes_under_one_and_two_blas_threads(tmp_path, monkeypatch):
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", perfbench / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    inputs = [tmp_path / name for name in workloads.WORKLOADS]
+    for path in inputs:
+        workloads.write_inputs(workloads.WORKLOADS[path.name], 0, path)
+    runs = [
+        subprocess.Popen(
+            [sys.executable, "-c", RUN_WORKLOADS, *map(str, inputs)],
+            env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": str(Path(elembed.__file__).parents[1])},
+        )
+        for threads in ("1", "2")
+    ]
+    assert [run.wait() for run in runs] == [0, 0]
+    for path in inputs:
+        one, two = (
+            {f.name: f.read_bytes() for f in (path / f"run-{threads}").iterdir()
+             if not f.name.startswith("report.") and f.name != "manifest.txt"}
+            for threads in ("1", "2")
+        )
+        assert "predictions.tsv" in one and "el_space.tsv" in one
+        assert one == two, path.name
 
 
 def test_encoding_dims_add_up_across_components(tmp_path):
