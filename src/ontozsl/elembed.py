@@ -20,11 +20,11 @@ relation vectors), with ``sv`` 1 on a hinge with a relation and 0 on one
 without.  Axioms compile once into index and coefficient tables.  One array
 kernel gives the loss and analytic gradient of a batch of table rows, for
 training, :func:`total_loss` and the one-axiom :func:`axiom_loss` alike: it
-adds ``x(t)`` only to the hinges with a relation, sums the norm penalties per
-penalised row (its count of penalised operand slots times the row's penalty)
-and writes the whole gradient through one ``np.bincount``.  Every array of
-``el_dim`` columns it needs lives in a buffer allocated once per call of
-:func:`train_el`.  Training runs Adam on minibatch gradients, the optimizer
+adds ``x(t)`` only to the hinges with a relation, takes the norm penalties of
+each hinge's operand slots a and b from the rows it gathers for ``x(a) -
+x(b)``, and writes the whole gradient through one ``np.bincount``.  Every
+array of ``el_dim`` columns it needs lives in a buffer allocated once per call
+of :func:`train_el`.  Training runs Adam on minibatch gradients, the optimizer
 EL Embeddings (Kulmanov et al., 2019) uses for these losses.
 """
 
@@ -212,24 +212,15 @@ class _Batches(NamedTuple):
     rows: np.ndarray  # (n, 4) rows a, b, t and axiom number, in batch order
     coef: np.ndarray  # (n, 7) their coefficients
     bounds: list[int]  # batch k is hinges bounds[2k]:bounds[2k+2], with a relation from bounds[2k+1]
-    pen_rows: np.ndarray  # each batch's penalised rows, once each, batch after batch
-    pen_counts: np.ndarray  # how many operand slots of the batch penalise each
-    pen_bounds: list[int]  # batch k's are pen_bounds[k]:pen_bounds[k+1]
 
 
-def _batches(terms: _Terms, batch: np.ndarray, n_batches: int, n_rows: int) -> _Batches:
-    """``terms`` grouped by their batch numbers ``batch``, with each batch's penalised rows."""
+def _batches(terms: _Terms, batch: np.ndarray, n_batches: int) -> _Batches:
+    """``terms`` grouped by their batch numbers ``batch``."""
     key = 2 * batch + (terms.coef[:, 0] != 0)
     order = np.argsort(key, kind="stable")
-    # every penalised operand slot, numbered by its batch, then its row
-    slots = (batch * n_rows)[:, None] + terms.rows[:, :2]
-    counts = np.bincount(slots[terms.coef[:, 5:] != 0], minlength=n_batches * n_rows)
-    penalised = np.flatnonzero(counts)
     return _Batches(
         terms.rows.take(order, axis=0), terms.coef.take(order, axis=0),
         np.searchsorted(key.take(order), np.arange(2 * n_batches + 1)).tolist(),
-        penalised % max(n_rows, 1), counts.take(penalised).astype(float),
-        np.searchsorted(penalised, np.arange(n_batches + 1) * n_rows).tolist(),
     )
 
 
@@ -240,21 +231,22 @@ class _Kernel:
     vectors) one after another, then one radius per row, and gradients come
     back in the same layout.  Each array of ``el_dim`` columns that a step
     needs lives in a buffer allocated here, once, for batches of at most
-    ``hinges`` hinges, ``shifts`` of them with a relation, and ``penalised``
-    penalised rows.  Without ``grad`` the scatter buffers are left out.
+    ``hinges`` hinges, ``shifts`` of them with a relation.  The norm
+    penalties of a hinge's operand slots a and b read the rows gathered for
+    its distance, and their pulls share those rows' scatter weights.
+    Without ``grad`` the scatter buffers are left out.
     """
 
-    def __init__(self, theta: np.ndarray, dim: int, hinges: int, shifts: int, penalised: int, grad: bool = True):
+    def __init__(self, theta: np.ndarray, dim: int, hinges: int, shifts: int, grad: bool = True):
         n_rows = theta.size // (dim + 1)
         self.params = theta[: n_rows * dim].reshape(n_rows, dim)
         self.radii = theta[n_rows * dim :]
         # the scatter takes rows a, then rows b, of every hinge, row t of each
-        # shift, each penalised row, then the radii of rows a and b
-        scatter_rows = 2 * hinges + shifts + penalised + -(-2 * hinges // dim)
+        # shift, then the radii of rows a and b
+        scatter_rows = 2 * hinges + shifts + -(-2 * hinges // dim)
         # the largest buffer bounds the others
         check_table_size("el_dim", scatter_rows if grad else 2 * hinges, dim, what="step buffer")
         self.ends = np.empty(2 * hinges * dim)
-        self.pen = np.empty((penalised, dim))
         if grad:
             self.weights = np.empty(scatter_rows * dim)
             self.index = np.empty(scatter_rows * dim, dtype=np.intp)
@@ -268,55 +260,53 @@ class _Kernel:
         distance gives a zero direction, a zero center no penalty gradient.
         """
         start, shifted, end = b.bounds[2 * k : 2 * k + 3]
-        first, last = b.pen_bounds[k : k + 2]
         n, q, dim = end - start, shifted - start, self.params.shape[1]
         rows, coef = b.rows[start:end], b.coef[start:end]
         ab = rows[:, :2].T
         # mode="clip" writes straight into out; every row is in range
         ends = self.params.take(ab, axis=0, out=self.ends[: 2 * n * dim].reshape(2, n, dim), mode="clip")
+        # vecdot rounds like np.linalg.norm on one vector, keeping exact zeros exact
+        norms = np.sqrt(np.vecdot(ends, ends))
+        off = norms - 1.0
+        penalty = coef[:, 5:7].T
+        if grad:
+            # the scatter weights of rows a and b start as their penalty pulls,
+            # taken before c(a) - c(b) overwrites the rows of a
+            pull = np.divide(penalty * np.sign(off), norms, out=np.zeros(norms.shape), where=norms > 0.0)
+            pulls = np.multiply(ends, pull[:, :, None], out=self.weights[: ends.size].reshape(ends.shape))
         diff = np.subtract(ends[0], ends[1], out=ends[0])
         shift = self.params.take(rows[q:, 2], axis=0, out=ends[1, q:], mode="clip")
         diff[q:] += shift
-        # vecdot rounds like np.linalg.norm on one vector, keeping exact zeros exact
         dist = np.sqrt(np.vecdot(diff, diff))
         radius = self.radii[ab] * coef[:, 2:4].T
         raw = coef[:, 1] * dist
         raw += radius[0] + radius[1]
         raw += coef[:, 4]
-        pen = self.params.take(b.pen_rows[first:last], axis=0, out=self.pen[: last - first], mode="clip")
-        norms = np.sqrt(np.vecdot(pen, pen))
-        off = norms - 1.0
-        counts = b.pen_counts[first:last]
-        loss = float(np.maximum(raw, 0.0).sum() + (counts * np.abs(off)).sum())
+        loss = float(np.maximum(raw, 0.0).sum() + (penalty * np.abs(off)).sum())
         if not grad:
             return loss, None
         active = raw > 0.0
         scale = np.divide(coef[:, 1], dist, out=np.zeros(n), where=active & (dist > 0.0))
-        pull = np.divide(counts * np.sign(off), norms, out=np.zeros(norms.size), where=norms > 0.0)
-        # one scatter: step on rows a and t, -step on rows b,
-        # the penalty pulls on their rows, then the radius signs
+        # one scatter: step on rows a and t, -step on rows b, then the radius signs
         weights, index = self.weights, self.index
         at_t = ends.size
-        at_pen = at_t + shift.size
-        at_radii = at_pen + pen.size
+        at_radii = at_t + shift.size
         size = at_radii + 2 * n
-        step = weights[:at_t].reshape(ends.shape)
-        np.multiply(diff, scale[:, None], out=step[0])
-        np.negative(step[0], out=step[1])
-        np.copyto(weights[at_t:at_pen].reshape(shift.shape), step[0, q:])
-        np.multiply(pen, pull[:, None], out=weights[at_pen:at_radii].reshape(pen.shape))
+        step = np.multiply(diff, scale[:, None], out=diff)
+        pulls[0] += step
+        pulls[1] -= step
+        np.copyto(weights[at_t:at_radii].reshape(shift.shape), step[q:])
         np.multiply(coef[:, 2:4].T, active, out=weights[at_radii:size].reshape(ab.shape))
         self.slots.take(ab, axis=0, out=index[:at_t].reshape(ends.shape), mode="clip")
-        self.slots.take(rows[q:, 2], axis=0, out=index[at_t:at_pen].reshape(shift.shape), mode="clip")
-        self.slots.take(b.pen_rows[first:last], axis=0, out=index[at_pen:at_radii].reshape(pen.shape), mode="clip")
+        self.slots.take(rows[q:, 2], axis=0, out=index[at_t:at_radii].reshape(shift.shape), mode="clip")
         np.add(ab, self.params.size, out=index[at_radii:size].reshape(ab.shape))
         return loss, np.bincount(index[:size], weights[:size], minlength=self.params.size + self.radii.size)
 
 
 def _loss(theta: np.ndarray, dim: int, terms: _Terms, grad: bool) -> tuple[float, np.ndarray | None]:
     """Loss of ``terms`` as one batch and, with ``grad``, its gradient in ``theta``'s layout."""
-    b = _batches(terms, np.zeros(len(terms.rows), dtype=np.intp), 1, theta.size // (dim + 1))
-    return _Kernel(theta, dim, b.bounds[2], b.bounds[2] - b.bounds[1], len(b.pen_rows), grad)(b, 0, grad)
+    b = _batches(terms, np.zeros(len(terms.rows), dtype=np.intp), 1)
+    return _Kernel(theta, dim, b.bounds[2], b.bounds[2] - b.bounds[1], grad)(b, 0, grad)
 
 
 def _pack(space: EmbeddingSpace) -> tuple[list[Key], np.ndarray]:
@@ -455,7 +445,7 @@ def train_el(n: NormalizedOntology, cfg: ElTrainConfig) -> EmbeddingSpace:
             # negatives are drawn in batch order, like one draw per NF2 axiom visited
             visits = np.argsort(position.take(axiom.take(nf2)))
             _draw_fillers(terms, nf2, visits, copies, n_concepts, rng)
-        batches = _batches(terms, position.take(axiom) // cfg.batch_size, n_batches, len(keys))
+        batches = _batches(terms, position.take(axiom) // cfg.batch_size, n_batches)
         epoch_loss = 0.0
         for k in range(n_batches):
             loss, grad = kernel(batches, k)
@@ -487,14 +477,14 @@ def train_el(n: NormalizedOntology, cfg: ElTrainConfig) -> EmbeddingSpace:
     return EmbeddingSpace(cfg.dim, dict(zip(names[:n_concepts], balls)), relations, tuple(losses))
 
 
-def _largest_batch(terms: _Terms, n_axioms: int, batch_size: int) -> tuple[int, int, int]:
-    """The most hinges, hinges with a relation and penalised slots ``batch_size`` axioms can hold."""
+def _largest_batch(terms: _Terms, n_axioms: int, batch_size: int) -> tuple[int, int]:
+    """The most hinges and hinges with a relation ``batch_size`` axioms can hold."""
 
     def largest(weights: np.ndarray | None = None) -> int:
         per_axiom = np.bincount(terms.rows[:, 3], weights, minlength=n_axioms)
         return int(np.sort(per_axiom)[-batch_size:].sum())
 
-    return largest(), largest(terms.coef[:, 0] != 0), largest(np.count_nonzero(terms.coef[:, 5:], axis=1))
+    return largest(), largest(terms.coef[:, 0] != 0)
 
 
 class Faithfulness(NamedTuple):

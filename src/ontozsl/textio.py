@@ -17,7 +17,9 @@ Loaders other than the ontology parser and the normal-form reader (which
 report columns too) take rows from :func:`lines`, or from :func:`file_lines`,
 which reads the same rows from a file one line at a time, so a table's text
 is never held whole; each row is named ``<file> line <n>``, and a repeated
-key is rejected with :func:`unique`.
+key is rejected with :func:`unique`.  Both drop one byte-order mark (U+FEFF)
+that opens a file, as the ``utf-8-sig`` codec does, so every input file
+reads the same with or without one.
 """
 
 from __future__ import annotations
@@ -166,6 +168,10 @@ def file_lines(path: str, what: str, rows: str | None = None) -> Iterator[tuple[
     return _numbered(_decoded(path, what), rows or what)
 
 
+# A byte-order mark, which some editors write at the start of a UTF-8 file.
+_BOM = "\ufeff"
+
+
 def _decoded(path: str, what: str) -> Iterator[str]:
     encoding = locale.getpreferredencoding(False)
     offset = 0
@@ -175,6 +181,8 @@ def _decoded(path: str, what: str) -> Iterator[str]:
                 text = raw.decode(encoding)
             except UnicodeDecodeError as exc:
                 raise DataError(f"{what} file {path}: not text at byte {offset + exc.start}") from None
+            if not offset:
+                text = text.removeprefix(_BOM)
             offset += len(raw)
             yield from text.splitlines()
 
@@ -221,13 +229,13 @@ def _checked(path: str, what: str) -> Path:
 
 
 def read_file(path: str, what: str) -> str:
-    """The text of a named input file; a missing or undecodable one is a DataError.
+    """The text of a named input file, less one opening byte-order mark.
 
-    Only the ontology, the normalized axioms and the config are read whole;
+    A missing or undecodable file is a DataError.  Only the ontology, the normalized axioms and the config are read whole;
     every table goes through :func:`file_lines`.
     """
     p = _checked(path, what)
     try:
-        return p.read_text()
+        return p.read_text().removeprefix(_BOM)
     except UnicodeDecodeError as exc:
         raise DataError(f"{what} file {path}: not text at byte {exc.start}") from None

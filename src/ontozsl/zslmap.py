@@ -174,17 +174,29 @@ def _check_xz(x: np.ndarray, z: np.ndarray) -> None:
         raise DataError(f"sample counts differ: {x.shape[1]} features vs {z.shape[1]} encodings")
 
 
+# samples per block of the mapper's column-blocked passes
+_GATHER_ROWS = 1024
+
+
 def sae_loss(w: np.ndarray, x: np.ndarray, z: np.ndarray, lam: float) -> float:
-    """Tied-weight reconstruction objective (see module docstring)."""
+    """Tied-weight reconstruction objective (see module docstring).
+
+    Both residuals are summed ``_GATHER_ROWS`` samples at a time, so neither
+    product is held for every sample at once.
+    """
     _check_xz(x, z)
     if w.shape != (z.shape[0], x.shape[0]):
         raise DataError(f"weights must be {z.shape[0]} x {x.shape[0]}, got {w.shape}")
-    # each residual is squared where its product was: one matrix per term
-    recon = w.T @ z
-    np.square(np.subtract(x, recon, out=recon), out=recon)
-    code = w @ x
-    np.square(np.subtract(code, z, out=code), out=code)
-    return float(np.sum(recon) + lam * np.sum(code))
+    decoded = encoded = 0.0
+    for start in range(0, x.shape[1], _GATHER_ROWS):
+        xs, zs = x[:, start : start + _GATHER_ROWS], z[:, start : start + _GATHER_ROWS]
+        # each residual is squared where its product was, and freed before the next block's
+        recon = w.T @ zs
+        decoded += np.sum(np.square(np.subtract(xs, recon, out=recon), out=recon))
+        code = w @ xs
+        encoded += np.sum(np.square(np.subtract(code, zs, out=code), out=code))
+        del recon, code
+    return float(decoded + lam * encoded)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # _decoupled_solve reports overflow
@@ -254,9 +266,6 @@ def train_map(dataset: ZslDataset, table: EncodingTable, cfg: MapConfig) -> Line
     if cfg.mapper == "sae":
         return train_sae(x, z, cfg.sae_lambda)
     return train_ridge(x, z, cfg.ridge_alpha)
-
-
-_GATHER_ROWS = 1024
 
 
 def _columns(rows: np.ndarray, index: np.ndarray) -> np.ndarray:

@@ -484,8 +484,8 @@ def test_kernel_matches_the_per_term_oracle_batch_by_batch(kinds):
             elembed._draw_fillers(terms, nf2, rng.permutation(nf2.size), copies, len(space.concepts), rng)
         n_batches = 3
         batch = rng.integers(n_batches, size=len(axioms))[terms.rows[:, 3]]
-        batches = elembed._batches(terms, batch, n_batches, len(keys))
-        kernel = elembed._Kernel(theta, DIM, len(batch), len(batch), 2 * len(batch))
+        batches = elembed._batches(terms, batch, n_batches)
+        kernel = elembed._Kernel(theta, DIM, len(batch), len(batch))
         for k in range(n_batches):
             part = elembed._Terms(terms.rows[batch == k], terms.coef[batch == k])
             want, want_params, want_radii = reference_loss_grad(params, radii, part)
@@ -679,15 +679,21 @@ def test_train_refuses_a_table_over_the_size_limit_before_allocating_it(monkeypa
 
 
 def test_train_refuses_a_step_buffer_over_the_size_limit_before_allocating_it(monkeypatch):
-    # one batch of CHAIN's two NF1 hinges scatters rows a and b (4), their 4
-    # penalised slots and one row of 4 radius slots: 9 rows of el_dim slots
-    monkeypatch.setattr(errors, "MAX_TABLE_BYTES", 9 * 4 * 8)
-    train_el(CHAIN, ElTrainConfig(dim=4, epochs=1))
-    monkeypatch.setattr(errors, "MAX_TABLE_BYTES", 9 * 4 * 8 - 1)
-    with pytest.raises(DataError, match="^el_dim = 4 needs a 9 x 4 step buffer of 288 bytes"):
-        train_el(CHAIN, ElTrainConfig(dim=4, epochs=1))
-    # the buffers fit the largest batch, not the epoch: batches of one axiom fit under this limit
-    train_el(CHAIN, ElTrainConfig(dim=4, epochs=1, batch_size=1))
+    # A, B, Top, Bottom and r: a table of 5 rows.  One batch of both NF2
+    # axioms and their corrupted copies scatters rows a and b of 4 hinges (8),
+    # row t of each (4) and two rows of 4 radius slots: 14 rows of el_dim slots
+    loop = NormalizedOntology(
+        axioms=(NF2("A", "r", "B"), NF2("B", "r", "A")), fresh_names=(),
+        concept_names=frozenset({"A", "B"}), relation_names=frozenset({"r"}),
+    )
+    monkeypatch.setattr(errors, "MAX_TABLE_BYTES", 14 * 4 * 8)
+    train_el(loop, ElTrainConfig(dim=4, epochs=1))
+    monkeypatch.setattr(errors, "MAX_TABLE_BYTES", 14 * 4 * 8 - 1)
+    with pytest.raises(DataError, match="^el_dim = 4 needs a 14 x 4 step buffer of 448 bytes"):
+        train_el(loop, ElTrainConfig(dim=4, epochs=1))
+    # the buffers fit the largest batch, not the epoch: batches of one axiom
+    # need 7 rows and fit under this limit
+    train_el(loop, ElTrainConfig(dim=4, epochs=1, batch_size=1))
 
 
 def test_a_repeated_training_run_reuses_its_memory():

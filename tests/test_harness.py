@@ -141,13 +141,12 @@ def test_loading_training_and_predicting_peak_near_twice_the_floats(tmp_path):
 
     On 12,000 x 512 features (49.2 MB of floats) the traced peak of these
     three calls was 113.5 MB (2.31x) with a Sample per row and the splits
-    stacked from them, and 110.4 MB (2.25x) with one matrix.  This file has
-    the same width and split at a sixth of the rows.  Its peak, 2.25x, is
-    taken in ``sae_loss``, whose reconstruction (0.60x) is live beside the
-    feature matrix (1.0x) and the gathered training split (0.61x); the
-    mapper's solve before it reaches 2.17x with ``X X'`` and its
-    eigenvectors (0.26x each) beside the same two, so a loss summed in
-    column blocks could lower this file's peak by at most 0.08x.
+    stacked from them, 110.4 MB (2.25x) with one matrix, and 84.7 MB (1.72x)
+    with ``sae_loss`` summed over blocks of 1,024 samples.  This file has
+    the same width and split at a sixth of the rows.  Its peak, 2.17x, is
+    taken in the mapper's solve, with ``X X'`` and its eigenvectors (0.26x
+    each) beside the feature matrix (1.0x) and the gathered training split
+    (0.61x); a whole reconstruction in ``sae_loss`` (0.60x) took it to 2.25x.
     """
     data = gen_synthetic(24, 16, 50, p=512)
     features, split = tmp_path / "features.tsv", tmp_path / "split.txt"

@@ -368,7 +368,47 @@ def test_file_lines_number_every_kind_of_line_break():
     streamed, whole = streamed_and_whole(("\ufeff" + text).encode())
     assert streamed == whole
     assert [where for where, _ in streamed][-3:] == ["labels line 7", "labels line 8", "labels line 11"]
-    assert streamed[0] == ("labels line 1", "\ufeffa")
+    assert streamed[0] == ("labels line 1", "a")
+
+
+def with_and_without_a_bom(tmp_path: Path, name: str, text: str) -> tuple[str, str]:
+    plain, marked = tmp_path / name, tmp_path / f"bom-{name}"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    return str(plain), str(marked)
+
+
+def test_an_opening_byte_order_mark_is_not_part_of_any_input_file(tmp_path):
+    """A table, a two-column map and a file read whole all read the same with one."""
+    features = with_and_without_a_bom(tmp_path, "features.tsv", "s00000\tcat\t1,2\ns00001\tdog\t3,4\n")
+    split = with_and_without_a_bom(tmp_path, "split.txt", "[seen]\ncat\n[unseen]\ndog\n")
+    plain, marked = (
+        harness.load_dataset(textio.file_lines(f, "features"), textio.file_lines(s, "split"))
+        for f, s in zip(features, split)
+    )
+    assert marked.ids == plain.ids == ["s00000", "s00001"]
+    assert (marked.labels, marked.seen_labels, marked.unseen_labels) == (
+        plain.labels, plain.seen_labels, plain.unseen_labels
+    )
+    assert np.array_equal(marked.features, plain.features)
+    class_map = with_and_without_a_bom(tmp_path, "classes.tsv", "Class_00\tA\n")
+    assert [harness.parse_class_map(textio.file_lines(f, "class map")) for f in class_map] == [{"Class_00": "A"}] * 2
+    ontology = with_and_without_a_bom(tmp_path, "ontology.elf", ONTOLOGY)
+    assert parse_ontology(textio.read_file(ontology[1], "ontology")) == parse_ontology(
+        textio.read_file(ontology[0], "ontology")
+    )
+
+
+def test_only_one_opening_byte_order_mark_is_dropped_and_offsets_still_count_it(tmp_path):
+    path = tmp_path / "labels.txt"
+    path.write_bytes("\ufeff\ufeffa\n".encode())
+    assert list(textio.file_lines(str(path), "labels")) == [("labels line 1", "\ufeffa")]
+    assert textio.read_file(str(path), "labels") == "\ufeffa\n"
+    path.write_bytes(b"\xef\xbb\xbfok\n\xff")
+    for read in (textio.read_file, lambda p, what: list(textio.file_lines(p, what))):
+        with pytest.raises(DataError, match="not text at byte 6$"):
+            read(str(path), "labels")
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Label encodings, the SAE/ridge mappers, and nearest-encoding prediction."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -194,6 +195,26 @@ def test_sae_loss_matches_elementwise_recomputation():
     enc = w @ x - z
     manual = float(np.sum(dec**2) + lam * np.sum(enc**2))
     assert_allclose(sae_loss(w, x, z, lam), manual, rtol=1e-12)
+
+
+def test_sae_loss_holds_no_product_over_every_sample():
+    """The residuals are summed over column blocks of the samples.
+
+    With p = 8 and m = 4, ``X X'`` and ``Z Z'`` are tiny, so the loss, not the
+    solve, would hold train_sae's peak.  Summed whole, ``W' Z`` and ``W X``
+    were 1.5x the features.
+    """
+    rng = np.random.default_rng(11)
+    x, z = rng.normal(size=(8, 40_000)), rng.normal(size=(4, 40_000))
+    tracemalloc.start()
+    try:
+        model = train_sae(x, z, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * x.nbytes
+    manual = np.sum((x - model.weights.T @ z) ** 2) + 0.5 * np.sum((model.weights @ x - z) ** 2)
+    assert_allclose(model.train_loss, manual, rtol=1e-12)
 
 
 def test_sae_grad_matches_finite_differences():
