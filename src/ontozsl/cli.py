@@ -58,7 +58,7 @@ def cmd_normalize(args) -> None:
 
 
 def cmd_classify(args) -> None:
-    if args.normalized:
+    if args.normalized is not None:
         normalized = read_normalized(read_file(args.normalized, "normalized axioms"))
     else:
         normalized = normalize(parse_ontology(read_file(args.ontology, "ontology")))
@@ -137,7 +137,8 @@ def cmd_predict(args) -> None:
     table = zslmap.load_encodings(file_lines(args.encodings, "encodings"))
     model = zslmap.load_model(file_lines(args.model, "model"))
     dataset = harness.load_dataset(file_lines(args.features, "features"), file_lines(args.split, "split"))
-    ids, truth, labels = zslmap.predict_test(model, dataset, table, CandidateSet(args.candidates))
+    candidates = CandidateSet(args.candidates).labels(dataset.seen_labels, dataset.unseen_labels)
+    ids, truth, labels = zslmap.predict_test(model, dataset, table, candidates)
     _write(args.out, harness.write_predictions(ids, labels, truth))
 
 
@@ -239,8 +240,9 @@ def build_parser() -> _Parser:
     p.add_argument("ontology")
 
     p = add("classify", cmd_classify, "derive all subsumptions")
-    p.add_argument("--ontology", default=None)
-    p.add_argument("--normalized", default=None)
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--ontology", default=None)
+    source.add_argument("--normalized", default=None)
 
     p = add("embed-el", cmd_embed_el, "train concept ball embeddings")
     p.add_argument("--normalized", required=True)
@@ -305,8 +307,6 @@ def main(argv: list[str] | None = None) -> int:
         if not getattr(args, "command", None):
             parser.print_help(sys.stderr)
             return EXIT_USAGE
-        if args.command == "classify" and not (args.ontology or args.normalized):
-            raise _UsageError("classify needs --ontology or --normalized")
         args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

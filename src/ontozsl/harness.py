@@ -120,30 +120,27 @@ def write_split(seen: Iterable[str], unseen: Iterable[str]) -> str:
     return "".join(row + "\n" for row in rows)
 
 
-def parse_features(rows: Rows) -> tuple[list[str], list[str], np.ndarray]:
-    """The ids, the labels and the N x p matrix of ``id<TAB>label<TAB>v1,...,vp`` rows."""
-    ids, labels, features, _firsts = _read_features(rows)
-    return ids, labels, features
+def parse_features(rows: Rows, labels: Container[str] | None = None) -> tuple[list[str], list[str], np.ndarray]:
+    """The ids, the labels and the N x p matrix of ``id<TAB>label<TAB>v1,...,vp`` rows.
 
-
-def _read_features(rows: Rows) -> tuple[list[str], list[str], np.ndarray, dict[str, tuple[str, str]]]:
-    """:func:`parse_features`, and where each label first occurs, with that row's sample id."""
+    Given the split's ``labels``, a row whose label is not among them is an
+    error at that row, raised after the rows before it are parsed.
+    """
     ids: dict[str, None] = {}
-    labels: list[str] = []
-    firsts: dict[str, tuple[str, str]] = {}
+    row_labels: list[str] = []
 
     def values() -> Iterator[tuple[str, str]]:
         for where, (sample_id, label, text) in _tab_rows(rows, "id", "label", "values"):
             ids[unique(ids, sample_id, where, "sample id")] = None
-            label = sys.intern(label)  # one string per label, not per row
-            labels.append(label)
-            firsts.setdefault(label, (where, sample_id))
+            if labels is not None and label not in labels:
+                raise DataError(f"{where}: sample {sample_id!r} has label {label!r} outside both splits")
+            row_labels.append(sys.intern(label))  # one string per label, not per row
             yield where, text
 
     features = read_float_rows(values())
     if not ids:
         raise DataError("feature file has no samples")
-    return list(ids), labels, features, firsts
+    return list(ids), row_labels, features
 
 
 def write_features(samples: Iterable[Sample]) -> str:
@@ -153,15 +150,12 @@ def write_features(samples: Iterable[Sample]) -> str:
 def load_dataset(features: Rows, split: Rows) -> ZslDataset:
     """Combine feature and split rows, rejecting unlisted labels.
 
-    The feature rows are read to the end before the first split row.  The
-    first sample whose label is in neither split is an error at its line,
-    which is the first row of its label.
+    The split is read first, then the feature rows, each checked against the
+    split as it comes: the first sample whose label is in neither split is an
+    error at its line, after the rows before it are parsed.
     """
-    ids, labels, matrix, firsts = _read_features(features)
     seen, unseen = parse_split(split)
-    for label, (where, sample_id) in firsts.items():
-        if label not in seen and label not in unseen:
-            raise DataError(f"{where}: sample {sample_id!r} has label {label!r} outside both splits")
+    ids, labels, matrix = parse_features(features, seen | unseen)
     return ZslDataset(ids, labels, matrix, seen, unseen)
 
 

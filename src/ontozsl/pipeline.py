@@ -80,6 +80,8 @@ class RunConfig(_StageKeys):
 
     def __post_init__(self) -> None:
         """Build every stage config, so a bad value fails before any stage runs."""
+        if not self.out_dir:
+            raise DataError("out_dir must name a directory")
         self.component_list()
         self.candidate_set()
         for config in STAGES:
@@ -213,11 +215,15 @@ def run_pipeline(cfg: RunConfig) -> MetricsReport:
 
     Every stage config was built, and so range-checked, with ``cfg`` itself.
     The stages run one after another, in the order of ``stage_seconds``.
+    The manifest and reports of an earlier run in ``out_dir`` are removed
+    first, so a run that fails leaves none beside its new artifacts.
     """
     el_cfg = cfg.stage(elembed.ElTrainConfig)
 
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    for name in ("manifest.txt", "report.txt", "report.json"):
+        (out_dir / name).unlink(missing_ok=True)
     artifacts: dict[str, str] = {}
     seconds: dict[str, float] = {}
 
@@ -281,12 +287,10 @@ def run_pipeline(cfg: RunConfig) -> MetricsReport:
         emit("model.txt", zslmap.save_model(model))
 
     with _stage("predict", seconds):
-        test_ids, truth, predictions = zslmap.predict_test(model, dataset, table, cfg.candidate_set())
+        candidates = cfg.candidate_set().labels(dataset.seen_labels, dataset.unseen_labels)
+        test_ids, truth, predictions = zslmap.predict_test(model, dataset, table, candidates)
         emit("predictions.tsv", harness.write_predictions(test_ids, predictions, truth))
-        # after predict, which has rejected every candidate set the spread cannot measure
-        spread = zslmap.candidate_spread(
-            table, cfg.candidate_set(), sorted(dataset.seen_labels), sorted(dataset.unseen_labels)
-        )
+        spread = zslmap.candidate_spread(table, candidates)
 
     with _stage("eval", seconds):
         kinds = Counter(ax.TAG for ax in normalized.axioms)
@@ -307,7 +311,7 @@ def run_pipeline(cfg: RunConfig) -> MetricsReport:
                 "el_nest_pairs": faithful.nest_pairs,
                 "el_disjoint_pairs": faithful.disjoint_pairs,
                 "w2v_corpus_tokens": sum(len(sentence) for sentence in corpus.sentences),
-                "w2v_pairs_per_epoch": vectors.pairs_per_epoch,
+                "w2v_pairs": vectors.pairs,
                 "w2v_vocab": len(vectors.vectors),
                 **{tag: kinds[tag] for tag in BY_TAG},
             },

@@ -96,7 +96,7 @@ class WordVectors:
     dim: int
     vectors: dict[str, np.ndarray]
     train_losses: tuple[float, ...] = ()
-    pairs_per_epoch: int = 0
+    pairs: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -331,10 +331,10 @@ def train_skipgram(corpus: WalkCorpus, cfg: SkipGramConfig) -> WordVectors:
 
     ``train_losses`` holds one value per round: the share of the table's
     squared Frobenius norm outside the top ``dim`` squared singular values
-    found so far (0 for an all-zero table).  ``pairs_per_epoch`` counts the
-    pairs the table sums.  A DataError names ``w2v_dim`` before a product
-    would allocate a table over ``errors.MAX_TABLE_BYTES``.  The name and
-    the ``epochs`` field predate the factorization; the benchmark reads them.
+    found so far (0 for an all-zero table).  ``pairs`` counts the pairs the
+    table sums.  A DataError names ``w2v_dim`` before a product would
+    allocate a table over ``errors.MAX_TABLE_BYTES``.  The name and the
+    ``epochs`` field predate the factorization; the benchmark reads them.
     """
     counts = {t: c for t, c in corpus.vocabulary.items() if c >= cfg.min_count}
     if not counts:

@@ -48,6 +48,13 @@ class CandidateSet(Enum):
     UNSEEN_ONLY = "unseen"
     SEEN_AND_UNSEEN = "all"
 
+    def labels(self, seen: Iterable[str], unseen: Iterable[str]) -> list[str]:
+        """The sorted labels that prediction ranks: the unseen ones, and under
+        :attr:`SEEN_AND_UNSEEN` the seen ones too."""
+        if self is CandidateSet.SEEN_AND_UNSEEN:
+            return sorted(set(unseen) | set(seen))
+        return sorted(set(unseen))
+
 
 # each mapper and the MapConfig field of its parameter
 MAPPERS = {"sae": "sae_lambda", "ridge": "ridge_alpha"}
@@ -313,34 +320,24 @@ def distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(_row_distances(a[None, :], b)[0])
 
 
-def _candidates(
-    table: EncodingTable, pool: CandidateSet, seen_labels: Sequence[str], unseen_labels: Sequence[str]
-) -> list[str]:
-    if pool is CandidateSet.SEEN_AND_UNSEEN:
-        candidates = sorted(set(unseen_labels) | set(seen_labels))
-    else:
-        candidates = sorted(set(unseen_labels))
-    if not candidates:
+def _candidate_rows(table: EncodingTable, candidates: Iterable[str]) -> tuple[list[str], np.ndarray]:
+    """The distinct candidates in label order, and the matrix of their encodings, one row each."""
+    labels = sorted(set(candidates))
+    if not labels:
         raise DataError("empty candidate set")
-    for label in candidates:
+    for label in labels:
         if label not in table.encodings:
             raise UnknownNameError(f"candidate label {label!r} has no encoding")
-    return candidates
+    return labels, np.array([table.encodings[label] for label in labels])
 
 
-def predict(
-    gx: np.ndarray,
-    table: EncodingTable,
-    pool: CandidateSet,
-    seen_labels: Sequence[str],
-    unseen_labels: Sequence[str],
-) -> list[str]:
-    """Label of the L2-nearest encoding for each column of the m x N batch ``gx``.
+def predict(gx: np.ndarray, table: EncodingTable, candidates: Iterable[str]) -> list[str]:
+    """Label of the L2-nearest candidate encoding for each column of the m x N batch ``gx``.
 
-    Ties go to the smaller label.  The candidate set is the unseen labels, or
-    their union with the seen ones under :attr:`CandidateSet.SEEN_AND_UNSEEN`.
+    ``candidates`` are the labels ranked, such as :meth:`CandidateSet.labels`
+    gives; in any order, a tie goes to the smaller label.
     """
-    candidates = _candidates(table, pool, seen_labels, unseen_labels)
+    labels, encodings = _candidate_rows(table, candidates)
     gx = np.asarray(gx, dtype=float)
     if gx.ndim != 2 or gx.shape[0] != table.dim:
         raise DataError(f"mapped features must be {table.dim} x N, got shape {gx.shape}")
@@ -349,24 +346,22 @@ def predict(
     rows = np.ascontiguousarray(gx.T)
     best = np.full(rows.shape[0], np.inf)
     best_index = np.zeros(rows.shape[0], dtype=int)
-    # candidates are sorted and only a strictly smaller distance wins
-    for index, label in enumerate(candidates):
-        d = _row_distances(rows, table.encodings[label])
+    # labels are sorted and only a strictly smaller distance wins
+    for index, encoding in enumerate(encodings):
+        d = _row_distances(rows, encoding)
         closer = d < best
         best[closer] = d[closer]
         best_index[closer] = index
-    return [candidates[i] for i in best_index]
+    return [labels[i] for i in best_index]
 
 
-def candidate_spread(
-    table: EncodingTable, pool: CandidateSet, seen_labels: Sequence[str], unseen_labels: Sequence[str]
-) -> tuple[float, float]:
+def candidate_spread(table: EncodingTable, candidates: Iterable[str]) -> tuple[float, float]:
     """Smallest and median distance between the encodings of two of :func:`predict`'s candidates.
 
     A minimum far below the median means two labels that prediction can
     hardly tell apart.  With a single candidate there is no pair: both are NaN.
     """
-    rows = np.array([table.encodings[c] for c in _candidates(table, pool, seen_labels, unseen_labels)])
+    _labels, rows = _candidate_rows(table, candidates)
     gaps = sorted(d for i, row in enumerate(rows) for d in _row_distances(rows[i + 1:], row))
     if not gaps:
         return float("nan"), float("nan")
@@ -375,14 +370,15 @@ def candidate_spread(
 
 
 def predict_test(
-    model: LinearMap, dataset: ZslDataset, table: EncodingTable, pool: CandidateSet
+    model: LinearMap, dataset: ZslDataset, table: EncodingTable, candidates: Iterable[str]
 ) -> tuple[list[str], list[str], list[str]]:
-    """The ids and labels of the unseen samples of ``dataset``, and the label :func:`predict` gives each."""
+    """The ids and labels of the unseen samples of ``dataset``, and the label :func:`predict`
+    gives each among ``candidates``."""
     test = dataset.rows_of(dataset.unseen_labels)
     if not test.any():
         raise DataError("no test samples: every sample has a seen label")
     gx = map_features(model, _columns(dataset.features, np.flatnonzero(test)))
-    predictions = predict(gx, table, pool, sorted(dataset.seen_labels), sorted(dataset.unseen_labels))
+    predictions = predict(gx, table, candidates)
     return list(compress(dataset.ids, test)), list(compress(dataset.labels, test)), predictions
 
 

@@ -250,7 +250,7 @@ def test_a6_prediction_scan():
             pool = CandidateSet.UNSEEN_ONLY if rng.random() < 0.5 else CandidateSet.SEEN_AND_UNSEEN
             candidates = unseen if pool is CandidateSet.UNSEEN_ONLY else seen + unseen
             gx = np.round(rng.normal(size=dim), 1)
-            got = predict(gx[:, None], table, pool, seen, unseen)[0]
+            got = predict(gx[:, None], table, pool.labels(seen, unseen))[0]
             best = min(candidates, key=lambda lbl: (distance(table.encodings[lbl], gx), lbl))
             assert got == best
 
@@ -306,16 +306,8 @@ def test_a7_end_to_end_gate(bench):
         z = np.stack([table.encodings[s.label] for s in train], axis=1)
         model = train_sae(x, z, cfg.sae_lambda)
         test = ds.test_samples()
-        preds = [
-            predict(
-                map_features(model, s.features)[:, None],
-                table,
-                CandidateSet.UNSEEN_ONLY,
-                sorted(ds.seen_labels),
-                sorted(ds.unseen_labels),
-            )[0]
-            for s in test
-        ]
+        candidates = CandidateSet.UNSEEN_ONLY.labels(ds.seen_labels, ds.unseen_labels)
+        preds = [predict(map_features(model, s.features)[:, None], table, candidates)[0] for s in test]
         ablated = unseen_scores(preds, [s.label for s in test], ds.unseen_labels)[0]
         assert ablated <= 0.6
         assert report.macro_unseen_accuracy - ablated >= 0.3

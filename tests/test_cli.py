@@ -77,7 +77,14 @@ def test_normalize_then_classify_from_file(elf, tmp_path, capsys):
 
 def test_classify_requires_an_input(capsys):
     assert main(["classify"]) == EXIT_USAGE
-    assert "ontology or" in capsys.readouterr().err
+    assert "one of the arguments --ontology --normalized is required" in capsys.readouterr().err
+
+
+def test_classify_rejects_two_inputs(elf, tmp_path, capsys):
+    normalized = tmp_path / "n.txt"
+    normalized.write_text("NF1 B C\n")
+    assert main(["classify", "--ontology", elf, "--normalized", str(normalized)]) == EXIT_USAGE
+    assert "not allowed with argument" in capsys.readouterr().err
 
 
 def test_classify_straight_from_ontology(elf, capsys):
@@ -601,6 +608,15 @@ def test_bad_config_values_exit_2_before_any_stage_runs(tiny_inputs, tmp_path, a
     assert "Traceback" not in done.stderr
     assert named in done.stderr
     assert not out.exists()
+
+
+def test_an_empty_out_dir_exits_2_and_writes_nothing(tiny_inputs, tmp_path, monkeypatch, capsys):
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert main(["pipeline", *tiny_pipeline_argv(tiny_inputs, tmp_path / "out"), "--set", "out_dir="]) == EXIT_DATA
+    assert capsys.readouterr().err == "error: out_dir must name a directory\n"
+    assert not any(work.iterdir()) and not (tmp_path / "out").exists()
 
 
 def test_ridge_overflow_exits_3_in_train_map_without_a_warning(tiny_inputs, tmp_path):

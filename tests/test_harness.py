@@ -112,6 +112,19 @@ def test_load_dataset_checks_label_coverage():
         load_dataset(lines("s1\tmouse\t1.0,2.0\n", "features"), lines(SPLIT, "split"))
 
 
+def test_an_unlisted_label_is_reported_at_its_row_in_line_order():
+    """Each row's label is checked against the split as the row is read."""
+    unlisted = "features line 2: sample 's2' has label 'mouse' outside both splits"
+    rows = "s1\tcat\t1,2\ns2\tmouse\t3,4\ns3\tdog\t5,x\n"
+    with pytest.raises(DataError, match=f"^{unlisted}$"):
+        load_dataset(lines(rows, "features"), lines(SPLIT, "split"))
+    with pytest.raises(DataError, match="^features line 1: "):
+        load_dataset(lines("s1\tcat\t1,x\ns2\tmouse\t3,4\n", "features"), lines(SPLIT, "split"))
+    with pytest.raises(DataError, match=f"^{unlisted}$"):
+        parse_features(lines("s1\tcat\t1,2\ns2\tmouse\t3,4\n", "features"), {"cat"})
+    assert parse_features(lines("s1\tmouse\t1,2\n", "features"))[1] == ["mouse"]
+
+
 def test_loading_a_feature_file_peaks_below_its_size(tmp_path):
     """The rows stream from the file: loading holds the parsed samples, not the text.
 
@@ -159,7 +172,8 @@ def test_loading_training_and_predicting_peak_near_twice_the_floats(tmp_path):
     try:
         dataset = load_dataset(file_lines(str(features), "features"), file_lines(str(split), "split"))
         model = train_map(dataset, table, MapConfig())
-        predict_test(model, dataset, table, CandidateSet.SEEN_AND_UNSEEN)
+        candidates = CandidateSet.SEEN_AND_UNSEEN.labels(dataset.seen_labels, dataset.unseen_labels)
+        predict_test(model, dataset, table, candidates)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

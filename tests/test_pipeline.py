@@ -208,7 +208,7 @@ def test_report_carries_skipgram_diagnostics(tmp_path):
     sentences = [line.split() for line in corpus.splitlines()]
     w = RunConfig().w2v_window
     pairs = sum(min(len(s), i + w + 1) - max(0, i - w) - 1 for s in sentences for i in range(len(s)))
-    assert counts["w2v_pairs_per_epoch"] == pairs > 0
+    assert counts["w2v_pairs"] == pairs > 0
     assert counts["w2v_vocab"] == len({t for s in sentences for t in s})
     assert counts["w2v_corpus_tokens"] == sum(len(s) for s in sentences) > counts["w2v_vocab"]
     text = (tmp_path / "run" / "report.txt").read_text()
@@ -311,6 +311,26 @@ def test_every_output_but_the_reports_is_the_same_bytes_under_one_and_two_blas_t
         assert one == two, path.name
 
 
+def test_an_empty_out_dir_is_a_data_error():
+    with pytest.raises(DataError, match="^out_dir must name a directory$"):
+        RunConfig(out_dir="")
+    with pytest.raises(DataError, match="^out_dir must name a directory$"):
+        config_from_pairs({"out_dir": ""})
+
+
+def test_a_failed_rerun_leaves_no_manifest_or_report(tmp_path):
+    """A manifest certifies the files beside it: a run that fails leaves none, not the last run's."""
+    write_benchmark(tmp_path)
+    out = tmp_path / "run"
+    certificates = {"manifest.txt", "report.txt", "report.json"}
+    run_pipeline(base_config(tmp_path))
+    assert certificates <= {p.name for p in out.iterdir()}
+    with pytest.raises(DataError, match="^encode: attribute component requires an attribute table$"):
+        run_pipeline(base_config(tmp_path, components="attribute", attributes=""))
+    left = {p.name for p in out.iterdir()}
+    assert "el_space.tsv" in left and not left & certificates
+
+
 def test_encoding_dims_add_up_across_components(tmp_path):
     write_benchmark(tmp_path)
     dims = {}
@@ -384,11 +404,8 @@ def test_noise_free_seen_classes_are_linearly_separable():
     x = np.stack([s.features for s in train], axis=1)
     z = np.stack([table.encodings[s.label] for s in train], axis=1)
     model = train_ridge(x, z, 1e-9)
-    cfg = CandidateSet.SEEN_AND_UNSEEN
-    preds = [
-        predict(map_features(model, s.features)[:, None], table, cfg, sorted(ds.seen_labels), sorted(ds.unseen_labels))[0]
-        for s in train
-    ]
+    candidates = CandidateSet.SEEN_AND_UNSEEN.labels(ds.seen_labels, ds.unseen_labels)
+    preds = [predict(map_features(model, s.features)[:, None], table, candidates)[0] for s in train]
     assert sample_accuracy(preds, [s.label for s in train]) == 1.0
 
 
@@ -444,8 +461,7 @@ def test_candidate_spread_of_a_single_candidate_is_nan(tmp_path):
     assert "candidate_median_distance\tnan\n" in (tmp_path / "run" / "report.txt").read_text()
     # the same table read with every label a candidate has pairs again
     table = load_encodings(lines((tmp_path / "run" / "encodings.tsv").read_text(), "encodings"))
-    cfg = CandidateSet.SEEN_AND_UNSEEN
-    low, mid = candidate_spread(table, cfg, sorted(ds.seen_labels), sorted(ds.unseen_labels))
+    low, mid = candidate_spread(table, CandidateSet.SEEN_AND_UNSEEN.labels(ds.seen_labels, ds.unseen_labels))
     assert 0.0 < low <= mid
 
 
@@ -465,7 +481,7 @@ def test_pretrained_vectors_stand_in_for_the_trained_ones(tmp_path):
     assert written.dim == 3 and written.vectors.keys() == words.keys()
     for token, vector in words.items():
         assert np.array_equal(written.vectors[token], vector), token
-    assert report.w2v_losses == () and report.counts["w2v_pairs_per_epoch"] == 0
+    assert report.w2v_losses == () and report.counts["w2v_pairs"] == 0
     assert report.counts["w2v_vocab"] == 8
     table = load_encodings(lines((out / "encodings.tsv").read_text(), "encodings"))
     labels = sorted(data.dataset.seen_labels | data.dataset.unseen_labels)

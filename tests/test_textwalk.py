@@ -316,7 +316,7 @@ def test_skipgram_on_a_degenerate_corpus_gives_finite_vectors_of_full_width(text
     # the suite turns numpy warnings into errors
     wv = train_skipgram(load_corpus(lines(text, "corpus")), SkipGramConfig(dim=25, epochs=3))
     vectors = np.array(list(wv.vectors.values()))
-    assert wv.pairs_per_epoch == pairs
+    assert wv.pairs == pairs
     assert vectors.shape[1] == 25 and np.isfinite(vectors).all()
     assert np.count_nonzero(vectors.any(axis=0)) == rank
     # the table's rank is below dim, so every round keeps all of it

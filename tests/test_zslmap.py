@@ -21,6 +21,7 @@ from ontozsl.zslmap import (
     LinearMap,
     MapConfig,
     _row_distances,
+    candidate_spread,
     distance,
     encode_labels,
     load_encodings,
@@ -391,10 +392,9 @@ def test_predict_test_labels_each_unseen_sample():
     table = EncodingTable((Component.ATTRIBUTE,), 2, {"b": np.array([1.0, 0.0]), "c": np.array([0.0, 1.0])})
     dataset = ZslDataset(*rows, frozenset("a"), frozenset("bc"))
     model = LinearMap("ridge", 1e-3, np.eye(2))
-    unseen = CandidateSet.UNSEEN_ONLY
-    assert predict_test(model, dataset, table, unseen) == (["x1", "x2"], ["b", "c"], ["c", "c"])
+    assert predict_test(model, dataset, table, ["b", "c"]) == (["x1", "x2"], ["b", "c"], ["c", "c"])
     with pytest.raises(DataError, match="no test samples"):
-        predict_test(model, ZslDataset(*rows, frozenset("abc"), frozenset()), table, unseen)
+        predict_test(model, ZslDataset(*rows, frozenset("abc"), frozenset()), table, ["b", "c"])
 
 
 
@@ -434,7 +434,7 @@ def test_l2_on_unit_norm_parts_ranks_labels_as_cosine_does():
         rows = np.array([table.encodings[lbl] for lbl in labels])
         assert_allclose(np.linalg.norm(rows, axis=1), np.sqrt(2.0))
         cosine = (rows @ gx) / np.linalg.norm(rows, axis=1)[:, None] / np.linalg.norm(gx, axis=0)
-        got = predict(gx, table, CandidateSet.UNSEEN_ONLY, [], labels)
+        got = predict(gx, table, labels)
         assert got == [labels[i] for i in np.argmax(cosine, axis=0)]
 
 
@@ -444,7 +444,7 @@ def test_predict_picks_nearest_candidate():
         2,
         {"y1": np.array([0.0, 0.0]), "y2": np.array([1.0, 1.0])},
     )
-    got = predict(np.array([[0.9, 0.0], [0.8, -0.1]]), table, CandidateSet.UNSEEN_ONLY, [], ["y1", "y2"])
+    got = predict(np.array([[0.9, 0.0], [0.8, -0.1]]), table, ["y1", "y2"])
     assert got == ["y2", "y1"]
 
 
@@ -454,10 +454,10 @@ def test_predict_breaks_ties_lexicographically():
         1,
         {"b": np.array([1.0]), "a": np.array([-1.0]), "c": np.array([1.0])},
     )
-    unseen = CandidateSet.UNSEEN_ONLY
-    assert predict(np.array([[0.0]]), table, unseen, [], ["b", "a", "c"]) == ["a"]
-    # between the two exactly tied candidates the smaller label wins
-    assert predict(np.array([[1.0]]), table, unseen, [], ["b", "c"]) == ["b"]
+    assert predict(np.array([[0.0]]), table, ["b", "a", "c"]) == ["a"]
+    # between the two exactly tied candidates the smaller label wins, in either order
+    assert predict(np.array([[1.0]]), table, ["b", "c"]) == ["b"]
+    assert predict(np.array([[1.0]]), table, ["c", "b"]) == ["b"]
 
 
 def test_predict_candidate_sets():
@@ -467,21 +467,33 @@ def test_predict_candidate_sets():
         {"seen": np.array([0.0]), "unseen": np.array([5.0])},
     )
     gx = np.array([[0.1]])
-    assert predict(gx, table, CandidateSet.UNSEEN_ONLY, ["seen"], ["unseen"]) == ["unseen"]
-    assert predict(gx, table, CandidateSet.SEEN_AND_UNSEEN, ["seen"], ["unseen"]) == ["seen"]
+    unseen_only = CandidateSet.UNSEEN_ONLY.labels(["seen"], ["unseen"])
+    assert unseen_only == ["unseen"] and predict(gx, table, unseen_only) == ["unseen"]
+    every = CandidateSet.SEEN_AND_UNSEEN.labels(["seen"], ["unseen"])
+    assert every == ["seen", "unseen"] and predict(gx, table, every) == ["seen"]
 
 
 def test_predict_empty_candidates_or_missing_encoding():
     table = EncodingTable((Component.EL_CENTER,), 1, {"a": np.array([0.0])})
-    unseen = CandidateSet.UNSEEN_ONLY
+    with pytest.raises(DataError, match="empty candidate set"):
+        predict(np.zeros((1, 1)), table, [])
+    with pytest.raises(UnknownNameError, match="'ghost' has no encoding"):
+        predict(np.zeros((1, 1)), table, ["ghost"])
     with pytest.raises(DataError):
-        predict(np.zeros((1, 1)), table, unseen, [], [])
-    with pytest.raises(UnknownNameError):
-        predict(np.zeros((1, 1)), table, unseen, [], ["ghost"])
-    with pytest.raises(DataError):
-        predict(np.zeros((2, 1)), table, unseen, [], ["a"])
+        predict(np.zeros((2, 1)), table, ["a"])
     with pytest.raises(NumericalError):
-        predict(np.full((1, 1), np.nan), table, unseen, [], ["a"])
+        predict(np.full((1, 1), np.nan), table, ["a"])
+
+
+def test_candidate_spread_gathers_the_candidates_as_predict_does():
+    table = EncodingTable(
+        (Component.EL_CENTER,), 1, {"a": np.array([0.0]), "b": np.array([3.0]), "c": np.array([4.0])}
+    )
+    assert candidate_spread(table, ["c", "a", "b"]) == candidate_spread(table, ["a", "b", "c"]) == (1.0, 3.0)
+    with pytest.raises(DataError, match="empty candidate set"):
+        candidate_spread(table, [])
+    with pytest.raises(UnknownNameError, match="'ghost' has no encoding"):
+        candidate_spread(table, ["a", "ghost"])
 
 
 def test_predict_matches_brute_force_scan():
@@ -496,7 +508,7 @@ def test_predict_matches_brute_force_scan():
         )
         unseen = [lbl for lbl in labels if rng.random() < 0.5] or [labels[0]]
         gx = np.round(rng.normal(size=dim), 1)
-        got = predict(gx[:, None], table, CandidateSet.UNSEEN_ONLY, [], unseen)[0]
+        got = predict(gx[:, None], table, unseen)[0]
         best = min(sorted(unseen), key=lambda lbl: (distance(table.encodings[lbl], gx), lbl))
         assert got == best
 
@@ -512,7 +524,7 @@ def test_batched_distances_equal_single_pairs_bit_for_bit():
         batch = _row_distances(np.ascontiguousarray(gx.T), point)
         single = [distance(point, gx[:, j]) for j in range(n)]
         assert batch.tolist() == single
-        got = predict(gx, table, CandidateSet.UNSEEN_ONLY, [], labels)
+        got = predict(gx, table, labels)
         want = [
             min(labels, key=lambda lbl: (distance(table.encodings[lbl], gx[:, j]), lbl))
             for j in range(n)
