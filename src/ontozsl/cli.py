@@ -1,14 +1,17 @@
 """Command-line front end.
 
 One subcommand per pipeline stage plus ``synth`` for benchmark generation and
-``pipeline`` for the whole run.  Exit codes: 0 on success, 1 for usage
+``pipeline`` for the whole run.  Every subcommand that takes a setting reads
+it by its ``RunConfig`` key from ``--config FILE`` and ``--set key=value``
+(:func:`_settings`) before it opens any input, so stage commands run with a
+pipeline's settings write its artifacts; other flags name a file, ``--out``
+or one of ``synth``'s sizes.  Exit codes: 0 on success, 1 for usage
 problems, 2 for bad input data, 3 for numerical failures.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import logging
 import sys
 from functools import partial
@@ -19,7 +22,6 @@ from .errors import NumericalError, OntozslError, RangeError
 from .normalform import classify, normalize, read_normalized, write_normalized
 from .ontology import parse_ontology, serialize_ontology
 from .textio import file_lines, fmt, read_file, read_setting, unique
-from .zslmap import CandidateSet
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -66,16 +68,22 @@ def cmd_classify(args) -> None:
     _write(args.out, "".join(f"{a}\t{b}\n" for a, b in pairs))
 
 
-def _stage_config(args, config: type):
-    """A stage config from the flags that :func:`_add_stage_flags` added; a range error names them."""
-    try:
-        return config(**{f.name: getattr(args, f.name) for f in dataclasses.fields(config)})
-    except RangeError as exc:
-        raise exc.renamed(_stage_flags(config)) from None
+def _settings(args) -> pipeline.RunConfig:
+    """The run settings: the defaults, then the ``--config`` file, then each ``--set key=value``."""
+    cfg = pipeline.RunConfig()
+    if args.config:
+        cfg = pipeline.parse_config(read_file(args.config, "config"), cfg)
+    overrides = {}
+    for item in args.set or []:
+        if "=" not in item:
+            raise _UsageError(f"--set expects key=value, got {item!r}")
+        key, value = item.split("=", 1)
+        overrides[key.strip()] = value.strip()
+    return pipeline.config_from_pairs(overrides, cfg)
 
 
 def cmd_embed_el(args) -> None:
-    cfg = _stage_config(args, elembed.ElTrainConfig)
+    cfg = _settings(args).stage(elembed.ElTrainConfig)
     normalized = read_normalized(read_file(args.normalized, "normalized axioms"))
     space = elembed.train_el(normalized, cfg)
     loss = elembed.total_loss(space, normalized, cfg)
@@ -89,7 +97,7 @@ def cmd_project(args) -> None:
 
 
 def cmd_walk(args) -> None:
-    cfg = _stage_config(args, textwalk.WalkConfig)
+    cfg = _settings(args).stage(textwalk.WalkConfig)
     ontology = parse_ontology(read_file(args.ontology, "ontology"))
     walks = textwalk.random_walks(textwalk.project(ontology), cfg)
     corpus = textwalk.lexicalize(walks, ontology)
@@ -97,13 +105,13 @@ def cmd_walk(args) -> None:
 
 
 def cmd_w2v(args) -> None:
-    cfg = _stage_config(args, textwalk.SkipGramConfig)
+    cfg = _settings(args).stage(textwalk.SkipGramConfig)
     corpus = textwalk.load_corpus(file_lines(args.corpus, "corpus"))
     _write(args.out, textwalk.save_word_vectors(textwalk.train_skipgram(corpus, cfg)))
 
 
 def cmd_encode(args) -> None:
-    components = zslmap.parse_components(args.components)
+    components = _settings(args).component_list()
     space = elembed.read_space(file_lines(args.space, "embedding space")) if args.space else None
     vectors = textwalk.load_word_vectors(file_lines(args.vectors, "word vectors")) if args.vectors else None
     ontology = parse_ontology(read_file(args.ontology, "ontology")) if args.ontology else None
@@ -127,17 +135,18 @@ def cmd_encode(args) -> None:
 
 
 def cmd_train_map(args) -> None:
-    cfg = _stage_config(args, zslmap.MapConfig)
+    cfg = _settings(args).stage(zslmap.MapConfig)
     table = zslmap.load_encodings(file_lines(args.encodings, "encodings"))
     dataset = harness.load_dataset(file_lines(args.features, "features"), file_lines(args.split, "split"))
     _write(args.out, zslmap.save_model(zslmap.train_map(dataset, table, cfg)))
 
 
 def cmd_predict(args) -> None:
+    candidate_set = _settings(args).candidate_set()
     table = zslmap.load_encodings(file_lines(args.encodings, "encodings"))
     model = zslmap.load_model(file_lines(args.model, "model"))
     dataset = harness.load_dataset(file_lines(args.features, "features"), file_lines(args.split, "split"))
-    candidates = CandidateSet(args.candidates).labels(dataset.seen_labels, dataset.unseen_labels)
+    candidates = candidate_set.labels(dataset.seen_labels, dataset.unseen_labels)
     ids, truth, labels = zslmap.predict_test(model, dataset, table, candidates)
     _write(args.out, harness.write_predictions(ids, labels, truth))
 
@@ -179,16 +188,7 @@ def cmd_synth(args) -> None:
 
 
 def cmd_pipeline(args) -> None:
-    cfg = pipeline.RunConfig()
-    if args.config:
-        cfg = pipeline.parse_config(read_file(args.config, "config"), cfg)
-    overrides = {}
-    for item in args.set or []:
-        if "=" not in item:
-            raise _UsageError(f"--set expects key=value, got {item!r}")
-        key, value = item.split("=", 1)
-        overrides[key.strip()] = value.strip()
-    cfg = pipeline.config_from_pairs(overrides, cfg)
+    cfg = _settings(args)
     report = pipeline.run_pipeline(cfg)
     print(f"macro_unseen_accuracy\t{report.macro_unseen_accuracy:.6f}")
     print(f"sample_accuracy\t{report.sample_accuracy:.6f}")
@@ -205,32 +205,18 @@ def _add_number(p: argparse.ArgumentParser, flag: str, default: float, **kwargs)
     p.add_argument(flag, default=default, type=partial(read_setting, like=default, where=flag), **kwargs)
 
 
-def _stage_flags(config: type) -> dict[str, str]:
-    """The flag of each numeric field of a stage config, named by ``pipeline.STAGES``."""
-    short = pipeline.STAGES[config][2]
-    return {
-        f.name: "--" + pipeline.FLAG_NAMES.get(f.name, short.get(f.name, f.name)).replace("_", "-")
-        for f in dataclasses.fields(config)
-        if type(f.default) in (int, float)
-    }
-
-
-def _add_stage_flags(p: argparse.ArgumentParser, config: type) -> None:
-    """One flag per numeric field of a stage config."""
-    for name, flag in _stage_flags(config).items():
-        metavar = flag[2:].replace("-", "_").upper()
-        _add_number(p, flag, getattr(config, name), dest=name, metavar=metavar)
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="ontozsl", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    def add(name: str, func, help_text: str, out: bool = True):
+    def add(name: str, func, help_text: str, out: bool = True, settings: bool = False):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
         if out:
             p.add_argument("--out", default=None)
+        if settings:  # read by _settings
+            p.add_argument("--config", default=None, help="file of key = value settings")
+            p.add_argument("--set", action="append", metavar="KEY=VALUE", help="override a config key")
         return p
 
     p = add("parse", cmd_parse, "parse and re-serialize an ontology")
@@ -244,44 +230,36 @@ def build_parser() -> _Parser:
     source.add_argument("--ontology", default=None)
     source.add_argument("--normalized", default=None)
 
-    p = add("embed-el", cmd_embed_el, "train concept ball embeddings")
+    p = add("embed-el", cmd_embed_el, "train concept ball embeddings", settings=True)
     p.add_argument("--normalized", required=True)
-    _add_stage_flags(p, elembed.ElTrainConfig)
 
     p = add("project", cmd_project, "project an ontology onto graph edges")
     p.add_argument("ontology")
 
-    p = add("walk", cmd_walk, "random-walk an ontology graph into a corpus")
+    p = add("walk", cmd_walk, "random-walk an ontology graph into a corpus", settings=True)
     p.add_argument("ontology")
-    _add_stage_flags(p, textwalk.WalkConfig)
 
-    p = add("w2v", cmd_w2v, "train word vectors on a corpus")
+    p = add("w2v", cmd_w2v, "train word vectors on a corpus", settings=True)
     p.add_argument("--corpus", required=True)
-    _add_stage_flags(p, textwalk.SkipGramConfig)
 
-    p = add("encode", cmd_encode, "build label encodings")
+    p = add("encode", cmd_encode, "build label encodings", settings=True)
     p.add_argument("--labels", required=True, help="file with one label per line")
-    p.add_argument("--components", default=pipeline.RunConfig.components)
     p.add_argument("--space", default=None)
     p.add_argument("--vectors", default=None)
     p.add_argument("--ontology", default=None)
     p.add_argument("--attributes", default=None)
     p.add_argument("--class-map", default=None)
 
-    p = add("train-map", cmd_train_map, "fit the feature-to-encoding mapper")
+    p = add("train-map", cmd_train_map, "fit the feature-to-encoding mapper", settings=True)
     p.add_argument("--features", required=True)
     p.add_argument("--split", required=True)
     p.add_argument("--encodings", required=True)
-    p.add_argument("--mapper", choices=zslmap.MAPPERS, default=zslmap.MapConfig.mapper)
-    _add_stage_flags(p, zslmap.MapConfig)
 
-    p = add("predict", cmd_predict, "label test samples by nearest encoding")
+    p = add("predict", cmd_predict, "label test samples by nearest encoding", settings=True)
     p.add_argument("--features", required=True)
     p.add_argument("--split", required=True)
     p.add_argument("--encodings", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--candidates", choices=[c.value for c in CandidateSet],
-                   default=pipeline.RunConfig.candidates)
 
     p = add("eval", cmd_eval, "score a predictions file")
     p.add_argument("--predictions", required=True)
@@ -292,9 +270,7 @@ def build_parser() -> _Parser:
         _add_number(p, flag, default, dest=name, metavar=flag[2:].replace("-", "_").upper())
     p.add_argument("--out-dir", required=True)
 
-    p = add("pipeline", cmd_pipeline, "run every stage from a config file", out=False)
-    p.add_argument("--config", default=None)
-    p.add_argument("--set", action="append", metavar="KEY=VALUE", help="override a config key")
+    add("pipeline", cmd_pipeline, "run every stage from a config file", out=False, settings=True)
 
     return parser
 
@@ -314,10 +290,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except OntozslError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (OntozslError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     return EXIT_OK

@@ -30,16 +30,15 @@ from .zslmap import CandidateSet, Component
 logger = logging.getLogger(__name__)
 
 
-# How the fields of each stage config appear elsewhere: a RunConfig key is the
-# prefix plus the field's short name and a CLI flag is --short-name; the stage
-# seed is the run seed plus the offset (None: the stage takes no seed).
+# How the fields of each stage config appear as RunConfig keys: the prefix plus
+# the field's short name; the stage seed is the run seed plus the offset (None:
+# the stage takes no seed).
 STAGES: dict[type, tuple[str, int | None, dict[str, str]]] = {
     elembed.ElTrainConfig: ("el_", 0, {"learning_rate": "lr", "batch_size": "batch"}),
     textwalk.WalkConfig: ("", 1, {}),
     textwalk.SkipGramConfig: ("w2v_", 2, {}),
     zslmap.MapConfig: ("", None, {}),
 }
-FLAG_NAMES = {"ridge_alpha": "alpha"}  # the one flag that is not its key minus the prefix
 
 
 def stage_keys(config: type) -> dict[str, str]:
@@ -60,7 +59,7 @@ _StageKeys = dataclasses.make_dataclass(
 
 @dataclass(frozen=True)
 class RunConfig(_StageKeys):
-    """Flat settings for one pipeline run; every key is also a CLI flag.
+    """Flat settings for one pipeline run, which every CLI subcommand that takes a setting reads.
 
     The stage settings (``el_*``, ``walks_per_node``, ``walk_length``, ``w2v_*``,
     ``mapper``, ``sae_lambda``, ``ridge_alpha``) are inherited fields that
@@ -112,29 +111,43 @@ class RunConfig(_StageKeys):
         return {f.name: write_setting(getattr(self, f.name)) for f in dataclasses.fields(self)}
 
 
-def config_from_pairs(pairs: dict[str, str], base: RunConfig = RunConfig()) -> RunConfig:
-    """Apply string key-value overrides onto a config, each read as the type of its default."""
+def config_from_pairs(
+    pairs: dict[str, str], base: RunConfig = RunConfig(), places: dict[str, str] | None = None
+) -> RunConfig:
+    """Apply string key-value overrides onto a config, each read as the type of its default.
+
+    ``places`` names where each key was read, such as ``config line 3``;
+    an error about the key then starts with it.
+    """
     keys = {f.name for f in dataclasses.fields(RunConfig)}
     updates = {}
     for key, raw in pairs.items():
+        place = f"{places[key]}: " if places else ""
         if key not in keys:
-            raise DataError(f"unknown config key {key!r}")
-        updates[key] = read_setting(raw, getattr(base, key), f"config key {key!r}")
+            raise DataError(f"{place}unknown config key {key!r}")
+        updates[key] = read_setting(raw, getattr(base, key), f"{place}config key {key!r}")
     return dataclasses.replace(base, **updates)
 
 
 def parse_config(text: str, base: RunConfig = RunConfig()) -> RunConfig:
-    """Read ``key = value`` lines, each key at most once; ``#`` comments and blank lines are ignored."""
-    pairs = {}
+    """Read ``key = value`` lines, each key at most once; blank lines are ignored.
+
+    A line whose first non-blank character is ``#`` is a comment; a ``#``
+    anywhere else is part of the value, so ``out_dir = runs/#3`` names
+    ``runs/#3`` and ``seed = 2 # two`` is a bad value at its line.
+    """
+    pairs: dict[str, str] = {}
+    places: dict[str, str] = {}
     for where, raw in lines(text, "config"):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.strip()
+        if line.startswith("#"):
             continue
         if "=" not in line:
             raise DataError(f"{where}: expected key = value")
         key, value = (part.strip() for part in line.split("=", 1))
         pairs[unique(pairs, key, where, "config key")] = value
-    return config_from_pairs(pairs, base)
+        places[key] = where
+    return config_from_pairs(pairs, base, places)
 
 
 @dataclass
@@ -191,6 +204,12 @@ def report_json(report: MetricsReport) -> str:
 # ---------------------------------------------------------------------------
 
 
+# Every file run_pipeline writes into out_dir, the manifest and reports first,
+# so a run stopped while removing an earlier run's files leaves none of them.
+ARTIFACTS = ("manifest.txt", "report.txt", "report.json", "ontology.elf", "normalized.txt", "el_space.tsv",
+             "corpus.txt", "wordvecs.txt", "encodings.tsv", "model.txt", "predictions.tsv")
+
+
 class _stage:
     """Prefix any package error escaping the stage with the stage name, and time the stage."""
 
@@ -215,15 +234,25 @@ def run_pipeline(cfg: RunConfig) -> MetricsReport:
 
     Every stage config was built, and so range-checked, with ``cfg`` itself.
     The stages run one after another, in the order of ``stage_seconds``.
-    The manifest and reports of an earlier run in ``out_dir`` are removed
-    first, so a run that fails leaves none beside its new artifacts.
+    Every file of :data:`ARTIFACTS` that an earlier run left in ``out_dir``
+    is removed first, but one that is an input of this run, so a run that
+    fails leaves only its own artifacts.
     """
     el_cfg = cfg.stage(elembed.ElTrainConfig)
 
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name in ("manifest.txt", "report.txt", "report.json"):
-        (out_dir / name).unlink(missing_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise DataError(f"out_dir {cfg.out_dir} is not a directory") from None
+    inputs = [cfg.ontology, cfg.features, cfg.split, cfg.class_map, cfg.attributes, cfg.pretrained_vectors]
+    kept = {Path(path).resolve() for path in inputs if path}
+    for name in ARTIFACTS:
+        path = out_dir / name
+        if path.is_dir():
+            raise DataError(f"out_dir {cfg.out_dir}: {name} is a directory")
+        if path.resolve() not in kept:
+            path.unlink(missing_ok=True)
     artifacts: dict[str, str] = {}
     seconds: dict[str, float] = {}
 

@@ -8,10 +8,10 @@ float field is ASCII text that ``float()`` reads, without ``_``.  A table of
 comma-separated floats is read with :func:`read_float_rows`, which parses
 blocks of rows with ``np.loadtxt`` into one matrix and reads a block row by
 row with :func:`read_floats` only when ``np.loadtxt`` cannot take it whole,
-so it accepts exactly what :func:`read_floats` accepts.  Config keys and CLI
-flags both go through :func:`read_setting`, and every setting is an integer,
-a float or text.  A malformed value is a :class:`DataError` naming where it
-was found.
+so it accepts exactly what :func:`read_floats` accepts.  Config keys and the
+numeric ``synth`` flags go through :func:`read_setting`, and every setting is
+an integer, a float or text.  A malformed value is a :class:`DataError`
+naming where it was found.
 
 Loaders other than the ontology parser and the normal-form reader (which
 report columns too) take rows from :func:`lines`, or from :func:`file_lines`,
@@ -219,12 +219,17 @@ def write_setting(value: object) -> str:
 
 
 def _checked(path: str, what: str) -> Path:
-    """``path``, unless it is empty or names no file: then a DataError."""
+    """``path``, unless it is empty, names nothing or names a directory: then a DataError.
+
+    Anything else that can be read, a FIFO or ``/dev/stdin`` too, passes.
+    """
     if not path:
         raise DataError(f"no {what} file configured")
     p = Path(path)
     if not p.exists():
         raise DataError(f"{what} file not found: {path}")
+    if p.is_dir():
+        raise DataError(f"{what} file {path} is a directory")
     return p
 
 

@@ -14,11 +14,11 @@ import pytest
 
 import ontozsl
 from conftest import deep_some, wide_and
-from ontozsl import cli, elembed, harness, pipeline, textio, textwalk, zslmap
+from ontozsl import cli, harness, pipeline, textio, textwalk, zslmap
 from ontozsl.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from ontozsl.normalform import normalize, write_normalized
 from ontozsl.ontology import serialize_ontology
-from ontozsl.pipeline import STAGES, RunConfig, config_from_pairs
+from ontozsl.pipeline import STAGES, RunConfig
 
 GOOD_ONTOLOGY = """Concept(A)
 Concept(B)
@@ -63,6 +63,8 @@ def test_parse_reports_error_positions(tmp_path, capsys):
 def test_missing_file_is_a_data_error(tmp_path, capsys):
     assert main(["parse", str(tmp_path / "nope.elf")]) == EXIT_DATA
     assert "not found" in capsys.readouterr().err
+    assert main(["parse", str(tmp_path)]) == EXIT_DATA
+    assert capsys.readouterr().err == f"error: ontology file {tmp_path} is a directory\n"
 
 
 def test_normalize_then_classify_from_file(elf, tmp_path, capsys):
@@ -98,7 +100,7 @@ def test_project_lists_sorted_edges(elf, capsys):
 
 
 def test_walk_corpus_is_the_walks_then_the_label_sentence(elf, tmp_path, capsys):
-    code = main(["walk", elf, "--walks-per-node", "2", "--seed", "1"])
+    code = main(["walk", elf, "--set", "walks_per_node=2"])
     assert code == EXIT_OK
     *walks, label = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert len(walks) == 6
@@ -115,7 +117,7 @@ def test_encode_word_falls_back_to_the_label_words_of_a_plain_vector_file(tmp_pa
     (tmp_path / "labels.txt").write_text("".join(label + "\n" for label in labels))
     rng = np.random.default_rng(0)
     words = {word: rng.normal(size=3) for word in ["class", *(f"{i:02d}" for i in range(6))]}
-    argv = ["encode", "--labels", str(tmp_path / "labels.txt"), "--components", "word",
+    argv = ["encode", "--labels", str(tmp_path / "labels.txt"), "--set", "components=word",
             "--vectors", str(tmp_path / "vecs.txt"), "--ontology", str(tmp_path / "o.elf")]
 
     (tmp_path / "vecs.txt").write_text(textwalk.save_word_vectors(textwalk.WordVectors(3, words)))
@@ -157,7 +159,7 @@ def test_w2v_flags_of_the_removed_skipgram_trainer_are_usage_errors(tmp_path, ca
 def test_encode_rejects_unknown_component(tmp_path, capsys):
     labels = tmp_path / "labels.txt"
     labels.write_text("A\n")
-    assert main(["encode", "--labels", str(labels), "--components", "plasma"]) == EXIT_DATA
+    assert main(["encode", "--labels", str(labels), "--set", "components=plasma"]) == EXIT_DATA
     assert "plasma" in capsys.readouterr().err
 
 
@@ -165,7 +167,7 @@ def test_encode_and_pipeline_reject_a_component_list_alike(tmp_path, capsys):
     labels = tmp_path / "labels.txt"
     labels.write_text("A\n")
     for components in ("bogus", "", "word,word"):
-        assert main(["encode", "--labels", str(labels), "--components", components]) == EXIT_DATA
+        assert main(["encode", "--labels", str(labels), "--set", f"components={components}"]) == EXIT_DATA
         from_encode = capsys.readouterr().err
         assert main(["pipeline", "--set", f"components={components}"]) == EXIT_DATA
         assert capsys.readouterr().err == from_encode
@@ -203,7 +205,7 @@ def test_the_distance_setting_is_gone(tmp_path, capsys):
     config, out = tmp_path / "run.cfg", tmp_path / "run"
     config.write_text(f"out_dir = {out}\ndistance = l2\n")
     assert main(["pipeline", "--config", str(config)]) == EXIT_DATA
-    assert capsys.readouterr().err == "error: unknown config key 'distance'\n"
+    assert capsys.readouterr().err == "error: config line 2: unknown config key 'distance'\n"
     assert not out.exists()
     argv = ["predict", "--features", "f", "--split", "s", "--encodings", "e", "--model", "m"]
     assert main([*argv, "--distance", "l2", "--out", str(out)]) == EXIT_USAGE
@@ -234,18 +236,18 @@ def test_full_command_chain(tmp_path, capsys):
             "embed-el",
             "--normalized", str(normalized),
             "--out", str(space),
-            "--dim", "8",
-            "--epochs", "60",
-            "--batch", "16",
+            "--set", "el_dim=8",
+            "--set", "el_epochs=60",
+            "--set", "el_batch=16",
         ]
     ) == EXIT_OK
 
     corpus = tmp_path / "corpus.txt"
-    assert main(["walk", elf, "--out", str(corpus), "--walks-per-node", "3"]) == EXIT_OK
+    assert main(["walk", elf, "--out", str(corpus), "--set", "walks_per_node=3"]) == EXIT_OK
 
     vectors = tmp_path / "vecs.txt"
     assert main(
-        ["w2v", "--corpus", str(corpus), "--out", str(vectors), "--dim", "5", "--epochs", "2"]
+        ["w2v", "--corpus", str(corpus), "--out", str(vectors), "--set", "w2v_dim=5", "--set", "w2v_epochs=2"]
     ) == EXIT_OK
 
     seen, unseen = harness.parse_split(textio.file_lines(str(data_dir / "split.txt"), "split"))
@@ -256,7 +258,7 @@ def test_full_command_chain(tmp_path, capsys):
         [
             "encode",
             "--labels", str(labels),
-            "--components", "el_center",
+            "--set", "components=el_center",
             "--space", str(space),
             "--out", str(encodings),
         ]
@@ -269,8 +271,8 @@ def test_full_command_chain(tmp_path, capsys):
             "--features", str(data_dir / "features.tsv"),
             "--split", str(data_dir / "split.txt"),
             "--encodings", str(encodings),
-            "--mapper", "ridge",
-            "--alpha", "1e-6",
+            "--set", "mapper=ridge",
+            "--set", "ridge_alpha=1e-6",
             "--out", str(model),
         ]
     ) == EXIT_OK
@@ -400,7 +402,7 @@ def test_malformed_numeric_files_exit_2_without_traceback(tmp_path, name, text):
     elif name == "predictions":
         argv = ["eval", "--predictions", paths["predictions"], "--split", paths["split"]]
     elif name in ("attributes", "classmap"):
-        argv = ["encode", "--labels", paths["labels"], "--components", "attribute",
+        argv = ["encode", "--labels", paths["labels"], "--set", "components=attribute",
                 "--attributes", paths["attributes"], "--class-map", paths["classmap"]]
     else:
         argv = ["predict"] + [
@@ -440,11 +442,11 @@ def test_every_tabular_file_names_itself_and_the_line(tmp_path, capsys, name):
     if name == "predictions":
         argv = ["eval", "--predictions", paths["predictions"], "--split", paths["split"]]
     elif name in ("attributes", "classmap", "labels"):
-        argv = ["encode", "--labels", paths["labels"], "--components", "attribute",
+        argv = ["encode", "--labels", paths["labels"], "--set", "components=attribute",
                 "--attributes", paths["attributes"], "--class-map", paths["classmap"]]
     elif name in ("space", "vectors"):
         component, flag = ("el_center", "--space") if name == "space" else ("word", "--vectors")
-        argv = ["encode", "--labels", paths["labels"], "--components", component, flag, paths[name]]
+        argv = ["encode", "--labels", paths["labels"], "--set", f"components={component}", flag, paths[name]]
     else:
         argv = ["predict"] + [
             arg for key in ("features", "split", "encodings", "model") for arg in (f"--{key}", paths[key])
@@ -476,7 +478,7 @@ def test_a_feature_label_outside_both_splits_is_an_error_at_its_line(tmp_path, c
 def test_encode_without_the_source_of_a_component_exits_2(tmp_path, capsys, component, message):
     labels = tmp_path / "labels.txt"
     labels.write_text("a\n")
-    assert main(["encode", "--labels", str(labels), "--components", component]) == EXIT_DATA
+    assert main(["encode", "--labels", str(labels), "--set", f"components={component}"]) == EXIT_DATA
     assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
 
 
@@ -507,7 +509,7 @@ def test_malformed_embedding_files_exit_2_without_traceback(tmp_path, flag, text
     labels.write_text("a\n")
     bad.write_text(text)
     components = "el_center" if flag == "--space" else "word"
-    argv = ["encode", "--labels", str(labels), "--components", components, flag, str(bad)]
+    argv = ["encode", "--labels", str(labels), "--set", f"components={components}", flag, str(bad)]
     env = {**os.environ, "PYTHONPATH": str(Path(ontozsl.__file__).parents[1])}
     done = subprocess.run(
         [sys.executable, "-m", "ontozsl.cli", *argv], capture_output=True, text=True, env=env
@@ -555,13 +557,15 @@ def run_cli(argv):
 
 
 # Each value used to crash with a traceback, or to fail or pass only after training.
+# The stage subcommands read their settings before any input, so a missing
+# input file ("missing") must not be what fails.
 @pytest.mark.parametrize(
     "argv, named",
     [
         (["pipeline", "--set", "seed=-1"], "'seed'"),
-        (["embed-el", "--normalized", "{normalized}", "--seed", "-1"], "--seed"),
-        (["walk", "{ontology}", "--seed", "-1"], "--seed"),
-        (["w2v", "--corpus", "{corpus}", "--seed", "-1"], "--seed"),
+        (["embed-el", "--normalized", "{normalized}", "--set", "seed=-1"], "'seed'"),
+        (["walk", "{ontology}", "--set", "seed=-1"], "'seed'"),
+        (["w2v", "--corpus", "{corpus}", "--set", "seed=-1"], "'seed'"),
         (["synth", "--seed", "-1"], "seed"),
         (["pipeline", "--set", "distance=cosine"], "unknown config key 'distance'"),
         (["pipeline", "--set", "candidates=bar"], "'bar'"),
@@ -569,23 +573,27 @@ def run_cli(argv):
         (["pipeline", "--set", "el_margin=inf"], "'el_margin'"),
         (["pipeline", "--set", "mapper=ridge", "--set", "ridge_alpha=nan"], "'ridge_alpha'"),
         (["train-map", "--features", "{features}", "--split", "{split}", "--encodings", "{encodings}",
-          "--mapper", "ridge", "--alpha", "nan"], "--alpha"),
-        (["embed-el", "--normalized", "{normalized}", "--margin", "nan"], "--margin"),
-        (["embed-el", "--normalized", "{normalized}", "--epochs", "1_0"], "--epochs"),
-        (["embed-el", "--normalized", "{normalized}", "--dim", "\u0663"], "--dim"),
+          "--set", "mapper=ridge", "--set", "ridge_alpha=nan"], "'ridge_alpha'"),
+        (["embed-el", "--normalized", "{normalized}", "--set", "el_margin=nan"], "'el_margin'"),
+        (["embed-el", "--normalized", "{normalized}", "--set", "el_epochs=1_0"], "'el_epochs'"),
+        (["embed-el", "--normalized", "{normalized}", "--set", "el_dim=\u0663"], "'el_dim'"),
         (["synth", "--noise", "nan"], "--noise"),
         (["synth", "--features-dim", "1"], "out of range: --features-dim"),
         (["pipeline", "--set", "sae_lambda=-1"], "sae_lambda"),
         (["pipeline", "--set", "mapper=ridge", "--set", "ridge_alpha=0"], "ridge_alpha"),
-        # range errors name the key or flag typed, not the stage config's field
+        # range errors name the key typed, not the stage config's field
         (["pipeline", "--set", "el_lr=0"], "out of range: el_lr"),
         (["pipeline", "--set", "w2v_lr=0"], "unknown config key 'w2v_lr'"),
         (["pipeline", "--set", "w2v_negatives=5"], "unknown config key 'w2v_negatives'"),
-        (["embed-el", "--normalized", "{normalized}", "--batch", "0"], "out of range: --batch"),
-        (["walk", "{ontology}", "--walk-length", "0"], "out of range: --walk-length"),
-        (["w2v", "--corpus", "{corpus}", "--epochs", "0"], "out of range: --epochs"),
-        (["train-map", "--features", "{features}", "--split", "{split}", "--encodings", "{encodings}",
-          "--alpha", "0"], "out of range: --alpha"),
+        (["embed-el", "--normalized", "missing", "--set", "el_batch=0"], "out of range: el_batch"),
+        (["walk", "missing", "--set", "walk_length=0"], "out of range: walk_length"),
+        (["w2v", "--corpus", "missing", "--set", "w2v_epochs=0"], "out of range: w2v_epochs"),
+        (["train-map", "--features", "missing", "--split", "missing", "--encodings", "missing",
+          "--set", "ridge_alpha=0"], "out of range: ridge_alpha"),
+        (["encode", "--labels", "missing", "--set", "components=plasma"], "'plasma'"),
+        (["predict", "--features", "missing", "--split", "missing", "--encodings", "missing",
+          "--model", "missing", "--set", "candidates=bar"], "'bar'"),
+        (["walk", "missing", "--set", "walk_lenght=3"], "unknown config key 'walk_lenght'"),
         (["pipeline", "--set", "components="], "at least one encoding component"),
         (["pipeline", "--set", "components=el_center,el_center"], "must not repeat"),
     ],
@@ -594,6 +602,7 @@ def run_cli(argv):
          "embed-el-nan-margin", "embed-el-underscore-epochs", "embed-el-arabic-indic-dim",
          "synth-nan-noise", "synth-features-dim", "negative-sae-lambda", "zero-ridge-alpha", "zero-el-lr", "zero-w2v-lr",
          "w2v-negatives", "embed-el-zero-batch", "walk-zero-length", "w2v-zero-epochs", "train-map-zero-alpha",
+         "encode-unknown-component", "predict-candidates", "walk-mistyped-key",
          "empty-components", "repeated-component"],
 )
 def test_bad_config_values_exit_2_before_any_stage_runs(tiny_inputs, tmp_path, argv, named):
@@ -653,60 +662,129 @@ def test_an_el_loss_that_overflows_exits_3_without_a_warning(tmp_path):
 def test_embed_el_exits_3_on_a_non_finite_loss(tmp_path, capsys):
     normalized, out = tmp_path / "n.txt", tmp_path / "space.tsv"
     normalized.write_text("NF2 A r B\nNF2 B r A\n")
-    argv = ["embed-el", "--normalized", str(normalized), "--epochs", "0", "--margin", "1e308", "--out", str(out)]
+    argv = ["embed-el", "--normalized", str(normalized), "--set", "el_epochs=0", "--set", "el_margin=1e308",
+            "--out", str(out)]
     assert main(argv) == EXIT_NUMERIC
     assert capsys.readouterr().err.splitlines()[-1] == "numerical failure: embedding loss is not finite: inf"
     assert not out.exists()
 
 
-# The stage subcommands with their required arguments.
-STAGE_COMMANDS = {
-    elembed.ElTrainConfig: ["embed-el", "--normalized", "n.txt"],
-    textwalk.WalkConfig: ["walk", "o.elf"],
-    textwalk.SkipGramConfig: ["w2v", "--corpus", "c.txt"],
-    zslmap.MapConfig: ["train-map", "--features", "f", "--split", "s", "--encodings", "e"],
-}
-
-
-@pytest.mark.parametrize("config", list(STAGE_COMMANDS), ids=lambda c: c.__name__)
-def test_stage_flag_and_run_config_defaults_are_the_stage_defaults(config):
-    from_flags = cli._stage_config(cli.build_parser().parse_args(STAGE_COMMANDS[config]), config)
+@pytest.mark.parametrize("config", list(STAGES), ids=lambda c: c.__name__)
+def test_run_config_defaults_are_the_stage_defaults(config):
     from_run = RunConfig().stage(config)
     offset = STAGES[config][1]
     if offset is not None:  # the run seed is 0; stages draw from seed + offset
         assert from_run.seed == offset
         from_run = dataclasses.replace(from_run, seed=0)
-    assert from_flags == from_run == config()
+    assert from_run == config()
 
 
-# RunConfig keys outside the stage configs, each with a subcommand that takes it as a flag.
-RUN_KEY_COMMANDS = {
-    "components": ["encode", "--labels", "l.txt"],
-    "candidates": ["predict", "--features", "f", "--split", "s", "--encodings", "e", "--model", "m"],
+# Every subcommand that takes settings, with its required arguments.
+SETTINGS_COMMANDS = {
+    "pipeline": ["pipeline"],
+    "embed-el": ["embed-el", "--normalized", "n.txt"],
+    "walk": ["walk", "o.elf"],
+    "w2v": ["w2v", "--corpus", "c.txt"],
+    "encode": ["encode", "--labels", "l.txt"],
+    "train-map": ["train-map", "--features", "f", "--split", "s", "--encodings", "e"],
+    "predict": ["predict", "--features", "f", "--split", "s", "--encodings", "e", "--model", "m"],
 }
 
 
-@pytest.mark.parametrize("key", sorted(RUN_KEY_COMMANDS))
-def test_encode_and_predict_flag_defaults_are_the_run_config_defaults(key):
-    assert getattr(cli.build_parser().parse_args(RUN_KEY_COMMANDS[key]), key) == getattr(RunConfig(), key)
+@pytest.mark.parametrize("command", sorted(SETTINGS_COMMANDS))
+def test_every_settings_subcommand_reads_the_run_config_keys(tmp_path, command):
+    argv = SETTINGS_COMMANDS[command]
+    assert cli._settings(cli.build_parser().parse_args(argv)) == RunConfig()
+    config = tmp_path / "run.cfg"
+    config.write_text("# a full-line comment\nseed = 4\nout_dir = runs/#3\n")
+    args = cli.build_parser().parse_args([*argv, "--config", str(config), "--set", "el_dim=7"])
+    assert cli._settings(args) == RunConfig(seed=4, out_dir="runs/#3", el_dim=7)
+
+
+# Each setting flag the stage subcommands had, now a RunConfig key under --set.
+REMOVED_FLAGS = [
+    *(("embed-el", flag) for flag in ("--dim", "--margin", "--lr", "--epochs", "--batch", "--negatives",
+                                      "--min-radius", "--seed")),
+    *(("walk", flag) for flag in ("--walks-per-node", "--walk-length", "--seed")),
+    *(("w2v", flag) for flag in ("--dim", "--window", "--epochs", "--min-count", "--seed")),
+    *(("train-map", flag) for flag in ("--mapper", "--sae-lambda", "--alpha")),
+    ("encode", "--components"),
+    ("predict", "--candidates"),
+]
+
+
+@pytest.mark.parametrize("command, flag", REMOVED_FLAGS, ids=[f"{c}{f}" for c, f in REMOVED_FLAGS])
+def test_a_removed_stage_setting_flag_is_a_usage_error(tmp_path, capsys, command, flag):
+    out = tmp_path / "out"
+    assert main([*SETTINGS_COMMANDS[command], flag, "5", "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"usage error: unrecognized arguments: {flag} 5\n"
+    assert not out.exists()
+
+
+def test_a_chain_of_stage_commands_writes_the_pipeline_artifacts(tmp_path):
+    """One config file at a nonzero seed drives both; every artifact the chain writes is the pipeline's."""
+    data, run, chain = tmp_path / "data", tmp_path / "run", tmp_path / "chain"
+    sizes = ["--k-seen", "4", "--k-unseen", "2", "--per-class", "4"]
+    assert main(["synth", *sizes, "--out-dir", str(data)]) == EXIT_OK
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        f"ontology = {data / 'ontology.elf'}\nfeatures = {data / 'features.tsv'}\n"
+        f"split = {data / 'split.txt'}\nout_dir = {run}\n"
+        "seed = 3\nel_epochs = 5\ncomponents = el_center,word\ncandidates = all\n"
+    )
+    settings = ["--config", str(config)]
+    assert main(["pipeline", *settings]) == EXIT_OK
+    chain.mkdir()
+    features, split = str(data / "features.tsv"), str(data / "split.txt")
+    seen, unseen = harness.parse_split(textio.file_lines(split, "split"))
+    (chain / "labels.txt").write_text("".join(label + "\n" for label in sorted(seen | unseen)))
+    steps = {
+        "ontology.elf": ["parse", str(data / "ontology.elf")],
+        "normalized.txt": ["normalize", str(data / "ontology.elf")],
+        "el_space.tsv": ["embed-el", *settings, "--normalized", str(chain / "normalized.txt")],
+        "corpus.txt": ["walk", *settings, str(data / "ontology.elf")],
+        "wordvecs.txt": ["w2v", *settings, "--corpus", str(chain / "corpus.txt")],
+        "encodings.tsv": ["encode", *settings, "--labels", str(chain / "labels.txt"),
+                          "--space", str(chain / "el_space.tsv"), "--vectors", str(chain / "wordvecs.txt"),
+                          "--ontology", str(data / "ontology.elf")],
+        "model.txt": ["train-map", *settings, "--features", features, "--split", split,
+                      "--encodings", str(chain / "encodings.tsv")],
+        "predictions.tsv": ["predict", *settings, "--features", features, "--split", split,
+                            "--encodings", str(chain / "encodings.tsv"), "--model", str(chain / "model.txt")],
+    }
+    for name, argv in steps.items():
+        assert main([*argv, "--out", str(chain / name)]) == EXIT_OK
+    differ = [name for name in steps if (chain / name).read_bytes() != (run / name).read_bytes()]
+    assert differ == []
 
 
 def readme_commands():
-    """The arguments of every ``ontozsl`` line in README's ``sh`` blocks, continuations joined."""
+    """The arguments of every ``ontozsl`` line in README's ``sh`` blocks, continuations joined.
+
+    Also the files that the blocks write with ``cat > <name> <<'EOF'``, by name.
+    """
     text = (Path(__file__).parents[1] / "README.md").read_text()
-    commands = []
+    commands, files = [], {}
     for block in re.findall(r"```sh\n(.*?)```", text, flags=re.S):
+        for name, body in re.findall(r"^cat > (\S+) <<'EOF'\n(.*?)^EOF\n", block, flags=re.S | re.M):
+            files[name] = body
+        block = re.sub(r"<<'EOF'\n.*?^EOF\n", "\n", block, flags=re.S | re.M)
         for line in block.replace("\\\n", " ").splitlines():
             words = shlex.split(line, comments=True)
             if words[:1] == ["ontozsl"]:
                 commands.append(words[1:])
-    return commands
+    return commands, files
 
 
-def test_every_readme_command_parses():
-    # parsing only: no command runs
-    commands = readme_commands()
-    assert len(commands) == 12
+def test_every_readme_command_parses(tmp_path, monkeypatch):
+    # parsing only: no command runs, but every setting is read as the CLI reads it
+    commands, files = readme_commands()
+    assert len(commands) == 14
+    assert set(files) == {"run.cfg"}
+    monkeypatch.chdir(tmp_path)
+    for name, body in files.items():
+        Path(name).write_text(body)
     for argv in commands:
         args = cli.build_parser().parse_args(argv)
-        config_from_pairs(dict(item.split("=", 1) for item in getattr(args, "set", None) or []))
+        if hasattr(args, "set"):
+            cli._settings(args)

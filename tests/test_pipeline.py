@@ -29,6 +29,7 @@ from ontozsl.harness import (
 from ontozsl.normalform import BOTTOM, BY_TAG, TOP, Disjointness, classify, normalize, read_normalized
 from ontozsl.ontology import parse_ontology, serialize_ontology
 from ontozsl.pipeline import (
+    ARTIFACTS,
     MetricsReport,
     RunConfig,
     config_from_pairs,
@@ -37,7 +38,7 @@ from ontozsl.pipeline import (
     report_json,
     run_pipeline,
 )
-from ontozsl.textio import fmt, lines
+from ontozsl.textio import file_lines, fmt, lines
 from ontozsl.textwalk import load_word_vectors
 from ontozsl.zslmap import (
     CandidateSet,
@@ -117,6 +118,13 @@ def test_parse_config_rejects_unknown_keys_and_bad_values():
         parse_config("seed = 1\n# seed = 2\nseed=3\n")
 
 
+def test_a_hash_starts_a_config_comment_only_as_the_first_non_blank_character():
+    cfg = parse_config("  # seed = 9\nout_dir = runs/#3\n")
+    assert (cfg.seed, cfg.out_dir) == (0, "runs/#3")
+    with pytest.raises(DataError, match=r"^config line 2: config key 'seed': expected an integer >= 0, got '2 # two'$"):
+        parse_config("out_dir = run\nseed = 2 # two\n")
+
+
 FLOAT_KEYS = ["el_margin", "el_lr", "el_min_radius", "sae_lambda", "ridge_alpha"]
 INT_KEYS = ["el_dim", "el_epochs", "el_batch", "el_negatives", "walks_per_node", "walk_length",
             "w2v_dim", "w2v_window", "w2v_epochs", "w2v_min_count", "seed"]
@@ -173,7 +181,7 @@ def test_run_pipeline_writes_all_artifacts(tmp_path):
         "report.json",
         "manifest.txt",
     }
-    assert {p.name for p in out.iterdir()} == expected
+    assert {p.name for p in out.iterdir()} == expected == set(ARTIFACTS)
     assert 0.0 <= report.macro_unseen_accuracy <= 1.0
     assert report.counts["train_samples"] == 16
     assert report.counts["test_samples"] == 8
@@ -319,16 +327,74 @@ def test_an_empty_out_dir_is_a_data_error():
 
 
 def test_a_failed_rerun_leaves_no_manifest_or_report(tmp_path):
-    """A manifest certifies the files beside it: a run that fails leaves none, not the last run's."""
+    """A manifest certifies the files beside it: a run that fails leaves none, nor the last run's artifacts."""
     write_benchmark(tmp_path)
     out = tmp_path / "run"
-    certificates = {"manifest.txt", "report.txt", "report.json"}
     run_pipeline(base_config(tmp_path))
-    assert certificates <= {p.name for p in out.iterdir()}
+    assert {p.name for p in out.iterdir()} == set(ARTIFACTS)
     with pytest.raises(DataError, match="^encode: attribute component requires an attribute table$"):
         run_pipeline(base_config(tmp_path, components="attribute", attributes=""))
     left = {p.name for p in out.iterdir()}
-    assert "el_space.tsv" in left and not left & certificates
+    assert left == {"ontology.elf", "normalized.txt", "el_space.tsv", "corpus.txt", "wordvecs.txt"}
+
+
+def test_a_rerun_keeps_the_inputs_it_reads_from_out_dir(tmp_path):
+    """``synth`` writes ontology.elf into its out dir, and pretrained vectors may be an earlier wordvecs.txt."""
+    write_benchmark(tmp_path)
+    out = tmp_path / "run"
+    first = run_pipeline(base_config(tmp_path, components="el_center,word"))
+    written = {name: (out / name).read_bytes() for name in ("encodings.tsv", "model.txt", "predictions.tsv")}
+    cfg = base_config(tmp_path, components="el_center,word", ontology=str(out / "ontology.elf"),
+                      pretrained_vectors=str(out / "wordvecs.txt"))
+    second = run_pipeline(cfg)
+    assert second.macro_unseen_accuracy == first.macro_unseen_accuracy
+    assert {name: (out / name).read_bytes() for name in written} == written
+
+
+# The stage that reads each input and the noun its errors use.
+INPUTS = {"ontology": ("parse", "ontology"), "features": ("load-dataset", "features"),
+          "split": ("load-dataset", "split"), "attributes": ("load-dataset", "attributes"),
+          "class_map": ("load-dataset", "class map"), "pretrained_vectors": ("w2v", "pretrained vectors")}
+
+
+@pytest.mark.parametrize("key", sorted(INPUTS))
+def test_an_input_that_names_a_directory_is_a_data_error_naming_it(tmp_path, capsys, key):
+    write_benchmark(tmp_path)
+    (tmp_path / "d").mkdir()
+    cfg = base_config(tmp_path, **{key: str(tmp_path / "d")})
+    stage, noun = INPUTS[key]
+    message = f"{stage}: {noun} file {tmp_path / 'd'} is a directory"
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        run_pipeline(cfg)
+    assert main(pipeline_argv(cfg)) == EXIT_DATA
+    assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
+
+
+def test_a_fifo_is_still_an_input_file(tmp_path):
+    os.mkfifo(tmp_path / "fifo")
+    file_lines(str(tmp_path / "fifo"), "features")  # checked now, opened at the first row
+
+
+def test_an_out_dir_that_names_a_file_is_a_data_error_naming_it(tmp_path, capsys):
+    write_benchmark(tmp_path)
+    for out_dir in (tmp_path / "o.elf", tmp_path / "o.elf" / "run"):
+        cfg = base_config(tmp_path, out_dir=str(out_dir))
+        message = f"out_dir {out_dir} is not a directory"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            run_pipeline(cfg)
+        assert main(pipeline_argv(cfg)) == EXIT_DATA
+        assert capsys.readouterr().err.splitlines()[-1] == f"error: {message}"
+
+
+def test_a_directory_in_place_of_an_artifact_is_a_data_error_that_leaves_no_manifest(tmp_path):
+    write_benchmark(tmp_path)
+    out = tmp_path / "run"
+    run_pipeline(base_config(tmp_path))
+    (out / "model.txt").unlink()
+    (out / "model.txt").mkdir()
+    with pytest.raises(DataError, match=f"^{re.escape(f'out_dir {out}: model.txt is a directory')}$"):
+        run_pipeline(base_config(tmp_path))
+    assert not {"manifest.txt", "report.txt", "report.json"} & {p.name for p in out.iterdir()}
 
 
 def test_encoding_dims_add_up_across_components(tmp_path):

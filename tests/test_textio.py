@@ -551,10 +551,10 @@ def test_loaders_return_a_value_or_a_data_error(name, data):
 COMMANDS = {
     "parse": (["parse", "{ontology}"], ["ontology"]),
     "classify": (["classify", "--normalized", "{normalized}"], ["normalized"]),
-    "embed-el": (["embed-el", "--normalized", "{normalized}", "--epochs", "1", "--dim", "2"],
+    "embed-el": (["embed-el", "--normalized", "{normalized}", "--set", "el_epochs=1", "--set", "el_dim=2"],
                  ["normalized"]),
-    "w2v": (["w2v", "--corpus", "{corpus}", "--epochs", "1"], ["corpus"]),
-    "encode": (["encode", "--labels", "{labels}", "--components", "el_center,word,attribute",
+    "w2v": (["w2v", "--corpus", "{corpus}", "--set", "w2v_epochs=1"], ["corpus"]),
+    "encode": (["encode", "--labels", "{labels}", "--set", "components=el_center,word,attribute",
                 "--space", "{space}", "--vectors", "{vectors}", "--attributes", "{attributes}",
                 "--class-map", "{class_map}"], ["space", "vectors", "attributes", "class_map"]),
     "predict": (["predict", "--features", "{features}", "--split", "{split}",

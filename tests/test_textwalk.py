@@ -352,7 +352,7 @@ def test_word_vectors_are_the_same_bytes_under_one_and_two_blas_threads(tmp_path
         out = tmp_path / f"wordvecs-{threads}.txt"
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
                "PYTHONPATH": str(Path(textwalk.__file__).parents[1])}
-        argv = ["w2v", "--corpus", str(tmp_path / "corpus.txt"), "--seed", "2", "--out", str(out)]
+        argv = ["w2v", "--corpus", str(tmp_path / "corpus.txt"), "--out", str(out)]
         subprocess.run([sys.executable, "-m", "ontozsl.cli", *argv], env=env, check=True)
         written.append(out.read_bytes())
     assert written[0] == written[1]
