@@ -1,12 +1,14 @@
 """Command-line front end.
 
 One subcommand per pipeline stage plus ``synth`` for benchmark generation and
-``pipeline`` for the whole run.  Every subcommand that takes a setting reads
-it by its ``RunConfig`` key from ``--config FILE`` and ``--set key=value``
-(:func:`_settings`) before it opens any input, so stage commands run with a
-pipeline's settings write its artifacts; other flags name a file, ``--out``
-or one of ``synth``'s sizes.  Exit codes: 0 on success, 1 for usage
-problems, 2 for bad input data, 3 for numerical failures.
+``pipeline`` for the whole run.  A stage subcommand runs its entry of
+:data:`pipeline.STAGE_TABLE` on values read from the files its flags name.
+Every subcommand that takes a setting reads it by its ``RunConfig`` key from
+``--config FILE`` and ``--set key=value`` (:func:`_settings`) before it opens
+any input, so stage commands run with a pipeline's settings write its
+artifacts; other flags name a file, ``--out`` or one of ``synth``'s sizes.
+Exit codes: 0 on success, 1 for usage problems, 2 for bad input data, 3 for
+numerical failures.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from functools import partial
 from pathlib import Path
 
 from . import elembed, harness, pipeline, textwalk, zslmap
-from .errors import NumericalError, OntozslError, RangeError
-from .normalform import classify, normalize, read_normalized, write_normalized
+from .errors import DataError, NumericalError, OntozslError, RangeError
+from .normalform import classify, normalize, read_normalized
 from .ontology import parse_ontology, serialize_ontology
 from .textio import file_lines, fmt, read_file, read_setting, unique
 
@@ -41,8 +43,42 @@ class _Parser(argparse.ArgumentParser):
 def _write(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(path).write_text(text)
+    except OSError as exc:
+        raise DataError(f"--out {path}: {exc.strerror}") from None
+
+
+def _labels(rows) -> list[str]:
+    labels: dict[str, None] = {}
+    for where, line in rows:
+        labels[unique(labels, line.strip(), where, "label")] = None
+    return list(labels)
+
+
+# How a stage subcommand reads each value a stage reads: from the file that its
+# flag of the same name gives, the dataset from two.
+_READERS = {
+    "ontology": lambda args: parse_ontology(read_file(args.ontology, "ontology")),
+    "normalized": lambda args: read_normalized(read_file(args.normalized, "normalized axioms")),
+    "space": lambda args: elembed.read_space(file_lines(args.space, "embedding space")),
+    "corpus": lambda args: textwalk.load_corpus(file_lines(args.corpus, "corpus")),
+    "vectors": lambda args: textwalk.load_word_vectors(file_lines(args.vectors, "word vectors")),
+    "attributes": lambda args: harness.parse_vector_table(file_lines(args.attributes, "attributes")),
+    "class_map": lambda args: harness.parse_class_map(file_lines(args.class_map, "class map")),
+    "labels": lambda args: _labels(file_lines(args.labels, "labels")),
+    "encodings": lambda args: zslmap.load_encodings(file_lines(args.encodings, "encodings")),
+    "model": lambda args: zslmap.load_model(file_lines(args.model, "model")),
+    "dataset": lambda args: harness.load_dataset(file_lines(args.features, "features"),
+                                                 file_lines(args.split, "split")),
+    "seconds": lambda args: {},  # a subcommand reports no stage times
+}
+
+
+def _read(args, name: str):
+    """The value ``name``, or None when the optional flag of that name is not given."""
+    return None if vars(args).get(name, "") is None else _READERS[name](args)
 
 
 # ---------------------------------------------------------------------------
@@ -50,31 +86,13 @@ def _write(path: str | None, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_parse(args) -> None:
-    _write(args.out, serialize_ontology(parse_ontology(read_file(args.ontology, "ontology"))))
-
-
-def cmd_normalize(args) -> None:
-    ontology = parse_ontology(read_file(args.ontology, "ontology"))
-    _write(args.out, write_normalized(normalize(ontology)))
-
-
-def cmd_classify(args) -> None:
-    if args.normalized is not None:
-        normalized = read_normalized(read_file(args.normalized, "normalized axioms"))
-    else:
-        normalized = normalize(parse_ontology(read_file(args.ontology, "ontology")))
-    pairs = sorted(classify(normalized))
-    _write(args.out, "".join(f"{a}\t{b}\n" for a, b in pairs))
-
-
 def _settings(args) -> pipeline.RunConfig:
     """The run settings: the defaults, then the ``--config`` file, then each ``--set key=value``."""
     cfg = pipeline.RunConfig()
-    if args.config:
+    if getattr(args, "config", None):
         cfg = pipeline.parse_config(read_file(args.config, "config"), cfg)
     overrides = {}
-    for item in args.set or []:
+    for item in getattr(args, "set", None) or []:
         if "=" not in item:
             raise _UsageError(f"--set expects key=value, got {item!r}")
         key, value = item.split("=", 1)
@@ -82,73 +100,29 @@ def _settings(args) -> pipeline.RunConfig:
     return pipeline.config_from_pairs(overrides, cfg)
 
 
-def cmd_embed_el(args) -> None:
-    cfg = _settings(args).stage(elembed.ElTrainConfig)
-    normalized = read_normalized(read_file(args.normalized, "normalized axioms"))
-    space = elembed.train_el(normalized, cfg)
-    loss = elembed.total_loss(space, normalized, cfg)
-    print(f"total_loss\t{fmt(loss)}", file=sys.stderr)
-    _write(args.out, elembed.export_space(space))
+def cmd_stage(stage: pipeline.Stage, args) -> None:
+    """Run one stage on values read from files, writing its artifact to ``--out``.
+
+    A flag named after an input file key of the stage (``files``) sets that key.
+    Each further value made, such as embed-el's ``total_loss``, goes to stderr.
+    """
+    cfg = pipeline.config_from_pairs({k: vars(args)[k] for k in stage.files if k in vars(args)}, _settings(args))
+    made = stage(cfg, {name: _read(args, name) for name in stage.reads})
+    for name, value in zip(stage.makes[1:], made[1:]):
+        print(f"{name}\t{fmt(value)}", file=sys.stderr)
+    (save,) = stage.artifacts.values()
+    _write(args.out, save(*made))
+
+
+def cmd_classify(args) -> None:
+    normalized = _read(args, "normalized") or normalize(_read(args, "ontology"))
+    pairs = sorted(classify(normalized))
+    _write(args.out, "".join(f"{a}\t{b}\n" for a, b in pairs))
 
 
 def cmd_project(args) -> None:
-    graph = textwalk.project(parse_ontology(read_file(args.ontology, "ontology")))
+    graph = textwalk.project(_read(args, "ontology"))
     _write(args.out, "".join(f"{s}\t{p}\t{t}\n" for s, p, t in sorted(graph.edges)))
-
-
-def cmd_walk(args) -> None:
-    cfg = _settings(args).stage(textwalk.WalkConfig)
-    ontology = parse_ontology(read_file(args.ontology, "ontology"))
-    walks = textwalk.random_walks(textwalk.project(ontology), cfg)
-    corpus = textwalk.lexicalize(walks, ontology)
-    _write(args.out, textwalk.save_corpus(corpus))
-
-
-def cmd_w2v(args) -> None:
-    cfg = _settings(args).stage(textwalk.SkipGramConfig)
-    corpus = textwalk.load_corpus(file_lines(args.corpus, "corpus"))
-    _write(args.out, textwalk.save_word_vectors(textwalk.train_skipgram(corpus, cfg)))
-
-
-def cmd_encode(args) -> None:
-    components = _settings(args).component_list()
-    space = elembed.read_space(file_lines(args.space, "embedding space")) if args.space else None
-    vectors = textwalk.load_word_vectors(file_lines(args.vectors, "word vectors")) if args.vectors else None
-    ontology = parse_ontology(read_file(args.ontology, "ontology")) if args.ontology else None
-    attributes = (
-        harness.parse_vector_table(file_lines(args.attributes, "attributes")) if args.attributes else None
-    )
-    class_map = harness.parse_class_map(file_lines(args.class_map, "class map")) if args.class_map else None
-    labels: dict[str, None] = {}
-    for where, line in file_lines(args.labels, "labels"):
-        labels[unique(labels, line.strip(), where, "label")] = None
-    table = zslmap.encode_labels(
-        list(labels),
-        components,
-        space=space,
-        word_vectors=vectors,
-        ontology=ontology,
-        attributes=attributes,
-        class_map=class_map,
-    )
-    _write(args.out, zslmap.save_encodings(table))
-
-
-def cmd_train_map(args) -> None:
-    cfg = _settings(args).stage(zslmap.MapConfig)
-    table = zslmap.load_encodings(file_lines(args.encodings, "encodings"))
-    dataset = harness.load_dataset(file_lines(args.features, "features"), file_lines(args.split, "split"))
-    _write(args.out, zslmap.save_model(zslmap.train_map(dataset, table, cfg)))
-
-
-def cmd_predict(args) -> None:
-    candidate_set = _settings(args).candidate_set()
-    table = zslmap.load_encodings(file_lines(args.encodings, "encodings"))
-    model = zslmap.load_model(file_lines(args.model, "model"))
-    dataset = harness.load_dataset(file_lines(args.features, "features"), file_lines(args.split, "split"))
-    candidates = candidate_set.labels(dataset.seen_labels, dataset.unseen_labels)
-    ids, truth, labels = zslmap.predict_test(model, dataset, table, candidates)
-    _write(args.out, harness.write_predictions(ids, labels, truth))
 
 
 def cmd_eval(args) -> None:
@@ -209,7 +183,12 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="ontozsl", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    def add(name: str, func, help_text: str, out: bool = True, settings: bool = False):
+    stages = {stage.name: stage for stage in pipeline.STAGE_TABLE}
+
+    def add(name: str, func=None, help_text: str | None = None, out: bool = True, settings: bool = False):
+        """A subcommand; without ``func``, the stage of that name runs."""
+        if func is None:
+            func, help_text = partial(cmd_stage, stages[name]), stages[name].help
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
         if out:
@@ -219,10 +198,10 @@ def build_parser() -> _Parser:
             p.add_argument("--set", action="append", metavar="KEY=VALUE", help="override a config key")
         return p
 
-    p = add("parse", cmd_parse, "parse and re-serialize an ontology")
+    p = add("parse")
     p.add_argument("ontology")
 
-    p = add("normalize", cmd_normalize, "rewrite an ontology into normal form")
+    p = add("normalize")
     p.add_argument("ontology")
 
     p = add("classify", cmd_classify, "derive all subsumptions")
@@ -230,19 +209,19 @@ def build_parser() -> _Parser:
     source.add_argument("--ontology", default=None)
     source.add_argument("--normalized", default=None)
 
-    p = add("embed-el", cmd_embed_el, "train concept ball embeddings", settings=True)
+    p = add("embed-el", settings=True)
     p.add_argument("--normalized", required=True)
 
     p = add("project", cmd_project, "project an ontology onto graph edges")
     p.add_argument("ontology")
 
-    p = add("walk", cmd_walk, "random-walk an ontology graph into a corpus", settings=True)
+    p = add("walk", settings=True)
     p.add_argument("ontology")
 
-    p = add("w2v", cmd_w2v, "train word vectors on a corpus", settings=True)
+    p = add("w2v", settings=True)
     p.add_argument("--corpus", required=True)
 
-    p = add("encode", cmd_encode, "build label encodings", settings=True)
+    p = add("encode", settings=True)
     p.add_argument("--labels", required=True, help="file with one label per line")
     p.add_argument("--space", default=None)
     p.add_argument("--vectors", default=None)
@@ -250,12 +229,12 @@ def build_parser() -> _Parser:
     p.add_argument("--attributes", default=None)
     p.add_argument("--class-map", default=None)
 
-    p = add("train-map", cmd_train_map, "fit the feature-to-encoding mapper", settings=True)
+    p = add("train-map", settings=True)
     p.add_argument("--features", required=True)
     p.add_argument("--split", required=True)
     p.add_argument("--encodings", required=True)
 
-    p = add("predict", cmd_predict, "label test samples by nearest encoding", settings=True)
+    p = add("predict", settings=True)
     p.add_argument("--features", required=True)
     p.add_argument("--split", required=True)
     p.add_argument("--encodings", required=True)

@@ -1,11 +1,14 @@
 """End-to-end run orchestration driven by a flat key-value config.
 
-``run_pipeline`` executes every stage, writing each intermediate artifact
-into the output directory: parse, normalize, train the concept embeddings,
-project and walk the graph, train word vectors, load the dataset, encode the
-labels, fit the feature-to-encoding mapper on the seen split, predict the
-test split, and score it.  The stages run one after another, in this
-order.  All randomness is derived from the single config seed, so
+:data:`STAGE_TABLE` lists the stages in run order: parse, normalize, train
+the concept embeddings, project and walk the graph, train word vectors, load
+the dataset, encode the labels, fit the feature-to-encoding mapper on the
+seen split, predict the test split, and score it.  Each entry names the
+values it reads and makes, its function and its artifacts, so each stage's
+work is written once: ``run_pipeline`` walks the table in one process,
+keeping every value in memory and writing every artifact into the output
+directory, and each stage subcommand of the CLI runs one entry on values
+read from files.  All randomness is derived from the single config seed, so
 re-running a config reproduces every output file byte for byte.
 """
 
@@ -14,11 +17,11 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import logging
 import time
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from . import elembed, harness, textwalk, zslmap
 from .errors import DataError, OntozslError, RangeError
@@ -26,8 +29,6 @@ from .normalform import BY_TAG, normalize, write_normalized
 from .ontology import parse_ontology, serialize_ontology
 from .textio import file_lines, fmt, lines, read_file, read_setting, unique, write_setting
 from .zslmap import CandidateSet, Component
-
-logger = logging.getLogger(__name__)
 
 
 # How the fields of each stage config appear as RunConfig keys: the prefix plus
@@ -204,49 +205,156 @@ def report_json(report: MetricsReport) -> str:
 # ---------------------------------------------------------------------------
 
 
-# Every file run_pipeline writes into out_dir, the manifest and reports first,
-# so a run stopped while removing an earlier run's files leaves none of them.
-ARTIFACTS = ("manifest.txt", "report.txt", "report.json", "ontology.elf", "normalized.txt", "el_space.tsv",
-             "corpus.txt", "wordvecs.txt", "encodings.tsv", "model.txt", "predictions.tsv")
+@dataclass(frozen=True)
+class Stage:
+    """One stage: ``run(cfg, *values)`` takes the values ``reads`` names and returns the one
+    ``makes`` names, or a tuple of them.  ``files`` are the RunConfig keys of the input files
+    it opens; each artifact's function writes the values made as text.  ``help`` describes
+    the stage's subcommand, which the pipeline-only stage lacks.
+    """
+
+    name: str
+    files: tuple[str, ...]
+    reads: tuple[str, ...]
+    makes: tuple[str, ...]
+    run: Callable
+    artifacts: dict[str, Callable[..., str]]
+    help: str | None = None
+
+    def __call__(self, cfg: RunConfig, values: dict[str, object]) -> tuple:
+        """The values made, in the order of ``makes``, from ``values`` by name."""
+        made = self.run(cfg, *(values[name] for name in self.reads))
+        return made if len(self.makes) > 1 else (made,)
 
 
-class _stage:
-    """Prefix any package error escaping the stage with the stage name, and time the stage."""
+def _embed_el(cfg: RunConfig, normalized, seconds: dict[str, float]):
+    """The trained space and its total loss; ``seconds["train_el"]`` is the time spent in ``train_el``."""
+    el_cfg = cfg.stage(elembed.ElTrainConfig)
+    start = time.perf_counter()
+    space = elembed.train_el(normalized, el_cfg)
+    seconds["train_el"] = time.perf_counter() - start
+    return space, elembed.total_loss(space, normalized, el_cfg)
 
-    def __init__(self, name: str, seconds: dict[str, float]):
-        self.name = name
-        self.seconds = seconds
 
-    def __enter__(self) -> "_stage":
-        self.start = time.perf_counter()
-        return self
+def _w2v(cfg: RunConfig, corpus):
+    if cfg.pretrained_vectors:  # they stand in for the trained vectors
+        return textwalk.load_word_vectors(file_lines(cfg.pretrained_vectors, "pretrained vectors", "word vectors"))
+    return textwalk.train_skipgram(corpus, cfg.stage(textwalk.SkipGramConfig))
 
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        self.seconds[self.name] = time.perf_counter() - self.start
-        if isinstance(exc, OntozslError) and not getattr(exc, "stage", None):
-            exc.stage = self.name
-            exc.args = (f"{self.name}: {exc}",)
-        return False
+
+def _load_dataset(cfg: RunConfig):
+    """The dataset, its labels in order, and the attribute table and class map, each None when not set."""
+    dataset = harness.load_dataset(file_lines(cfg.features, "features"), file_lines(cfg.split, "split"))
+    class_map = harness.parse_class_map(file_lines(cfg.class_map, "class map")) if cfg.class_map else None
+    attributes = harness.parse_vector_table(file_lines(cfg.attributes, "attributes")) if cfg.attributes else None
+    return dataset, sorted(dataset.seen_labels | dataset.unseen_labels), attributes, class_map
+
+
+def _candidates(cfg: RunConfig, dataset) -> list[str]:
+    return cfg.candidate_set().labels(dataset.seen_labels, dataset.unseen_labels)
+
+
+def _eval(cfg: RunConfig, normalized, space, total_loss, corpus, vectors, dataset, encodings, model,
+          predictions, seconds):
+    """The report, and the per-class counts that its text form adds."""
+    _ids, truth, predicted = predictions
+    faithful = elembed.faithfulness(space, normalized, cfg.el_margin)
+    spread = zslmap.candidate_spread(encodings, _candidates(cfg, dataset))
+    kinds = Counter(ax.TAG for ax in normalized.axioms)
+    macro, per_class, per_class_counts = harness.unseen_scores(predicted, truth, dataset.unseen_labels)
+    report = MetricsReport(
+        macro_unseen_accuracy=macro,
+        sample_accuracy=harness.sample_accuracy(predicted, truth),
+        per_class_accuracy=per_class,
+        counts={
+            "train_samples": int(dataset.rows_of(dataset.seen_labels).sum()),
+            "test_samples": len(truth),
+            "correct": sum(p == t for p, t in zip(predicted, truth)),
+            "seen_classes": len(dataset.seen_labels),
+            "unseen_classes": len(dataset.unseen_labels),
+            "encoding_dim": encodings.dim,
+            "el_nest_pairs": faithful.nest_pairs,
+            "el_disjoint_pairs": faithful.disjoint_pairs,
+            "w2v_corpus_tokens": sum(len(sentence) for sentence in corpus.sentences),
+            "w2v_pairs": vectors.pairs,
+            "w2v_vocab": len(vectors.vectors),
+            **{tag: kinds[tag] for tag in BY_TAG},
+        },
+        config_echo=cfg.to_dict(),
+        el_total_loss=total_loss,
+        el_losses=space.train_losses,
+        el_nest_fraction=faithful.nest_fraction,
+        el_disjoint_fraction=faithful.disjoint_fraction,
+        w2v_losses=vectors.train_losses,
+        candidate_min_distance=spread[0],
+        candidate_median_distance=spread[1],
+        map_train_loss=model.train_loss,
+        stage_seconds=seconds,
+    )
+    return report, per_class_counts
+
+
+# The stages in run order, each name also its stage_seconds key and its
+# subcommand.  Every function looks its callees up on their module when it
+# runs, so a patched one runs.  ``seconds`` is the run's stage_seconds.
+STAGE_TABLE = (
+    Stage("parse", ("ontology",), (), ("ontology",),
+          lambda cfg: parse_ontology(read_file(cfg.ontology, "ontology")),
+          {"ontology.elf": lambda ontology: serialize_ontology(ontology)}, "parse and re-serialize an ontology"),
+    Stage("normalize", (), ("ontology",), ("normalized",), lambda cfg, ontology: normalize(ontology),
+          {"normalized.txt": lambda normalized: write_normalized(normalized)},
+          "rewrite an ontology into normal form"),
+    Stage("embed-el", (), ("normalized", "seconds"), ("space", "total_loss"), _embed_el,
+          {"el_space.tsv": lambda space, _loss: elembed.export_space(space)}, "train concept ball embeddings"),
+    Stage("walk", (), ("ontology",), ("corpus",),
+          lambda cfg, ontology: textwalk.lexicalize(
+              textwalk.random_walks(textwalk.project(ontology), cfg.stage(textwalk.WalkConfig)), ontology),
+          {"corpus.txt": lambda corpus: textwalk.save_corpus(corpus)},
+          "random-walk an ontology graph into a corpus"),
+    Stage("w2v", ("pretrained_vectors",), ("corpus",), ("vectors",), _w2v,
+          {"wordvecs.txt": lambda vectors: textwalk.save_word_vectors(vectors)}, "train word vectors on a corpus"),
+    Stage("load-dataset", ("features", "split", "class_map", "attributes"), (),
+          ("dataset", "labels", "attributes", "class_map"), _load_dataset, {}),
+    Stage("encode", (), ("space", "vectors", "ontology", "attributes", "class_map", "labels"), ("encodings",),
+          lambda cfg, space, vectors, ontology, attributes, class_map, labels: zslmap.encode_labels(
+              labels, cfg.component_list(), space=space, word_vectors=vectors, ontology=ontology,
+              attributes=attributes, class_map=class_map),
+          {"encodings.tsv": lambda encodings: zslmap.save_encodings(encodings)}, "build label encodings"),
+    Stage("train-map", (), ("encodings", "dataset"), ("model",),
+          lambda cfg, encodings, dataset: zslmap.train_map(dataset, encodings, cfg.stage(zslmap.MapConfig)),
+          {"model.txt": lambda model: zslmap.save_model(model)}, "fit the feature-to-encoding mapper"),
+    Stage("predict", (), ("encodings", "model", "dataset"), ("predictions",),
+          lambda cfg, encodings, model, dataset: zslmap.predict_test(model, dataset, encodings,
+                                                                     _candidates(cfg, dataset)),
+          {"predictions.tsv": lambda p: harness.write_predictions(p[0], p[2], p[1])},  # ids, truth, predicted
+          "label test samples by nearest encoding"),
+    Stage("eval", (), ("normalized", "space", "total_loss", "corpus", "vectors", "dataset", "encodings", "model",
+                       "predictions", "seconds"), ("report", "per_class_counts"), _eval,
+          {"report.txt": render_report, "report.json": lambda report, _counts: report_json(report)}),
+)
+
+# Every file run_pipeline writes into out_dir: the manifest, then each stage's
+# artifacts, the last stage's first, so a run stopped while removing an earlier
+# run's files leaves no manifest or report.
+ARTIFACTS = ("manifest.txt", *(name for stage in reversed(STAGE_TABLE) for name in stage.artifacts))
 
 
 def run_pipeline(cfg: RunConfig) -> MetricsReport:
-    """Execute all stages and write artifacts plus a manifest to ``out_dir``.
+    """Walk :data:`STAGE_TABLE`, keeping each value in memory; write artifacts plus a manifest to ``out_dir``.
 
     Every stage config was built, and so range-checked, with ``cfg`` itself.
-    The stages run one after another, in the order of ``stage_seconds``.
-    Every file of :data:`ARTIFACTS` that an earlier run left in ``out_dir``
-    is removed first, but one that is an input of this run, so a run that
-    fails leaves only its own artifacts.
+    The stages run one after another, in the order of ``stage_seconds``; a
+    package error escaping a stage is prefixed with the stage's name.  Every
+    file of :data:`ARTIFACTS` that an earlier run left in ``out_dir`` is
+    removed first, but one that is an input of this run, so a run that fails
+    leaves only its own artifacts.
     """
-    el_cfg = cfg.stage(elembed.ElTrainConfig)
-
     out_dir = Path(cfg.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError):
         raise DataError(f"out_dir {cfg.out_dir} is not a directory") from None
-    inputs = [cfg.ontology, cfg.features, cfg.split, cfg.class_map, cfg.attributes, cfg.pretrained_vectors]
-    kept = {Path(path).resolve() for path in inputs if path}
+    kept = {Path(getattr(cfg, key)).resolve() for stage in STAGE_TABLE for key in stage.files if getattr(cfg, key)}
     for name in ARTIFACTS:
         path = out_dir / name
         if path.is_dir():
@@ -255,112 +363,26 @@ def run_pipeline(cfg: RunConfig) -> MetricsReport:
             path.unlink(missing_ok=True)
     artifacts: dict[str, str] = {}
     seconds: dict[str, float] = {}
-
-    def emit(name: str, text: str) -> None:
-        (out_dir / name).write_text(text)
-        artifacts[name] = text
-
-    with _stage("parse", seconds):
-        ontology = parse_ontology(read_file(cfg.ontology, "ontology"))
-        emit("ontology.elf", serialize_ontology(ontology))
-
-    with _stage("normalize", seconds):
-        normalized = normalize(ontology)
-        emit("normalized.txt", write_normalized(normalized))
-
-    with _stage("embed-el", seconds):
+    values: dict[str, object] = {"seconds": seconds}
+    for stage in STAGE_TABLE:
         start = time.perf_counter()
-        space = elembed.train_el(normalized, el_cfg)  # looked up on the module, so a patched one runs
-        seconds["train_el"] = time.perf_counter() - start
-        el_loss = elembed.total_loss(space, normalized, el_cfg)
-        faithful = elembed.faithfulness(space, normalized, el_cfg.margin)
-        emit("el_space.tsv", elembed.export_space(space))
-        logger.info("embedding loss after training: %.6f", el_loss)
-
-    with _stage("walk", seconds):
-        walks = textwalk.random_walks(textwalk.project(ontology), cfg.stage(textwalk.WalkConfig))
-        corpus = textwalk.lexicalize(walks, ontology)
-        emit("corpus.txt", textwalk.save_corpus(corpus))
-
-    with _stage("w2v", seconds):
-        if cfg.pretrained_vectors:  # they stand in for the trained vectors
-            vectors = textwalk.load_word_vectors(
-                file_lines(cfg.pretrained_vectors, "pretrained vectors", "word vectors")
-            )
-        else:
-            vectors = textwalk.train_skipgram(corpus, cfg.stage(textwalk.SkipGramConfig))
-        emit("wordvecs.txt", textwalk.save_word_vectors(vectors))
-
-    with _stage("load-dataset", seconds):
-        dataset = harness.load_dataset(file_lines(cfg.features, "features"), file_lines(cfg.split, "split"))
-        class_map = harness.parse_class_map(file_lines(cfg.class_map, "class map")) if cfg.class_map else {}
-        attributes = (
-            harness.parse_vector_table(file_lines(cfg.attributes, "attributes")) if cfg.attributes else None
-        )
-
-    with _stage("encode", seconds):
-        labels = sorted(dataset.seen_labels | dataset.unseen_labels)
-        table = zslmap.encode_labels(
-            labels,
-            cfg.component_list(),
-            space=space,
-            word_vectors=vectors,
-            ontology=ontology,
-            attributes=attributes,
-            class_map=class_map,
-        )
-        emit("encodings.tsv", zslmap.save_encodings(table))
-
-    with _stage("train-map", seconds):
-        model = zslmap.train_map(dataset, table, cfg.stage(zslmap.MapConfig))
-        emit("model.txt", zslmap.save_model(model))
-
-    with _stage("predict", seconds):
-        candidates = cfg.candidate_set().labels(dataset.seen_labels, dataset.unseen_labels)
-        test_ids, truth, predictions = zslmap.predict_test(model, dataset, table, candidates)
-        emit("predictions.tsv", harness.write_predictions(test_ids, predictions, truth))
-        spread = zslmap.candidate_spread(table, candidates)
-
-    with _stage("eval", seconds):
-        kinds = Counter(ax.TAG for ax in normalized.axioms)
-        macro, per_class, per_class_counts = harness.unseen_scores(
-            predictions, truth, dataset.unseen_labels
-        )
-        report = MetricsReport(
-            macro_unseen_accuracy=macro,
-            sample_accuracy=harness.sample_accuracy(predictions, truth),
-            per_class_accuracy=per_class,
-            counts={
-                "train_samples": int(dataset.rows_of(dataset.seen_labels).sum()),
-                "test_samples": len(truth),
-                "correct": sum(p == t for p, t in zip(predictions, truth)),
-                "seen_classes": len(dataset.seen_labels),
-                "unseen_classes": len(dataset.unseen_labels),
-                "encoding_dim": table.dim,
-                "el_nest_pairs": faithful.nest_pairs,
-                "el_disjoint_pairs": faithful.disjoint_pairs,
-                "w2v_corpus_tokens": sum(len(sentence) for sentence in corpus.sentences),
-                "w2v_pairs": vectors.pairs,
-                "w2v_vocab": len(vectors.vectors),
-                **{tag: kinds[tag] for tag in BY_TAG},
-            },
-            config_echo=cfg.to_dict(),
-            el_total_loss=el_loss,
-            el_losses=space.train_losses,
-            el_nest_fraction=faithful.nest_fraction,
-            el_disjoint_fraction=faithful.disjoint_fraction,
-            w2v_losses=vectors.train_losses,
-            candidate_min_distance=spread[0],
-            candidate_median_distance=spread[1],
-            map_train_loss=model.train_loss,
-            stage_seconds=seconds,
-        )
-        emit("report.txt", render_report(report, per_class_counts))
-        emit("report.json", report_json(report))
+        try:
+            made = stage(cfg, values)
+            values.update(zip(stage.makes, made))
+            for name, save in stage.artifacts.items():
+                artifacts[name] = save(*made)
+                (out_dir / name).write_text(artifacts[name])
+        except OntozslError as exc:
+            if not getattr(exc, "stage", None):
+                exc.stage = stage.name
+                exc.args = (f"{stage.name}: {exc}",)
+            raise
+        finally:
+            seconds[stage.name] = time.perf_counter() - start
 
     manifest = "".join(
         f"{hashlib.sha256(text.encode()).hexdigest()}  {name}\n"
         for name, text in sorted(artifacts.items())
     )
     (out_dir / "manifest.txt").write_text(manifest)
-    return report
+    return values["report"]

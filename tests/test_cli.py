@@ -628,6 +628,17 @@ def test_an_empty_out_dir_exits_2_and_writes_nothing(tiny_inputs, tmp_path, monk
     assert not any(work.iterdir()) and not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("out, reason", [("data", "Is a directory"), ("nodir/x.txt", "No such file or directory")],
+                         ids=["directory", "missing-directory"])
+def test_an_out_path_that_cannot_be_written_exits_2_naming_out(tiny_inputs, tmp_path, monkeypatch, capsys,
+                                                                out, reason):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "data").mkdir()
+    assert main(["normalize", str(tiny_inputs["ontology"]), "--out", out]) == EXIT_DATA
+    assert capsys.readouterr().err == f"error: --out {out}: {reason}\n"
+    assert not (tmp_path / "nodir").exists()
+
+
 def test_ridge_overflow_exits_3_in_train_map_without_a_warning(tiny_inputs, tmp_path):
     ids, labels, features = harness.parse_features(textio.file_lines(str(tiny_inputs["features"]), "features"))
     huge = [harness.Sample(*row) for row in zip(ids, labels, np.full_like(features, 1e300))]
@@ -721,7 +732,8 @@ def test_a_removed_stage_setting_flag_is_a_usage_error(tmp_path, capsys, command
     assert not out.exists()
 
 
-def test_a_chain_of_stage_commands_writes_the_pipeline_artifacts(tmp_path):
+@pytest.mark.parametrize("pretrained", [False, True], ids=["trained", "pretrained"])
+def test_a_chain_of_stage_commands_writes_the_pipeline_artifacts(tmp_path, pretrained):
     """One config file at a nonzero seed drives both; every artifact the chain writes is the pipeline's."""
     data, run, chain = tmp_path / "data", tmp_path / "run", tmp_path / "chain"
     sizes = ["--k-seen", "4", "--k-unseen", "2", "--per-class", "4"]
@@ -732,6 +744,12 @@ def test_a_chain_of_stage_commands_writes_the_pipeline_artifacts(tmp_path):
         f"split = {data / 'split.txt'}\nout_dir = {run}\n"
         "seed = 3\nel_epochs = 5\ncomponents = el_center,word\ncandidates = all\n"
     )
+    if pretrained:  # 25-wide vectors at the default settings stand in for the run's own 5-wide ones
+        pre_corpus, pre = tmp_path / "pre_corpus.txt", tmp_path / "pre.txt"
+        assert main(["walk", str(data / "ontology.elf"), "--out", str(pre_corpus)]) == EXIT_OK
+        assert main(["w2v", "--corpus", str(pre_corpus), "--out", str(pre)]) == EXIT_OK
+        with config.open("a") as f:
+            f.write(f"w2v_dim = 5\npretrained_vectors = {pre}\n")
     settings = ["--config", str(config)]
     assert main(["pipeline", *settings]) == EXIT_OK
     chain.mkdir()
@@ -756,6 +774,8 @@ def test_a_chain_of_stage_commands_writes_the_pipeline_artifacts(tmp_path):
         assert main([*argv, "--out", str(chain / name)]) == EXIT_OK
     differ = [name for name in steps if (chain / name).read_bytes() != (run / name).read_bytes()]
     assert differ == []
+    if pretrained:  # the given vectors, not trained ones
+        assert (run / "wordvecs.txt").read_bytes() == pre.read_bytes()
 
 
 def readme_commands():

@@ -9,13 +9,15 @@ import os
 import subprocess
 import sys
 import types
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import ontozsl
 from ontozsl import textwalk
-from ontozsl.harness import gen_synthetic
+from ontozsl.harness import gen_synthetic, write_features, write_split, write_vector_table
+from ontozsl.ontology import serialize_ontology
 from ontozsl.pipeline import RunConfig, run_pipeline
 
 MODULES = sorted(p for p in Path(ontozsl.__file__).parent.glob("*.py") if p.name != "__init__.py")
@@ -65,6 +67,51 @@ def test_every_function_the_benchmark_patches_exists(monkeypatch):
         assert callable(getattr(importlib.import_module(f"ontozsl.{module}"), attribute, None)), (
             f"ontozsl.{module}.{attribute}"
         )
+
+
+def test_every_function_the_benchmark_traces_runs_in_a_pipeline(tmp_path, monkeypatch):
+    """A function the pipeline no longer calls through its module attribute would lose its span."""
+    tracing = _load_perfbench("tracing", monkeypatch)
+    calls = Counter()
+
+    def counted(key, fn):
+        def call(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return call
+
+    for module, attribute, _name in tracing.SPANS:
+        owner = importlib.import_module(f"ontozsl.{module}")
+        monkeypatch.setattr(owner, attribute, counted((module, attribute), getattr(owner, attribute)))
+    data = gen_synthetic(3, 1, 3, p=4)
+    texts = {
+        "ontology": serialize_ontology(data.ontology),
+        "features": write_features(data.dataset.samples),
+        "split": write_split(data.dataset.seen_labels, data.dataset.unseen_labels),
+        "attributes": write_vector_table(data.attributes),
+    }
+    for key, text in texts.items():
+        (tmp_path / key).write_text(text)
+    paths = {key: str(tmp_path / key) for key in ("ontology", "features", "split")}
+    fast = {"el_epochs": 1, "walks_per_node": 1, "w2v_epochs": 1}
+    run_pipeline(RunConfig(**paths, **fast, attributes=str(tmp_path / "attributes"),
+                           components="el_center,attribute", out_dir=str(tmp_path / "sae")))
+    run_pipeline(RunConfig(**paths, **fast, mapper="ridge", out_dir=str(tmp_path / "ridge")))
+    missed = [f"ontozsl.{module}.{attribute}" for module, attribute, _name in tracing.SPANS
+              if not calls[module, attribute]]
+    assert missed == []
+
+
+# The stage functions proper: the CLI reaches them only through the stage table.
+STAGE_WORK = {"train_el", "random_walks", "lexicalize", "train_skipgram", "encode_labels", "train_map", "predict_test"}
+
+
+def test_the_cli_runs_stage_work_only_through_the_stage_table():
+    tree = ast.parse((Path(ontozsl.__file__).parent / "cli.py").read_text())
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not named & STAGE_WORK, f"cli.py names {sorted(named & STAGE_WORK)}"
 
 
 @pytest.mark.parametrize("path", sorted(PERFBENCH.glob("*.py")), ids=lambda p: p.name)
