@@ -72,17 +72,11 @@ class EmbeddingSpace:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EmbeddingSpace):
             return NotImplemented
-        return (
-            self.dim == other.dim
-            and self.concepts.keys() == other.concepts.keys()
-            and self.relations.keys() == other.relations.keys()
-            and all(
-                np.array_equal(b.center, other.concepts[n].center)
-                and b.radius == other.concepts[n].radius
-                for n, b in self.concepts.items()
-            )
-            and all(np.array_equal(v, other.relations[n]) for n, v in self.relations.items())
-        )
+        try:
+            (keys, theta), (other_keys, other_theta) = _pack(self), _pack(other)
+        except ValueError:  # a vector that is not dim long
+            return False
+        return self.dim == other.dim and keys == other_keys and np.array_equal(theta, other_theta)
 
 
 @dataclass(frozen=True)
@@ -185,7 +179,10 @@ def _with_negatives(terms: _Terms, nf2: np.ndarray, copies: int, margin: float) 
     """``terms`` followed by ``copies`` corrupted copies of each NF2 hinge row ``nf2``, in that order.
 
     The copies keep the true filler until :func:`_draw_fillers` draws theirs.
+    Copies whose rows and coefficients (11 numbers each) would pass
+    ``errors.MAX_TABLE_BYTES`` are a DataError naming ``el_negatives``.
     """
+    check_table_size("el_negatives", nf2.size * copies, 11, copies, what="negative term table")
     j = np.repeat(nf2, copies)
     negative = _corrupt(terms, j, terms.rows[j, 1], margin)
     return _Terms(*(np.concatenate(pair) for pair in zip(terms, negative)))
@@ -381,19 +378,14 @@ def total_loss(space: EmbeddingSpace, n: NormalizedOntology, cfg: ElTrainConfig)
 
 
 def _initialize(n: NormalizedOntology, cfg: ElTrainConfig, rng: np.random.Generator) -> EmbeddingSpace:
-    names = sorted(set(n.concept_names) | {TOP, BOTTOM})
-    check_table_size("el_dim", len(names) + len(n.relation_names), cfg.dim)
+    names, relations = sorted(set(n.concept_names) | {TOP, BOTTOM}), sorted(n.relation_names)
+    check_table_size("el_dim", len(names) + len(relations), cfg.dim)
+    centers = rng.normal(size=(len(names), cfg.dim))
+    centers /= np.sqrt(np.vecdot(centers, centers))[:, None]
+    vectors = rng.uniform(-0.1, 0.1, size=(len(relations), cfg.dim))
     nominal = set(n.nominal_map.values())
-    concepts: dict[str, Ball] = {}
-    for name in names:
-        center = rng.normal(size=cfg.dim)
-        center /= np.linalg.norm(center)
-        radius = cfg.min_radius if name in nominal else max(0.1, cfg.min_radius)
-        concepts[name] = Ball(center, radius)
-    relations = {
-        name: rng.uniform(-0.1, 0.1, size=cfg.dim) for name in sorted(n.relation_names)
-    }
-    return EmbeddingSpace(cfg.dim, concepts, relations)
+    radii = [cfg.min_radius if name in nominal else max(0.1, cfg.min_radius) for name in names]
+    return EmbeddingSpace(cfg.dim, dict(zip(names, map(Ball, centers, radii))), dict(zip(relations, vectors)))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # divergence is a NumericalError
@@ -414,9 +406,11 @@ def train_el(n: NormalizedOntology, cfg: ElTrainConfig) -> EmbeddingSpace:
     non-finite parameter (which is named), aborts with a NumericalError
     naming the step; numpy's overflow warnings are silenced, since that error
     reports them.  A parameter table or step buffer over
-    ``errors.MAX_TABLE_BYTES`` is a DataError naming ``el_dim``, raised
-    before it is allocated.  The returned space carries the summed batch
-    loss of each epoch.
+    ``errors.MAX_TABLE_BYTES`` is a DataError naming ``el_dim``, and
+    corrupted copies over it one naming ``el_negatives``, raised before they
+    are allocated.  A ``batch_size`` above the number of axioms trains as
+    that number, one batch an epoch.  The returned space carries the summed
+    batch loss of each epoch.
     """
     rng = np.random.default_rng(cfg.seed)
     space = _initialize(n, cfg, rng)
@@ -427,14 +421,15 @@ def train_el(n: NormalizedOntology, cfg: ElTrainConfig) -> EmbeddingSpace:
     copies = cfg.negatives if nf2.size else 0
     terms = _with_negatives(terms, nf2, copies, cfg.margin)
     n_concepts, n_axioms = len(space.concepts), len(n.axioms)
+    batch_size = min(cfg.batch_size, n_axioms)  # a larger batch is the whole epoch too
     axiom = terms.rows[:, 3].copy()
-    kernel = _Kernel(theta, cfg.dim, *_largest_batch(terms, n_axioms, cfg.batch_size))
+    kernel = _Kernel(theta, cfg.dim, *_largest_batch(terms, n_axioms, batch_size))
     params, radii = kernel.params, kernel.radii
     moment, square, work = np.zeros_like(theta), np.zeros_like(theta), np.empty_like(theta)
     nominal = set(n.nominal_map.values())
     pinned = np.array([name in nominal for _, name in keys[:n_concepts]])
     concept_radii = radii[:n_concepts]
-    n_batches = -(-n_axioms // cfg.batch_size)
+    n_batches = -(-n_axioms // batch_size)
     position = np.empty(n_axioms, dtype=np.intp)
     losses = []
     step = 0
@@ -445,7 +440,7 @@ def train_el(n: NormalizedOntology, cfg: ElTrainConfig) -> EmbeddingSpace:
             # negatives are drawn in batch order, like one draw per NF2 axiom visited
             visits = np.argsort(position.take(axiom.take(nf2)))
             _draw_fillers(terms, nf2, visits, copies, n_concepts, rng)
-        batches = _batches(terms, position.take(axiom) // cfg.batch_size, n_batches)
+        batches = _batches(terms, position.take(axiom) // batch_size, n_batches)
         epoch_loss = 0.0
         for k in range(n_batches):
             loss, grad = kernel(batches, k)
@@ -453,7 +448,7 @@ def train_el(n: NormalizedOntology, cfg: ElTrainConfig) -> EmbeddingSpace:
             step += 1
             # Adam on the mean batch gradient, in place: the batch length and
             # both bias corrections fold into scalar factors
-            size = min(cfg.batch_size, n_axioms - k * cfg.batch_size)
+            size = min(batch_size, n_axioms - k * batch_size)
             moment *= _BETA1
             moment += np.multiply(grad, (1.0 - _BETA1) / size, out=work)
             square *= _BETA2
@@ -471,10 +466,10 @@ def train_el(n: NormalizedOntology, cfg: ElTrainConfig) -> EmbeddingSpace:
             np.maximum(concept_radii, cfg.min_radius, out=concept_radii)
             concept_radii[pinned] = cfg.min_radius
         losses.append(epoch_loss)
-    names = [name for _, name in keys]
-    balls = [Ball(params[i].copy(), float(radii[i])) for i in range(n_concepts)]
-    relations = {name: params[i].copy() for i, name in enumerate(names) if i >= n_concepts}
-    return EmbeddingSpace(cfg.dim, dict(zip(names[:n_concepts], balls)), relations, tuple(losses))
+    params, names = params.copy(), [name for _, name in keys]
+    concepts = {name: Ball(params[i], float(radii[i])) for i, name in enumerate(names[:n_concepts])}
+    relations = dict(zip(names[n_concepts:], params[n_concepts:]))
+    return EmbeddingSpace(cfg.dim, concepts, relations, tuple(losses))
 
 
 def _largest_batch(terms: _Terms, n_axioms: int, batch_size: int) -> tuple[int, int]:

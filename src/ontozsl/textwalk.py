@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import errors
 from .errors import DataError, UnknownNameError, check_ranges, check_table_size
 from .normalform import NF1, NF2, NF3, inclusions, rewrite
 from .ontology import LABEL, Annotation, Ontology, RoleComposition, expression_text
@@ -146,14 +147,20 @@ def random_walks(g: ProjectedGraph, cfg: WalkConfig) -> list[list[str]]:
 
     A walk records node and predicate names alternately and stops early at
     nodes with no outgoing edges, so a sink yields the single-element walk.
+    Walks whose references, or whose drawn tokens, would pass
+    ``errors.MAX_TABLE_BYTES`` at 8 bytes each are a DataError naming
+    ``walks_per_node``, checked before walking, or ``walk_length``, checked
+    as the tokens are drawn.
     """
     if not g.nodes:
         raise DataError("cannot walk an empty graph")
+    check_table_size("walks_per_node", len(g.nodes), cfg.walks_per_node, what="walk list")
     adjacency: dict[str, list[tuple[str, str]]] = {node: [] for node in g.nodes}
     for s, p, t in sorted(g.edges):
         adjacency[s].append((p, t))
     rng = np.random.default_rng(cfg.seed)
     walks = []
+    room = errors.MAX_TABLE_BYTES // 8  # tokens the walks may still draw
     for node in sorted(g.nodes):
         for _ in range(cfg.walks_per_node):
             path = [node]
@@ -162,9 +169,15 @@ def random_walks(g: ProjectedGraph, cfg: WalkConfig) -> list[list[str]]:
                 outgoing = adjacency[current]
                 if not outgoing:
                     break
+                if len(path) + 2 > room:
+                    raise DataError(
+                        f"walk_length = {cfg.walk_length} needs walks of over {errors.MAX_TABLE_BYTES // 8} "
+                        f"tokens of 8 bytes, over the limit of {errors.MAX_TABLE_BYTES}"
+                    )
                 pred, target = outgoing[int(rng.integers(len(outgoing)))]
                 path.extend((pred, target))
                 current = target
+            room -= len(path)
             walks.append(path)
     return walks
 
@@ -239,12 +252,19 @@ _EXTRA_COLUMNS = 10
 
 
 def _pairs(sentences: list[list[int]], window: int) -> tuple[np.ndarray, np.ndarray]:
-    """(center, context) index arrays in corpus order: by center, then context position."""
+    """(center, context) index arrays in corpus order: by center, then context position.
+
+    No pair lies farther apart than the longest sentence, so a wider
+    ``window`` reaches that far; an index table of every token's reach over
+    ``errors.MAX_TABLE_BYTES`` is a DataError naming ``w2v_window``.
+    """
     lengths = np.array([len(s) for s in sentences], dtype=np.intp)
     tokens = np.array([t for s in sentences for t in s], dtype=np.intp)
+    reach = min(window, int(lengths.max(initial=1)) - 1)
+    check_table_size("w2v_window", len(tokens), 2 * reach, window, what="context index table")
     starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
     position = np.arange(len(tokens)) - starts
-    offsets = np.array([o for o in range(-window, window + 1) if o != 0])
+    offsets = np.array([o for o in range(-reach, reach + 1) if o != 0], dtype=np.intp)
     target = position[:, None] + offsets
     valid = (target >= 0) & (target < np.repeat(lengths, lengths)[:, None])
     centers = np.broadcast_to(tokens[:, None], valid.shape)[valid]
@@ -338,7 +358,10 @@ def train_skipgram(corpus: WalkCorpus, cfg: SkipGramConfig) -> WordVectors:
     """
     counts = {t: c for t, c in corpus.vocabulary.items() if c >= cfg.min_count}
     if not counts:
-        raise DataError("corpus has no tokens above the count threshold")
+        most = max(corpus.vocabulary.values(), default=0)
+        raise DataError(
+            f"w2v_min_count = {cfg.min_count} leaves no corpus token (the most frequent occurs {most} times)"
+        )
     vocab = sorted(counts, key=lambda t: (-counts[t], t))
     index = {t: i for i, t in enumerate(vocab)}
     size, width = len(vocab), cfg.dim + _EXTRA_COLUMNS

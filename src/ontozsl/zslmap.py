@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataError, NumericalError, RangeError, UnknownNameError, check_ranges
+from .errors import DataError, NumericalError, RangeError, UnknownNameError, check_ranges, check_table_size
 from .elembed import EmbeddingSpace
 from .harness import ZslDataset, parse_vector_table, write_vector_table
 from .ontology import Ontology
@@ -174,11 +174,17 @@ def encode_labels(
 # ---------------------------------------------------------------------------
 
 
-def _check_xz(x: np.ndarray, z: np.ndarray) -> None:
+def _check_xz(x: np.ndarray, z: np.ndarray, solve: bool = False) -> None:
+    """Shapes of features ``x`` and encodings ``z``; to ``solve``, a DataError naming the width
+    that would make ``X X'`` or ``Z Z'`` pass ``errors.MAX_TABLE_BYTES`` (``Z X'`` is never
+    larger than both)."""
     if x.ndim != 2 or z.ndim != 2:
         raise DataError("feature and encoding matrices must be 2-D")
     if x.shape[1] != z.shape[1]:
         raise DataError(f"sample counts differ: {x.shape[1]} features vs {z.shape[1]} encodings")
+    if solve:
+        check_table_size("feature width", x.shape[0], x.shape[0], what="X X' matrix")
+        check_table_size("encoding width", z.shape[0], z.shape[0], what="Z Z' matrix")
 
 
 # samples per block of the mapper's column-blocked passes
@@ -216,7 +222,7 @@ def train_sae(x: np.ndarray, z: np.ndarray, lam: float) -> LinearMap:
     zero, and every entry whose ``a_i + lam b_j`` is zero is set to zero,
     which picks the minimum-norm minimizer when the system is singular.
     """
-    _check_xz(x, z)
+    _check_xz(x, z, solve=True)
     MapConfig(sae_lambda=lam)  # range-checks lam
     w = _decoupled_solve(z @ z.T, lam, 1.0 + lam, x, z)
     loss = sae_loss(w, x, z, lam)
@@ -229,7 +235,7 @@ def train_sae(x: np.ndarray, z: np.ndarray, lam: float) -> LinearMap:
 def train_ridge(x: np.ndarray, z: np.ndarray, alpha: float) -> LinearMap:
     """Closed-form ridge ``W = Z X' (X X' + alpha I)^{-1}``: :func:`train_sae`'s solve with
     ``alpha I`` for ``Z Z'`` (so ``U = I``), ``lam = 1`` and ``Z X'`` unscaled."""
-    _check_xz(x, z)
+    _check_xz(x, z, solve=True)
     MapConfig(ridge_alpha=alpha)  # range-checks alpha
     return LinearMap("ridge", alpha, _decoupled_solve(alpha * np.eye(z.shape[0]), 1.0, 1.0, x, z))
 
@@ -257,7 +263,12 @@ def _eigh_clipped(sym: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def train_map(dataset: ZslDataset, table: EncodingTable, cfg: MapConfig) -> LinearMap:
-    """Fit the configured mapper on the seen samples."""
+    """Fit the configured mapper on the seen samples.
+
+    The encodings gathered for the seen samples, or a product of the solve,
+    over ``errors.MAX_TABLE_BYTES`` is a DataError naming the encoding or
+    feature width, raised before it is formed.
+    """
     train = dataset.rows_of(dataset.seen_labels)
     if not train.any():
         raise DataError("no training samples: every sample has an unseen label")
@@ -267,6 +278,7 @@ def train_map(dataset: ZslDataset, table: EncodingTable, cfg: MapConfig) -> Line
     if missing:
         raise DataError(f"labels without encodings: {', '.join(missing)}")
     encodings = np.array([table.encodings[name] for name in names])
+    check_table_size("encoding width", len(labels), encodings.shape[1], what="seen-sample encoding table")
     code = {name: i for i, name in enumerate(names)}
     x = _columns(dataset.features, np.flatnonzero(train))
     z = _columns(encodings, np.array([code[label] for label in labels]))

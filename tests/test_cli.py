@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import os
 import re
+import resource
 import shlex
 import subprocess
 import sys
@@ -549,11 +550,30 @@ def tiny_pipeline_argv(inputs, out):
     return argv + ["--set", f"out_dir={out}"]
 
 
-def run_cli(argv):
+def run_cli(argv, **options):
     env = {**os.environ, "PYTHONPATH": str(Path(ontozsl.__file__).parents[1])}
     return subprocess.run(
-        [sys.executable, "-m", "ontozsl.cli", *argv], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "ontozsl.cli", *argv], capture_output=True, text=True, env=env, **options
     )
+
+
+def _two_gib_of_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+# Every integer setting but the epoch counts, which cost time, not memory.
+SIZING_KEYS = [
+    f.name for f in dataclasses.fields(RunConfig) if type(f.default) is int and not f.name.endswith("_epochs")
+]
+
+
+@pytest.mark.parametrize("key", SIZING_KEYS)
+def test_each_integer_setting_at_10_to_the_20_exits_0_or_2_naming_it(tiny_inputs, tmp_path, key):
+    """Each in a child with 2 GiB of address space, so a setting that sizes memory unchecked fails fast."""
+    argv = ["pipeline", *tiny_pipeline_argv(tiny_inputs, tmp_path / "run"), "--set", f"{key}={10**20}"]
+    done = run_cli(argv, timeout=60, preexec_fn=_two_gib_of_address_space)
+    assert "Traceback" not in done.stderr, done.stderr
+    assert done.returncode == EXIT_OK or (done.returncode == EXIT_DATA and f"{key} = {10**20}" in done.stderr)
 
 
 # Each value used to crash with a traceback, or to fail or pass only after training.

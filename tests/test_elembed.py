@@ -537,6 +537,66 @@ def test_initialize_space_is_seeded_and_well_formed():
     assert s != train_el(CHAIN, ElTrainConfig(dim=7, seed=43, epochs=0))
 
 
+def test_initialize_draws_each_center_and_relation_as_one_name_at_a_time_would():
+    n = normalize(gen_synthetic(4, 2, 1, seed=0).ontology)
+    for seed in range(5):
+        cfg = ElTrainConfig(dim=9, seed=seed, epochs=0)
+        rng = np.random.default_rng(seed)
+        centers = {}
+        for name in sorted(set(n.concept_names) | {"Top", "Bottom"}):
+            center = rng.normal(size=cfg.dim)
+            centers[name] = center / np.linalg.norm(center)
+        relations = {name: rng.uniform(-0.1, 0.1, size=cfg.dim) for name in sorted(n.relation_names)}
+        s = train_el(n, cfg)
+        assert s.concepts.keys() == centers.keys() and s.relations.keys() == relations.keys()
+        for name, center in centers.items():
+            assert np.array_equal(s.concepts[name].center, center), (seed, name)
+        for name, vector in relations.items():
+            assert np.array_equal(s.relations[name], vector), (seed, name)
+
+
+def test_spaces_compare_by_dim_names_and_values_but_not_losses_or_misshapen_vectors():
+    s = train_el(CHAIN, ElTrainConfig(dim=3, epochs=2))
+    assert s == replace(s, train_losses=())
+    assert s != replace(s, dim=4)
+    assert s != replace(s, concepts={**s.concepts, "D": Ball(np.zeros(3), 0.1)})
+    assert s != replace(s, concepts={**s.concepts, "A": Ball(s.concepts["A"].center, 0.5)})
+    assert s != replace(s, relations={"r": np.zeros(3)})
+    assert EmbeddingSpace(2, {}, {}) != EmbeddingSpace(3, {}, {})
+    # a space whose vectors are not dim long, also one whose numbers would fill the table
+    good = space2d(A=((1, 0), 0.1), B=((0, 1), 0.2))
+    for a, b in (((1, 0), (1, 0, 0)), ((1, 0), (1,)), ((1, 0), ((1, 0),)), ((1, 0, 0), (1,))):
+        bad = space2d(A=(a, 0.1), B=(b, 0.2))
+        assert good != bad and bad != good
+
+
+def test_an_el_batch_over_the_axiom_count_trains_as_the_axiom_count():
+    n = normalize(gen_synthetic(4, 2, 1, seed=0).ontology)
+    cfg = ElTrainConfig(dim=4, epochs=3)
+    whole = train_el(n, replace(cfg, batch_size=len(n.axioms)))
+    for batch in (len(n.axioms) + 1, 10**20):
+        s = train_el(n, replace(cfg, batch_size=batch))
+        assert export_space(s) == export_space(whole) and s.train_losses == whole.train_losses
+
+
+def test_el_negatives_whose_copies_pass_the_size_limit_are_refused_before_allocating(monkeypatch):
+    loop = NormalizedOntology(
+        axioms=(NF2("A", "r", "B"), NF2("B", "r", "A")), fresh_names=(),
+        concept_names=frozenset({"A", "B"}), relation_names=frozenset({"r"}),
+    )
+    space = train_el(loop, ElTrainConfig(dim=2, epochs=0))
+    message = "^el_negatives = {0} needs a {1} x 11 negative term table of {2} bytes, over the limit of {3}$"
+    huge = ElTrainConfig(dim=2, negatives=10**20)
+    for run in (lambda: train_el(loop, huge), lambda: total_loss(space, loop, huge)):
+        with pytest.raises(DataError, match=message.format(10**20, 2 * 10**20, 176 * 10**20, 1 << 30)):
+            run()
+    # two NF2 axioms with 3 copies each: 6 rows of 11 numbers
+    monkeypatch.setattr(errors, "MAX_TABLE_BYTES", 6 * 11 * 8)
+    train_el(loop, ElTrainConfig(dim=2, epochs=1, negatives=3))
+    with pytest.raises(DataError, match=message.format(4, 8, 704, 528)):
+        train_el(loop, ElTrainConfig(dim=2, epochs=1, negatives=4))
+
+
 def test_initialize_space_pins_nominal_radius():
     n = NormalizedOntology(
         axioms=(NF1("IND_a", "A"),),

@@ -782,6 +782,26 @@ def test_run_pipeline_works_inside_a_daemonic_multiprocessing_worker(tmp_path):
     assert (tmp_path / "run" / "manifest.txt").read_text() == manifest
 
 
+@pytest.mark.parametrize("wide, what", [("features", "feature width"), ("attributes", "encoding width")])
+def test_a_width_whose_mapper_products_pass_the_size_limit_exits_2_naming_it(
+    tmp_path, monkeypatch, capsys, wide, what
+):
+    monkeypatch.setattr(errors, "MAX_TABLE_BYTES", 1 << 20)  # small, so a miss allocates little
+    data = write_benchmark(tmp_path)
+    rows = [",".join(map(str, row)) for row in np.random.default_rng(0).normal(size=(24, 400)).round(2)]
+    if wide == "features":
+        text = "".join(f"{s.id}\t{s.label}\t{row}\n" for s, row in zip(data.dataset.samples, rows))
+    else:
+        text = "".join(f"{label}\t{row}\n" for label, row in zip(sorted(data.attributes), rows))
+    (tmp_path / ("f.tsv" if wide == "features" else "a.tsv")).write_text(text)
+    assert main(pipeline_argv(base_config(tmp_path, components="attribute"))) == EXIT_DATA
+    product = "X X'" if wide == "features" else "Z Z'"
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"error: train-map: {what} = 400 needs a 400 x 400 {product} matrix of 1280000 bytes, "
+        "over the limit of 1048576"
+    )
+
+
 def test_an_oversized_el_table_exits_2_naming_el_dim(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(errors, "MAX_TABLE_BYTES", 1 << 20)  # small, so a miss allocates little
     write_benchmark(tmp_path)

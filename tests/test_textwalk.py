@@ -145,6 +145,30 @@ def test_walks_on_empty_graph_fail():
         random_walks(project(o), WalkConfig(1, 1, 0))
 
 
+def test_walks_per_node_whose_walk_list_passes_the_size_limit_is_refused_before_walking():
+    g = project(parse_ontology("Concept(A)\nConcept(B)\nSubClassOf(A B)\n"))
+    with pytest.raises(DataError, match=f"^walks_per_node = {10**20} needs a 2 x {10**20} walk list of "
+                       f"{16 * 10**20} bytes, over the limit of {1 << 30}$"):
+        random_walks(g, WalkConfig(10**20, 1, 0))
+
+
+def test_walks_on_a_cycle_are_refused_once_their_tokens_would_pass_the_size_limit(monkeypatch):
+    cycle = "Concept(A)\nConcept(B)\nRelation(r)\nSubClassOf(A Some(r B))\nSubClassOf(B Some(r A))\n"
+    g = project(parse_ontology(cycle))
+    # one walk from each node, of 2 * 10 + 1 tokens: 42 tokens of 8 bytes
+    monkeypatch.setattr(errors, "MAX_TABLE_BYTES", 42 * 8)
+    assert sum(map(len, random_walks(g, WalkConfig(1, 10, 0)))) == 42
+    monkeypatch.setattr(errors, "MAX_TABLE_BYTES", 42 * 8 - 1)
+    with pytest.raises(DataError, match="^walk_length = 10 needs walks of over 41 tokens of 8 bytes, "
+                       "over the limit of 335$"):
+        random_walks(g, WalkConfig(1, 10, 0))
+
+
+def test_walks_on_an_acyclic_graph_end_at_sinks_however_long_walk_length_is():
+    g = project(parse_ontology("Concept(A)\nConcept(B)\nConcept(C)\nSubClassOf(A B)\nSubClassOf(B C)\n"))
+    assert random_walks(g, WalkConfig(3, 10**20, 0)) == random_walks(g, WalkConfig(3, 2, 0))
+
+
 def test_split_identifier_handles_underscores_and_camel_case():
     assert split_identifier("Killer_Whale") == ["killer", "whale"]
     assert split_identifier("hasTexture") == ["has", "texture"]
@@ -248,6 +272,25 @@ def test_skipgram_refuses_a_table_over_the_size_limit_before_allocating_it(monke
     with pytest.raises(DataError, match="^w2v_dim = 5 needs a 6 x 15 parameter table of 720 bytes, "
                        "over the limit of 672$"):
         train_skipgram(corpus, SkipGramConfig(dim=5, epochs=1))
+
+
+def test_a_window_past_the_longest_sentence_reaches_as_far_as_it():
+    corpus = load_corpus(lines("sun moon star rock\nsun moon\nrock star sun\n", "corpus"))
+    vectors = [
+        save_word_vectors(train_skipgram(corpus, SkipGramConfig(dim=2, window=window, epochs=2)))
+        for window in (3, 4, 1000, 10**20)
+    ]
+    assert vectors[1:] == vectors[:1] * 3
+
+
+def test_skipgram_refuses_a_context_index_table_over_the_size_limit(monkeypatch):
+    # 5 tokens, each reaching 2 positions each way
+    corpus = load_corpus(lines("sun moon star\nsun moon\n", "corpus"))
+    monkeypatch.setattr(errors, "MAX_TABLE_BYTES", 5 * 4 * 8 - 1)
+    for window in (2, 10**20):
+        with pytest.raises(DataError, match=f"^w2v_window = {window} needs a 5 x 4 context index table "
+                           "of 160 bytes, over the limit of 159$"):
+            train_skipgram(corpus, SkipGramConfig(dim=1, window=window, epochs=1))
 
 
 def _dense_ppmi(corpus, window):

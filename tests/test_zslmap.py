@@ -1,6 +1,7 @@
 """Label encodings, the SAE/ridge mappers, and nearest-encoding prediction."""
 
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import sae_grad
+from ontozsl import errors
 from ontozsl.elembed import Ball, EmbeddingSpace
 from ontozsl.errors import DataError, NumericalError, UnknownNameError
 from ontozsl.harness import ZslDataset
@@ -385,6 +387,31 @@ def test_train_map_fits_and_saves_the_configured_mapper():
         train_map(ZslDataset(ids, labels, features, frozenset("abc"), frozenset()), table, MapConfig())
     with pytest.raises(DataError, match="no training samples"):
         train_map(ZslDataset(ids, labels, features, frozenset(), frozenset("abc")), table, MapConfig())
+
+
+def test_the_mapper_refuses_an_encoding_table_or_product_over_the_size_limit_before_forming_it(monkeypatch):
+    # 8 seen samples of 6 features, encodings 2 wide: Z is 2 x 8, X X' 6 x 6, Z Z' 2 x 2
+    ids, labels = [f"x{i}" for i in range(12)], ["abc"[i % 3] for i in range(12)]
+    features = np.random.default_rng(11).normal(size=(12, 6))
+    dataset = ZslDataset(ids, labels, features, frozenset("ab"), frozenset("c"))
+    table = EncodingTable((Component.ATTRIBUTE,), 2, {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])})
+    limits = {
+        36 * 8: None,
+        36 * 8 - 1: "feature width = 6 needs a 6 x 6 X X' matrix of 288 bytes",
+        16 * 8 - 1: "encoding width = 2 needs a 8 x 2 seen-sample encoding table of 128 bytes",
+    }
+    for limit, message in limits.items():
+        monkeypatch.setattr(errors, "MAX_TABLE_BYTES", limit)
+        for cfg in (MapConfig(), MapConfig("ridge")):
+            if message is None:
+                train_map(dataset, table, cfg)
+            else:
+                with pytest.raises(DataError, match=f"^{re.escape(message)}, over the limit of {limit}$"):
+                    train_map(dataset, table, cfg)
+    monkeypatch.setattr(errors, "MAX_TABLE_BYTES", 3 * 3 * 8 - 1)
+    for train in (train_sae, train_ridge):
+        with pytest.raises(DataError, match="^encoding width = 3 needs a 3 x 3 Z Z' matrix of 72 bytes"):
+            train(np.ones((2, 5)), np.ones((3, 5)), 0.5)
 
 
 def test_predict_test_labels_each_unseen_sample():
